@@ -1,16 +1,13 @@
 """Learned power allocation for latency-optimal HARQ over correlated fading."""
 
-from .analytics import (AsymptoticFactors, asymptotic_outage, average_power,
-                        correlation_factor, evaluate, ir_rate_factor, latency,
-                        long_term_throughput, outage_profile,
-                        scheme_rate_factor)
-from .gcn import (GcnWeights, LayerSpec, clamp_output, forward, init_weights,
-                  load_checkpoint, save_checkpoint)
-from .graph import correlation_matrix, normalize_adjacency, session_adjacency
-from .montecarlo import (McEstimate, empirical_performance, estimate_outage,
+from .analytics import (analytic_chain, correlation_factor, evaluate,
+                        inverse_correlation, ir_rate_factor, scheme_rate_factor)
+from .gcn import (GcnWeights, LayerSpec, forward, init_weights, load_checkpoint,
+                  save_checkpoint)
+from .graph import batch_adjacency, normalize_adjacency, session_adjacency
+from .montecarlo import (McEstimate, estimate_outage,
                          estimate_outage_conditional, estimate_profile,
-                         outage_event, sample_channel_coeffs,
-                         sample_channel_gains)
+                         outage_event, sample_channel_coeffs, sample_channel_gains)
 from .oracle import (ComplexityGuard, GridInfeasible, GridSpec, OracleResult,
                      default_grid, grid_search, is_feasible)
 from .training import (TrainConfig, TrainResult, TrainingDiverged,

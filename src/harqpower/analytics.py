@@ -18,37 +18,20 @@ rate_factor_k depends only on (scheme, rate, k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .types import (OUTAGE_CAP, ChannelParams, LinkConfig, PerformanceReport,
                     PowerPolicy, Scheme)
 
 __all__ = [
-    "AsymptoticFactors",
     "correlation_factor",
     "ir_rate_factor",
     "scheme_rate_factor",
-    "asymptotic_outage",
-    "outage_profile",
-    "long_term_throughput",
-    "latency",
-    "average_power",
+    "inverse_correlation",
+    "analytic_chain",
     "evaluate",
 ]
-
-
-@dataclass(frozen=True)
-class AsymptoticFactors:
-    """Pieces of one asymptotic outage value, kept for diagnostics.
-
-    raw_outage is the unclamped product scale * rate_factor; the value
-    returned alongside is min(raw_outage, OUTAGE_CAP).
-    """
-
-    correlation: float   # joint correlation penalty of rounds 1..k
-    rate_factor: float   # scheme- and rate-dependent coefficient
-    scale: float         # inverse correlation penalty over the SNR product
-    raw_outage: float
 
 
 def correlation_factor(rho: float, rounds: int, delta: int = 1) -> float:
@@ -121,85 +104,66 @@ def scheme_rate_factor(scheme: Scheme, rate: float, rounds: int) -> float:
     return base / fact
 
 
-def asymptotic_outage(scheme: Scheme, round_k: int, policy: PowerPolicy,
-                      channel: ChannelParams, rate: float):
-    """Asymptotic outage probability after `round_k` rounds.
+def inverse_correlation(channel: ChannelParams) -> list:
+    """1 / correlation_factor for rounds 1..K of one session."""
+    return [1.0 / correlation_factor(channel.rho, k, channel.delta)
+            for k in range(1, channel.num_rounds + 1)]
 
-    Returns (clamped probability, AsymptoticFactors).  The clamp caps the
-    series at OUTAGE_CAP since the asymptote can exceed 1 at low SNR.
+
+def analytic_chain(powers, inv_corr, xi_sq, scheme: Scheme, link: LinkConfig,
+                   capped: bool = False):
+    """Outage -> throughput -> latency -> average power for one power vector.
+
+    `powers` and `inv_corr` hold one entry per round (1..K).  The entries may
+    be floats, equal-shape arrays (one value per candidate or sample) or
+    autodiff Nodes: the chain uses only + - * /, so every caller runs the same
+    operations in the same order.  Round k's outage is
+
+        P_k = inv_corr_k / prod_{j<=k} (p_j * xi_j) * rate_factor_k
+
+    and, with P_0 = 1,
+
+        throughput = rate * (1 - P_K) / ((1 + P_1) + ... + P_{K-1})
+        latency    = payload / (throughput * bandwidth)
+        avg power  = sum_k p_k * P_{k-1}
+
+    With `capped`, each P_k is replaced by min(P_k, OUTAGE_CAP) before it
+    enters the later metrics; the asymptote can exceed 1 at low SNR.
+    Returns (outages, throughput, latency, average power), where outages are
+    the per-round values the metrics used.
     """
-    if not 1 <= round_k <= channel.num_rounds:
-        raise ValueError(f"round_k must lie in 1..{channel.num_rounds}")
-    if len(policy.powers) < round_k:
-        raise ValueError("policy has fewer rounds than round_k")
-    snr_product = 1.0
-    for j in range(round_k):
-        p = policy.powers[j]
-        if p <= 0:
-            raise ValueError("powers must be positive")
-        snr_product *= p * channel.xi_sq[j]
-    corr = correlation_factor(channel.rho, round_k, channel.delta)
-    scale = (1.0 / corr) / snr_product
-    factor = scheme_rate_factor(scheme, rate, round_k)
-    raw = scale * factor
-    clamped = min(raw, OUTAGE_CAP)
-    return clamped, AsymptoticFactors(correlation=corr, rate_factor=factor,
-                                      scale=scale, raw_outage=raw)
-
-
-def outage_profile(scheme: Scheme, policy: PowerPolicy,
-                   channel: ChannelParams, rate: float) -> tuple:
-    """Clamped outage probabilities for rounds 1..K."""
-    if policy.num_rounds != channel.num_rounds:
-        raise ValueError("policy and channel round counts differ")
-    return tuple(asymptotic_outage(scheme, k, policy, channel, rate)[0]
-                 for k in range(1, channel.num_rounds + 1))
-
-
-def long_term_throughput(rate: float, profile) -> float:
-    """Long-term average throughput in bits/s/Hz.
-
-    rate * (1 - P_K) / (1 + sum_{k<K} P_k); the denominator counts the
-    expected number of transmission rounds.
-    """
-    profile = tuple(profile)
-    if not profile:
-        raise ValueError("profile must be nonempty")
-    spent = 1.0 + sum(profile[:-1])
-    return rate * (1.0 - profile[-1]) / spent
-
-
-def latency(payload_bits: float, bandwidth_hz: float, throughput: float) -> float:
-    """Expected delivery latency in seconds, payload / (throughput * bandwidth)."""
-    if throughput <= 0:
-        raise ValueError(f"throughput must be positive, got {throughput}")
-    return payload_bits / (throughput * bandwidth_hz)
-
-
-def average_power(policy: PowerPolicy, profile) -> float:
-    """Expected consumed power sum_k p_k * P_{k-1}, with P_0 = 1."""
-    profile = tuple(profile)
-    if len(profile) != policy.num_rounds:
-        raise ValueError("profile and policy lengths differ")
-    prev = 1.0
-    total = 0.0
-    for p, pout in zip(policy.powers, profile):
-        total += p * prev
-        prev = pout
-    return total
+    outages = []
+    prod = None
+    for k, (p, xi, ic) in enumerate(zip(powers, xi_sq, inv_corr), start=1):
+        term = p * xi
+        prod = term if prod is None else prod * term
+        pout = ic / prod * scheme_rate_factor(scheme, link.rate, k)
+        outages.append(np.minimum(pout, OUTAGE_CAP) if capped else pout)
+    spent = 1.0
+    for pout in outages[:-1]:
+        spent = spent + pout
+    eta = link.rate * (1.0 - outages[-1]) / spent
+    tau = link.payload_bits / (eta * link.bandwidth_hz)
+    pavg = powers[0]
+    for p, pout in zip(powers[1:], outages[:-1]):
+        pavg = pavg + p * pout
+    return outages, eta, tau, pavg
 
 
 def evaluate(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,
              link: LinkConfig) -> PerformanceReport:
     """Full analytic report for one policy under one channel draw."""
-    profile = outage_profile(scheme, policy, channel, link.rate)
-    eta = long_term_throughput(link.rate, profile)
-    tau = latency(link.payload_bits, link.bandwidth_hz, eta)
-    pavg = average_power(policy, profile)
+    if policy.num_rounds != channel.num_rounds:
+        raise ValueError("policy and channel round counts differ")
+    outages, eta, tau, pavg = analytic_chain(
+        policy.powers, inverse_correlation(channel), channel.xi_sq, scheme,
+        link, capped=True)
+    profile = tuple(float(p) for p in outages)
+    pavg = float(pavg)
     return PerformanceReport(
         outage_profile=profile,
-        throughput=eta,
-        latency_s=tau,
+        throughput=float(eta),
+        latency_s=float(tau),
         average_power_w=pavg,
         outage_feasible=profile[-1] <= link.outage_target,
         power_feasible=pavg <= link.power_budget_w,

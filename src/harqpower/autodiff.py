@@ -17,13 +17,16 @@ import numpy as np
 
 __all__ = [
     "Node", "constant", "parameter", "add", "multiply", "divide", "negate",
-    "matmul", "relu", "clamp", "log", "power", "reduce_sum",
+    "matmul", "relu", "clamp", "log", "reduce_sum",
     "backward", "GradientReport", "finite_diff_check", "activity_signature",
 ]
 
 
 class Node:
     __slots__ = ("value", "adjoint", "parents", "grad_fn", "kind")
+    # numpy defers to the reflected operators below, so `ndarray / Node`
+    # builds a Node instead of an object array of per-element Nodes
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), grad_fn=None, kind="constant"):
         self.value = np.asarray(value, dtype=np.float64)
@@ -162,12 +165,6 @@ def log(a: Node) -> Node:
     def push(g, out):
         return (g / a.value,)
     return Node(np.log(a.value), (a,), push, "log")
-
-
-def power(a: Node, exponent: float) -> Node:
-    def push(g, out):
-        return (g * exponent * a.value ** (exponent - 1.0),)
-    return Node(a.value ** exponent, (a,), push, "power")
 
 
 def reduce_sum(a: Node) -> Node:

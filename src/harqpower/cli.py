@@ -19,15 +19,16 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
-from .analytics import asymptotic_outage, evaluate
+from .analytics import evaluate
 from .gcn import LayerSpec, save_checkpoint
 from .montecarlo import estimate_outage, estimate_outage_conditional
-from .oracle import ComplexityGuard, GridInfeasible, GridSpec, grid_search
+from .oracle import ComplexityGuard, GridInfeasible, default_grid, grid_search
 from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged,
                        evaluate_policy, train)
 from .types import (ChannelParams, LinkConfig, PowerPolicy, Scheme,
@@ -56,6 +57,10 @@ CONFIG_SCHEMA = {
     "power_dbw": float, "estimator": str, "points": int, "rho_points": int,
     "budget_lo_dbw": float, "budget_hi_dbw": float,
 }
+
+# smallest accepted value of the integer keys that count something
+MIN_INT_VALUES = {"trials": 1, "threads": 1, "epochs": 1, "points": 2,
+                  "rho_points": 1}
 
 DEFAULTS = {
     "scheme": "ir", "rounds": 3, "delta": 1, "rho": 0.5, "rate": 2.0,
@@ -109,6 +114,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    for key, lowest in MIN_INT_VALUES.items():
+        if cfg[key] < lowest:
+            raise ConfigError(f"{key} must be >= {lowest}, got {cfg[key]}")
+    for key, kind in CONFIG_SCHEMA.items():
+        if kind is float and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     if cfg["scheme"] not in SCHEME_ORDER:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
     if cfg["estimator"] not in ("direct", "conditional"):
@@ -241,12 +252,12 @@ def cmd_mc_validate(cfg: dict, out_dir: str) -> int:
     policy = PowerPolicy((power_w,) * cfg["rounds"])
     estimator = (estimate_outage_conditional if cfg["estimator"] == "conditional"
                  else estimate_outage)
+    link = _link(cfg)
     rows = []
     for name in SCHEME_ORDER:
         scheme = Scheme.from_name(name)
-        for k in range(1, cfg["rounds"] + 1):
-            analytic, _ = asymptotic_outage(scheme, k, policy, channel,
-                                            cfg["rate"])
+        profile = evaluate(policy, channel, scheme, link).outage_profile
+        for k, analytic in enumerate(profile, start=1):
             est = estimator(scheme, k, policy, channel, cfg["rate"],
                             trials=cfg["trials"], seed=cfg["seed"],
                             workers=cfg["threads"])
@@ -266,9 +277,8 @@ def cmd_oracle(cfg: dict, out_dir: str) -> int:
     scheme = Scheme.from_name(cfg["scheme"])
     link = _link(cfg)
     channel = _channel(cfg)
-    grid = GridSpec(points_per_axis=cfg["points"],
-                    p_max_w=dbw_to_watts(link.power_budget_dbw + 3.0))
-    result = grid_search(channel, scheme, link, grid)
+    result = grid_search(channel, scheme, link,
+                         default_grid(link, points=cfg["points"]))
     header = ("scheme", "tau_s", "pout_K", "pavg_w") + tuple(
         f"p{j + 1}_w" for j in range(cfg["rounds"]))
     row = (scheme.value, fmt(result.latency_s), fmt(result.outage_k),

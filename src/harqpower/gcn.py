@@ -6,7 +6,8 @@ transmit powers.  Every layer propagates features with the same adjacency:
     V_{l+1} = act_l(A_norm @ V_l @ W_l)
 
 The input feature of every round is the uniform split p_bar / K, so the
-learned policy depends on the channel only through the adjacency.
+learned policy depends on the channel only through the adjacency.  The
+output is floored at P_MIN_WATTS, the smallest power a policy may use.
 """
 from __future__ import annotations
 
@@ -14,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import PowerPolicy
+from . import autodiff as ad
+from .types import P_MIN_WATTS
 
 __all__ = ["LayerSpec", "GcnWeights", "init_weights", "forward",
-           "clamp_output", "save_checkpoint", "load_checkpoint"]
+           "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_MAGIC = "HARQPOWER-GCN"
 CHECKPOINT_VERSION = 1
@@ -72,24 +74,27 @@ def init_weights(spec: LayerSpec, seed: int) -> GcnWeights:
     return GcnWeights(spec=spec, matrices=mats, seed=seed)
 
 
-def forward(adjacency: np.ndarray, weights: GcnWeights, p_bar_w: float) -> np.ndarray:
-    """Raw (unfloored) per-round powers for one session, shape (K,)."""
-    k = adjacency.shape[0]
-    if adjacency.shape != (k, k):
+def forward(adjacency: np.ndarray, spec: LayerSpec, matrices,
+            p_bar_w: float) -> ad.Node:
+    """Per-round powers floored at P_MIN_WATTS, as an autodiff node.
+
+    `adjacency` is one (K, K) session or a (B, K, K) stack; the output has
+    shape (K, 1) or (B, K, 1).  `matrices` are the layer weights as autodiff
+    nodes: parameters to differentiate through the network, constants to
+    just evaluate it.
+    """
+    k = adjacency.shape[-1]
+    if adjacency.ndim not in (2, 3) or adjacency.shape[-2] != k:
         raise ValueError("adjacency must be square")
-    v = np.full((k, 1), p_bar_w / k)
-    for w, act in zip(weights.matrices, weights.spec.activations):
-        v = adjacency @ v @ w
+    a = ad.constant(adjacency)
+    v = ad.constant(np.full(adjacency.shape[:-1] + (1,), p_bar_w / k))
+    for w, act in zip(matrices, spec.activations):
+        v = ad.matmul(ad.matmul(a, v), w)
         if act == "relu":
-            v = np.maximum(v, 0.0)
-    if v.shape[1] != 1:
+            v = ad.relu(v)
+    if v.value.shape[-1] != 1:
         raise ValueError("final layer must emit one feature per round")
-    return v[:, 0]
-
-
-def clamp_output(raw: np.ndarray) -> PowerPolicy:
-    """Floor raw outputs into a valid PowerPolicy."""
-    return PowerPolicy(tuple(float(x) for x in raw))
+    return ad.clamp(v, lo=P_MIN_WATTS)
 
 
 def save_checkpoint(path, weights: GcnWeights) -> None:

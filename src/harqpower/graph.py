@@ -18,40 +18,42 @@ import numpy as np
 
 from .types import ChannelParams
 
-__all__ = ["correlation_matrix", "normalize_adjacency", "session_adjacency"]
-
-
-def correlation_matrix(channel: ChannelParams) -> np.ndarray:
-    """Symmetric correlation matrix H of one session.
-
-    H[i, i] = xi_sq_i and, for i != j (0-based),
-    H[i, j] = sqrt(xi_sq_i * xi_sq_j) * rho^{(i+1) + (j+1) + 2*delta - 2},
-    the second-order statistic of the shared-component fading model.
-    """
-    k = channel.num_rounds
-    xi = np.asarray(channel.xi_sq, dtype=np.float64)
-    h = np.zeros((k, k), dtype=np.float64)
-    for i in range(k):
-        h[i, i] = xi[i]
-        for j in range(i + 1, k):
-            expo = (i + 1) + (j + 1) + 2 * channel.delta - 2
-            h[i, j] = np.sqrt(xi[i] * xi[j]) * channel.rho ** expo
-            h[j, i] = h[i, j]
-    return h
+__all__ = ["batch_adjacency", "normalize_adjacency", "session_adjacency"]
 
 
 def normalize_adjacency(h: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization D^{-1/2} H D^{-1/2}, D = diag(row sums).
 
-    Raises on any nonpositive degree.
+    Works on one (K, K) matrix or a stack (..., K, K).  Raises on any
+    nonpositive degree.
     """
-    d = h.sum(axis=1)
+    d = h.sum(axis=-1)
     if np.any(d <= 0):
         raise ValueError("adjacency degrees must be strictly positive")
     inv_sqrt = 1.0 / np.sqrt(d)
-    return h * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return h * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+
+
+def batch_adjacency(rho: np.ndarray, num_rounds: int, delta: int,
+                    xi_sq=None) -> np.ndarray:
+    """Normalized adjacencies of sessions with correlations `rho`, shape (B, K, K).
+
+    The correlation matrix H has H[i, i] = xi_sq_i and, for i != j (0-based),
+    H[i, j] = sqrt(xi_sq_i * xi_sq_j) * rho^{(i+1) + (j+1) + 2*delta - 2},
+    the second-order statistic of the shared-component fading model.  Unit
+    gains are assumed when `xi_sq` is None.
+    """
+    k = num_rounds
+    xi = np.ones(k) if xi_sq is None else np.asarray(xi_sq, dtype=np.float64)
+    i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    expo = i + j + 2 * delta
+    cross = np.sqrt(np.outer(xi, xi))
+    h = cross[None, :, :] * rho[:, None, None] ** expo[None, :, :]
+    h[:, np.arange(k), np.arange(k)] = xi[None, :]
+    return normalize_adjacency(h)
 
 
 def session_adjacency(channel: ChannelParams) -> np.ndarray:
-    """Normalized adjacency of one session (correlation matrix + normalization)."""
-    return normalize_adjacency(correlation_matrix(channel))
+    """Normalized adjacency of one session, shape (K, K)."""
+    return batch_adjacency(np.array([channel.rho]), channel.num_rounds,
+                           channel.delta, channel.xi_sq)[0]

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .analytics import average_power, latency, long_term_throughput
-from .types import ChannelParams, LinkConfig, PerformanceReport, PowerPolicy, Scheme
+from .types import ChannelParams, PowerPolicy, Scheme
 
 __all__ = ["McEstimate", "sample_channel_coeffs", "sample_channel_gains",
            "outage_event", "estimate_outage", "estimate_outage_conditional",
-           "estimate_profile", "empirical_performance"]
+           "estimate_profile"]
 
 CHUNK_TRIALS = 1 << 15
 
@@ -193,18 +192,3 @@ def estimate_outage_conditional(scheme: Scheme, round_k: int, policy: PowerPolic
     return McEstimate(mean=mean, stderr=math.sqrt(var_est / trials),
                       trials=trials, method="conditional")
 
-
-def empirical_performance(policy: PowerPolicy, channel: ChannelParams,
-                          scheme: Scheme, link: LinkConfig, trials: int,
-                          seed: int, workers: int = 1) -> PerformanceReport:
-    """Link metrics computed from the MC outage profile instead of the asymptote."""
-    profile = tuple(e.mean for e in estimate_profile(
-        scheme, policy, channel, link.rate, trials, seed, workers))
-    eta = long_term_throughput(link.rate, profile)
-    tau = latency(link.payload_bits, link.bandwidth_hz, eta)
-    pavg = average_power(policy, profile)
-    return PerformanceReport(
-        outage_profile=profile, throughput=eta, latency_s=tau,
-        average_power_w=pavg,
-        outage_feasible=profile[-1] <= link.outage_target,
-        power_feasible=pavg <= link.power_budget_w)

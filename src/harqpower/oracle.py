@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import correlation_factor, evaluate, scheme_rate_factor
-from .types import (OUTAGE_CAP, P_MIN_WATTS, ChannelParams, LinkConfig,
+from .analytics import analytic_chain, evaluate, inverse_correlation
+from .types import (P_MIN_WATTS, ChannelParams, LinkConfig,
                     PowerPolicy, Scheme, dbw_to_watts)
 
 __all__ = ["GridSpec", "OracleResult", "ComplexityGuard", "GridInfeasible",
@@ -79,44 +79,22 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
         raise ComplexityGuard(
             f"grid search supports at most {MAX_GRID_ROUNDS} rounds, got {k}")
     axis = grid.axis()
-    mesh = np.meshgrid(*([axis] * k), indexing="ij")
-    powers = np.stack([m.reshape(-1) for m in mesh], axis=1)  # (N, K)
+    cols = [m.reshape(-1) for m in np.meshgrid(*([axis] * k), indexing="ij")]
+    outages, _, tau, pavg = analytic_chain(
+        cols, inverse_correlation(channel), channel.xi_sq, scheme, link,
+        capped=True)
 
-    # vectorized mirror of analytics.evaluate, identical operation order
-    inv_corr = [1.0 / correlation_factor(channel.rho, kk, channel.delta)
-                for kk in range(1, k + 1)]
-    factors = [scheme_rate_factor(scheme, link.rate, kk)
-               for kk in range(1, k + 1)]
-    prod = np.ones(powers.shape[0])
-    profile = np.empty_like(powers)
-    for j in range(k):
-        prod = prod * (powers[:, j] * channel.xi_sq[j])
-        profile[:, j] = np.minimum((inv_corr[j] / prod) * factors[j], OUTAGE_CAP)
-
-    acc = np.zeros(powers.shape[0])
-    for j in range(k - 1):
-        acc = acc + profile[:, j]
-    spent = 1.0 + acc
-    eta = link.rate * (1.0 - profile[:, -1]) / spent
-    tau = link.payload_bits / (eta * link.bandwidth_hz)
-
-    pavg = np.zeros(powers.shape[0])
-    prev = np.ones(powers.shape[0])
-    for j in range(k):
-        pavg = pavg + powers[:, j] * prev
-        prev = profile[:, j]
-
-    feasible = (profile[:, -1] <= link.outage_target) & (pavg <= link.power_budget_w)
+    feasible = (outages[-1] <= link.outage_target) & (pavg <= link.power_budget_w)
     if not np.any(feasible):
         raise GridInfeasible(
             f"no feasible point on a {grid.points_per_axis}^{k} grid for "
             f"{scheme.value} at {link.power_budget_dbw} dBW")
 
     idx = np.flatnonzero(feasible)
-    keys = tuple(powers[idx, j] for j in range(k - 1, -1, -1)) + (pavg[idx], tau[idx])
+    keys = tuple(c[idx] for c in reversed(cols)) + (pavg[idx], tau[idx])
     best = idx[np.lexsort(keys)[0]]
 
-    policy = PowerPolicy(tuple(powers[best]))
+    policy = PowerPolicy(tuple(c[best] for c in cols))
     return OracleResult(policy=policy, latency_s=float(tau[best]),
                         average_power_w=float(pavg[best]),
-                        outage_k=float(profile[best, -1]), grid=grid)
+                        outage_k=float(outages[-1][best]), grid=grid)

@@ -13,19 +13,18 @@ Both constraint terms use the same mini-batch as the weight gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .analytics import correlation_factor, evaluate, scheme_rate_factor
-from .gcn import GcnWeights, LayerSpec, clamp_output, forward, init_weights
-from .graph import session_adjacency
-from .types import (P_MIN_WATTS, ChannelParams, LinkConfig,
-                    PowerPolicy, Scheme)
+from .analytics import analytic_chain, correlation_factor, evaluate
+from .gcn import GcnWeights, LayerSpec, forward, init_weights
+from .graph import batch_adjacency, session_adjacency
+from .types import ChannelParams, LinkConfig, PowerPolicy, Scheme
 
 __all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
-           "sample_rho_dataset", "batch_adjacency", "batch_lagrangian",
+           "sample_rho_dataset", "dataset_constants", "batch_lagrangian",
            "train", "evaluate_policy", "TrainingDiverged",
            "HISTORY_FIELDS"]
 
@@ -119,49 +118,32 @@ def sample_rho_dataset(cfg: TrainConfig) -> np.ndarray:
     return rng.random(cfg.dataset_size)
 
 
-def batch_adjacency(rho_batch: np.ndarray, num_rounds: int, delta: int,
-                    xi_sq=None) -> np.ndarray:
-    """Stacked normalized adjacencies, shape (B, K, K).
+def dataset_constants(rho: np.ndarray, channel_proto: ChannelParams):
+    """Per-sample constants of a rho dataset, computed once per training run.
 
-    Vectorized twin of graph.session_adjacency: symmetric correlation
-    matrix (cross terms sqrt(xi_i xi_j) rho^{i+j+2*delta}, 0-based) under
-    row-sum degree normalization, one slice per batch entry.
+    Returns the normalized adjacencies, shape (N, K, K), and the inverse
+    correlation penalties 1 / correlation_factor for rounds 1..K, shape
+    (K, N, 1, 1).  A mini-batch slices both with its sample indices.
     """
-    k = num_rounds
-    xi = np.ones(k) if xi_sq is None else np.asarray(xi_sq, dtype=np.float64)
-    i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    expo = i + j + 2 * delta
-    cross = np.sqrt(np.outer(xi, xi))
-    h = cross[None, :, :] * rho_batch[:, None, None] ** expo[None, :, :]
-    h[:, np.arange(k), np.arange(k)] = xi[None, :]
-    d = h.sum(axis=2)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    return h * inv_sqrt[:, :, None] * inv_sqrt[:, None, :]
+    k, delta = channel_proto.num_rounds, channel_proto.delta
+    adj = batch_adjacency(rho, k, delta, channel_proto.xi_sq)
+    inv_corr = np.array([[1.0 / correlation_factor(r, kk, delta) for r in rho]
+                         for kk in range(1, k + 1)])
+    return adj, inv_corr[:, :, None, None]
 
 
-def _policy_graph(adj: np.ndarray, wnodes, spec: LayerSpec, p_bar_w: float):
-    """Batched GCN forward as autodiff nodes; output (B, K, 1) floored powers."""
-    b, k = adj.shape[0], adj.shape[1]
-    a = ad.constant(adj)
-    v = ad.constant(np.full((b, k, 1), p_bar_w / k))
-    for w, act in zip(wnodes, spec.activations):
-        v = ad.matmul(ad.matmul(a, v), w)
-        if act == "relu":
-            v = ad.relu(v)
-    return ad.clamp(v, lo=P_MIN_WATTS)
-
-
-def batch_lagrangian(wnodes, spec: LayerSpec, rho_batch: np.ndarray,
-                     scheme: Scheme, channel_proto: ChannelParams,
-                     link: LinkConfig, lam: float, ups: float,
-                     tau_clip: float | None = None):
+def batch_lagrangian(wnodes, spec: LayerSpec, adj: np.ndarray,
+                     inv_corr: np.ndarray, scheme: Scheme,
+                     channel_proto: ChannelParams, link: LinkConfig,
+                     lam: float, ups: float, tau_clip: float | None = None):
     """Build the batch-mean Lagrangian graph.
 
+    `adj` and `inv_corr` are a mini-batch's slices of dataset_constants().
     Returns (root, stats) where stats carries the batch means needed by the
     dual updates and the history: mean_tau_s, mean_log_pout, mean_pavg_w.
-    The analytic chain mirrors analytics.evaluate() operation for operation
-    with two deliberate exceptions around the outage-near-one region, where
-    the latency ratio has a pole that otherwise wrecks the optimizer:
+    The metrics come from analytics.analytic_chain with two deliberate
+    exceptions around the outage-near-one region, where the latency ratio
+    has a pole that otherwise wrecks the optimizer:
 
     * per-round outage values are not capped below one (the cap turns the
       pole into an eight-orders-of-magnitude cliff whose gradient poisons
@@ -172,50 +154,19 @@ def batch_lagrangian(wnodes, spec: LayerSpec, rho_batch: np.ndarray,
       instead of a divergent pull, while their power and outage constraint
       terms stay exact.
 
-    Reported metrics elsewhere always use the capped analytics chain.
+    Reported metrics elsewhere always use the capped chain.
     """
-    b = len(rho_batch)
-    k = channel_proto.num_rounds
-    delta = channel_proto.delta
+    b, k = adj.shape[0], adj.shape[1]
     p_bar = link.power_budget_w
+    powers = forward(adj, spec, wnodes, p_bar)
 
-    adj = batch_adjacency(rho_batch, k, delta, channel_proto.xi_sq)
-    powers = _policy_graph(adj, wnodes, spec, p_bar)
-
-    # per-sample constants: inverse correlation penalty for each round count
-    inv_corr = np.empty((k, b, 1, 1))
-    for kk in range(1, k + 1):
-        for s, rho in enumerate(rho_batch):
-            inv_corr[kk - 1, s, 0, 0] = 1.0 / correlation_factor(rho, kk, delta)
-    factors = [scheme_rate_factor(scheme, link.rate, kk) for kk in range(1, k + 1)]
-
-    # extract per-round powers as (B,1,1) scalars
+    # per-round powers as (B,1,1) nodes
     eye = np.eye(k)
     p_k = [ad.matmul(ad.constant(eye[kk:kk + 1, :]), powers) for kk in range(k)]
-
-    # cumulative SNR products and clamped outage per round
-    pouts = []
-    cum = None
-    for kk in range(k):
-        term = ad.multiply(p_k[kk], ad.constant(channel_proto.xi_sq[kk]))
-        cum = term if cum is None else ad.multiply(cum, term)
-        scale = ad.divide(ad.constant(inv_corr[kk]), cum)
-        pouts.append(ad.multiply(scale, ad.constant(factors[kk])))
-
-    # throughput, latency, average power
-    spent = ad.constant(1.0)
-    for kk in range(k - 1):
-        spent = ad.add(spent, pouts[kk])
-    num = ad.multiply(ad.constant(link.rate),
-                      ad.add(ad.constant(1.0), ad.negate(pouts[-1])))
-    eta = ad.divide(num, spent)
-    tau = ad.divide(ad.constant(link.payload_bits),
-                    ad.multiply(eta, ad.constant(link.bandwidth_hz)))
+    pouts, _, tau, pavg = analytic_chain(p_k, inv_corr, channel_proto.xi_sq,
+                                         scheme, link)
     if tau_clip is not None:
         tau = ad.clamp(tau, lo=0.0, hi=tau_clip)
-    pavg = p_k[0]
-    for kk in range(1, k):
-        pavg = ad.add(pavg, ad.multiply(p_k[kk], pouts[kk - 1]))
 
     log_pout = ad.log(pouts[-1])
     lagr = tau
@@ -241,7 +192,8 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
     """Primal-dual training loop; deterministic in cfg.seed."""
     weights = init_weights(spec, cfg.seed)
     adam = AdamState.like(weights.matrices)
-    dataset = sample_rho_dataset(cfg)
+    adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
+                                              channel_proto)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 13)))
 
     lam = 0.0 if cfg.freeze_duals else cfg.init_lambda
@@ -260,9 +212,9 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
         order = shuffle_rng.permutation(cfg.dataset_size)
         for bidx in range(steps_per_epoch):
             sel = order[bidx * cfg.batch_size:(bidx + 1) * cfg.batch_size]
-            rho_batch = dataset[sel]
             wnodes = [ad.parameter(m) for m in weights.matrices]
-            root, stats = batch_lagrangian(wnodes, spec, rho_batch, scheme,
+            root, stats = batch_lagrangian(wnodes, spec, adj_all[sel],
+                                           inv_corr_all[:, sel], scheme,
                                            channel_proto, link, lam, ups,
                                            tau_clip=tau_clip)
             if not math.isfinite(float(root.value)):
@@ -298,7 +250,9 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
 def evaluate_policy(weights: GcnWeights, channel: ChannelParams,
                     link: LinkConfig, scheme: Scheme):
     """Run the trained network on one channel and score it analytically."""
-    adj = session_adjacency(channel)
-    policy = clamp_output(forward(adj, weights, link.power_budget_w))
+    consts = [ad.constant(m) for m in weights.matrices]
+    out = forward(session_adjacency(channel), weights.spec, consts,
+                  link.power_budget_w)
+    policy = PowerPolicy(tuple(out.value[:, 0]))
     report = evaluate(policy, channel, scheme, link)
     return policy, report

@@ -8,7 +8,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 # Floor applied to every per-round transmit power (watts).  Keeps the
@@ -74,8 +73,7 @@ class ChannelParams:
 class LinkConfig:
     """Static link parameters shared by every experiment.
 
-    rate = payload bits per channel use; when bits_per_packet and
-    symbols_per_round are both given they must be consistent with it.
+    rate = payload bits per channel use.
     """
 
     rate: float = 2.0
@@ -83,8 +81,6 @@ class LinkConfig:
     bandwidth_hz: float = 1e7
     outage_target: float = 1e-2
     power_budget_dbw: float = 15.0
-    bits_per_packet: float | None = None
-    symbols_per_round: float | None = None
 
     def __post_init__(self):
         if self.rate <= 0:
@@ -93,11 +89,6 @@ class LinkConfig:
             raise ValueError("payload_bits and bandwidth_hz must be positive")
         if not 0.0 < self.outage_target < 1.0:
             raise ValueError("outage_target must lie in (0, 1)")
-        if self.bits_per_packet is not None and self.symbols_per_round is not None:
-            implied = self.bits_per_packet / self.symbols_per_round
-            if not math.isclose(implied, self.rate, rel_tol=1e-12):
-                raise ValueError(
-                    f"rate {self.rate} inconsistent with bits/symbols ratio {implied}")
 
     @property
     def power_budget_w(self) -> float:

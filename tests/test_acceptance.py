@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from harqpower import autodiff as ad
-from harqpower.analytics import (asymptotic_outage, correlation_factor,
+from harqpower.analytics import (correlation_factor, evaluate,
                                  scheme_rate_factor)
 from harqpower.cli import SEED_ENV_VAR, main
 from harqpower.gcn import LayerSpec, forward, init_weights
-from harqpower.graph import session_adjacency
+from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.montecarlo import (estimate_outage, estimate_outage_conditional)
 from harqpower.oracle import default_grid, grid_search
-from harqpower.training import (TrainConfig, batch_adjacency, batch_lagrangian,
-                                evaluate_policy, train)
+from harqpower.training import (TrainConfig, batch_lagrangian,
+                                dataset_constants, evaluate_policy, train)
 from harqpower.types import ChannelParams, LinkConfig, PowerPolicy, Scheme
 
 SCHEMES = (Scheme.INCREMENTAL, Scheme.CHASE, Scheme.TYPE_I)
@@ -199,8 +199,8 @@ class TestAsymptoteCertification:
     def test_conditional_estimator_matches_asymptote(self, scheme, rho):
         channel = ChannelParams(rho=rho)
         policy = PowerPolicy((MC_POWER_W,) * 3)
-        for k in (1, 2, 3):
-            analytic, _ = asymptotic_outage(scheme, k, policy, channel, 2.0)
+        profile = evaluate(policy, channel, scheme, LinkConfig()).outage_profile
+        for k, analytic in enumerate(profile, start=1):
             est = estimate_outage_conditional(scheme, k, policy, channel, 2.0,
                                               trials=MC_TRIALS, seed=MC_SEED,
                                               workers=4)
@@ -256,13 +256,7 @@ class TestGradientCorrectness:
         scheme = SCHEMES[seed % 3]
         adj = batch_adjacency(rho_batch, proto.num_rounds, proto.delta)
         wn = [ad.parameter(m) for m in weights.matrices]
-        v = ad.constant(np.full((FD_BATCH, proto.num_rounds, 1),
-                                link.power_budget_w / proto.num_rounds))
-        a = ad.constant(adj)
-        for w, act in zip(wn, spec.activations):
-            v = ad.matmul(ad.matmul(a, v), w)
-            if act == "relu":
-                v = ad.relu(v)
+        v = forward(adj, spec, wn, link.power_budget_w)
         mean_out = float(np.mean(v.value))
         assert mean_out > 0.01, f"seed {seed}: collapsed init"
         weights.matrices[-1] *= FD_TARGET_MEAN_W / mean_out
@@ -280,8 +274,9 @@ class TestGradientCorrectness:
         k = proto.num_rounds
         for rho in rho_batch:
             ch = ChannelParams(rho=float(rho))
-            p = np.asarray(forward(session_adjacency(ch), weights,
-                                   link.power_budget_w)).reshape(-1)
+            consts = [ad.constant(m) for m in weights.matrices]
+            p = forward(session_adjacency(ch), spec, consts,
+                        link.power_budget_w).value.reshape(-1)
             assert p.min() >= 2.0
             pout = scheme_rate_factor(scheme, link.rate, k) / (
                 correlation_factor(float(rho), k, proto.delta) * np.prod(p))
@@ -290,9 +285,11 @@ class TestGradientCorrectness:
         lam, ups = FD_DUALS
         tau_clip = 10.0 * link.payload_bits / (link.bandwidth_hz * link.rate)
 
+        adj, inv_corr = dataset_constants(rho_batch, proto)
+
         def build(params):
-            root, _ = batch_lagrangian(params, spec, rho_batch, scheme, proto,
-                                       link, lam, ups, tau_clip=tau_clip)
+            root, _ = batch_lagrangian(params, spec, adj, inv_corr, scheme,
+                                       proto, link, lam, ups, tau_clip=tau_clip)
             return root
 
         report = ad.finite_diff_check(build, weights.matrices, step=1e-4)

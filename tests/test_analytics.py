@@ -7,14 +7,14 @@ coefficient, and a 40-digit recomputation of one full evaluation chain.
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from harqpower.analytics import (asymptotic_outage, average_power,
-                                 correlation_factor, evaluate, ir_rate_factor,
-                                 latency, long_term_throughput, outage_profile,
+from harqpower.analytics import (analytic_chain, correlation_factor, evaluate,
+                                 inverse_correlation, ir_rate_factor,
                                  scheme_rate_factor)
 from harqpower.types import (OUTAGE_CAP, ChannelParams, LinkConfig,
                              PowerPolicy, Scheme)
@@ -131,24 +131,29 @@ class TestRateFactors:
 
 class TestAsymptoticOutage:
     def test_single_round_hand_value(self):
-        p, parts = asymptotic_outage(Scheme.TYPE_I, 1, PowerPolicy((10.0,)),
-                                     ChannelParams(rho=0.0, xi_sq=(1.0,)), 2.0)
-        assert p == pytest.approx(0.3, abs=1e-15)
-        assert parts.correlation == 1.0
-        assert parts.raw_outage == p
+        ch = ChannelParams(rho=0.0, xi_sq=(1.0,))
+        rep = evaluate(PowerPolicy((10.0,)), ch, Scheme.TYPE_I, LinkConfig())
+        assert rep.outage_profile[0] == pytest.approx(0.3, abs=1e-15)
+        assert inverse_correlation(ch) == [1.0]
+        raw, _, _, _ = analytic_chain((10.0,), [1.0], (1.0,), Scheme.TYPE_I,
+                                      LinkConfig())
+        assert raw[0] == rep.outage_profile[0]
 
     def test_cap_engages_at_tiny_power(self):
-        p, parts = asymptotic_outage(Scheme.TYPE_I, 1, PowerPolicy((0.01,)),
-                                     ChannelParams(rho=0.0, xi_sq=(1.0,)), 2.0)
-        assert p == OUTAGE_CAP
-        assert parts.raw_outage > 1.0
+        ch = ChannelParams(rho=0.0, xi_sq=(1.0,))
+        rep = evaluate(PowerPolicy((0.01,)), ch, Scheme.TYPE_I, LinkConfig())
+        assert rep.outage_profile[0] == OUTAGE_CAP
+        raw, _, _, _ = analytic_chain((0.01,), [1.0], (1.0,), Scheme.TYPE_I,
+                                      LinkConfig())
+        assert raw[0] > 1.0
 
     def test_gain_scaling(self):
         # doubling the gain halves the single-round asymptote
         ch1 = ChannelParams(rho=0.0, xi_sq=(1.0,))
         ch2 = ChannelParams(rho=0.0, xi_sq=(2.0,))
-        a = asymptotic_outage(Scheme.CHASE, 1, PowerPolicy((50.0,)), ch1, 2.0)[0]
-        b = asymptotic_outage(Scheme.CHASE, 1, PowerPolicy((50.0,)), ch2, 2.0)[0]
+        pol = PowerPolicy((50.0,))
+        a = evaluate(pol, ch1, Scheme.CHASE, LinkConfig()).outage_profile[0]
+        b = evaluate(pol, ch2, Scheme.CHASE, LinkConfig()).outage_profile[0]
         assert b == pytest.approx(a / 2.0, rel=1e-14)
 
     @given(power=st.floats(5.0, 500.0), extra=st.floats(1.01, 4.0))
@@ -158,50 +163,89 @@ class TestAsymptoticOutage:
         lo = PowerPolicy((power, power, power))
         hi = PowerPolicy((power * extra, power, power))
         for scheme in Scheme:
-            for k in (1, 2, 3):
-                assert (asymptotic_outage(scheme, k, hi, ch, 2.0)[0]
-                        <= asymptotic_outage(scheme, k, lo, ch, 2.0)[0])
-
-    def test_round_bounds_checked(self):
-        ch = ChannelParams(rho=0.2)
-        pol = PowerPolicy((10.0, 10.0, 10.0))
-        with pytest.raises(ValueError):
-            asymptotic_outage(Scheme.TYPE_I, 0, pol, ch, 2.0)
-        with pytest.raises(ValueError):
-            asymptotic_outage(Scheme.TYPE_I, 4, pol, ch, 2.0)
+            prof_hi = evaluate(hi, ch, scheme, LinkConfig()).outage_profile
+            prof_lo = evaluate(lo, ch, scheme, LinkConfig()).outage_profile
+            assert all(a <= b for a, b in zip(prof_hi, prof_lo))
 
     def test_profile_round_count_must_match(self):
         with pytest.raises(ValueError):
-            outage_profile(Scheme.TYPE_I, PowerPolicy((10.0, 10.0)),
-                           ChannelParams(rho=0.2), 2.0)
+            evaluate(PowerPolicy((10.0, 10.0)), ChannelParams(rho=0.2),
+                     Scheme.TYPE_I, LinkConfig())
 
 
 class TestLinkMetrics:
+    # With unit gains the chain's outages are P_k = inv_corr_k * factor_k /
+    # (p_1 ... p_k), so chosen inverse-correlation inputs set the profile.
+
+    @staticmethod
+    def chain(powers, inv_corr, rate=1.0, capped=False):
+        # Type-I at rate 1 has unit rate factors
+        return analytic_chain(powers, inv_corr, (1.0,) * len(powers),
+                              Scheme.TYPE_I, LinkConfig(rate=rate),
+                              capped=capped)
+
     def test_throughput_hand_value(self):
-        assert long_term_throughput(2.0, (0.1, 0.01, 0.001)) == pytest.approx(
-            1.8, rel=1e-12)
+        # rate 2: factors 3, 9, 27 against 30, 900, 27000 give 0.1, 0.01, 0.001
+        outages, eta, _, _ = self.chain((30.0, 30.0, 30.0), (1.0, 1.0, 1.0),
+                                        rate=2.0)
+        assert outages == pytest.approx([0.1, 0.01, 0.001], rel=1e-15)
+        assert eta == pytest.approx(1.8, rel=1e-12)
+
+    def test_dyadic_hand_values(self):
+        outages, eta, tau, pavg = self.chain((2.0, 4.0, 8.0), (1.0, 2.0, 8.0))
+        assert outages == [0.5, 0.25, 0.125]
+        # (1 - 1/8) / (1 + 1/2 + 1/4)
+        assert eta == 0.5
+        assert tau == LinkConfig().payload_bits / (0.5 * LinkConfig().bandwidth_hz)
+        # 2 + 4/2 + 8/4
+        assert pavg == 6.0
 
     def test_throughput_rejects_empty(self):
         with pytest.raises(ValueError):
-            long_term_throughput(2.0, ())
+            PowerPolicy(())
 
     def test_latency_floor_value(self):
-        assert latency(1e6, 1e7, 2.0) == 0.05
-
-    def test_latency_rejects_nonpositive_throughput(self):
-        with pytest.raises(ValueError):
-            latency(1e6, 1e7, 0.0)
+        # zero outage: every packet goes through in one round at full rate
+        outages, eta, tau, pavg = self.chain((3.0, 5.0, 7.0), (0.0, 0.0, 0.0),
+                                             rate=2.0)
+        assert outages == [0.0, 0.0, 0.0]
+        assert eta == 2.0
+        assert tau == 0.05
+        assert pavg == 3.0
 
     def test_average_power_hand_value(self):
-        assert average_power(PowerPolicy((2.0, 3.0, 4.0)), (0.5, 0.25, 0.1)) == 4.5
+        outages, _, _, pavg = self.chain((2.0, 3.0, 4.0), (1.0, 1.5, 2.4))
+        assert outages[:2] == [0.5, 0.25]
+        assert pavg == 4.5
 
     def test_average_power_certain_retransmission(self):
-        # all-ones profile means every round is always paid for
-        assert average_power(PowerPolicy((2.0, 3.0, 4.0)), (1.0, 1.0, 1.0)) == 9.0
+        # certain failure of rounds 1 and 2 means every round is paid for
+        outages, _, _, pavg = self.chain((2.0, 3.0, 4.0), (2.0, 6.0, 12.0))
+        assert outages == [1.0, 1.0, 0.5]
+        assert pavg == 9.0
 
     def test_average_power_length_mismatch(self):
         with pytest.raises(ValueError):
-            average_power(PowerPolicy((2.0, 3.0)), (0.5, 0.25, 0.1))
+            evaluate(PowerPolicy((2.0, 3.0, 4.0)),
+                     ChannelParams(rho=0.2, xi_sq=(1.0, 1.0)),
+                     Scheme.TYPE_I, LinkConfig())
+
+    def test_cap_applies_before_the_metrics(self):
+        outages, eta, _, _ = self.chain((2.0, 3.0), (4.0, 12.0), capped=True)
+        assert outages == [OUTAGE_CAP, OUTAGE_CAP]
+        assert eta == (1.0 - OUTAGE_CAP) / (1.0 + OUTAGE_CAP)
+
+    def test_runs_elementwise_on_arrays(self):
+        powers = (np.array([2.0, 3.0]), np.array([4.0, 5.0]))
+        outages, eta, tau, pavg = analytic_chain(
+            powers, (0.5, 0.25), (1.0, 2.0), Scheme.CHASE, LinkConfig(),
+            capped=True)
+        for n in range(2):
+            scalar = analytic_chain(tuple(float(p[n]) for p in powers),
+                                    (0.5, 0.25), (1.0, 2.0), Scheme.CHASE,
+                                    LinkConfig(), capped=True)
+            assert [float(o[n]) for o in outages] == scalar[0]
+            assert (eta[n], tau[n], pavg[n]) == scalar[1:]
 
 
 class TestEvaluate:

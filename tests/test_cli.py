@@ -3,8 +3,13 @@
 Everything runs in-process through main(argv) against tmp_path output
 directories, with tiny epoch/trial counts so the whole file stays fast.
 """
+import os
+import subprocess
+import sys
+
 import pytest
 
+import harqpower
 from harqpower.cli import (DEFAULTS, SEED_ENV_VAR, ConfigError, main,
                            read_config)
 
@@ -72,6 +77,24 @@ class TestExitCodes:
         rc = run("train", "--out", tmp_path, "--epochs", 1,
                  "--dataset-size", 5, "--batch-size", 10)
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("mc-validate", "--trials", 0),
+        ("mc-validate", "--trials", -5, "--estimator", "direct"),
+        ("mc-validate", "--threads", 0),
+        ("train", "--epochs", 0),
+        ("oracle", "--power-budget-dbw", "nan"),
+        ("oracle", "--rho", "inf"),
+        ("oracle", "--points", 1),
+        ("sweep-rho", "--rho-points", 0),
+    ], ids=lambda argv: " ".join(str(a) for a in argv))
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = run(*argv, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists()
 
     def test_infeasible_oracle_exits_1(self, tmp_path, capsys):
         # one round at the default 1e-2 target needs 300 W; grid tops at 63 W
@@ -185,3 +208,15 @@ class TestSelftestCommand:
         assert rc == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_checks_still_run_under_optimize_flag(self):
+        # python -O strips assert statements; a broken identity must still fail
+        src = os.path.dirname(os.path.dirname(harqpower.__file__))
+        code = ("from harqpower import selftest; "
+                "selftest.correlation_factor = lambda *a, **k: 2.0; "
+                "print(selftest.run_selftest()[0])")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("('correlation-identities', False")

@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harqpower.gcn import (GcnWeights, LayerSpec, clamp_output, forward,
-                           init_weights, load_checkpoint, save_checkpoint)
-from harqpower.graph import session_adjacency
-from harqpower.types import P_MIN_WATTS, ChannelParams
+from harqpower import autodiff as ad
+from harqpower.gcn import (LayerSpec, forward, init_weights, load_checkpoint,
+                           save_checkpoint)
+from harqpower.graph import batch_adjacency, session_adjacency
+from harqpower.types import P_MIN_WATTS, ChannelParams, PowerPolicy
+
+
+def powers(adjacency, spec, matrices, p_bar_w):
+    """Forward pass on constant weights, as an array of per-round powers."""
+    out = forward(adjacency, spec, [ad.constant(m) for m in matrices], p_bar_w)
+    return out.value[..., 0]
 
 
 class TestLayerSpec:
@@ -53,45 +60,66 @@ class TestInit:
 
 
 class TestForward:
+    LINEAR = LayerSpec(dims=(1, 1), activations=("linear",))
+
     def test_identity_adjacency_linear_chain(self):
-        spec = LayerSpec(dims=(1, 1), activations=("linear",))
-        w = GcnWeights(spec=spec, matrices=[np.array([[2.0]])], seed=0)
-        out = forward(np.eye(3), w, p_bar_w=6.0)
+        out = powers(np.eye(3), self.LINEAR, [np.array([[2.0]])], p_bar_w=6.0)
         assert np.array_equal(out, np.array([4.0, 4.0, 4.0]))
 
     def test_relu_blocks_negative_features(self):
         spec = LayerSpec(dims=(1, 1, 1), activations=("relu", "linear"))
-        w = GcnWeights(spec=spec,
-                       matrices=[np.array([[-2.0]]), np.array([[5.0]])], seed=0)
-        out = forward(np.eye(2), w, p_bar_w=4.0)
-        assert np.array_equal(out, np.zeros(2))
+        out = powers(np.eye(2), spec, [np.array([[-2.0]]), np.array([[5.0]])],
+                     p_bar_w=4.0)
+        assert np.array_equal(out, np.full(2, P_MIN_WATTS))
+
+    def test_output_floored_at_minimum_power(self):
+        out = powers(np.eye(3), self.LINEAR, [np.array([[-1.0]])], p_bar_w=3.0)
+        assert np.array_equal(out, np.full(3, P_MIN_WATTS))
 
     def test_adjacency_mixes_rounds(self):
-        spec = LayerSpec(dims=(1, 1), activations=("linear",))
-        w = GcnWeights(spec=spec, matrices=[np.array([[1.0]])], seed=0)
         adj = session_adjacency(ChannelParams(rho=0.5))
-        out = forward(adj, w, p_bar_w=3.0)
+        out = powers(adj, self.LINEAR, [np.array([[1.0]])], p_bar_w=3.0)
         assert out == pytest.approx(adj.sum(axis=1), rel=1e-15)
+
+    def test_batched_matches_single_sessions(self):
+        rho = np.array([0.0, 0.35, 0.9])
+        w = init_weights(LayerSpec(), seed=4)
+        batched = powers(batch_adjacency(rho, 3, 1), w.spec, w.matrices, 31.6)
+        for i, r in enumerate(rho):
+            single = powers(session_adjacency(ChannelParams(rho=float(r))),
+                            w.spec, w.matrices, 31.6)
+            np.testing.assert_allclose(batched[i], single, rtol=1e-14)
+
+    def test_gradient_reaches_parameters(self):
+        w = ad.parameter(np.array([[1.5]]))
+        out = forward(np.eye(2), self.LINEAR, [w], p_bar_w=4.0)
+        ad.backward(ad.reduce_sum(out))
+        # two rounds, each emitting (p_bar / K) * w
+        assert np.array_equal(w.adjoint, np.array([[4.0]]))
 
     def test_rejects_nonsquare_adjacency(self):
         w = init_weights(LayerSpec(), seed=0)
         with pytest.raises(ValueError):
-            forward(np.ones((3, 2)), w, p_bar_w=1.0)
+            powers(np.ones((3, 2)), w.spec, w.matrices, p_bar_w=1.0)
 
     @given(scale=st.floats(0.1, 10.0), seed=st.integers(0, 50))
     @settings(max_examples=40)
     def test_positive_homogeneity_in_input_power(self, scale, seed):
-        # relu networks without biases scale linearly with the input feature
+        # relu networks without biases scale linearly with the input feature;
+        # the P_MIN_WATTS floor then applies to the scaled output
         w = init_weights(LayerSpec(), seed=seed)
         adj = session_adjacency(ChannelParams(rho=0.4))
-        base = forward(adj, w, p_bar_w=10.0)
-        scaled = forward(adj, w, p_bar_w=10.0 * scale)
-        assert scaled == pytest.approx(scale * base, rel=1e-12, abs=1e-300)
+        base = powers(adj, w.spec, w.matrices, p_bar_w=10.0)
+        scaled = powers(adj, w.spec, w.matrices, p_bar_w=10.0 * scale)
+        live = base > P_MIN_WATTS
+        assert scaled[live] == pytest.approx(
+            np.maximum(scale * base[live], P_MIN_WATTS), rel=1e-12)
+        assert np.all(scaled[~live] <= max(scale, 1.0) * P_MIN_WATTS)
 
 
-class TestClampOutput:
+class TestPowerPolicyFloor:
     def test_floors_at_minimum_power(self):
-        pol = clamp_output(np.array([-3.0, 0.0, 2.5]))
+        pol = PowerPolicy((-3.0, 0.0, 2.5))
         assert pol.powers[0] == P_MIN_WATTS
         assert pol.powers[1] == P_MIN_WATTS
         assert pol.powers[2] == 2.5

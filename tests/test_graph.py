@@ -3,7 +3,8 @@
 The hand values below were computed from the exact rational degrees of the
 uniform-gain three-round graph at a correlation of one half: the matrix
 entries are the dyadic powers 1/8, 1/16, 1/32 and the degrees are 19/16,
-37/32 and 35/32.
+37/32 and 35/32.  With unit gains the normalized diagonal is 1/degree, so
+the correlation matrix is recovered as H_ij = A_ij / sqrt(A_ii A_jj).
 """
 import math
 
@@ -12,9 +13,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harqpower.graph import (correlation_matrix, normalize_adjacency,
+from harqpower.graph import (batch_adjacency, normalize_adjacency,
                              session_adjacency)
 from harqpower.types import ChannelParams
+
+
+def unit_gain_correlation(a: np.ndarray) -> np.ndarray:
+    """Correlation matrix behind a unit-gain normalized adjacency."""
+    d = np.sqrt(np.diag(a))
+    return a / d[:, None] / d[None, :]
+
+
+def loop_adjacency(channel: ChannelParams) -> np.ndarray:
+    """Reference builder: one scalar loop over the matrix entries."""
+    k = channel.num_rounds
+    xi = channel.xi_sq
+    h = np.zeros((k, k))
+    for i in range(k):
+        h[i, i] = xi[i]
+        for j in range(i + 1, k):
+            expo = (i + 1) + (j + 1) + 2 * channel.delta - 2
+            h[i, j] = h[j, i] = math.sqrt(xi[i] * xi[j]) * channel.rho ** expo
+    d = h.sum(axis=1)
+    return h / np.sqrt(np.outer(d, d))
 
 
 def test_uncorrelated_adjacency_is_identity():
@@ -23,12 +44,10 @@ def test_uncorrelated_adjacency_is_identity():
 
 
 def test_correlation_matrix_hand_values():
-    h = correlation_matrix(ChannelParams(rho=0.5))
-    assert h[0, 0] == h[1, 1] == h[2, 2] == 1.0
-    assert h[0, 1] == 0.125
-    assert h[0, 2] == 0.0625
-    assert h[1, 2] == 0.03125
-    assert np.array_equal(h, h.T)
+    h = unit_gain_correlation(session_adjacency(ChannelParams(rho=0.5)))
+    assert h[0, 1] == pytest.approx(0.125, rel=1e-15)
+    assert h[0, 2] == pytest.approx(0.0625, rel=1e-15)
+    assert h[1, 2] == pytest.approx(0.03125, rel=1e-15)
 
 
 def test_normalized_hand_values():
@@ -43,21 +62,44 @@ def test_normalized_hand_values():
 
 
 def test_larger_gap_attenuates_edges():
-    near = correlation_matrix(ChannelParams(rho=0.5, delta=1))
-    far = correlation_matrix(ChannelParams(rho=0.5, delta=2))
-    assert far[0, 1] == 0.03125  # exponent rises from 3 to 5
+    near = unit_gain_correlation(session_adjacency(ChannelParams(rho=0.5, delta=1)))
+    far = unit_gain_correlation(session_adjacency(ChannelParams(rho=0.5, delta=2)))
+    assert far[0, 1] == pytest.approx(0.03125, rel=1e-15)  # exponent 3 -> 5
     assert np.all(far[~np.eye(3, dtype=bool)] < near[~np.eye(3, dtype=bool)])
 
 
 def test_nonuniform_gains():
-    ch = ChannelParams(rho=0.5, xi_sq=(4.0, 1.0, 2.25))
-    h = correlation_matrix(ch)
-    assert h[0, 0] == 4.0 and h[2, 2] == 2.25
-    assert h[0, 1] == pytest.approx(math.sqrt(4.0) * 0.125, rel=1e-15)
-    assert h[0, 2] == pytest.approx(math.sqrt(9.0) * 0.0625, rel=1e-15)
-    a = normalize_adjacency(h)
+    # H01 = 2/8, H02 = 3/16, H12 = 1.5/32; degrees 71/16, 83/64, 159/64
+    a = session_adjacency(ChannelParams(rho=0.5, xi_sq=(4.0, 1.0, 2.25)))
+    d = (4.4375, 1.296875, 2.484375)
+    assert a[0, 0] == pytest.approx(4.0 / d[0], rel=1e-15)
+    assert a[2, 2] == pytest.approx(2.25 / d[2], rel=1e-15)
+    assert a[0, 1] == pytest.approx(0.25 / math.sqrt(d[0] * d[1]), rel=1e-15)
+    assert a[0, 2] == pytest.approx(0.1875 / math.sqrt(d[0] * d[2]), rel=1e-15)
     assert np.allclose(a, a.T)
     assert a[0, 1] > a[0, 2] > a[1, 2] > 0.0
+
+
+@pytest.mark.parametrize("delta, xi_sq", [(1, (1.0, 1.0, 1.0)),
+                                          (2, (4.0, 1.0, 2.25))],
+                         ids=("unit_gains", "nonuniform_gains"))
+def test_matches_loop_reference(delta, xi_sq):
+    rho = np.array([0.0, 0.2, 0.31, 0.5, 0.77, 0.9, 0.98])
+    batched = batch_adjacency(rho, 3, delta, xi_sq)
+    for i, r in enumerate(rho):
+        ref = loop_adjacency(ChannelParams(rho=float(r), delta=delta, xi_sq=xi_sq))
+        np.testing.assert_allclose(batched[i], ref, rtol=1e-14, atol=0.0)
+
+
+def test_batch_slices_do_not_depend_on_the_batch():
+    rho = np.random.default_rng(3).random(101)
+    full = batch_adjacency(rho, 3, 1)
+    assert full.shape == (101, 3, 3)
+    sel = np.array([5, 77, 0, 42])
+    assert np.array_equal(batch_adjacency(rho[sel], 3, 1), full[sel])
+    for i in sel:
+        single = session_adjacency(ChannelParams(rho=float(rho[i])))
+        assert np.array_equal(single, full[i])
 
 
 def test_row_sums_stay_near_one_with_uniform_gains():
@@ -89,6 +131,8 @@ def test_normalization_rejects_nonpositive_degrees():
     bad = np.array([[1.0, -3.0], [-3.0, 1.0]])
     with pytest.raises(ValueError):
         normalize_adjacency(bad)
+    with pytest.raises(ValueError):
+        normalize_adjacency(np.stack([np.eye(2), bad]))
 
 
 def test_two_round_sessions_supported():

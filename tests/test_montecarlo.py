@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harqpower.montecarlo import (CHUNK_TRIALS, empirical_performance,
-                                  estimate_outage, estimate_outage_conditional,
+from harqpower.montecarlo import (CHUNK_TRIALS, estimate_outage,
+                                  estimate_outage_conditional,
                                   estimate_profile, outage_event,
                                   sample_channel_coeffs, sample_channel_gains)
-from harqpower.types import ChannelParams, LinkConfig, PowerPolicy, Scheme
+from harqpower.types import ChannelParams, PowerPolicy, Scheme
 
 RATE = 2.0
 
@@ -185,17 +185,3 @@ class TestConditionalEstimator:
                                             trials=320_000, seed=13)
         assert large.stderr < small.stderr
 
-
-class TestEmpiricalPerformance:
-    def test_high_power_hits_latency_floor(self):
-        link = LinkConfig()
-        ch = ChannelParams(rho=0.2)
-        rep = empirical_performance(PowerPolicy((2000.0,) * 3), ch,
-                                    Scheme.INCREMENTAL, link,
-                                    trials=50_000, seed=4)
-        floor = link.payload_bits / (link.bandwidth_hz * link.rate)
-        # the only residual is the ~1.5e-3 first-round retransmission rate
-        assert rep.latency_s == pytest.approx(floor, rel=5e-3)
-        assert rep.latency_s >= floor
-        assert rep.average_power_w == pytest.approx(2000.0, rel=1e-2)
-        assert rep.throughput == pytest.approx(link.rate, rel=5e-3)

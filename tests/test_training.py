@@ -1,8 +1,9 @@
 """Tests for the primal-dual training loop and its batched graph.
 
-The batched Lagrangian is checked operation for operation against the scalar
-analytics chain on healthy operating points, and the deliberate boundary
-behaviors (latency clip, zero subgradients) are pinned down explicitly.
+The batched Lagrangian is checked against the scalar analytics report on
+healthy operating points, exactly where both run the same chain, and the
+deliberate boundary behaviors (latency clip, zero subgradients) are pinned
+down explicitly.
 """
 import math
 
@@ -10,13 +11,17 @@ import numpy as np
 import pytest
 
 from harqpower import autodiff as ad
-from harqpower.analytics import evaluate
-from harqpower.gcn import GcnWeights, LayerSpec
-from harqpower.graph import session_adjacency
+from harqpower import training
+from harqpower.analytics import correlation_factor, evaluate
+from harqpower.gcn import GcnWeights, LayerSpec, forward, init_weights
+from harqpower.graph import batch_adjacency, session_adjacency
+from harqpower.oracle import default_grid, grid_search
 from harqpower.training import (HISTORY_FIELDS, AdamState, TrainConfig,
-                                adam_update, batch_adjacency, batch_lagrangian,
-                                evaluate_policy, sample_rho_dataset, train)
-from harqpower.types import ChannelParams, LinkConfig, PowerPolicy, Scheme
+                                adam_update, batch_lagrangian,
+                                dataset_constants, evaluate_policy,
+                                sample_rho_dataset, train)
+from harqpower.types import (OUTAGE_CAP, ChannelParams, LinkConfig,
+                             PowerPolicy, Scheme)
 
 LINK = LinkConfig()
 PROTO = ChannelParams(rho=0.0)
@@ -28,26 +33,42 @@ def scalar_policy_spec(scale):
     return spec, [np.array([[scale]])]
 
 
-class TestBatchAdjacency:
-    def test_matches_scalar_path(self):
-        rho = np.array([0.0, 0.2, 0.5, 0.77, 0.98])
-        batched = batch_adjacency(rho, 3, 1)
-        for i, r in enumerate(rho):
-            single = session_adjacency(ChannelParams(rho=float(r)))
-            np.testing.assert_allclose(batched[i], single, rtol=1e-14, atol=0.0)
+def lagrangian(wnodes, spec, rho, scheme, lam, ups, tau_clip=None):
+    adj, inv_corr = dataset_constants(rho, PROTO)
+    return batch_lagrangian(wnodes, spec, adj, inv_corr, scheme, PROTO, LINK,
+                            lam, ups, tau_clip=tau_clip)
 
-    def test_matches_scalar_path_nonuniform_gains(self):
+
+class TestDatasetConstants:
+    def test_values_and_shapes(self):
         xi = (4.0, 1.0, 2.25)
-        rho = np.array([0.31, 0.9])
-        batched = batch_adjacency(rho, 3, 2, xi_sq=xi)
-        for i, r in enumerate(rho):
-            single = session_adjacency(ChannelParams(rho=float(r), delta=2,
-                                                     xi_sq=xi))
-            np.testing.assert_allclose(batched[i], single, rtol=1e-14, atol=0.0)
+        proto = ChannelParams(rho=0.0, delta=2, xi_sq=xi)
+        rho = np.array([0.0, 0.31, 0.9])
+        adj, inv_corr = dataset_constants(rho, proto)
+        assert np.array_equal(adj, batch_adjacency(rho, 3, 2, xi))
+        assert inv_corr.shape == (3, 3, 1, 1)
+        for kk in range(3):
+            for s, r in enumerate(rho):
+                assert inv_corr[kk, s, 0, 0] == 1.0 / correlation_factor(
+                    r, kk + 1, 2)
 
-    def test_shape(self):
-        out = batch_adjacency(np.linspace(0.0, 0.9, 7), 3, 1)
-        assert out.shape == (7, 3, 3)
+    def test_built_once_per_training_run(self, monkeypatch):
+        calls = {"correlation_factor": 0, "batch_adjacency": 0}
+
+        def counted(name):
+            fn = getattr(training, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(training, name, counted(name))
+        cfg = TrainConfig(epochs=2, dataset_size=100, batch_size=25)
+        res = train(Scheme.INCREMENTAL, LINK, PROTO, cfg)
+        assert len(res.history) == 8
+        assert calls == {"correlation_factor": 3 * 100, "batch_adjacency": 1}
 
 
 class TestBatchLagrangian:
@@ -56,8 +77,8 @@ class TestBatchLagrangian:
         rho = np.array([0.0, 0.3, 0.6, 0.9])
         lam, ups = 0.07, 3e-4
         wnodes = [ad.parameter(m) for m in mats]
-        root, stats = batch_lagrangian(wnodes, spec, rho, Scheme.INCREMENTAL,
-                                       PROTO, LINK, lam, ups)
+        root, stats = lagrangian(wnodes, spec, rho, Scheme.INCREMENTAL,
+                                 lam, ups)
 
         expected_terms = []
         taus, logs, pavgs = [], [], []
@@ -87,8 +108,8 @@ class TestBatchLagrangian:
         spec, mats = scalar_policy_spec(2.5)
         rho = np.array([0.0, 0.4, 0.8])
         wnodes = [ad.parameter(m) for m in mats]
-        root, stats = batch_lagrangian(wnodes, spec, rho, Scheme.INCREMENTAL,
-                                       PROTO, LINK, 0.0, 0.0, tau_clip=0.051)
+        root, stats = lagrangian(wnodes, spec, rho, Scheme.INCREMENTAL,
+                                 0.0, 0.0, tau_clip=0.051)
         assert float(root.value) == pytest.approx(0.051, rel=1e-14)
         assert stats["mean_tau_s"] == pytest.approx(0.051, rel=1e-14)
         ad.backward(root)
@@ -98,8 +119,8 @@ class TestBatchLagrangian:
         spec, mats = scalar_policy_spec(2.5)
         rho = np.array([0.0, 0.4, 0.8])
         wnodes = [ad.parameter(m) for m in mats]
-        root, _ = batch_lagrangian(wnodes, spec, rho, Scheme.INCREMENTAL,
-                                   PROTO, LINK, 0.05, 0.0, tau_clip=0.051)
+        root, _ = lagrangian(wnodes, spec, rho, Scheme.INCREMENTAL,
+                             0.05, 0.0, tau_clip=0.051)
         ad.backward(root)
         # outage falls as power rises, so the multiplier pushes power up
         assert wnodes[0].adjoint[0, 0] < 0.0
@@ -109,12 +130,49 @@ class TestBatchLagrangian:
 
         def build(params):
             spec = LayerSpec(dims=(1, 1), activations=("linear",))
-            root, _ = batch_lagrangian(params, spec, rho, Scheme.CHASE,
-                                       PROTO, LINK, 0.02, 1e-4)
+            root, _ = lagrangian(params, spec, rho, Scheme.CHASE, 0.02, 1e-4)
             return root
 
         rep = ad.finite_diff_check(build, [np.array([[2.0]])], step=1e-6)
         assert rep.max_rel_error < 1e-6
+
+
+class TestOneImplementation:
+    """evaluate, the training graph and the grid oracle run one analytic
+    chain, so they agree exactly wherever the outage cap is inactive."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_training_graph_equals_evaluate(self, scheme):
+        rng = np.random.default_rng(np.random.SeedSequence((21, 5)))
+        spec = LayerSpec()
+        base = init_weights(spec, seed=4)
+        compared = 0
+        for rho, scale in zip(rng.random(60) * 0.98, rng.uniform(0.3, 3.0, 60)):
+            mats = [m.copy() for m in base.matrices]
+            mats[-1] *= scale
+            consts = [ad.constant(m) for m in mats]
+            adj, inv_corr = dataset_constants(np.array([rho]), PROTO)
+            _, stats = batch_lagrangian(consts, spec, adj, inv_corr, scheme,
+                                        PROTO, LINK, 0.0, 0.0)
+            powers = forward(adj, spec, consts, LINK.power_budget_w).value
+            rep = evaluate(PowerPolicy(tuple(powers[0, :, 0])),
+                           ChannelParams(rho=float(rho)), scheme, LINK)
+            if max(rep.outage_profile) >= OUTAGE_CAP:
+                continue
+            assert stats["mean_tau_s"] == rep.latency_s, (rho, scale)
+            assert stats["mean_pavg_w"] == rep.average_power_w, (rho, scale)
+            compared += 1
+        assert compared >= 40
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("rho", (0.0, 0.3, 0.6, 0.9))
+    def test_grid_oracle_equals_evaluate(self, scheme, rho):
+        ch = ChannelParams(rho=rho)
+        res = grid_search(ch, scheme, LINK, default_grid(LINK, points=20))
+        rep = evaluate(res.policy, ch, scheme, LINK)
+        assert res.latency_s == rep.latency_s
+        assert res.average_power_w == rep.average_power_w
+        assert res.outage_k == rep.outage_profile[-1]
 
 
 class TestAdam:
