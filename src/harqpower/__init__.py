@@ -5,9 +5,8 @@ from .analytics import (analytic_chain, correlation_factor, evaluate,
 from .gcn import (GcnWeights, LayerSpec, forward, init_weights, load_checkpoint,
                   save_checkpoint)
 from .graph import batch_adjacency, normalize_adjacency, session_adjacency
-from .montecarlo import (McEstimate, estimate_outage,
-                         estimate_outage_conditional, estimate_profile,
-                         outage_event, sample_channel_coeffs, sample_channel_gains)
+from .montecarlo import (McEstimate, estimate_outage_conditional,
+                         estimate_profile, outage_event, sample_channel_coeffs)
 from .oracle import (ComplexityGuard, GridInfeasible, GridSpec, OracleResult,
                      default_grid, grid_search, is_feasible)
 from .training import (TrainConfig, TrainResult, TrainingDiverged,

@@ -26,8 +26,10 @@ import sys
 import numpy as np
 
 from .analytics import evaluate
-from .gcn import LayerSpec, save_checkpoint
-from .montecarlo import estimate_outage, estimate_outage_conditional
+from .gcn import save_checkpoint
+from .montecarlo import estimate_outage_conditional
+# bench/spans.py traces the direct estimator under the name estimate_outage
+from .montecarlo import estimate_profile as estimate_outage
 from .oracle import ComplexityGuard, GridInfeasible, default_grid, grid_search
 from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged,
                        evaluate_policy, train)
@@ -120,6 +122,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key, kind in CONFIG_SCHEMA.items():
         if kind is float and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
+    if cfg["budget_lo_dbw"] > cfg["budget_hi_dbw"]:
+        raise ConfigError(f"budget_lo_dbw {cfg['budget_lo_dbw']} exceeds "
+                          f"budget_hi_dbw {cfg['budget_hi_dbw']}")
     if cfg["scheme"] not in SCHEME_ORDER:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
     if cfg["estimator"] not in ("direct", "conditional"):
@@ -188,9 +193,7 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
     proto = _channel(cfg, rho=0.0)
     result = train(scheme, link, proto, _train_config(cfg))
     rows = [(str(r[0]),) + tuple(fmt(v) for v in r[1:]) for r in result.history]
-    write_csv(os.path.join(out_dir, "history.csv"),
-              ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",
-               "lambda", "upsilon"), rows)
+    write_csv(os.path.join(out_dir, "history.csv"), HISTORY_FIELDS, rows)
     save_checkpoint(os.path.join(out_dir, f"checkpoint_{scheme.value}.txt"),
                     result.weights)
     write_manifest(out_dir, "train", cfg)
@@ -203,7 +206,9 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_sweep_power(cfg: dict, out_dir: str) -> int:
-    budgets = np.arange(cfg["budget_lo_dbw"], cfg["budget_hi_dbw"] + 0.5, 1.0)
+    # whole-dB steps up to hi; the 1e-9 dB margin keeps hi when rounding leaves
+    # decimal ends such as 15.3 and 17.3 a hair short of whole dB apart
+    budgets = np.arange(cfg["budget_lo_dbw"], cfg["budget_hi_dbw"] + 1e-9, 1.0)
     rows = []
     for budget in budgets:
         link = _link(cfg, budget_dbw=float(budget))
@@ -252,15 +257,15 @@ def cmd_mc_validate(cfg: dict, out_dir: str) -> int:
     policy = PowerPolicy((power_w,) * cfg["rounds"])
     estimator = (estimate_outage_conditional if cfg["estimator"] == "conditional"
                  else estimate_outage)
+    estimates = estimator(policy, channel, cfg["rate"], trials=cfg["trials"],
+                          seed=cfg["seed"], workers=cfg["threads"])
     link = _link(cfg)
     rows = []
     for name in SCHEME_ORDER:
         scheme = Scheme.from_name(name)
         profile = evaluate(policy, channel, scheme, link).outage_profile
-        for k, analytic in enumerate(profile, start=1):
-            est = estimator(scheme, k, policy, channel, cfg["rate"],
-                            trials=cfg["trials"], seed=cfg["seed"],
-                            workers=cfg["threads"])
+        for k, (analytic, est) in enumerate(zip(profile, estimates[scheme]),
+                                            start=1):
             ratio = est.mean / analytic
             rows.append((name, str(k), fmt(analytic), fmt(est.mean),
                          fmt(est.stderr), fmt(ratio)))

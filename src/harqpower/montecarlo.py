@@ -13,16 +13,18 @@ chunks; chunk c always draws from the stream seeded by (seed, c) regardless
 of how chunks are assigned to workers, so results are bit-identical for any
 worker count.
 
-Two estimators are provided:
+Two estimators are provided.  Both return {Scheme: (McEstimate for rounds
+1..K)}, scoring every scheme on the same draws through outage_event:
 
-  * estimate_outage: the direct empirical mean of the outage event.  Its
+  * estimate_profile: the direct empirical mean of the outage event.  Its
     standard error is Bernoulli, useless once P << 1/trials.
   * estimate_outage_conditional: samples only the shared component a_0 plus
-    uniform within-threshold gains, weighting each trial by the exact
-    conditional density of |h_k|^2 (a noncentral chi-square / Rician power).
-    Every outage event implies each per-round SNR is below 2^R - 1, so
-    restricting the proposal to that box loses no probability mass.  This
-    keeps the relative error small even at deep outage levels ~1e-9.
+    uniform within-threshold gains, one draw per round count k, weighting
+    each trial by the exact conditional density of |h_k|^2 (a noncentral
+    chi-square / Rician power).  Every outage event implies each per-round
+    SNR is below 2^R - 1, so restricting the proposal to that box loses no
+    probability mass.  This keeps the relative error small even at deep
+    outage levels ~1e-9.
 """
 from __future__ import annotations
 
@@ -35,9 +37,8 @@ from scipy import special
 
 from .types import ChannelParams, PowerPolicy, Scheme
 
-__all__ = ["McEstimate", "sample_channel_coeffs", "sample_channel_gains",
-           "outage_event", "estimate_outage", "estimate_outage_conditional",
-           "estimate_profile"]
+__all__ = ["McEstimate", "sample_channel_coeffs", "outage_event",
+           "estimate_profile", "estimate_outage_conditional"]
 
 CHUNK_TRIALS = 1 << 15
 
@@ -61,8 +62,7 @@ def _chunk_spans(trials: int):
         yield c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
 
 
-def _gains_chunk(channel: ChannelParams, policy: PowerPolicy, seed, chunk, m,
-                 return_coeffs=False):
+def _coeffs_chunk(channel: ChannelParams, seed, chunk, m) -> np.ndarray:
     k = channel.num_rounds
     rng = _chunk_rng(seed, chunk)
     z = rng.standard_normal((m, 2 * (k + 1)))
@@ -71,24 +71,12 @@ def _gains_chunk(channel: ChannelParams, policy: PowerPolicy, seed, chunk, m,
     ak = (z[:, 2::2] + 1j * z[:, 3::2]) * scale
     rho_t = channel.rho ** (np.arange(1, k + 1) + channel.delta - 1)
     xi = np.sqrt(np.asarray(channel.xi_sq))
-    h = xi * (np.sqrt(1.0 - rho_t ** 2) * ak + rho_t * a0[:, None])
-    if return_coeffs:
-        return h
-    return np.asarray(policy.powers) * np.abs(h) ** 2
+    return xi * (np.sqrt(1.0 - rho_t ** 2) * ak + rho_t * a0[:, None])
 
 
 def sample_channel_coeffs(channel: ChannelParams, trials: int, seed: int) -> np.ndarray:
     """Complex per-round channel coefficients, shape (trials, K)."""
-    parts = [_gains_chunk(channel, None, seed, c, m, return_coeffs=True)
-             for c, m in _chunk_spans(trials)]
-    return np.concatenate(parts, axis=0)
-
-
-def sample_channel_gains(channel: ChannelParams, policy: PowerPolicy,
-                         trials: int, seed: int) -> np.ndarray:
-    """Per-round received SNRs gamma_k, shape (trials, K)."""
-    parts = [_gains_chunk(channel, policy, seed, c, m)
-             for c, m in _chunk_spans(trials)]
+    parts = [_coeffs_chunk(channel, seed, c, m) for c, m in _chunk_spans(trials)]
     return np.concatenate(parts, axis=0)
 
 
@@ -110,31 +98,30 @@ def _map_chunks(fn, trials: int, workers: int):
         return list(pool.map(lambda cm: fn(*cm), spans))
 
 
-def estimate_profile(scheme: Scheme, policy: PowerPolicy, channel: ChannelParams,
-                     rate: float, trials: int, seed: int, workers: int = 1):
-    """Direct MC outage estimates for every round, as a tuple of McEstimate."""
+def _profiles(means, stderrs, trials: int, method: str) -> dict:
+    """{Scheme: (McEstimate for rounds 1..K)} from (schemes, K) arrays."""
+    return {scheme: tuple(McEstimate(mean=m, stderr=e, trials=trials,
+                                     method=method) for m, e in zip(ms, es))
+            for scheme, ms, es in zip(Scheme, means, stderrs)}
+
+
+def estimate_profile(policy: PowerPolicy, channel: ChannelParams, rate: float,
+                     trials: int, seed: int, workers: int = 1) -> dict:
+    """Direct MC outage estimates for every scheme and round.
+
+    Each chunk is sampled once and scored for all schemes.
+    """
+    powers = np.asarray(policy.powers)
+
     def kernel(c, m):
-        gains = _gains_chunk(channel, policy, seed, c, m)
-        return outage_event(scheme, rate, gains).sum(axis=0)
+        gains = powers * np.abs(_coeffs_chunk(channel, seed, c, m)) ** 2
+        return np.stack([outage_event(s, rate, gains).sum(axis=0)
+                         for s in Scheme])
 
-    counts = sum(_map_chunks(kernel, trials, workers))
-    out = []
-    for c in counts:
-        mean = c / trials
-        out.append(McEstimate(mean=mean,
-                              stderr=math.sqrt(mean * (1.0 - mean) / trials),
-                              trials=trials, method="direct"))
-    return tuple(out)
-
-
-def estimate_outage(scheme: Scheme, round_k: int, policy: PowerPolicy,
-                    channel: ChannelParams, rate: float, trials: int,
-                    seed: int, workers: int = 1) -> McEstimate:
-    """Empirical outage probability after `round_k` rounds."""
-    if not 1 <= round_k <= channel.num_rounds:
-        raise ValueError(f"round_k must lie in 1..{channel.num_rounds}")
-    return estimate_profile(scheme, policy, channel, rate, trials, seed,
-                            workers)[round_k - 1]
+    # a Python sum keeps chunk order, so any worker count gives the same bits
+    means = sum(_map_chunks(kernel, trials, workers)) / trials
+    return _profiles(means, np.sqrt(means * (1.0 - means) / trials), trials,
+                     "direct")
 
 
 def _rician_power_pdf(u, mean_sq, var):
@@ -148,47 +135,44 @@ def _rician_power_pdf(u, mean_sq, var):
     return special.i0e(z) * np.exp(expo) / var
 
 
-def estimate_outage_conditional(scheme: Scheme, round_k: int, policy: PowerPolicy,
-                                channel: ChannelParams, rate: float, trials: int,
-                                seed: int, workers: int = 1) -> McEstimate:
-    """Low-variance outage estimate via conditioning on the shared component.
+def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
+                                rate: float, trials: int, seed: int,
+                                workers: int = 1) -> dict:
+    """Low-variance outage estimates for every scheme and round.
 
-    Per trial: draw a_0, then draw each |h_j|^2 uniformly inside its
-    threshold box and weight by the conditional Rician-power density. The
-    estimate is the mean of weight * event; stderr is the sample standard
-    error of that mean.
+    Per trial and round count k: draw a_0, then draw each |h_j|^2, j <= k,
+    uniformly inside its threshold box and weight by the conditional
+    Rician-power density.  Each draw is scored for all schemes; an estimate
+    is the mean of weight * event after round k, and its stderr is the
+    sample standard error of that mean.
     """
-    if not 1 <= round_k <= channel.num_rounds:
-        raise ValueError(f"round_k must lie in 1..{channel.num_rounds}")
     t = 2.0 ** rate - 1.0
-    p = np.asarray(policy.powers[:round_k])
-    xi_sq = np.asarray(channel.xi_sq[:round_k])
-    rho_t = channel.rho ** (np.arange(1, round_k + 1) + channel.delta - 1)
+    n_rounds = channel.num_rounds
+    powers = np.asarray(policy.powers)
+    xi_sq = np.asarray(channel.xi_sq)
+    rho_t = channel.rho ** (np.arange(1, n_rounds + 1) + channel.delta - 1)
     var = xi_sq * (1.0 - rho_t ** 2)
-    u_max = t / p
 
     def kernel(c, m):
-        rng = _chunk_rng(seed, c)
-        z = rng.standard_normal((m, 2))
-        a0_sq = 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2)
-        u = rng.random((m, round_k)) * u_max
-        mean_sq = xi_sq * rho_t ** 2 * a0_sq[:, None]
-        dens = _rician_power_pdf(u, mean_sq, var)
-        w = np.prod(dens * u_max, axis=1)
-        gains = p * u
-        if scheme is Scheme.TYPE_I:
-            vals = w
-        elif scheme is Scheme.CHASE:
-            vals = w * (gains.sum(axis=1) < t)
-        else:
-            vals = w * (np.log2(1.0 + gains).sum(axis=1) < rate)
-        return vals.sum(), (vals * vals).sum()
+        sums = np.empty((2, len(Scheme), n_rounds))
+        for k in range(1, n_rounds + 1):
+            p = powers[:k]
+            u_max = t / p
+            rng = _chunk_rng(seed, c)
+            z = rng.standard_normal((m, 2))
+            a0_sq = 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2)
+            u = rng.random((m, k)) * u_max
+            mean_sq = xi_sq[:k] * rho_t[:k] ** 2 * a0_sq[:, None]
+            dens = _rician_power_pdf(u, mean_sq, var[:k])
+            w = np.prod(dens * u_max, axis=1)
+            gains = p * u
+            for i, scheme in enumerate(Scheme):
+                vals = w * outage_event(scheme, rate, gains)[:, -1]
+                sums[:, i, k - 1] = vals.sum(), (vals * vals).sum()
+        return sums
 
-    parts = _map_chunks(kernel, trials, workers)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / trials
-    var_est = max(0.0, (s2 - trials * mean * mean) / max(1, trials - 1))
-    return McEstimate(mean=mean, stderr=math.sqrt(var_est / trials),
-                      trials=trials, method="conditional")
-
+    # a Python sum keeps chunk order, so any worker count gives the same bits
+    s1, s2 = sum(_map_chunks(kernel, trials, workers))
+    means = s1 / trials
+    var_est = np.maximum(0.0, (s2 - trials * means * means) / max(1, trials - 1))
+    return _profiles(means, np.sqrt(var_est / trials), trials, "conditional")

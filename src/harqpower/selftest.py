@@ -19,7 +19,7 @@ from .analytics import (analytic_chain, correlation_factor, evaluate,
 from .gcn import (LayerSpec, forward, init_weights, load_checkpoint,
                   save_checkpoint)
 from .graph import session_adjacency
-from .montecarlo import estimate_outage, estimate_outage_conditional
+from .montecarlo import estimate_outage_conditional, estimate_profile
 from .oracle import GridInfeasible, GridSpec, default_grid, grid_search
 from .training import AdamState, adam_update
 from .types import ChannelParams, LinkConfig, PowerPolicy, Scheme
@@ -141,12 +141,13 @@ def _check_gcn():
 def _check_montecarlo():
     link_rate = 2.0
     ch = ChannelParams(rho=0.0, xi_sq=(1.0,))
-    est = estimate_outage(Scheme.TYPE_I, 1, PowerPolicy((10.0,)), ch,
-                          link_rate, trials=100_000, seed=11)
+    est = estimate_profile(PowerPolicy((10.0,)), ch, link_rate,
+                           trials=100_000, seed=11)[Scheme.TYPE_I][0]
     exact = 1.0 - math.exp(-0.3)
     _expect(abs(est.mean - exact) <= 4.0 * est.stderr, "direct MC bracket")
-    est2 = estimate_outage_conditional(Scheme.TYPE_I, 1, PowerPolicy((1000.0,)),
-                                       ch, link_rate, trials=100_000, seed=11)
+    est2 = estimate_outage_conditional(PowerPolicy((1000.0,)), ch, link_rate,
+                                       trials=100_000,
+                                       seed=11)[Scheme.TYPE_I][0]
     exact2 = 1.0 - math.exp(-0.003)
     _expect(abs(est2.mean / exact2 - 1.0) < 0.01, "conditional MC accuracy")
 

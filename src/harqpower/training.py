@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .analytics import analytic_chain, correlation_factor, evaluate
 from .gcn import GcnWeights, LayerSpec, forward, init_weights
 from .graph import batch_adjacency, session_adjacency
-from .types import ChannelParams, LinkConfig, PowerPolicy, Scheme
+from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 
 __all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
            "sample_rho_dataset", "dataset_constants", "batch_lagrangian",
@@ -29,7 +29,7 @@ __all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
            "HISTORY_FIELDS"]
 
 HISTORY_FIELDS = ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",
-                  "lam", "ups")
+                  "lambda", "upsilon")
 
 # Per-sample ceiling on the latency term inside the training graph, in units
 # of the payload/(bandwidth*rate) latency floor.  The asymptotic latency
@@ -39,6 +39,23 @@ HISTORY_FIELDS = ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",
 # [0, TAU_CLIP_FLOORS * floor] removes the pole region from the gradient
 # while leaving every operating point of practical interest untouched.
 TAU_CLIP_FLOORS = 10.0
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# the weight step decays linearly to this fraction of lr_weights by the
+# final iteration; primal-dual last iterates orbit the constraint
+# boundary at an amplitude proportional to the primal step, so shrinking
+# the step late in training lands the final policy near the boundary
+# instead of at a random phase of that orbit
+LR_FINAL_FRAC = 0.02
+# duals start at zero: constraint pressure builds only once a constraint
+# is actually violated, which keeps early descent on the pure objective
+INIT_LAMBDA = 0.0
+INIT_UPSILON = 0.0
+# reject factor for the latency spike guard, in units of the
+# payload/(bandwidth*rate) lower bound
+DIVERGENCE_FACTOR = 100.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -53,25 +70,7 @@ class TrainConfig:
     lr_weights: float = 5e-4
     lr_lambda: float = 1e-3
     lr_upsilon: float = 5e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    # the weight step decays linearly to this fraction of lr_weights by the
-    # final iteration; primal-dual last iterates orbit the constraint
-    # boundary at an amplitude proportional to the primal step, so shrinking
-    # the step late in training lands the final policy near the boundary
-    # instead of at a random phase of that orbit
-    lr_final_frac: float = 0.02
-    # duals start at zero: constraint pressure builds only once a constraint
-    # is actually violated, which keeps early descent on the pure objective
-    init_lambda: float = 0.0
-    init_upsilon: float = 0.0
     seed: int = 4
-    # reject factor for the latency spike guard, in units of the
-    # payload/(bandwidth*rate) lower bound
-    divergence_factor: float = 100.0
-    # sanity mode: keep both multipliers at zero (unconstrained descent)
-    freeze_duals: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1 or self.dataset_size < self.batch_size:
@@ -99,17 +98,16 @@ class AdamState:
                    v=[np.zeros_like(x) for x in mats])
 
 
-def adam_update(state: AdamState, mats, grads, lr, beta1=0.9, beta2=0.999,
-                eps=1e-8) -> None:
+def adam_update(state: AdamState, mats, grads, lr) -> None:
     """One bias-corrected Adam step applied in place to `mats`."""
     state.step += 1
     t = state.step
     for i, g in enumerate(grads):
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
-        m_hat = state.m[i] / (1.0 - beta1 ** t)
-        v_hat = state.v[i] / (1.0 - beta2 ** t)
-        mats[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
+        mats[i] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def sample_rho_dataset(cfg: TrainConfig) -> np.ndarray:
@@ -194,13 +192,23 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
     adam = AdamState.like(weights.matrices)
     adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
                                               channel_proto)
+    # a network at the power floor for every sample has zero gradients
+    # everywhere, so its weights could never move; batch-sized slices keep
+    # the check's memory at one step's, and it stops at the first live one
+    consts = [ad.constant(m) for m in weights.matrices]
+    if all(np.all(forward(adj_all[i:i + cfg.batch_size], spec, consts,
+                          link.power_budget_w).value == P_MIN_WATTS)
+           for i in range(0, cfg.dataset_size, cfg.batch_size)):
+        raise TrainingDiverged(
+            f"seed {cfg.seed}: the initial network outputs the "
+            f"{P_MIN_WATTS:g} W floor for every training sample (dead ReLU), "
+            "so no gradient can move it; choose another seed")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 13)))
 
-    lam = 0.0 if cfg.freeze_duals else cfg.init_lambda
-    ups = 0.0 if cfg.freeze_duals else cfg.init_upsilon
+    lam, ups = INIT_LAMBDA, INIT_UPSILON
     log_target = math.log(link.outage_target)
     tau_floor = link.payload_bits / (link.bandwidth_hz * link.rate)
-    guard_level = cfg.divergence_factor * tau_floor
+    guard_level = DIVERGENCE_FACTOR * tau_floor
     tau_clip = TAU_CLIP_FLOORS * tau_floor
 
     history = []
@@ -225,21 +233,19 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
             if any(not np.all(np.isfinite(g)) for g in grads):
                 raise TrainingDiverged(f"non-finite gradient at iteration {it}")
 
-            ramp = 1.0 - (1.0 - cfg.lr_final_frac) * (it / total_steps)
+            ramp = 1.0 - (1.0 - LR_FINAL_FRAC) * (it / total_steps)
             lr = cfg.lr_weights * ramp
             # batches whose mean latency leaves the sane window (a razor-thin
             # outage-near-one crossing, either branch) get a half-size step
             if not (0.0 < stats["mean_tau_s"] <= guard_level):
                 lr *= 0.5
                 guard_steps += 1
-            adam_update(adam, weights.matrices, grads, lr,
-                        cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            adam_update(adam, weights.matrices, grads, lr)
 
-            if not cfg.freeze_duals:
-                lam = max(0.0, lam + cfg.lr_lambda *
-                          (stats["mean_log_pout"] - log_target))
-                ups = max(0.0, ups + cfg.lr_upsilon *
-                          (stats["mean_pavg_w"] - link.power_budget_w))
+            lam = max(0.0, lam + cfg.lr_lambda *
+                      (stats["mean_log_pout"] - log_target))
+            ups = max(0.0, ups + cfg.lr_upsilon *
+                      (stats["mean_pavg_w"] - link.power_budget_w))
             history.append((it, stats["mean_tau_s"], stats["mean_log_pout"],
                             stats["mean_pavg_w"], lam, ups))
             it += 1

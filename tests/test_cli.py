@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import harqpower
+from harqpower import montecarlo
 from harqpower.cli import (DEFAULTS, SEED_ENV_VAR, ConfigError, main,
                            read_config)
 
@@ -87,6 +88,8 @@ class TestExitCodes:
         ("oracle", "--rho", "inf"),
         ("oracle", "--points", 1),
         ("sweep-rho", "--rho-points", 0),
+        ("sweep-power", "--budget-lo-dbw", 18, "--budget-hi-dbw", 12),
+        ("sweep-power", "--budget-lo-dbw", 19),
     ], ids=lambda argv: " ".join(str(a) for a in argv))
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -116,6 +119,13 @@ class TestTrainCommand:
         assert "seed = 123" in manifest
         assert "trained ir" in capsys.readouterr().out
 
+    def test_dead_initial_network_exits_1(self, tmp_path, capsys):
+        # seed 7's initial network outputs the power floor for every rho
+        rc = run("train", "--out", tmp_path, "--seed", 7, *FAST_TRAIN)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: seed 7:")
+
     def test_manifest_round_trip_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("train", "--out", a, "--seed", 31, *FAST_TRAIN) == 0
@@ -129,10 +139,10 @@ class TestTrainCommand:
             self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 5\n")
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
+        monkeypatch.setenv(SEED_ENV_VAR, "6")
         d1 = tmp_path / "envwins"
         assert run("train", "--out", d1, "--config", cfg, *FAST_TRAIN) == 0
-        assert "seed = 99" in (d1 / "manifest.txt").read_text().splitlines()
+        assert "seed = 6" in (d1 / "manifest.txt").read_text().splitlines()
         d2 = tmp_path / "flagwins"
         assert run("train", "--out", d2, "--config", cfg, "--seed", 123,
                    *FAST_TRAIN) == 0
@@ -157,6 +167,24 @@ class TestOracleCommand:
 
 
 class TestMcValidateCommand:
+    @pytest.mark.parametrize("estimator,passes",
+                             [("direct", 1), ("conditional", 3)])
+    def test_one_sampling_pass_serves_every_row(self, tmp_path, monkeypatch,
+                                                estimator, passes):
+        # one chunk: the direct estimator draws it once for all 9 rows, the
+        # conditional estimator once per round count k
+        drawn = []
+        original = montecarlo._chunk_rng
+
+        def counted(seed, chunk):
+            drawn.append(chunk)
+            return original(seed, chunk)
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", counted)
+        assert run("mc-validate", "--out", tmp_path, "--estimator", estimator,
+                   "--trials", montecarlo.CHUNK_TRIALS) == 0
+        assert drawn == [0] * passes
+
     def test_threads_do_not_change_the_report(self, tmp_path):
         outs = []
         for threads, sub in ((1, "t1"), (3, "t3")):
@@ -199,6 +227,14 @@ class TestSweepCommands:
         assert lines[0] == "pbar_dbw,scheme,tau_s,pout_K,pavg_w,feasible"
         assert len(lines) == 1 + 3
         assert all(ln.split(",")[-1] in ("0", "1") for ln in lines[1:])
+
+    def test_sweep_power_stays_within_the_budget_range(self, tmp_path):
+        # 15 to 15.7 dBW holds one whole-dB step: 16 dBW lies above the range
+        rc = run("sweep-power", "--out", tmp_path, "--budget-lo-dbw", 15.0,
+                 "--budget-hi-dbw", 15.7, *FAST_TRAIN)
+        assert rc == 0
+        lines = (tmp_path / "sweep_power.csv").read_text().splitlines()
+        assert {ln.split(",")[0] for ln in lines[1:]} == {"1.50000e+01"}
 
 
 class TestSelftestCommand:

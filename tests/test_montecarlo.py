@@ -2,7 +2,8 @@
 
 The single-round case has the exact Rayleigh law 1 - exp(-(2^R-1)/(p*xi^2))
 for every correlation level, which anchors both estimators. Determinism and
-worker-count invariance are exercised bit for bit.
+worker-count invariance are exercised bit for bit. Both estimators score
+every scheme on the same draws, so their estimates are ordered exactly.
 """
 import math
 
@@ -11,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harqpower.montecarlo import (CHUNK_TRIALS, estimate_outage,
-                                  estimate_outage_conditional,
+from harqpower.montecarlo import (CHUNK_TRIALS, estimate_outage_conditional,
                                   estimate_profile, outage_event,
-                                  sample_channel_coeffs, sample_channel_gains)
+                                  sample_channel_coeffs)
 from harqpower.types import ChannelParams, PowerPolicy, Scheme
 
 RATE = 2.0
@@ -24,13 +24,20 @@ def exact_single_round(power, xi_sq=1.0):
     return 1.0 - math.exp(-(2.0 ** RATE - 1.0) / (power * xi_sq))
 
 
+def assert_schemes_ordered(estimates):
+    # per-trial domination ir <= cc <= type1 on shared draws survives the sums
+    for k in range(3):
+        ir, cc, t1 = (estimates[s][k].mean for s in
+                      (Scheme.INCREMENTAL, Scheme.CHASE, Scheme.TYPE_I))
+        assert ir <= cc <= t1
+
+
 class TestSampling:
-    def test_gain_shapes_and_positivity(self):
+    def test_coeff_shapes_and_finiteness(self):
         ch = ChannelParams(rho=0.5)
-        g = sample_channel_gains(ch, PowerPolicy((10.0, 20.0, 30.0)),
-                                 trials=1000, seed=1)
-        assert g.shape == (1000, 3)
-        assert np.all(g >= 0.0)
+        h = sample_channel_coeffs(ch, trials=1000, seed=1)
+        assert h.shape == (1000, 3)
+        assert np.iscomplexobj(h) and np.all(np.isfinite(h))
 
     def test_coeff_second_order_statistics(self):
         # unit marginal variance per round and cross-correlation
@@ -52,17 +59,15 @@ class TestSampling:
 
     def test_chunking_boundary_sizes(self):
         ch = ChannelParams(rho=0.3)
-        pol = PowerPolicy((5.0, 5.0, 5.0))
         for trials in (10, CHUNK_TRIALS, CHUNK_TRIALS + 17, 2 * CHUNK_TRIALS + 1):
-            g = sample_channel_gains(ch, pol, trials=trials, seed=2)
-            assert g.shape[0] == trials
+            h = sample_channel_coeffs(ch, trials=trials, seed=2)
+            assert h.shape[0] == trials
 
     def test_prefix_stability(self):
         # growing the trial count must not change earlier chunks
         ch = ChannelParams(rho=0.4)
-        pol = PowerPolicy((5.0, 5.0, 5.0))
-        small = sample_channel_gains(ch, pol, trials=CHUNK_TRIALS, seed=3)
-        big = sample_channel_gains(ch, pol, trials=CHUNK_TRIALS * 2, seed=3)
+        small = sample_channel_coeffs(ch, trials=CHUNK_TRIALS, seed=3)
+        big = sample_channel_coeffs(ch, trials=CHUNK_TRIALS * 2, seed=3)
         assert np.array_equal(small, big[:CHUNK_TRIALS])
 
 
@@ -116,41 +121,43 @@ class TestOutageEvent:
 class TestDirectEstimator:
     def test_single_round_exact_law(self):
         ch = ChannelParams(rho=0.7)  # correlation is irrelevant at one round
-        est = estimate_outage(Scheme.TYPE_I, 1, PowerPolicy((10.0, 10.0, 10.0)),
-                              ch, RATE, trials=200_000, seed=11)
+        est = estimate_profile(PowerPolicy((10.0, 10.0, 10.0)), ch, RATE,
+                               trials=200_000, seed=11)[Scheme.TYPE_I][0]
         assert abs(est.mean - exact_single_round(10.0)) <= 4.0 * est.stderr
 
     def test_deterministic_and_worker_invariant(self):
         ch = ChannelParams(rho=0.5)
         pol = PowerPolicy((8.0, 8.0, 8.0))
-        a = estimate_outage(Scheme.CHASE, 2, pol, ch, RATE,
-                            trials=CHUNK_TRIALS * 3 + 100, seed=5, workers=1)
-        b = estimate_outage(Scheme.CHASE, 2, pol, ch, RATE,
-                            trials=CHUNK_TRIALS * 3 + 100, seed=5, workers=1)
-        c = estimate_outage(Scheme.CHASE, 2, pol, ch, RATE,
-                            trials=CHUNK_TRIALS * 3 + 100, seed=5, workers=4)
+        trials = CHUNK_TRIALS * 3 + 100
+        a = estimate_profile(pol, ch, RATE, trials=trials, seed=5, workers=1)
+        b = estimate_profile(pol, ch, RATE, trials=trials, seed=5, workers=1)
+        c = estimate_profile(pol, ch, RATE, trials=trials, seed=5, workers=4)
         assert a == b == c
 
     def test_profile_is_nonincreasing(self):
         ch = ChannelParams(rho=0.3)
-        prof = estimate_profile(Scheme.CHASE, PowerPolicy((6.0, 6.0, 6.0)),
-                                ch, RATE, trials=100_000, seed=9)
-        means = [e.mean for e in prof]
-        assert means[0] >= means[1] >= means[2]
+        prof = estimate_profile(PowerPolicy((6.0, 6.0, 6.0)), ch, RATE,
+                                trials=100_000, seed=9)
+        assert set(prof) == set(Scheme)
+        for scheme in Scheme:
+            means = [e.mean for e in prof[scheme]]
+            assert means[0] >= means[1] >= means[2]
 
-    def test_round_bounds_checked(self):
+    def test_schemes_share_one_sample(self):
         ch = ChannelParams(rho=0.3)
-        with pytest.raises(ValueError):
-            estimate_outage(Scheme.CHASE, 4, PowerPolicy((6.0, 6.0, 6.0)),
-                            ch, RATE, trials=100, seed=0)
+        prof = estimate_profile(PowerPolicy((6.0, 6.0, 6.0)), ch, RATE,
+                                trials=50_000, seed=9)
+        assert_schemes_ordered(prof)
+        # the first round decides alike under every combining scheme
+        assert prof[Scheme.TYPE_I][0] == prof[Scheme.CHASE][0]
 
 
 class TestConditionalEstimator:
     def test_single_round_matches_exact_law(self):
         ch = ChannelParams(rho=0.0)
-        est = estimate_outage_conditional(Scheme.TYPE_I, 1,
-                                          PowerPolicy((1000.0,) * 3), ch, RATE,
-                                          trials=100_000, seed=11)
+        est = estimate_outage_conditional(PowerPolicy((1000.0,) * 3), ch, RATE,
+                                          trials=100_000,
+                                          seed=11)[Scheme.TYPE_I][0]
         assert est.mean == pytest.approx(exact_single_round(1000.0), rel=0.01)
         assert est.method == "conditional"
 
@@ -158,30 +165,30 @@ class TestConditionalEstimator:
         # moderate power where the direct estimator still resolves the level
         ch = ChannelParams(rho=0.5)
         pol = PowerPolicy((30.0, 30.0, 30.0))
-        cond = estimate_outage_conditional(Scheme.CHASE, 2, pol, ch, RATE,
-                                           trials=400_000, seed=21)
-        direct = estimate_outage(Scheme.CHASE, 2, pol, ch, RATE,
-                                 trials=4_000_000, seed=22)
+        cond = estimate_outage_conditional(pol, ch, RATE, trials=400_000,
+                                           seed=21)[Scheme.CHASE][1]
+        direct = estimate_profile(pol, ch, RATE, trials=4_000_000,
+                                  seed=22)[Scheme.CHASE][1]
         assert abs(cond.mean - direct.mean) <= 4.0 * math.hypot(cond.stderr,
                                                                 direct.stderr)
 
     def test_deterministic_and_worker_invariant(self):
         ch = ChannelParams(rho=0.5)
         pol = PowerPolicy((50.0, 50.0, 50.0))
-        a = estimate_outage_conditional(Scheme.INCREMENTAL, 3, pol, ch, RATE,
-                                        trials=CHUNK_TRIALS + 999, seed=6,
+        trials = CHUNK_TRIALS + 999
+        a = estimate_outage_conditional(pol, ch, RATE, trials=trials, seed=6,
                                         workers=1)
-        b = estimate_outage_conditional(Scheme.INCREMENTAL, 3, pol, ch, RATE,
-                                        trials=CHUNK_TRIALS + 999, seed=6,
+        b = estimate_outage_conditional(pol, ch, RATE, trials=trials, seed=6,
                                         workers=3)
         assert a == b
+        assert_schemes_ordered(a)
 
     def test_stderr_shrinks_with_trials(self):
         ch = ChannelParams(rho=0.5)
         pol = PowerPolicy((100.0,) * 3)
-        small = estimate_outage_conditional(Scheme.CHASE, 3, pol, ch, RATE,
-                                            trials=20_000, seed=13)
-        large = estimate_outage_conditional(Scheme.CHASE, 3, pol, ch, RATE,
-                                            trials=320_000, seed=13)
+        small = estimate_outage_conditional(pol, ch, RATE, trials=20_000,
+                                            seed=13)[Scheme.CHASE][2]
+        large = estimate_outage_conditional(pol, ch, RATE, trials=320_000,
+                                            seed=13)[Scheme.CHASE][2]
         assert large.stderr < small.stderr
 

@@ -221,13 +221,6 @@ class TestTrainLoop:
         iters = [row[0] for row in res.history]
         assert iters == [0, 1]
 
-    def test_frozen_duals_stay_zero(self):
-        cfg = TrainConfig(epochs=1, dataset_size=100, batch_size=50,
-                          freeze_duals=True)
-        res = train(Scheme.INCREMENTAL, LINK, PROTO, cfg)
-        assert res.lam == 0.0 and res.ups == 0.0
-        assert all(row[4] == 0.0 and row[5] == 0.0 for row in res.history)
-
     def test_loss_improves_from_scratch(self):
         cfg = TrainConfig(epochs=30)
         res = train(Scheme.INCREMENTAL, LINK, PROTO, cfg)
