@@ -1,7 +1,8 @@
 """Learned power allocation for latency-optimal HARQ over correlated fading."""
 
 from .analytics import (analytic_chain, correlation_factor, evaluate,
-                        inverse_correlation, ir_rate_factor, scheme_rate_factor)
+                        inverse_correlation, ir_rate_factor, rate_factors,
+                        scheme_rate_factor)
 from .gcn import (GcnWeights, LayerSpec, forward, init_weights, load_checkpoint,
                   save_checkpoint)
 from .graph import batch_adjacency, normalize_adjacency, session_adjacency
@@ -10,7 +11,7 @@ from .montecarlo import (McEstimate, estimate_outage_conditional,
 from .oracle import (ComplexityGuard, GridInfeasible, GridSpec, OracleResult,
                      default_grid, grid_search, is_feasible)
 from .training import (TrainConfig, TrainResult, TrainingDiverged,
-                       evaluate_policy, train)
+                       evaluate_policy, train, train_stack)
 from .types import (OUTAGE_CAP, P_MIN_WATTS, ChannelParams, LinkConfig,
                     PerformanceReport, PowerPolicy, Scheme, dbw_to_watts)
 

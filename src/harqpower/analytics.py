@@ -28,6 +28,7 @@ __all__ = [
     "correlation_factor",
     "ir_rate_factor",
     "scheme_rate_factor",
+    "rate_factors",
     "inverse_correlation",
     "analytic_chain",
     "evaluate",
@@ -104,20 +105,26 @@ def scheme_rate_factor(scheme: Scheme, rate: float, rounds: int) -> float:
     return base / fact
 
 
+def rate_factors(scheme: Scheme, rate: float, rounds: int) -> list:
+    """scheme_rate_factor for rounds 1..rounds, as analytic_chain takes them."""
+    return [scheme_rate_factor(scheme, rate, k) for k in range(1, rounds + 1)]
+
+
 def inverse_correlation(channel: ChannelParams) -> list:
     """1 / correlation_factor for rounds 1..K of one session."""
     return [1.0 / correlation_factor(channel.rho, k, channel.delta)
             for k in range(1, channel.num_rounds + 1)]
 
 
-def analytic_chain(powers, inv_corr, xi_sq, scheme: Scheme, link: LinkConfig,
+def analytic_chain(powers, inv_corr, xi_sq, factors, link: LinkConfig,
                    capped: bool = False):
     """Outage -> throughput -> latency -> average power for one power vector.
 
-    `powers` and `inv_corr` hold one entry per round (1..K).  The entries may
-    be floats, equal-shape arrays (one value per candidate or sample) or
-    autodiff Nodes: the chain uses only + - * /, so every caller runs the same
-    operations in the same order.  Round k's outage is
+    `powers`, `inv_corr` and the scheme's rate factors `factors` (see
+    rate_factors) hold one entry per round (1..K).  The entries may be
+    floats, broadcastable arrays (one value per candidate, sample or run) or
+    autodiff Nodes: the chain uses only + - * /, so every caller runs the
+    same operations in the same order.  Round k's outage is
 
         P_k = inv_corr_k / prod_{j<=k} (p_j * xi_j) * rate_factor_k
 
@@ -134,10 +141,10 @@ def analytic_chain(powers, inv_corr, xi_sq, scheme: Scheme, link: LinkConfig,
     """
     outages = []
     prod = None
-    for k, (p, xi, ic) in enumerate(zip(powers, xi_sq, inv_corr), start=1):
+    for p, xi, ic, factor in zip(powers, xi_sq, inv_corr, factors):
         term = p * xi
         prod = term if prod is None else prod * term
-        pout = ic / prod * scheme_rate_factor(scheme, link.rate, k)
+        pout = ic / prod * factor
         outages.append(np.minimum(pout, OUTAGE_CAP) if capped else pout)
     spent = 1.0
     for pout in outages[:-1]:
@@ -156,8 +163,8 @@ def evaluate(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,
     if policy.num_rounds != channel.num_rounds:
         raise ValueError("policy and channel round counts differ")
     outages, eta, tau, pavg = analytic_chain(
-        policy.powers, inverse_correlation(channel), channel.xi_sq, scheme,
-        link, capped=True)
+        policy.powers, inverse_correlation(channel), channel.xi_sq,
+        rate_factors(scheme, link.rate, channel.num_rounds), link, capped=True)
     profile = tuple(float(p) for p in outages)
     pavg = float(pavg)
     return PerformanceReport(

@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation on dense numpy arrays.
 
 Graphs are built eagerly: every operation computes its value on creation and
-remembers how to push an adjoint back to its parents.  backward() walks the
-graph in reverse topological order, so each node's adjoint is complete before
-it is propagated.  No global tape is kept; separate graphs never share state
-and may be evaluated concurrently.
+remembers, per parent, how to push an adjoint back to it.  backward() walks
+the graph in reverse topological order, so each node's adjoint is complete
+before it is propagated, and it visits only nodes with a parameter ancestor:
+constant subgraphs (inputs, selectors, dual constants) get no adjoint.  No
+global tape is kept; separate graphs never share state and may be evaluated
+concurrently.
 
 Gradient conventions at nondifferentiable points: relu'(0) = 0 and the
 derivative of clamp at an exactly-clamped entry is 0.
@@ -17,22 +19,23 @@ import numpy as np
 
 __all__ = [
     "Node", "constant", "parameter", "add", "multiply", "divide", "negate",
-    "matmul", "relu", "clamp", "log", "reduce_sum",
+    "matmul", "dense", "relu", "clamp", "log", "reduce_sum",
     "backward", "GradientReport", "finite_diff_check", "activity_signature",
 ]
 
 
 class Node:
-    __slots__ = ("value", "adjoint", "parents", "grad_fn", "kind")
+    __slots__ = ("value", "adjoint", "parents", "pushes", "kind")
     # numpy defers to the reflected operators below, so `ndarray / Node`
     # builds a Node instead of an object array of per-element Nodes
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), grad_fn=None, kind="constant"):
+    def __init__(self, value, parents=(), pushes=(), kind="constant"):
         self.value = np.asarray(value, dtype=np.float64)
         self.adjoint = None
         self.parents = parents
-        self.grad_fn = grad_fn
+        # pushes[i](g) maps this node's adjoint g to parents[i]'s contribution
+        self.pushes = pushes
         self.kind = kind
 
     # convenience operators; all dispatch to the module-level ops
@@ -93,31 +96,29 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a: Node, b: Node) -> Node:
-    def push(g, out):
-        return (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape))
-    return Node(a.value + b.value, (a, b), push, "add")
+    return Node(a.value + b.value, (a, b),
+                (lambda g: _unbroadcast(g, a.value.shape),
+                 lambda g: _unbroadcast(g, b.value.shape)), "add")
 
 
 def multiply(a: Node, b: Node) -> Node:
-    def push(g, out):
-        return (_unbroadcast(g * b.value, a.value.shape),
-                _unbroadcast(g * a.value, b.value.shape))
-    return Node(a.value * b.value, (a, b), push, "multiply")
+    return Node(a.value * b.value, (a, b),
+                (lambda g: _unbroadcast(g * b.value, a.value.shape),
+                 lambda g: _unbroadcast(g * a.value, b.value.shape)),
+                "multiply")
 
 
 def divide(a: Node, b: Node) -> Node:
     if np.any(b.value == 0.0):
         raise ZeroDivisionError("divide: zero denominator entry")
-    def push(g, out):
-        return (_unbroadcast(g / b.value, a.value.shape),
-                _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-    return Node(a.value / b.value, (a, b), push, "divide")
+    return Node(a.value / b.value, (a, b),
+                (lambda g: _unbroadcast(g / b.value, a.value.shape),
+                 lambda g: _unbroadcast(-g * a.value / (b.value * b.value),
+                                        b.value.shape)), "divide")
 
 
 def negate(a: Node) -> Node:
-    def push(g, out):
-        return (-g,)
-    return Node(-a.value, (a,), push, "negate")
+    return Node(-a.value, (a,), (lambda g: -g,), "negate")
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -127,17 +128,37 @@ def _swap(x: np.ndarray) -> np.ndarray:
 def matmul(a: Node, b: Node) -> Node:
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    def push(g, out):
-        return (_unbroadcast(g @ _swap(b.value), a.value.shape),
-                _unbroadcast(_swap(a.value) @ g, b.value.shape))
-    return Node(a.value @ b.value, (a, b), push, "matmul")
+    return Node(a.value @ b.value, (a, b),
+                (lambda g: _unbroadcast(g @ _swap(b.value), a.value.shape),
+                 lambda g: _unbroadcast(_swap(a.value) @ g, b.value.shape)),
+                "matmul")
+
+
+def dense(x: Node, w: Node) -> Node:
+    """Dense layer x @ w over the last axis of x, one gemm per weight matrix.
+
+    `w` is one (n, m) matrix, or a stack (R, n, m) of one matrix per run
+    with `x` shaped (R, ..., n).  The axes of x between the run axis and the
+    feature axis are flattened into the gemm's rows, so the forward pass and
+    the weight gradient are each one (rows, n) x (n, m) product per run,
+    not one small product per sample summed afterwards.
+    """
+    n, m = w.value.shape[-2:]
+    if w.value.ndim not in (2, 3) or x.value.shape[-1] != n:
+        raise ValueError("dense needs x (..., n) and w (n, m) or (R, n, m)")
+    rows = x.value.reshape(w.value.shape[:-2] + (-1, n))
+    out_shape = x.value.shape[:-1] + (m,)
+
+    def flat(g):
+        return g.reshape(w.value.shape[:-2] + (-1, m))
+    return Node((rows @ w.value).reshape(out_shape), (x, w),
+                (lambda g: (flat(g) @ _swap(w.value)).reshape(x.value.shape),
+                 lambda g: _swap(rows) @ flat(g)), "dense")
 
 
 def relu(a: Node) -> Node:
-    out = np.maximum(a.value, 0.0)
-    def push(g, o):
-        return (g * (a.value > 0.0),)
-    return Node(out, (a,), push, "relu")
+    return Node(np.maximum(a.value, 0.0), (a,),
+                (lambda g: g * (a.value > 0.0),), "relu")
 
 
 def clamp(a: Node, lo=None, hi=None) -> Node:
@@ -154,23 +175,18 @@ def clamp(a: Node, lo=None, hi=None) -> Node:
         inside &= a.value > lo
     if hi is not None:
         inside &= a.value < hi
-    def push(g, o):
-        return (g * inside,)
-    return Node(out, (a,), push, "clamp")
+    return Node(out, (a,), (lambda g: g * inside,), "clamp")
 
 
 def log(a: Node) -> Node:
     if np.any(a.value <= 0.0):
         raise ValueError("log: nonpositive entry")
-    def push(g, out):
-        return (g / a.value,)
-    return Node(np.log(a.value), (a,), push, "log")
+    return Node(np.log(a.value), (a,), (lambda g: g / a.value,), "log")
 
 
 def reduce_sum(a: Node) -> Node:
-    def push(g, out):
-        return (np.broadcast_to(g, a.value.shape),)
-    return Node(a.value.sum(), (a,), push, "sum")
+    return Node(a.value.sum(), (a,),
+                (lambda g: np.broadcast_to(g, a.value.shape),), "sum")
 
 
 def _topo_order(root: Node) -> list:
@@ -198,21 +214,30 @@ class GradientReport:
 def backward(root: Node, params=()) -> GradientReport:
     """Accumulate adjoints of `root` (must be scalar) into the graph.
 
-    Adjoints are zero-initialized on every call, so repeated backward passes
-    over the same graph are idempotent.
+    Only nodes with a parameter ancestor (parameters included) receive an
+    adjoint; every other node's adjoint is None.  Adjoints are
+    zero-initialized on every call, so repeated backward passes over the
+    same graph are idempotent, and a parameter whose gradient vanishes gets
+    a zero array.
     """
     if root.value.shape != ():
         raise ValueError("backward root must be scalar")
     order = _topo_order(root)
+    # parents precede their children; a live node starts from the scalar
+    # 0.0, which its first contribution broadcasts to the node's shape
+    # exactly as a zero array would
     for node in order:
-        node.adjoint = np.zeros_like(node.value)
-    root.adjoint = np.ones_like(root.value)
+        live = node.kind == "parameter" or any(
+            p.adjoint is not None for p in node.parents)
+        node.adjoint = 0.0 if live else None
+    if root.adjoint is not None:
+        root.adjoint = np.ones_like(root.value)
     for node in reversed(order):
-        if node.grad_fn is None:
+        if node.adjoint is None:
             continue
-        contribs = node.grad_fn(node.adjoint, node.value)
-        for parent, g in zip(node.parents, contribs):
-            parent.adjoint = parent.adjoint + g
+        for parent, push in zip(node.parents, node.pushes):
+            if parent.adjoint is not None:
+                parent.adjoint = parent.adjoint + push(node.adjoint)
     return GradientReport(grads=[p.adjoint for p in params])
 
 

@@ -2,8 +2,10 @@
 
 Subcommands:
   train        train one policy network, write history.csv + checkpoint
-  sweep-power  retrain per (budget, scheme) point, write sweep_power.csv
-  sweep-rho    train one network per scheme, evaluate on a rho grid
+  sweep-power  train one network per (budget, scheme) point, all in one
+               stack, write sweep_power.csv
+  sweep-rho    train one network per scheme in one stack, evaluate on a rho
+               grid
   mc-validate  asymptote-vs-Monte-Carlo outage report, write mc_report.csv
   oracle       grid-search baseline, write oracle.csv
   selftest     run the built-in invariant battery
@@ -32,7 +34,7 @@ from .montecarlo import estimate_outage_conditional
 from .montecarlo import estimate_profile as estimate_outage
 from .oracle import ComplexityGuard, GridInfeasible, default_grid, grid_search
 from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged,
-                       evaluate_policy, train)
+                       evaluate_policy, train, train_stack)
 from .types import (ChannelParams, LinkConfig, PowerPolicy, Scheme,
                     dbw_to_watts)
 
@@ -209,20 +211,19 @@ def cmd_sweep_power(cfg: dict, out_dir: str) -> int:
     # whole-dB steps up to hi; the 1e-9 dB margin keeps hi when rounding leaves
     # decimal ends such as 15.3 and 17.3 a hair short of whole dB apart
     budgets = np.arange(cfg["budget_lo_dbw"], cfg["budget_hi_dbw"] + 1e-9, 1.0)
+    runs = [(Scheme.from_name(name), _link(cfg, budget_dbw=float(budget)))
+            for budget in budgets for name in SCHEME_ORDER]
+    results = train_stack(runs, _channel(cfg, rho=0.0), _train_config(cfg))
     rows = []
-    for budget in budgets:
-        link = _link(cfg, budget_dbw=float(budget))
-        for name in SCHEME_ORDER:
-            scheme = Scheme.from_name(name)
-            result = train(scheme, link, _channel(cfg, rho=0.0),
-                           _train_config(cfg))
-            _, rep = evaluate_policy(result.weights, _channel(cfg), link, scheme)
-            ok = _audited_feasible(rep, link)
-            rows.append((fmt(budget), name, fmt(rep.latency_s),
-                         fmt(rep.outage_profile[-1]),
-                         fmt(rep.average_power_w), str(int(ok))))
-            print(f"budget={budget:g} dBW {name}: tau={fmt(rep.latency_s)} "
-                  f"pout_K={fmt(rep.outage_profile[-1])} feasible={int(ok)}")
+    for (scheme, link), result in zip(runs, results):
+        _, rep = evaluate_policy(result.weights, _channel(cfg), link, scheme)
+        ok = _audited_feasible(rep, link)
+        budget = link.power_budget_dbw
+        rows.append((fmt(budget), scheme.value, fmt(rep.latency_s),
+                     fmt(rep.outage_profile[-1]),
+                     fmt(rep.average_power_w), str(int(ok))))
+        print(f"budget={budget:g} dBW {scheme.value}: tau={fmt(rep.latency_s)} "
+              f"pout_K={fmt(rep.outage_profile[-1])} feasible={int(ok)}")
     write_csv(os.path.join(out_dir, "sweep_power.csv"),
               ("pbar_dbw", "scheme", "tau_s", "pout_K", "pavg_w", "feasible"),
               rows)
@@ -233,10 +234,12 @@ def cmd_sweep_power(cfg: dict, out_dir: str) -> int:
 def cmd_sweep_rho(cfg: dict, out_dir: str) -> int:
     link = _link(cfg)
     rho_grid = np.linspace(0.0, 0.98, cfg["rho_points"])
+    schemes = [Scheme.from_name(name) for name in SCHEME_ORDER]
+    results = train_stack([(scheme, link) for scheme in schemes],
+                          _channel(cfg, rho=0.0), _train_config(cfg))
     rows = []
-    for name in SCHEME_ORDER:
-        scheme = Scheme.from_name(name)
-        result = train(scheme, link, _channel(cfg, rho=0.0), _train_config(cfg))
+    for scheme, result in zip(schemes, results):
+        name = scheme.value
         save_checkpoint(os.path.join(out_dir, f"checkpoint_{name}.txt"),
                         result.weights)
         for rho in rho_grid:

@@ -75,21 +75,26 @@ def init_weights(spec: LayerSpec, seed: int) -> GcnWeights:
 
 
 def forward(adjacency: np.ndarray, spec: LayerSpec, matrices,
-            p_bar_w: float) -> ad.Node:
+            p_bar_w) -> ad.Node:
     """Per-round powers floored at P_MIN_WATTS, as an autodiff node.
 
-    `adjacency` is one (K, K) session or a (B, K, K) stack; the output has
-    shape (K, 1) or (B, K, 1).  `matrices` are the layer weights as autodiff
-    nodes: parameters to differentiate through the network, constants to
-    just evaluate it.
+    `adjacency` is one (K, K) session or a (B, K, K) stack.  `matrices` are
+    the layer weights as autodiff nodes: parameters to differentiate through
+    the network, constants to just evaluate it.  For one network they are
+    (n, m) matrices and `p_bar_w` is a float; the output has shape (K, 1) or
+    (B, K, 1).  For a stack of R networks they are (R, n, m), `p_bar_w`
+    holds the R budgets, and the output gains a leading run axis.
     """
     k = adjacency.shape[-1]
     if adjacency.ndim not in (2, 3) or adjacency.shape[-2] != k:
         raise ValueError("adjacency must be square")
+    share = np.asarray(p_bar_w, dtype=np.float64) / k
+    runs = share.shape
     a = ad.constant(adjacency)
-    v = ad.constant(np.full(adjacency.shape[:-1] + (1,), p_bar_w / k))
+    v = ad.constant(share.reshape(runs + (1,) * adjacency.ndim)
+                    * np.ones(runs + adjacency.shape[:-1] + (1,)))
     for w, act in zip(matrices, spec.activations):
-        v = ad.matmul(ad.matmul(a, v), w)
+        v = ad.dense(ad.matmul(a, v), w)
         if act == "relu":
             v = ad.relu(v)
     if v.value.shape[-1] != 1:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import analytic_chain, evaluate, inverse_correlation
+from .analytics import (analytic_chain, evaluate, inverse_correlation,
+                        rate_factors)
 from .types import (P_MIN_WATTS, ChannelParams, LinkConfig,
                     PowerPolicy, Scheme, dbw_to_watts)
 
@@ -18,6 +19,9 @@ __all__ = ["GridSpec", "OracleResult", "ComplexityGuard", "GridInfeasible",
            "default_grid", "is_feasible", "grid_search"]
 
 MAX_GRID_ROUNDS = 4
+# grid points evaluated per block; bounds the search's working memory at a
+# few MB whatever the grid size
+BLOCK_POINTS = 1 << 16
 
 
 class ComplexityGuard(ValueError):
@@ -79,22 +83,31 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
         raise ComplexityGuard(
             f"grid search supports at most {MAX_GRID_ROUNDS} rounds, got {k}")
     axis = grid.axis()
-    cols = [m.reshape(-1) for m in np.meshgrid(*([axis] * k), indexing="ij")]
-    outages, _, tau, pavg = analytic_chain(
-        cols, inverse_correlation(channel), channel.xi_sq, scheme, link,
-        capped=True)
-
-    feasible = (outages[-1] <= link.outage_target) & (pavg <= link.power_budget_w)
-    if not np.any(feasible):
+    inv_corr = inverse_correlation(channel)
+    factors = rate_factors(scheme, link.rate, k)
+    size = grid.points_per_axis ** k
+    # each block's best feasible point as (tau, pavg, powers, P_out_K)
+    bests = []
+    for start in range(0, size, BLOCK_POINTS):
+        flat = np.arange(start, min(start + BLOCK_POINTS, size))
+        cols = [axis[i] for i in np.unravel_index(flat, (grid.points_per_axis,) * k)]
+        outages, _, tau, pavg = analytic_chain(cols, inv_corr, channel.xi_sq,
+                                               factors, link, capped=True)
+        feasible = (outages[-1] <= link.outage_target) & (pavg <= link.power_budget_w)
+        idx = np.flatnonzero(feasible)
+        if idx.size:
+            keys = tuple(c[idx] for c in reversed(cols)) + (pavg[idx], tau[idx])
+            best = idx[np.lexsort(keys)[0]]
+            bests.append((tau[best], pavg[best], tuple(c[best] for c in cols),
+                          outages[-1][best]))
+    if not bests:
         raise GridInfeasible(
             f"no feasible point on a {grid.points_per_axis}^{k} grid for "
             f"{scheme.value} at {link.power_budget_dbw} dBW")
 
-    idx = np.flatnonzero(feasible)
-    keys = tuple(c[idx] for c in reversed(cols)) + (pavg[idx], tau[idx])
-    best = idx[np.lexsort(keys)[0]]
-
-    policy = PowerPolicy(tuple(c[best] for c in cols))
-    return OracleResult(policy=policy, latency_s=float(tau[best]),
-                        average_power_w=float(pavg[best]),
-                        outage_k=float(outages[-1][best]), grid=grid)
+    # the same order across blocks; min keeps the first of equal keys, and
+    # blocks run in grid order, so ties still go to the earliest grid point
+    tau, pavg, powers, outage_k = min(bests, key=lambda b: b[:2] + b[2])
+    return OracleResult(policy=PowerPolicy(powers), latency_s=float(tau),
+                        average_power_w=float(pavg),
+                        outage_k=float(outage_k), grid=grid)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .analytics import (analytic_chain, correlation_factor, evaluate,
-                        ir_rate_factor, scheme_rate_factor)
+                        ir_rate_factor, rate_factors, scheme_rate_factor)
 from .gcn import (LayerSpec, forward, init_weights, load_checkpoint,
                   save_checkpoint)
 from .graph import session_adjacency
@@ -74,7 +74,8 @@ def _check_evaluate():
     # Type-I at rate 1 has unit rate factors, so inv_corr sets the outages
     # directly: (1/2, 1/4, 1/8) on powers (2, 4, 8)
     _, eta, _, pavg = analytic_chain((2.0, 4.0, 8.0), (1.0, 2.0, 8.0),
-                                     (1.0, 1.0, 1.0), Scheme.TYPE_I,
+                                     (1.0, 1.0, 1.0),
+                                     rate_factors(Scheme.TYPE_I, 1.0, 3),
                                      LinkConfig(rate=1.0))
     _expect(eta == 0.5, "throughput hand value")
     _expect(pavg == 6.0, "average power hand value")

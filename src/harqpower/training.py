@@ -9,23 +9,32 @@ Lagrangian
 
 in the network weights (Adam) while ascending the projected multipliers.
 Both constraint terms use the same mini-batch as the weight gradient.
+
+Several runs that differ only in scheme and power budget train as one
+stack: the weights, Adam moments, multipliers, step-size guard and history
+carry a leading run axis R, and every run takes its steps on the same
+dataset constants and mini-batch order in one loop.  Runs never mix (each
+run's weight gradient is its own gemm), so a run trained in a stack is
+bitwise the run trained alone; train() is the stack of one.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .analytics import analytic_chain, correlation_factor, evaluate
+from .analytics import (analytic_chain, correlation_factor, evaluate,
+                        rate_factors)
 from .gcn import GcnWeights, LayerSpec, forward, init_weights
 from .graph import batch_adjacency, session_adjacency
 from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 
 __all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
            "sample_rho_dataset", "dataset_constants", "batch_lagrangian",
-           "train", "evaluate_policy", "TrainingDiverged",
+           "train", "train_stack", "evaluate_policy", "TrainingDiverged",
            "HISTORY_FIELDS"]
 
 HISTORY_FIELDS = ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",
@@ -130,15 +139,42 @@ def dataset_constants(rho: np.ndarray, channel_proto: ChannelParams):
     return adj, inv_corr[:, :, None, None]
 
 
-def batch_lagrangian(wnodes, spec: LayerSpec, adj: np.ndarray,
-                     inv_corr: np.ndarray, scheme: Scheme,
-                     channel_proto: ChannelParams, link: LinkConfig,
-                     lam: float, ups: float, tau_clip: float | None = None):
-    """Build the batch-mean Lagrangian graph.
+def _shared_link(runs) -> LinkConfig:
+    """The link of a stack of (scheme, link) runs, with the first run's budget.
 
-    `adj` and `inv_corr` are a mini-batch's slices of dataset_constants().
-    Returns (root, stats) where stats carries the batch means needed by the
-    dual updates and the history: mean_tau_s, mean_log_pout, mean_pavg_w.
+    Raises ValueError for an empty stack or for links that differ in
+    anything but the power budget.
+    """
+    if not runs:
+        raise ValueError("a training stack needs at least one run")
+    link = runs[0][1]
+    for _, other in runs[1:]:
+        if dataclasses.replace(other, power_budget_dbw=link.power_budget_dbw) != link:
+            raise ValueError("runs of one training stack may differ only in "
+                             f"scheme and power budget: {other} vs {link}")
+    return link
+
+
+def _run_axis(values) -> np.ndarray:
+    """Per-run values as an (R, 1, 1, 1) array, against (R, B, K, 1) nodes."""
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1, 1)
+
+
+def batch_lagrangian(wnodes, spec: LayerSpec, adj: np.ndarray,
+                     inv_corr: np.ndarray, runs, channel_proto: ChannelParams,
+                     lam, ups, tau_clip: float | None = None):
+    """Build the batch-mean Lagrangian graph of a stack of runs.
+
+    `runs` holds one (scheme, link) pair per run; the links may differ only
+    in the power budget.  `wnodes` are the (R, n, m) stacked layer weights
+    (or (n, m) matrices for a single run), `lam` and `ups` the R multipliers,
+    and `adj` and `inv_corr` a mini-batch's slices of dataset_constants().
+    The root is the sum over runs of each run's batch-mean Lagrangian, so
+    each run's weights get exactly their own run's gradient.  Returns
+    (root, stats) where stats maps objective (each run's batch-mean
+    Lagrangian), mean_tau_s, mean_log_pout and mean_pavg_w to arrays with
+    one entry per run.
+
     The metrics come from analytics.analytic_chain with two deliberate
     exceptions around the outage-near-one region, where the latency ratio
     has a pole that otherwise wrecks the optimizer:
@@ -154,65 +190,96 @@ def batch_lagrangian(wnodes, spec: LayerSpec, adj: np.ndarray,
 
     Reported metrics elsewhere always use the capped chain.
     """
+    link = _shared_link(runs)
     b, k = adj.shape[0], adj.shape[1]
-    p_bar = link.power_budget_w
+    p_bar = np.array([lk.power_budget_w for _, lk in runs])
     powers = forward(adj, spec, wnodes, p_bar)
 
-    # per-round powers as (B,1,1) nodes
+    # per-round powers as (R,B,1,1) nodes, and per-round (R,1,1,1) factors
     eye = np.eye(k)
     p_k = [ad.matmul(ad.constant(eye[kk:kk + 1, :]), powers) for kk in range(k)]
-    pouts, _, tau, pavg = analytic_chain(p_k, inv_corr, channel_proto.xi_sq,
-                                         scheme, link)
+    factors = np.array([rate_factors(scheme, link.rate, k) for scheme, _ in runs])
+    pouts, _, tau, pavg = analytic_chain(
+        p_k, inv_corr, channel_proto.xi_sq,
+        [_run_axis(factors[:, kk]) for kk in range(k)], link)
     if tau_clip is not None:
         tau = ad.clamp(tau, lo=0.0, hi=tau_clip)
 
+    # a zero multiplier adds an exact zero, so every run shares one graph
     log_pout = ad.log(pouts[-1])
-    lagr = tau
-    if lam != 0.0:
-        lagr = ad.add(lagr, ad.multiply(
-            ad.constant(lam),
-            ad.add(log_pout, ad.constant(-math.log(link.outage_target)))))
-    if ups != 0.0:
-        lagr = ad.add(lagr, ad.multiply(
-            ad.constant(ups), ad.add(pavg, ad.constant(-p_bar))))
+    lagr = ad.add(tau, ad.multiply(
+        ad.constant(_run_axis(lam)),
+        ad.add(log_pout, ad.constant(-math.log(link.outage_target)))))
+    lagr = ad.add(lagr, ad.multiply(
+        ad.constant(_run_axis(ups)), ad.add(pavg, ad.constant(-_run_axis(p_bar)))))
     root = ad.divide(ad.reduce_sum(lagr), ad.constant(float(b)))
 
+    def per_run(node):
+        return node.value.reshape(len(runs), -1)
+
     stats = {
-        "mean_tau_s": float(np.mean(tau.value)),
-        "mean_log_pout": float(np.mean(log_pout.value)),
-        "mean_pavg_w": float(np.mean(pavg.value)),
+        "objective": per_run(lagr).sum(axis=1) / b,
+        "mean_tau_s": per_run(tau).mean(axis=1),
+        "mean_log_pout": per_run(log_pout).mean(axis=1),
+        "mean_pavg_w": per_run(pavg).mean(axis=1),
     }
     return root, stats
 
 
+def _label(run) -> str:
+    scheme, link = run
+    return f"{scheme.value} at {link.power_budget_dbw:g} dBW"
+
+
 def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
           cfg: TrainConfig, spec: LayerSpec = LayerSpec()) -> TrainResult:
-    """Primal-dual training loop; deterministic in cfg.seed."""
-    weights = init_weights(spec, cfg.seed)
-    adam = AdamState.like(weights.matrices)
+    """Primal-dual training of one policy; deterministic in cfg.seed."""
+    return train_stack([(scheme, link)], channel_proto, cfg, spec)[0]
+
+
+def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig,
+                spec: LayerSpec = LayerSpec()) -> list:
+    """Train one policy per (scheme, link) run in one primal-dual loop.
+
+    The links may differ only in the power budget (ValueError otherwise).
+    Every run starts from the same initial weights and sees the same
+    mini-batches; returns one TrainResult per run, each bitwise equal to
+    train() on that run alone.
+    """
+    runs = tuple(runs)
+    link = _shared_link(runs)
+    n_runs = len(runs)
+    p_bar = np.array([lk.power_budget_w for _, lk in runs])
+    mats = [np.stack([m] * n_runs) for m in init_weights(spec, cfg.seed).matrices]
+    adam = AdamState.like(mats)
     adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
                                               channel_proto)
     # a network at the power floor for every sample has zero gradients
     # everywhere, so its weights could never move; batch-sized slices keep
-    # the check's memory at one step's, and it stops at the first live one
-    consts = [ad.constant(m) for m in weights.matrices]
-    if all(np.all(forward(adj_all[i:i + cfg.batch_size], spec, consts,
-                          link.power_budget_w).value == P_MIN_WATTS)
-           for i in range(0, cfg.dataset_size, cfg.batch_size)):
+    # the check's memory at one step's, and it stops once every run is live
+    consts = [ad.constant(m) for m in mats]
+    dead = np.ones(n_runs, dtype=bool)
+    for i in range(0, cfg.dataset_size, cfg.batch_size):
+        out = forward(adj_all[i:i + cfg.batch_size], spec, consts, p_bar).value
+        dead &= np.all(out.reshape(n_runs, -1) == P_MIN_WATTS, axis=1)
+        if not dead.any():
+            break
+    if dead.any():
         raise TrainingDiverged(
             f"seed {cfg.seed}: the initial network outputs the "
             f"{P_MIN_WATTS:g} W floor for every training sample (dead ReLU), "
             "so no gradient can move it; choose another seed")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 13)))
 
-    lam, ups = INIT_LAMBDA, INIT_UPSILON
+    lam = np.full(n_runs, INIT_LAMBDA)
+    ups = np.full(n_runs, INIT_UPSILON)
     log_target = math.log(link.outage_target)
     tau_floor = link.payload_bits / (link.bandwidth_hz * link.rate)
     guard_level = DIVERGENCE_FACTOR * tau_floor
     tau_clip = TAU_CLIP_FLOORS * tau_floor
 
-    history = []
-    guard_steps = 0
+    histories = [[] for _ in runs]
+    guard_steps = np.zeros(n_runs, dtype=int)
     it = 0
     steps_per_epoch = cfg.dataset_size // cfg.batch_size
     total_steps = max(1, cfg.epochs * steps_per_epoch)
@@ -220,37 +287,51 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
         order = shuffle_rng.permutation(cfg.dataset_size)
         for bidx in range(steps_per_epoch):
             sel = order[bidx * cfg.batch_size:(bidx + 1) * cfg.batch_size]
-            wnodes = [ad.parameter(m) for m in weights.matrices]
+            wnodes = [ad.parameter(m) for m in mats]
             root, stats = batch_lagrangian(wnodes, spec, adj_all[sel],
-                                           inv_corr_all[:, sel], scheme,
-                                           channel_proto, link, lam, ups,
+                                           inv_corr_all[:, sel], runs,
+                                           channel_proto, lam, ups,
                                            tau_clip=tau_clip)
-            if not math.isfinite(float(root.value)):
+            bad = ~np.isfinite(stats["objective"])
+            if bad.any():
+                r = int(np.argmax(bad))
                 raise TrainingDiverged(
-                    f"non-finite objective at iteration {it}: {stats}")
+                    f"{_label(runs[r])}: non-finite objective at iteration "
+                    f"{it}: { {key: float(v[r]) for key, v in stats.items()} }")
             ad.backward(root)
             grads = [w.adjoint for w in wnodes]
-            if any(not np.all(np.isfinite(g)) for g in grads):
-                raise TrainingDiverged(f"non-finite gradient at iteration {it}")
+            bad = ~np.all([np.isfinite(g).reshape(n_runs, -1).all(axis=1)
+                           for g in grads], axis=0)
+            if bad.any():
+                raise TrainingDiverged(
+                    f"{_label(runs[int(np.argmax(bad))])}: non-finite gradient "
+                    f"at iteration {it}")
 
             ramp = 1.0 - (1.0 - LR_FINAL_FRAC) * (it / total_steps)
             lr = cfg.lr_weights * ramp
             # batches whose mean latency leaves the sane window (a razor-thin
             # outage-near-one crossing, either branch) get a half-size step
-            if not (0.0 < stats["mean_tau_s"] <= guard_level):
-                lr *= 0.5
-                guard_steps += 1
-            adam_update(adam, weights.matrices, grads, lr)
+            tau = stats["mean_tau_s"]
+            guarded = ~((0.0 < tau) & (tau <= guard_level))
+            guard_steps += guarded
+            adam_update(adam, mats, grads,
+                        np.where(guarded, lr * 0.5, lr)[:, None, None])
 
-            lam = max(0.0, lam + cfg.lr_lambda *
-                      (stats["mean_log_pout"] - log_target))
-            ups = max(0.0, ups + cfg.lr_upsilon *
-                      (stats["mean_pavg_w"] - link.power_budget_w))
-            history.append((it, stats["mean_tau_s"], stats["mean_log_pout"],
-                            stats["mean_pavg_w"], lam, ups))
+            lam = np.maximum(0.0, lam + cfg.lr_lambda *
+                             (stats["mean_log_pout"] - log_target))
+            ups = np.maximum(0.0, ups + cfg.lr_upsilon *
+                             (stats["mean_pavg_w"] - p_bar))
+            for r, history in enumerate(histories):
+                history.append((it, float(tau[r]),
+                                float(stats["mean_log_pout"][r]),
+                                float(stats["mean_pavg_w"][r]),
+                                float(lam[r]), float(ups[r])))
             it += 1
-    return TrainResult(weights=weights, history=history, lam=lam, ups=ups,
-                       guard_steps=guard_steps)
+    return [TrainResult(weights=GcnWeights(spec, [m[r].copy() for m in mats],
+                                           cfg.seed),
+                        history=histories[r], lam=float(lam[r]),
+                        ups=float(ups[r]), guard_steps=int(guard_steps[r]))
+            for r in range(n_runs)]
 
 
 def evaluate_policy(weights: GcnWeights, channel: ChannelParams,

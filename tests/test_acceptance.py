@@ -22,7 +22,8 @@ from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.montecarlo import estimate_outage_conditional, estimate_profile
 from harqpower.oracle import default_grid, grid_search
 from harqpower.training import (TrainConfig, batch_lagrangian,
-                                dataset_constants, evaluate_policy, train)
+                                dataset_constants, evaluate_policy,
+                                train_stack)
 from harqpower.types import ChannelParams, LinkConfig, PowerPolicy, Scheme
 
 SCHEMES = (Scheme.INCREMENTAL, Scheme.CHASE, Scheme.TYPE_I)
@@ -68,28 +69,28 @@ def default_link():
 
 @pytest.fixture(scope="session")
 def trained_default(default_link):
-    """One default-configuration training run per scheme, with wall time."""
-    proto = ChannelParams(rho=0.0)
-    out = {}
-    for scheme in SCHEMES:
-        t0 = time.perf_counter()
-        result = train(scheme, default_link, proto, TrainConfig())
-        out[scheme] = (result, time.perf_counter() - t0)
-    return out
+    """Default-configuration training of every scheme as one stack, with the
+    stack's wall time."""
+    t0 = time.perf_counter()
+    results = train_stack([(scheme, default_link) for scheme in SCHEMES],
+                          ChannelParams(rho=0.0), TrainConfig())
+    wall_s = time.perf_counter() - t0
+    return {scheme: (result, wall_s)
+            for scheme, result in zip(SCHEMES, results)}
 
 
 @pytest.fixture(scope="session")
 def budget_sweep():
-    """Retrained policies on the budget grid, evaluated at rho = 0.5."""
-    proto = ChannelParams(rho=0.0)
+    """Policies on the budget grid, trained as one stack and evaluated at
+    rho = 0.5."""
+    runs = [(scheme, LinkConfig(power_budget_dbw=budget))
+            for budget in BUDGET_GRID_DBW for scheme in SCHEMES]
+    results = train_stack(runs, ChannelParams(rho=0.0), TrainConfig())
     rows = {}
-    for budget in BUDGET_GRID_DBW:
-        link = LinkConfig(power_budget_dbw=budget)
-        for scheme in SCHEMES:
-            result = train(scheme, link, proto, TrainConfig())
-            _, rep = evaluate_policy(result.weights, ChannelParams(rho=0.5),
-                                     link, scheme)
-            rows[budget, scheme] = (rep, audited_feasible(rep, link))
+    for (scheme, link), result in zip(runs, results):
+        _, rep = evaluate_policy(result.weights, ChannelParams(rho=0.5),
+                                 link, scheme)
+        rows[link.power_budget_dbw, scheme] = (rep, audited_feasible(rep, link))
     return rows
 
 
@@ -288,8 +289,9 @@ class TestGradientCorrectness:
         adj, inv_corr = dataset_constants(rho_batch, proto)
 
         def build(params):
-            root, _ = batch_lagrangian(params, spec, adj, inv_corr, scheme,
-                                       proto, link, lam, ups, tau_clip=tau_clip)
+            root, _ = batch_lagrangian(params, spec, adj, inv_corr,
+                                       [(scheme, link)], proto, lam, ups,
+                                       tau_clip=tau_clip)
             return root
 
         report = ad.finite_diff_check(build, weights.matrices, step=1e-4)

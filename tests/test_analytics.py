@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from harqpower.analytics import (analytic_chain, correlation_factor, evaluate,
                                  inverse_correlation, ir_rate_factor,
-                                 scheme_rate_factor)
+                                 rate_factors, scheme_rate_factor)
 from harqpower.types import (OUTAGE_CAP, ChannelParams, LinkConfig,
                              PowerPolicy, Scheme)
 
@@ -135,7 +135,8 @@ class TestAsymptoticOutage:
         rep = evaluate(PowerPolicy((10.0,)), ch, Scheme.TYPE_I, LinkConfig())
         assert rep.outage_profile[0] == pytest.approx(0.3, abs=1e-15)
         assert inverse_correlation(ch) == [1.0]
-        raw, _, _, _ = analytic_chain((10.0,), [1.0], (1.0,), Scheme.TYPE_I,
+        raw, _, _, _ = analytic_chain((10.0,), [1.0], (1.0,),
+                                      rate_factors(Scheme.TYPE_I, 2.0, 1),
                                       LinkConfig())
         assert raw[0] == rep.outage_profile[0]
 
@@ -143,7 +144,8 @@ class TestAsymptoticOutage:
         ch = ChannelParams(rho=0.0, xi_sq=(1.0,))
         rep = evaluate(PowerPolicy((0.01,)), ch, Scheme.TYPE_I, LinkConfig())
         assert rep.outage_profile[0] == OUTAGE_CAP
-        raw, _, _, _ = analytic_chain((0.01,), [1.0], (1.0,), Scheme.TYPE_I,
+        raw, _, _, _ = analytic_chain((0.01,), [1.0], (1.0,),
+                                      rate_factors(Scheme.TYPE_I, 2.0, 1),
                                       LinkConfig())
         assert raw[0] > 1.0
 
@@ -181,8 +183,8 @@ class TestLinkMetrics:
     def chain(powers, inv_corr, rate=1.0, capped=False):
         # Type-I at rate 1 has unit rate factors
         return analytic_chain(powers, inv_corr, (1.0,) * len(powers),
-                              Scheme.TYPE_I, LinkConfig(rate=rate),
-                              capped=capped)
+                              rate_factors(Scheme.TYPE_I, rate, len(powers)),
+                              LinkConfig(rate=rate), capped=capped)
 
     def test_throughput_hand_value(self):
         # rate 2: factors 3, 9, 27 against 30, 900, 27000 give 0.1, 0.01, 0.001
@@ -237,12 +239,13 @@ class TestLinkMetrics:
 
     def test_runs_elementwise_on_arrays(self):
         powers = (np.array([2.0, 3.0]), np.array([4.0, 5.0]))
+        factors = rate_factors(Scheme.CHASE, 2.0, 2)
         outages, eta, tau, pavg = analytic_chain(
-            powers, (0.5, 0.25), (1.0, 2.0), Scheme.CHASE, LinkConfig(),
+            powers, (0.5, 0.25), (1.0, 2.0), factors, LinkConfig(),
             capped=True)
         for n in range(2):
             scalar = analytic_chain(tuple(float(p[n]) for p in powers),
-                                    (0.5, 0.25), (1.0, 2.0), Scheme.CHASE,
+                                    (0.5, 0.25), (1.0, 2.0), factors,
                                     LinkConfig(), capped=True)
             assert [float(o[n]) for o in outages] == scalar[0]
             assert (eta[n], tau[n], pavg[n]) == scalar[1:]

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import harqpower
-from harqpower import montecarlo
+from harqpower import autodiff, montecarlo, training
 from harqpower.cli import (DEFAULTS, SEED_ENV_VAR, ConfigError, main,
                            read_config)
 
@@ -235,6 +235,31 @@ class TestSweepCommands:
         assert rc == 0
         lines = (tmp_path / "sweep_power.csv").read_text().splitlines()
         assert {ln.split(",")[0] for ln in lines[1:]} == {"1.50000e+01"}
+
+    def test_sweep_power_steps_every_run_together(self, tmp_path,
+                                                  monkeypatch):
+        # two budgets x three schemes train as one stack: one epoch of the
+        # default 1000/50 dataset is 20 stacked steps, not 6 x 20
+        calls = {"adam_update": 0, "batch_lagrangian": 0, "backward": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(training, "adam_update")
+        counted(training, "batch_lagrangian")
+        counted(autodiff, "backward")
+        rc = run("sweep-power", "--out", tmp_path, "--epochs", 1,
+                 "--budget-lo-dbw", 15.0, "--budget-hi-dbw", 16.0)
+        assert rc == 0
+        assert calls == {"adam_update": 20, "batch_lagrangian": 20,
+                         "backward": 20}
+        lines = (tmp_path / "sweep_power.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 3
 
 
 class TestSelftestCommand:

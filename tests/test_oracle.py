@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from harqpower import oracle
 from harqpower.analytics import evaluate
 from harqpower.oracle import (ComplexityGuard, GridInfeasible, GridSpec,
                               default_grid, grid_search, is_feasible)
@@ -99,6 +100,19 @@ class TestGridSearch:
             res = grid_search(self.ch, Scheme.CHASE, link, self.grid)
             taus.append(res.latency_s)
         assert taus[0] >= taus[1] >= taus[2]
+
+    @pytest.mark.parametrize("block", (1, 7, 500))
+    def test_block_size_does_not_change_the_result(self, monkeypatch, block):
+        # the search reduces block by block; with one point per block the
+        # cross-block reduction alone picks the winner
+        ch = ChannelParams(rho=0.5)
+        grid = default_grid(self.link, points=12)
+        want = grid_search(ch, Scheme.INCREMENTAL, self.link, grid)
+        monkeypatch.setattr(oracle, "BLOCK_POINTS", block)
+        got = grid_search(ch, Scheme.INCREMENTAL, self.link, grid)
+        assert got.policy == want.policy
+        assert (got.latency_s, got.average_power_w, got.outage_k) == \
+            (want.latency_s, want.average_power_w, want.outage_k)
 
     def test_round_count_guard(self):
         ch = ChannelParams(rho=0.2, xi_sq=(1.0,) * 5)

@@ -5,6 +5,7 @@ healthy operating points, exactly where both run the same chain, and the
 deliberate boundary behaviors (latency clip, zero subgradients) are pinned
 down explicitly.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,10 @@ from harqpower.gcn import GcnWeights, LayerSpec, forward, init_weights
 from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.oracle import default_grid, grid_search
 from harqpower.training import (HISTORY_FIELDS, AdamState, TrainConfig,
-                                adam_update, batch_lagrangian,
-                                dataset_constants, evaluate_policy,
-                                sample_rho_dataset, train)
+                                TrainingDiverged, adam_update,
+                                batch_lagrangian, dataset_constants,
+                                evaluate_policy, sample_rho_dataset, train,
+                                train_stack)
 from harqpower.types import (OUTAGE_CAP, ChannelParams, LinkConfig,
                              PowerPolicy, Scheme)
 
@@ -35,8 +37,10 @@ def scalar_policy_spec(scale):
 
 def lagrangian(wnodes, spec, rho, scheme, lam, ups, tau_clip=None):
     adj, inv_corr = dataset_constants(rho, PROTO)
-    return batch_lagrangian(wnodes, spec, adj, inv_corr, scheme, PROTO, LINK,
-                            lam, ups, tau_clip=tau_clip)
+    root, stats = batch_lagrangian(wnodes, spec, adj, inv_corr,
+                                   [(scheme, LINK)], PROTO, lam, ups,
+                                   tau_clip=tau_clip)
+    return root, {key: float(v[0]) for key, v in stats.items()}
 
 
 class TestDatasetConstants:
@@ -152,15 +156,15 @@ class TestOneImplementation:
             mats[-1] *= scale
             consts = [ad.constant(m) for m in mats]
             adj, inv_corr = dataset_constants(np.array([rho]), PROTO)
-            _, stats = batch_lagrangian(consts, spec, adj, inv_corr, scheme,
-                                        PROTO, LINK, 0.0, 0.0)
+            _, stats = batch_lagrangian(consts, spec, adj, inv_corr,
+                                        [(scheme, LINK)], PROTO, 0.0, 0.0)
             powers = forward(adj, spec, consts, LINK.power_budget_w).value
             rep = evaluate(PowerPolicy(tuple(powers[0, :, 0])),
                            ChannelParams(rho=float(rho)), scheme, LINK)
             if max(rep.outage_profile) >= OUTAGE_CAP:
                 continue
-            assert stats["mean_tau_s"] == rep.latency_s, (rho, scale)
-            assert stats["mean_pavg_w"] == rep.average_power_w, (rho, scale)
+            assert stats["mean_tau_s"][0] == rep.latency_s, (rho, scale)
+            assert stats["mean_pavg_w"][0] == rep.average_power_w, (rho, scale)
             compared += 1
         assert compared >= 40
 
@@ -227,6 +231,60 @@ class TestTrainLoop:
         first = np.mean([row[1] for row in res.history[:50]])
         last = np.mean([row[1] for row in res.history[-50:]])
         assert last < first
+
+
+class TestTrainStack:
+    RUNS = [(scheme, LinkConfig(power_budget_dbw=budget))
+            for budget in (14.0, 16.0) for scheme in Scheme]
+
+    def test_stacked_runs_equal_serial_runs(self):
+        cfg = TrainConfig(epochs=2)
+        stacked = train_stack(self.RUNS, PROTO, cfg)
+        assert len(stacked) == len(self.RUNS)
+        for (scheme, link), got in zip(self.RUNS, stacked):
+            alone = train(scheme, link, PROTO, cfg)
+            assert got.history == alone.history
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got.weights.matrices, alone.weights.matrices))
+            assert (got.lam, got.ups, got.guard_steps) == \
+                (alone.lam, alone.ups, alone.guard_steps)
+        # the runs really differ: each scheme and budget trains its own net
+        assert len({r.history[-1][1:] for r in stacked}) == len(self.RUNS)
+
+    @pytest.mark.parametrize("other", [
+        LinkConfig(rate=1.5), LinkConfig(outage_target=1e-3),
+        LinkConfig(payload_bits=2e6), LinkConfig(bandwidth_hz=2e7)],
+        ids=("rate", "outage_target", "payload_bits", "bandwidth_hz"))
+    def test_runs_may_differ_only_in_scheme_and_budget(self, other):
+        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+        runs = [(Scheme.TYPE_I, LINK),
+                (Scheme.CHASE, dataclasses.replace(other,
+                                                   power_budget_dbw=16.0))]
+        with pytest.raises(ValueError, match="scheme and power budget"):
+            train_stack(runs, PROTO, cfg)
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError):
+            train_stack([], PROTO, TrainConfig(epochs=1))
+
+    def test_non_finite_objective_names_its_run(self, monkeypatch):
+        # poison the second run's network output; the other runs stay finite
+        original = training.forward
+
+        def poisoned(adjacency, spec, matrices, p_bar_w):
+            out = original(adjacency, spec, matrices, p_bar_w)
+            out.value[1] = np.nan
+            return out
+
+        monkeypatch.setattr(training, "forward", poisoned)
+        runs = [(Scheme.TYPE_I, LINK),
+                (Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
+                (Scheme.INCREMENTAL, LINK)]
+        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^cc at 16 dBW: non-finite objective at "
+                                 r"iteration 0"):
+            train_stack(runs, PROTO, cfg)
 
 
 class TestEvaluatePolicy:
