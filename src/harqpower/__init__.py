@@ -9,7 +9,7 @@ from .graph import batch_adjacency, normalize_adjacency, session_adjacency
 from .montecarlo import (McEstimate, estimate_outage_conditional,
                          estimate_profile, outage_event, sample_channel_coeffs)
 from .oracle import (ComplexityGuard, GridInfeasible, GridSpec, OracleResult,
-                     default_grid, grid_search, is_feasible)
+                     default_grid, grid_search)
 from .training import (TrainConfig, TrainResult, TrainingDiverged,
                        evaluate_policy, train, train_stack)
 from .types import (OUTAGE_CAP, P_MIN_WATTS, ChannelParams, LinkConfig,

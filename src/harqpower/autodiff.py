@@ -211,7 +211,7 @@ class GradientReport:
     max_rel_error: float | None = None
 
 
-def backward(root: Node, params=()) -> GradientReport:
+def backward(root: Node) -> None:
     """Accumulate adjoints of `root` (must be scalar) into the graph.
 
     Only nodes with a parameter ancestor (parameters included) receive an
@@ -238,7 +238,6 @@ def backward(root: Node, params=()) -> GradientReport:
         for parent, push in zip(node.parents, node.pushes):
             if parent.adjoint is not None:
                 parent.adjoint = parent.adjoint + push(node.adjoint)
-    return GradientReport(grads=[p.adjoint for p in params])
 
 
 def activity_signature(root: Node) -> list:
@@ -271,7 +270,7 @@ def finite_diff_check(build, values, step: float = 1e-4) -> GradientReport:
     """
     params = [parameter(v) for v in values]
     root = build(params)
-    backward(root, params)
+    backward(root)
     grads = [p.adjoint.copy() for p in params]
 
     max_rel = 0.0

@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -66,14 +67,14 @@ CONFIG_SCHEMA = {
 MIN_INT_VALUES = {"trials": 1, "threads": 1, "epochs": 1, "points": 2,
                   "rho_points": 1}
 
+# LinkConfig and TrainConfig fields are config keys of the same name
 DEFAULTS = {
-    "scheme": "ir", "rounds": 3, "delta": 1, "rho": 0.5, "rate": 2.0,
-    "payload_bits": 1e6, "bandwidth_hz": 1e7, "outage_target": 1e-2,
-    "power_budget_dbw": 15.0, "epochs": 500, "dataset_size": 1000,
-    "batch_size": 50, "lr_weights": 5e-4, "lr_lambda": 1e-3,
-    "lr_upsilon": 5e-5, "seed": 4, "trials": 1_000_000, "threads": 1,
-    "power_dbw": 30.0, "estimator": "conditional", "points": 40,
-    "rho_points": 15, "budget_lo_dbw": 12.0, "budget_hi_dbw": 18.0,
+    **{f.name: f.default for f in dataclasses.fields(LinkConfig)},
+    **{f.name: f.default for f in dataclasses.fields(TrainConfig)},
+    "scheme": "ir", "rounds": 3, "delta": 1, "rho": 0.5,
+    "trials": 1_000_000, "threads": 1, "power_dbw": 30.0,
+    "estimator": "conditional", "points": 40, "rho_points": 15,
+    "budget_lo_dbw": 12.0, "budget_hi_dbw": 18.0,
 }
 
 
@@ -131,38 +132,26 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
     if cfg["estimator"] not in ("direct", "conditional"):
         raise ConfigError(f"unknown estimator {cfg['estimator']!r}")
+    # the dataclasses check their own fields; every command builds its
+    # objects from this config, so none of them can fail later
+    try:
+        _channel(cfg)
+        _build(LinkConfig, cfg)
+        _build(TrainConfig, cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
 def _channel(cfg: dict, rho=None) -> ChannelParams:
-    try:
-        return ChannelParams(rho=cfg["rho"] if rho is None else rho,
-                             delta=cfg["delta"],
-                             xi_sq=(1.0,) * cfg["rounds"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return ChannelParams(rho=cfg["rho"] if rho is None else rho,
+                         delta=cfg["delta"], xi_sq=(1.0,) * cfg["rounds"])
 
 
-def _link(cfg: dict, budget_dbw=None) -> LinkConfig:
-    try:
-        return LinkConfig(rate=cfg["rate"], payload_bits=cfg["payload_bits"],
-                          bandwidth_hz=cfg["bandwidth_hz"],
-                          outage_target=cfg["outage_target"],
-                          power_budget_dbw=cfg["power_budget_dbw"]
-                          if budget_dbw is None else budget_dbw)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(epochs=cfg["epochs"], dataset_size=cfg["dataset_size"],
-                           batch_size=cfg["batch_size"],
-                           lr_weights=cfg["lr_weights"],
-                           lr_lambda=cfg["lr_lambda"],
-                           lr_upsilon=cfg["lr_upsilon"], seed=cfg["seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _build(cls, cfg: dict, **overrides):
+    """Dataclass `cls` from the config keys named after its fields."""
+    values = {f.name: cfg[f.name] for f in dataclasses.fields(cls)}
+    return cls(**{**values, **overrides})
 
 
 def fmt(x) -> str:
@@ -191,9 +180,9 @@ def _audited_feasible(report, link: LinkConfig) -> bool:
 
 def cmd_train(cfg: dict, out_dir: str) -> int:
     scheme = Scheme.from_name(cfg["scheme"])
-    link = _link(cfg)
+    link = _build(LinkConfig, cfg)
     proto = _channel(cfg, rho=0.0)
-    result = train(scheme, link, proto, _train_config(cfg))
+    result = train(scheme, link, proto, _build(TrainConfig, cfg))
     rows = [(str(r[0]),) + tuple(fmt(v) for v in r[1:]) for r in result.history]
     write_csv(os.path.join(out_dir, "history.csv"), HISTORY_FIELDS, rows)
     save_checkpoint(os.path.join(out_dir, f"checkpoint_{scheme.value}.txt"),
@@ -211,9 +200,11 @@ def cmd_sweep_power(cfg: dict, out_dir: str) -> int:
     # whole-dB steps up to hi; the 1e-9 dB margin keeps hi when rounding leaves
     # decimal ends such as 15.3 and 17.3 a hair short of whole dB apart
     budgets = np.arange(cfg["budget_lo_dbw"], cfg["budget_hi_dbw"] + 1e-9, 1.0)
-    runs = [(Scheme.from_name(name), _link(cfg, budget_dbw=float(budget)))
+    runs = [(Scheme.from_name(name),
+             _build(LinkConfig, cfg, power_budget_dbw=float(budget)))
             for budget in budgets for name in SCHEME_ORDER]
-    results = train_stack(runs, _channel(cfg, rho=0.0), _train_config(cfg))
+    results = train_stack(runs, _channel(cfg, rho=0.0),
+                          _build(TrainConfig, cfg))
     rows = []
     for (scheme, link), result in zip(runs, results):
         _, rep = evaluate_policy(result.weights, _channel(cfg), link, scheme)
@@ -232,11 +223,11 @@ def cmd_sweep_power(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_sweep_rho(cfg: dict, out_dir: str) -> int:
-    link = _link(cfg)
+    link = _build(LinkConfig, cfg)
     rho_grid = np.linspace(0.0, 0.98, cfg["rho_points"])
     schemes = [Scheme.from_name(name) for name in SCHEME_ORDER]
     results = train_stack([(scheme, link) for scheme in schemes],
-                          _channel(cfg, rho=0.0), _train_config(cfg))
+                          _channel(cfg, rho=0.0), _build(TrainConfig, cfg))
     rows = []
     for scheme, result in zip(schemes, results):
         name = scheme.value
@@ -262,7 +253,7 @@ def cmd_mc_validate(cfg: dict, out_dir: str) -> int:
                  else estimate_outage)
     estimates = estimator(policy, channel, cfg["rate"], trials=cfg["trials"],
                           seed=cfg["seed"], workers=cfg["threads"])
-    link = _link(cfg)
+    link = _build(LinkConfig, cfg)
     rows = []
     for name in SCHEME_ORDER:
         scheme = Scheme.from_name(name)
@@ -283,7 +274,7 @@ def cmd_mc_validate(cfg: dict, out_dir: str) -> int:
 
 def cmd_oracle(cfg: dict, out_dir: str) -> int:
     scheme = Scheme.from_name(cfg["scheme"])
-    link = _link(cfg)
+    link = _build(LinkConfig, cfg)
     channel = _channel(cfg)
     result = grid_search(channel, scheme, link,
                          default_grid(link, points=cfg["points"]))
@@ -371,11 +362,6 @@ def main(argv=None) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         return COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as exc:
-        # parameter combinations only validated at object construction time,
-        # e.g. a batch size larger than the dataset
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (GridInfeasible, TrainingDiverged, ComplexityGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,28 +30,23 @@ DEFAULT_DIMS = (1, 16, 32, 16, 2, 1)
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Feature dimensions n_0..n_L and one activation per layer."""
+    """Feature dimensions n_0..n_L; hidden layers are relu, the last linear."""
 
     dims: tuple = DEFAULT_DIMS
-    activations: tuple = ()
 
     def __post_init__(self):
         if len(self.dims) < 2:
             raise ValueError("need at least one layer")
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
-        acts = self.activations
-        if not acts:
-            acts = ("relu",) * (len(self.dims) - 2) + ("linear",)
-        if len(acts) != len(self.dims) - 1:
-            raise ValueError("one activation per weight matrix required")
-        if any(a not in ("relu", "linear") for a in acts):
-            raise ValueError("activations must be relu or linear")
-        object.__setattr__(self, "activations", tuple(acts))
 
     @property
     def num_layers(self) -> int:
         return len(self.dims) - 1
+
+    @property
+    def activations(self) -> tuple:
+        return ("relu",) * (self.num_layers - 1) + ("linear",)
 
 
 @dataclass
@@ -129,7 +124,10 @@ def load_checkpoint(path) -> GcnWeights:
     dims = tuple(int(x) for x in lines[1].split()[1:])
     acts = tuple(lines[2].split()[1:])
     seed = int(lines[3].split()[1])
-    spec = LayerSpec(dims=dims, activations=acts)
+    spec = LayerSpec(dims=dims)
+    if acts != spec.activations:
+        raise ValueError(f"checkpoint activations {acts} disagree with "
+                         f"{spec.activations} for dims {dims}")
     mats = []
     pos = 4
     for _ in range(spec.num_layers):

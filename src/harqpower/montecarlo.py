@@ -19,12 +19,12 @@ Two estimators are provided.  Both return {Scheme: (McEstimate for rounds
   * estimate_profile: the direct empirical mean of the outage event.  Its
     standard error is Bernoulli, useless once P << 1/trials.
   * estimate_outage_conditional: samples only the shared component a_0 plus
-    uniform within-threshold gains, one draw per round count k, weighting
-    each trial by the exact conditional density of |h_k|^2 (a noncentral
-    chi-square / Rician power).  Every outage event implies each per-round
-    SNR is below 2^R - 1, so restricting the proposal to that box loses no
-    probability mass.  This keeps the relative error small even at deep
-    outage levels ~1e-9.
+    uniform within-threshold gains for all K rounds, one draw per chunk,
+    weighting each trial by the exact conditional density of |h_k|^2 (a
+    noncentral chi-square / Rician power).  Every outage event implies each
+    per-round SNR is below 2^R - 1, so restricting the proposal to that box
+    loses no probability mass.  This keeps the relative error small even at
+    deep outage levels ~1e-9.
 """
 from __future__ import annotations
 
@@ -47,8 +47,6 @@ CHUNK_TRIALS = 1 << 15
 class McEstimate:
     mean: float
     stderr: float
-    trials: int
-    method: str = "direct"
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -98,10 +96,9 @@ def _map_chunks(fn, trials: int, workers: int):
         return list(pool.map(lambda cm: fn(*cm), spans))
 
 
-def _profiles(means, stderrs, trials: int, method: str) -> dict:
+def _profiles(means, stderrs) -> dict:
     """{Scheme: (McEstimate for rounds 1..K)} from (schemes, K) arrays."""
-    return {scheme: tuple(McEstimate(mean=m, stderr=e, trials=trials,
-                                     method=method) for m, e in zip(ms, es))
+    return {scheme: tuple(McEstimate(mean=m, stderr=e) for m, e in zip(ms, es))
             for scheme, ms, es in zip(Scheme, means, stderrs)}
 
 
@@ -120,8 +117,7 @@ def estimate_profile(policy: PowerPolicy, channel: ChannelParams, rate: float,
 
     # a Python sum keeps chunk order, so any worker count gives the same bits
     means = sum(_map_chunks(kernel, trials, workers)) / trials
-    return _profiles(means, np.sqrt(means * (1.0 - means) / trials), trials,
-                     "direct")
+    return _profiles(means, np.sqrt(means * (1.0 - means) / trials))
 
 
 def _rician_power_pdf(u, mean_sq, var):
@@ -140,39 +136,42 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
                                 workers: int = 1) -> dict:
     """Low-variance outage estimates for every scheme and round.
 
-    Per trial and round count k: draw a_0, then draw each |h_j|^2, j <= k,
-    uniformly inside its threshold box and weight by the conditional
-    Rician-power density.  Each draw is scored for all schemes; an estimate
-    is the mean of weight * event after round k, and its stderr is the
-    sample standard error of that mean.
+    Per trial: draw a_0, then draw every |h_j|^2 uniformly inside its
+    threshold box and weight it by the conditional Rician-power density.
+    The weight after round k is the product of the first k per-round
+    factors, so one draw serves every k: its first k columns are distributed
+    as a k-round draw, which keeps every k unbiased.  Each draw is scored
+    for all schemes; an estimate is the mean of weight * event after round
+    k, and its stderr is the sample standard error of that mean.
     """
     t = 2.0 ** rate - 1.0
     n_rounds = channel.num_rounds
     powers = np.asarray(policy.powers)
+    u_max = t / powers
     xi_sq = np.asarray(channel.xi_sq)
     rho_t = channel.rho ** (np.arange(1, n_rounds + 1) + channel.delta - 1)
+    # |E[h_k | a_0]|^2 per unit |a_0|^2
+    shared_sq = xi_sq * rho_t ** 2
     var = xi_sq * (1.0 - rho_t ** 2)
 
     def kernel(c, m):
+        rng = _chunk_rng(seed, c)
+        z = rng.standard_normal((m, 2))
+        a0_sq = 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2)
+        u = rng.random((m, n_rounds)) * u_max
+        dens = _rician_power_pdf(u, shared_sq * a0_sq[:, None], var)
+        w = np.cumprod(dens * u_max, axis=1)
+        gains = powers * u
         sums = np.empty((2, len(Scheme), n_rounds))
-        for k in range(1, n_rounds + 1):
-            p = powers[:k]
-            u_max = t / p
-            rng = _chunk_rng(seed, c)
-            z = rng.standard_normal((m, 2))
-            a0_sq = 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2)
-            u = rng.random((m, k)) * u_max
-            mean_sq = xi_sq[:k] * rho_t[:k] ** 2 * a0_sq[:, None]
-            dens = _rician_power_pdf(u, mean_sq, var[:k])
-            w = np.prod(dens * u_max, axis=1)
-            gains = p * u
-            for i, scheme in enumerate(Scheme):
-                vals = w * outage_event(scheme, rate, gains)[:, -1]
-                sums[:, i, k - 1] = vals.sum(), (vals * vals).sum()
+        for i, scheme in enumerate(Scheme):
+            # one contiguous row per round count keeps each sum's order
+            weighted = w * outage_event(scheme, rate, gains)
+            for k, vals in enumerate(np.ascontiguousarray(weighted.T)):
+                sums[:, i, k] = vals.sum(), (vals * vals).sum()
         return sums
 
     # a Python sum keeps chunk order, so any worker count gives the same bits
     s1, s2 = sum(_map_chunks(kernel, trials, workers))
     means = s1 / trials
     var_est = np.maximum(0.0, (s2 - trials * means * means) / max(1, trials - 1))
-    return _profiles(means, np.sqrt(var_est / trials), trials, "conditional")
+    return _profiles(means, np.sqrt(var_est / trials))

@@ -10,13 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import (analytic_chain, evaluate, inverse_correlation,
-                        rate_factors)
+from .analytics import analytic_chain, inverse_correlation, rate_factors
 from .types import (P_MIN_WATTS, ChannelParams, LinkConfig,
                     PowerPolicy, Scheme, dbw_to_watts)
 
 __all__ = ["GridSpec", "OracleResult", "ComplexityGuard", "GridInfeasible",
-           "default_grid", "is_feasible", "grid_search"]
+           "default_grid", "grid_search"]
 
 MAX_GRID_ROUNDS = 4
 # grid points evaluated per block; bounds the search's working memory at a
@@ -61,12 +60,6 @@ class OracleResult:
     average_power_w: float
     outage_k: float
     grid: GridSpec
-
-
-def is_feasible(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,
-                link: LinkConfig) -> bool:
-    """Exact constraint check: P_out_K <= target and avg power <= budget."""
-    return evaluate(policy, channel, scheme, link).feasible
 
 
 def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,

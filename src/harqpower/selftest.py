@@ -125,7 +125,7 @@ def _check_autodiff():
 
 
 def _check_gcn():
-    spec = LayerSpec(dims=(1, 1), activations=("linear",))
+    spec = LayerSpec(dims=(1, 1))
     out = forward(np.eye(3), spec, [ad.constant(np.array([[2.0]]))], p_bar_w=6.0)
     _expect(np.array_equal(out.value[:, 0], np.array([4.0, 4.0, 4.0])),
             "identity adjacency forward")

@@ -12,7 +12,7 @@ import pytest
 from harqpower import oracle
 from harqpower.analytics import evaluate
 from harqpower.oracle import (ComplexityGuard, GridInfeasible, GridSpec,
-                              default_grid, grid_search, is_feasible)
+                              default_grid, grid_search)
 from harqpower.types import (ChannelParams, LinkConfig, PowerPolicy, Scheme,
                              dbw_to_watts)
 
@@ -85,7 +85,8 @@ class TestGridSearch:
 
     def test_winner_is_feasible(self):
         res = grid_search(self.ch, Scheme.INCREMENTAL, self.link, self.grid)
-        assert is_feasible(res.policy, self.ch, Scheme.INCREMENTAL, self.link)
+        assert evaluate(res.policy, self.ch, Scheme.INCREMENTAL,
+                        self.link).feasible
 
     def test_repeat_runs_identical(self):
         a = grid_search(self.ch, Scheme.CHASE, self.link, self.grid)

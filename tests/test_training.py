@@ -31,7 +31,7 @@ PROTO = ChannelParams(rho=0.0)
 
 def scalar_policy_spec(scale):
     """Single linear layer: every round's power is scale * p_bar/K * row sum."""
-    spec = LayerSpec(dims=(1, 1), activations=("linear",))
+    spec = LayerSpec(dims=(1, 1))
     return spec, [np.array([[scale]])]
 
 
@@ -133,7 +133,7 @@ class TestBatchLagrangian:
         rho = np.array([0.1, 0.5, 0.85])
 
         def build(params):
-            spec = LayerSpec(dims=(1, 1), activations=("linear",))
+            spec = LayerSpec(dims=(1, 1))
             root, _ = lagrangian(params, spec, rho, Scheme.CHASE, 0.02, 1e-4)
             return root
 
