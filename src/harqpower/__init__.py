@@ -3,7 +3,7 @@
 from .analytics import (analytic_chain, correlation_factor, evaluate,
                         inverse_correlation, ir_rate_factor, rate_factors,
                         scheme_rate_factor)
-from .gcn import (GcnWeights, LayerSpec, forward, init_weights, load_checkpoint,
+from .gcn import (GcnWeights, forward, init_weights, load_checkpoint,
                   save_checkpoint)
 from .graph import batch_adjacency, normalize_adjacency, session_adjacency
 from .montecarlo import (McEstimate, estimate_outage_conditional,

@@ -116,7 +116,7 @@ def inverse_correlation(channel: ChannelParams) -> list:
             for k in range(1, channel.num_rounds + 1)]
 
 
-def analytic_chain(powers, inv_corr, xi_sq, factors, link: LinkConfig,
+def analytic_chain(powers, inv_corr, factors, link: LinkConfig,
                    capped: bool = False):
     """Outage -> throughput -> latency -> average power for one power vector.
 
@@ -126,7 +126,7 @@ def analytic_chain(powers, inv_corr, xi_sq, factors, link: LinkConfig,
     autodiff Nodes: the chain uses only + - * /, so every caller runs the
     same operations in the same order.  Round k's outage is
 
-        P_k = inv_corr_k / prod_{j<=k} (p_j * xi_j) * rate_factor_k
+        P_k = inv_corr_k / prod_{j<=k} p_j * rate_factor_k
 
     and, with P_0 = 1,
 
@@ -141,9 +141,8 @@ def analytic_chain(powers, inv_corr, xi_sq, factors, link: LinkConfig,
     """
     outages = []
     prod = None
-    for p, xi, ic, factor in zip(powers, xi_sq, inv_corr, factors):
-        term = p * xi
-        prod = term if prod is None else prod * term
+    for p, ic, factor in zip(powers, inv_corr, factors):
+        prod = p if prod is None else prod * p
         pout = ic / prod * factor
         outages.append(np.minimum(pout, OUTAGE_CAP) if capped else pout)
     spent = 1.0
@@ -163,7 +162,7 @@ def evaluate(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,
     if policy.num_rounds != channel.num_rounds:
         raise ValueError("policy and channel round counts differ")
     outages, eta, tau, pavg = analytic_chain(
-        policy.powers, inverse_correlation(channel), channel.xi_sq,
+        policy.powers, inverse_correlation(channel),
         rate_factors(scheme, link.rate, channel.num_rounds), link, capped=True)
     profile = tuple(float(p) for p in outages)
     pavg = float(pavg)

@@ -36,11 +36,10 @@ from .montecarlo import estimate_profile as estimate_outage
 from .oracle import ComplexityGuard, GridInfeasible, default_grid, grid_search
 from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged,
                        evaluate_policy, train, train_stack)
-from .types import (ChannelParams, LinkConfig, PowerPolicy, Scheme,
-                    dbw_to_watts)
+from .types import (P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy,
+                    Scheme, dbw_to_watts)
 
 SEED_ENV_VAR = "HARQPOWER_SEED"
-SCHEME_ORDER = ("type1", "cc", "ir")
 
 # audit slack applied when reporting a *learned* policy as feasible: the
 # dual ascent settles on the constraint boundary, so exact comparisons flip
@@ -65,7 +64,7 @@ CONFIG_SCHEMA = {
 
 # smallest accepted value of the integer keys that count something
 MIN_INT_VALUES = {"trials": 1, "threads": 1, "epochs": 1, "points": 2,
-                  "rho_points": 1}
+                  "rho_points": 1, "rounds": 1}
 
 # LinkConfig and TrainConfig fields are config keys of the same name
 DEFAULTS = {
@@ -128,7 +127,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if cfg["budget_lo_dbw"] > cfg["budget_hi_dbw"]:
         raise ConfigError(f"budget_lo_dbw {cfg['budget_lo_dbw']} exceeds "
                           f"budget_hi_dbw {cfg['budget_hi_dbw']}")
-    if cfg["scheme"] not in SCHEME_ORDER:
+    # PowerPolicy floors every power at P_MIN_WATTS, so a lower power_dbw
+    # would be computed at the floor but reported as itself
+    floor_dbw = 10.0 * math.log10(P_MIN_WATTS)
+    if cfg["power_dbw"] < floor_dbw:
+        raise ConfigError(f"power_dbw must be >= {floor_dbw:g} (the "
+                          f"{P_MIN_WATTS:g} W power floor), got {cfg['power_dbw']}")
+    if cfg["scheme"] not in {s.value for s in Scheme}:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
     if cfg["estimator"] not in ("direct", "conditional"):
         raise ConfigError(f"unknown estimator {cfg['estimator']!r}")
@@ -145,7 +150,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def _channel(cfg: dict, rho=None) -> ChannelParams:
     return ChannelParams(rho=cfg["rho"] if rho is None else rho,
-                         delta=cfg["delta"], xi_sq=(1.0,) * cfg["rounds"])
+                         delta=cfg["delta"], num_rounds=cfg["rounds"])
 
 
 def _build(cls, cfg: dict, **overrides):
@@ -179,7 +184,7 @@ def _audited_feasible(report, link: LinkConfig) -> bool:
 
 
 def cmd_train(cfg: dict, out_dir: str) -> int:
-    scheme = Scheme.from_name(cfg["scheme"])
+    scheme = Scheme(cfg["scheme"])
     link = _build(LinkConfig, cfg)
     proto = _channel(cfg, rho=0.0)
     result = train(scheme, link, proto, _build(TrainConfig, cfg))
@@ -200,9 +205,8 @@ def cmd_sweep_power(cfg: dict, out_dir: str) -> int:
     # whole-dB steps up to hi; the 1e-9 dB margin keeps hi when rounding leaves
     # decimal ends such as 15.3 and 17.3 a hair short of whole dB apart
     budgets = np.arange(cfg["budget_lo_dbw"], cfg["budget_hi_dbw"] + 1e-9, 1.0)
-    runs = [(Scheme.from_name(name),
-             _build(LinkConfig, cfg, power_budget_dbw=float(budget)))
-            for budget in budgets for name in SCHEME_ORDER]
+    runs = [(scheme, _build(LinkConfig, cfg, power_budget_dbw=float(budget)))
+            for budget in budgets for scheme in Scheme]
     results = train_stack(runs, _channel(cfg, rho=0.0),
                           _build(TrainConfig, cfg))
     rows = []
@@ -225,11 +229,10 @@ def cmd_sweep_power(cfg: dict, out_dir: str) -> int:
 def cmd_sweep_rho(cfg: dict, out_dir: str) -> int:
     link = _build(LinkConfig, cfg)
     rho_grid = np.linspace(0.0, 0.98, cfg["rho_points"])
-    schemes = [Scheme.from_name(name) for name in SCHEME_ORDER]
-    results = train_stack([(scheme, link) for scheme in schemes],
+    results = train_stack([(scheme, link) for scheme in Scheme],
                           _channel(cfg, rho=0.0), _build(TrainConfig, cfg))
     rows = []
-    for scheme, result in zip(schemes, results):
+    for scheme, result in zip(Scheme, results):
         name = scheme.value
         save_checkpoint(os.path.join(out_dir, f"checkpoint_{name}.txt"),
                         result.weights)
@@ -255,15 +258,14 @@ def cmd_mc_validate(cfg: dict, out_dir: str) -> int:
                           seed=cfg["seed"], workers=cfg["threads"])
     link = _build(LinkConfig, cfg)
     rows = []
-    for name in SCHEME_ORDER:
-        scheme = Scheme.from_name(name)
+    for scheme in Scheme:
         profile = evaluate(policy, channel, scheme, link).outage_profile
         for k, (analytic, est) in enumerate(zip(profile, estimates[scheme]),
                                             start=1):
             ratio = est.mean / analytic
-            rows.append((name, str(k), fmt(analytic), fmt(est.mean),
+            rows.append((scheme.value, str(k), fmt(analytic), fmt(est.mean),
                          fmt(est.stderr), fmt(ratio)))
-            print(f"{name} k={k}: analytic={fmt(analytic)} "
+            print(f"{scheme.value} k={k}: analytic={fmt(analytic)} "
                   f"mc={fmt(est.mean)} ratio={fmt(ratio)}")
     write_csv(os.path.join(out_dir, "mc_report.csv"),
               ("scheme", "k", "analytic", "mc_mean", "mc_stderr", "ratio"),
@@ -273,7 +275,7 @@ def cmd_mc_validate(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_oracle(cfg: dict, out_dir: str) -> int:
-    scheme = Scheme.from_name(cfg["scheme"])
+    scheme = Scheme(cfg["scheme"])
     link = _build(LinkConfig, cfg)
     channel = _channel(cfg)
     result = grid_search(channel, scheme, link,
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys:
             flag = "--" + key.replace("_", "-")
             if key == "scheme":
-                p.add_argument(flag, choices=SCHEME_ORDER)
+                p.add_argument(flag, choices=[s.value for s in Scheme])
             elif key == "estimator":
                 p.add_argument(flag, choices=("direct", "conditional"))
             else:

@@ -3,11 +3,11 @@
 Rounds are graph vertices.  Edge (i, j) carries the magnitude of the
 cross-correlation between the round-i and round-j channel coefficients,
 which is symmetric in (i, j); vertex i carries the round's own average
-gain.  The propagation matrix is the symmetric degree normalization
-D^{-1/2} H D^{-1/2} with D the diagonal matrix of row sums.
+gain, which is one.  The propagation matrix is the symmetric degree
+normalization D^{-1/2} H D^{-1/2} with D the diagonal matrix of row sums.
 
-With uniform per-round gains the row sums of the normalized adjacency
-stay within a fraction of a percent of 1 for every correlation level, so
+The row sums of the normalized adjacency stay within a fraction of a
+percent of 1 for every correlation level, so
 feature propagation neither amplifies nor attenuates as the correlation
 grows.  That property is what lets a constant input vector map to a
 nearly correlation-independent power profile.
@@ -34,26 +34,21 @@ def normalize_adjacency(h: np.ndarray) -> np.ndarray:
     return h * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
-def batch_adjacency(rho: np.ndarray, num_rounds: int, delta: int,
-                    xi_sq=None) -> np.ndarray:
+def batch_adjacency(rho: np.ndarray, num_rounds: int, delta: int) -> np.ndarray:
     """Normalized adjacencies of sessions with correlations `rho`, shape (B, K, K).
 
-    The correlation matrix H has H[i, i] = xi_sq_i and, for i != j (0-based),
-    H[i, j] = sqrt(xi_sq_i * xi_sq_j) * rho^{(i+1) + (j+1) + 2*delta - 2},
-    the second-order statistic of the shared-component fading model.  Unit
-    gains are assumed when `xi_sq` is None.
+    The correlation matrix H has H[i, i] = 1 and, for i != j (0-based),
+    H[i, j] = rho^{(i+1) + (j+1) + 2*delta - 2}, the second-order statistic
+    of the shared-component fading model.
     """
     k = num_rounds
-    xi = np.ones(k) if xi_sq is None else np.asarray(xi_sq, dtype=np.float64)
     i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    expo = i + j + 2 * delta
-    cross = np.sqrt(np.outer(xi, xi))
-    h = cross[None, :, :] * rho[:, None, None] ** expo[None, :, :]
-    h[:, np.arange(k), np.arange(k)] = xi[None, :]
+    h = rho[:, None, None] ** (i + j + 2 * delta)[None, :, :]
+    h[:, np.arange(k), np.arange(k)] = 1.0
     return normalize_adjacency(h)
 
 
 def session_adjacency(channel: ChannelParams) -> np.ndarray:
     """Normalized adjacency of one session, shape (K, K)."""
     return batch_adjacency(np.array([channel.rho]), channel.num_rounds,
-                           channel.delta, channel.xi_sq)[0]
+                           channel.delta)[0]

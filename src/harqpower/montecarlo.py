@@ -3,7 +3,7 @@
 Sampling follows the time-correlated Rayleigh model: with slot correlation
 rho and retransmission gap delta, round k sees
 
-    h_k = xi_k * (sqrt(1 - rho^{2(k+delta-1)}) * a_k + rho^{k+delta-1} * a_0)
+    h_k = sqrt(1 - rho^{2(k+delta-1)}) * a_k + rho^{k+delta-1} * a_0
 
 where a_0..a_K are i.i.d. unit-variance circular complex Gaussians and the
 received SNR is gamma_k = p_k |h_k|^2.
@@ -68,8 +68,7 @@ def _coeffs_chunk(channel: ChannelParams, seed, chunk, m) -> np.ndarray:
     a0 = (z[:, 0] + 1j * z[:, 1]) * scale
     ak = (z[:, 2::2] + 1j * z[:, 3::2]) * scale
     rho_t = channel.rho ** (np.arange(1, k + 1) + channel.delta - 1)
-    xi = np.sqrt(np.asarray(channel.xi_sq))
-    return xi * (np.sqrt(1.0 - rho_t ** 2) * ak + rho_t * a0[:, None])
+    return np.sqrt(1.0 - rho_t ** 2) * ak + rho_t * a0[:, None]
 
 
 def sample_channel_coeffs(channel: ChannelParams, trials: int, seed: int) -> np.ndarray:
@@ -148,11 +147,10 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
     n_rounds = channel.num_rounds
     powers = np.asarray(policy.powers)
     u_max = t / powers
-    xi_sq = np.asarray(channel.xi_sq)
     rho_t = channel.rho ** (np.arange(1, n_rounds + 1) + channel.delta - 1)
     # |E[h_k | a_0]|^2 per unit |a_0|^2
-    shared_sq = xi_sq * rho_t ** 2
-    var = xi_sq * (1.0 - rho_t ** 2)
+    shared_sq = rho_t ** 2
+    var = 1.0 - rho_t ** 2
 
     def kernel(c, m):
         rng = _chunk_rng(seed, c)

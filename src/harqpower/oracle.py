@@ -48,9 +48,17 @@ class GridSpec:
 
 
 def default_grid(link: LinkConfig, points: int = 40) -> GridSpec:
-    """Grid spanning the power floor up to 3 dB above the average budget."""
-    return GridSpec(points_per_axis=points, p_min_w=P_MIN_WATTS,
-                    p_max_w=dbw_to_watts(link.power_budget_dbw + 3.0))
+    """Grid spanning the power floor up to 3 dB above the average budget.
+
+    Raises GridInfeasible when that top is not above the floor: every
+    policy is floored at P_MIN_WATTS, so none can meet such a budget.
+    """
+    p_max_w = dbw_to_watts(link.power_budget_dbw + 3.0)
+    if p_max_w <= P_MIN_WATTS:
+        raise GridInfeasible(
+            f"no feasible power vector at {link.power_budget_dbw} dBW: the "
+            f"grid top {p_max_w:g} W is not above the {P_MIN_WATTS:g} W floor")
+    return GridSpec(points_per_axis=points, p_min_w=P_MIN_WATTS, p_max_w=p_max_w)
 
 
 @dataclass
@@ -84,8 +92,8 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
     for start in range(0, size, BLOCK_POINTS):
         flat = np.arange(start, min(start + BLOCK_POINTS, size))
         cols = [axis[i] for i in np.unravel_index(flat, (grid.points_per_axis,) * k)]
-        outages, _, tau, pavg = analytic_chain(cols, inv_corr, channel.xi_sq,
-                                               factors, link, capped=True)
+        outages, _, tau, pavg = analytic_chain(cols, inv_corr, factors, link,
+                                               capped=True)
         feasible = (outages[-1] <= link.outage_target) & (pavg <= link.power_budget_w)
         idx = np.flatnonzero(feasible)
         if idx.size:

@@ -16,8 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .analytics import (analytic_chain, correlation_factor, evaluate,
                         ir_rate_factor, rate_factors, scheme_rate_factor)
-from .gcn import (LayerSpec, forward, init_weights, load_checkpoint,
-                  save_checkpoint)
+from .gcn import forward, init_weights, load_checkpoint, save_checkpoint
 from .graph import session_adjacency
 from .montecarlo import estimate_outage_conditional, estimate_profile
 from .oracle import GridInfeasible, GridSpec, default_grid, grid_search
@@ -74,31 +73,29 @@ def _check_evaluate():
     # Type-I at rate 1 has unit rate factors, so inv_corr sets the outages
     # directly: (1/2, 1/4, 1/8) on powers (2, 4, 8)
     _, eta, _, pavg = analytic_chain((2.0, 4.0, 8.0), (1.0, 2.0, 8.0),
-                                     (1.0, 1.0, 1.0),
                                      rate_factors(Scheme.TYPE_I, 1.0, 3),
                                      LinkConfig(rate=1.0))
     _expect(eta == 0.5, "throughput hand value")
     _expect(pavg == 6.0, "average power hand value")
-    rep = evaluate(PowerPolicy((10.0,)), ChannelParams(rho=0.0, xi_sq=(1.0,)),
+    rep = evaluate(PowerPolicy((10.0,)), ChannelParams(rho=0.0, num_rounds=1),
                    Scheme.TYPE_I, link)
     _expect(abs(rep.outage_profile[0] - 0.3) < 1e-15, "single-round outage")
 
 
 def _check_graph():
-    a = session_adjacency(ChannelParams(rho=0.5, xi_sq=(4.0, 1.0, 2.25)))
+    a = session_adjacency(ChannelParams(rho=0.5))
     _expect(np.allclose(a, a.T), "adjacency must be symmetric")
     _expect(a[0, 1] > a[0, 2] > a[1, 2] > 0.0, "off-diagonals decay with i+j")
-    # uniform gains: row sums of the normalized adjacency hug 1 at every rho
+    # row sums of the normalized adjacency hug 1 at every rho
     for rho in (0.0, 0.3, 0.7, 0.98):
         au = session_adjacency(ChannelParams(rho=rho))
         rows = au.sum(axis=1)
         _expect(np.all(np.abs(rows - 1.0) < 0.02), f"row sums {rows} at rho={rho}")
     ident = session_adjacency(ChannelParams(rho=0.0))
     _expect(np.array_equal(ident, np.eye(3)), "rho=0 must give the identity")
-    # hand value: H01 = 0.125, degrees (1.1875, 1.15625) at uniform gains
-    au = session_adjacency(ChannelParams(rho=0.5))
+    # hand value: H01 = 0.125, degrees (1.1875, 1.15625)
     expect = 0.125 / math.sqrt(1.1875 * 1.15625)
-    _expect(abs(au[0, 1] - expect) < 1e-15, "normalized hand value")
+    _expect(abs(a[0, 1] - expect) < 1e-15, "normalized hand value")
 
 
 def _check_autodiff():
@@ -125,11 +122,10 @@ def _check_autodiff():
 
 
 def _check_gcn():
-    spec = LayerSpec(dims=(1, 1))
-    out = forward(np.eye(3), spec, [ad.constant(np.array([[2.0]]))], p_bar_w=6.0)
+    out = forward(np.eye(3), [ad.constant(np.array([[2.0]]))], p_bar_w=6.0)
     _expect(np.array_equal(out.value[:, 0], np.array([4.0, 4.0, 4.0])),
             "identity adjacency forward")
-    full = init_weights(LayerSpec(), seed=3)
+    full = init_weights(seed=3)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "ckpt.txt")
         save_checkpoint(path, full)
@@ -141,7 +137,7 @@ def _check_gcn():
 
 def _check_montecarlo():
     link_rate = 2.0
-    ch = ChannelParams(rho=0.0, xi_sq=(1.0,))
+    ch = ChannelParams(rho=0.0, num_rounds=1)
     est = estimate_profile(PowerPolicy((10.0,)), ch, link_rate,
                            trials=100_000, seed=11)[Scheme.TYPE_I][0]
     exact = 1.0 - math.exp(-0.3)
@@ -154,7 +150,7 @@ def _check_montecarlo():
 
 
 def _check_oracle():
-    ch = ChannelParams(rho=0.5, xi_sq=(1.0,))
+    ch = ChannelParams(rho=0.5, num_rounds=1)
     link_lo = LinkConfig(power_budget_dbw=18.0, outage_target=0.1)
     link_hi = LinkConfig(power_budget_dbw=21.0, outage_target=0.1)
     grid = GridSpec(points_per_axis=20, p_max_w=100.0)

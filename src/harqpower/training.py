@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .analytics import (analytic_chain, correlation_factor, evaluate,
                         rate_factors)
-from .gcn import GcnWeights, LayerSpec, forward, init_weights
+from .gcn import GcnWeights, forward, init_weights
 from .graph import batch_adjacency, session_adjacency
 from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 
@@ -133,7 +133,7 @@ def dataset_constants(rho: np.ndarray, channel_proto: ChannelParams):
     (K, N, 1, 1).  A mini-batch slices both with its sample indices.
     """
     k, delta = channel_proto.num_rounds, channel_proto.delta
-    adj = batch_adjacency(rho, k, delta, channel_proto.xi_sq)
+    adj = batch_adjacency(rho, k, delta)
     inv_corr = np.array([[1.0 / correlation_factor(r, kk, delta) for r in rho]
                          for kk in range(1, k + 1)])
     return adj, inv_corr[:, :, None, None]
@@ -160,8 +160,7 @@ def _run_axis(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1, 1)
 
 
-def batch_lagrangian(wnodes, spec: LayerSpec, adj: np.ndarray,
-                     inv_corr: np.ndarray, runs, channel_proto: ChannelParams,
+def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
                      lam, ups, tau_clip: float | None = None):
     """Build the batch-mean Lagrangian graph of a stack of runs.
 
@@ -193,15 +192,14 @@ def batch_lagrangian(wnodes, spec: LayerSpec, adj: np.ndarray,
     link = _shared_link(runs)
     b, k = adj.shape[0], adj.shape[1]
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
-    powers = forward(adj, spec, wnodes, p_bar)
+    powers = forward(adj, wnodes, p_bar)
 
     # per-round powers as (R,B,1,1) nodes, and per-round (R,1,1,1) factors
     eye = np.eye(k)
     p_k = [ad.matmul(ad.constant(eye[kk:kk + 1, :]), powers) for kk in range(k)]
     factors = np.array([rate_factors(scheme, link.rate, k) for scheme, _ in runs])
     pouts, _, tau, pavg = analytic_chain(
-        p_k, inv_corr, channel_proto.xi_sq,
-        [_run_axis(factors[:, kk]) for kk in range(k)], link)
+        p_k, inv_corr, [_run_axis(factors[:, kk]) for kk in range(k)], link)
     if tau_clip is not None:
         tau = ad.clamp(tau, lo=0.0, hi=tau_clip)
 
@@ -232,13 +230,12 @@ def _label(run) -> str:
 
 
 def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
-          cfg: TrainConfig, spec: LayerSpec = LayerSpec()) -> TrainResult:
+          cfg: TrainConfig) -> TrainResult:
     """Primal-dual training of one policy; deterministic in cfg.seed."""
-    return train_stack([(scheme, link)], channel_proto, cfg, spec)[0]
+    return train_stack([(scheme, link)], channel_proto, cfg)[0]
 
 
-def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig,
-                spec: LayerSpec = LayerSpec()) -> list:
+def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     """Train one policy per (scheme, link) run in one primal-dual loop.
 
     The links may differ only in the power budget (ValueError otherwise).
@@ -250,7 +247,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig,
     link = _shared_link(runs)
     n_runs = len(runs)
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
-    mats = [np.stack([m] * n_runs) for m in init_weights(spec, cfg.seed).matrices]
+    mats = [np.stack([m] * n_runs) for m in init_weights(cfg.seed).matrices]
     adam = AdamState.like(mats)
     adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
                                               channel_proto)
@@ -260,7 +257,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig,
     consts = [ad.constant(m) for m in mats]
     dead = np.ones(n_runs, dtype=bool)
     for i in range(0, cfg.dataset_size, cfg.batch_size):
-        out = forward(adj_all[i:i + cfg.batch_size], spec, consts, p_bar).value
+        out = forward(adj_all[i:i + cfg.batch_size], consts, p_bar).value
         dead &= np.all(out.reshape(n_runs, -1) == P_MIN_WATTS, axis=1)
         if not dead.any():
             break
@@ -288,10 +285,9 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig,
         for bidx in range(steps_per_epoch):
             sel = order[bidx * cfg.batch_size:(bidx + 1) * cfg.batch_size]
             wnodes = [ad.parameter(m) for m in mats]
-            root, stats = batch_lagrangian(wnodes, spec, adj_all[sel],
-                                           inv_corr_all[:, sel], runs,
-                                           channel_proto, lam, ups,
-                                           tau_clip=tau_clip)
+            root, stats = batch_lagrangian(wnodes, adj_all[sel],
+                                           inv_corr_all[:, sel], runs, lam,
+                                           ups, tau_clip=tau_clip)
             bad = ~np.isfinite(stats["objective"])
             if bad.any():
                 r = int(np.argmax(bad))
@@ -327,7 +323,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig,
                                 float(stats["mean_pavg_w"][r]),
                                 float(lam[r]), float(ups[r])))
             it += 1
-    return [TrainResult(weights=GcnWeights(spec, [m[r].copy() for m in mats],
+    return [TrainResult(weights=GcnWeights([m[r].copy() for m in mats],
                                            cfg.seed),
                         history=histories[r], lam=float(lam[r]),
                         ups=float(ups[r]), guard_steps=int(guard_steps[r]))
@@ -338,8 +334,7 @@ def evaluate_policy(weights: GcnWeights, channel: ChannelParams,
                     link: LinkConfig, scheme: Scheme):
     """Run the trained network on one channel and score it analytically."""
     consts = [ad.constant(m) for m in weights.matrices]
-    out = forward(session_adjacency(channel), weights.spec, consts,
-                  link.power_budget_w)
+    out = forward(session_adjacency(channel), consts, link.power_budget_w)
     policy = PowerPolicy(tuple(out.value[:, 0]))
     report = evaluate(policy, channel, scheme, link)
     return policy, report

@@ -26,14 +26,6 @@ class Scheme(enum.Enum):
     CHASE = "cc"
     INCREMENTAL = "ir"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Scheme":
-        for s in cls:
-            if s.value == name:
-                return s
-        raise ValueError(f"unknown scheme {name!r}; expected one of "
-                         f"{[s.value for s in cls]}")
-
 
 def dbw_to_watts(dbw: float) -> float:
     """Convert a dBW quantity to linear watts."""
@@ -45,28 +37,22 @@ class ChannelParams:
     """Time-correlated Rayleigh fading description for one HARQ session.
 
     rho is the per-slot correlation coefficient, delta the slot gap between
-    successive transmissions, and xi_sq the per-round large-scale channel
-    gains (one entry per round).
+    successive transmissions, and num_rounds the maximum number of
+    transmissions K.  Every round has unit average channel gain.
     """
 
     rho: float
     delta: int = 1
-    xi_sq: tuple = (1.0, 1.0, 1.0)
+    num_rounds: int = 3
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.delta < 1 or int(self.delta) != self.delta:
             raise ValueError(f"delta must be a positive integer, got {self.delta}")
-        if len(self.xi_sq) < 1:
-            raise ValueError("xi_sq needs at least one round")
-        if any(x <= 0 for x in self.xi_sq):
-            raise ValueError("xi_sq entries must be positive")
-        object.__setattr__(self, "xi_sq", tuple(float(x) for x in self.xi_sq))
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self.xi_sq)
+        if self.num_rounds < 1 or int(self.num_rounds) != self.num_rounds:
+            raise ValueError(f"num_rounds must be a positive integer, "
+                             f"got {self.num_rounds}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from harqpower import autodiff as ad
 from harqpower.analytics import (correlation_factor, evaluate,
                                  scheme_rate_factor)
 from harqpower.cli import SEED_ENV_VAR, main
-from harqpower.gcn import LayerSpec, forward, init_weights
+from harqpower.gcn import forward, init_weights
 from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.montecarlo import estimate_outage_conditional, estimate_profile
 from harqpower.oracle import default_grid, grid_search
@@ -249,15 +249,15 @@ class TestClosedFormIdentities:
 
 class TestGradientCorrectness:
     @staticmethod
-    def _instance(seed, link, proto, spec):
+    def _instance(seed, link, proto):
         """Seeded weights rescaled to a mid operating point, plus rho batch."""
         rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
         rho_batch = rng.random(FD_BATCH) * 0.95
-        weights = init_weights(spec, seed)
+        weights = init_weights(seed)
         scheme = SCHEMES[seed % 3]
         adj = batch_adjacency(rho_batch, proto.num_rounds, proto.delta)
         wn = [ad.parameter(m) for m in weights.matrices]
-        v = forward(adj, spec, wn, link.power_budget_w)
+        v = forward(adj, wn, link.power_budget_w)
         mean_out = float(np.mean(v.value))
         assert mean_out > 0.01, f"seed {seed}: collapsed init"
         weights.matrices[-1] *= FD_TARGET_MEAN_W / mean_out
@@ -267,8 +267,7 @@ class TestGradientCorrectness:
     def test_lagrangian_gradient_matches_finite_differences(self, seed):
         link = LinkConfig()
         proto = ChannelParams(rho=0.0)
-        spec = LayerSpec()
-        weights, rho_batch, scheme = self._instance(seed, link, proto, spec)
+        weights, rho_batch, scheme = self._instance(seed, link, proto)
 
         # guard that the instance is in the smooth interior: every sample's
         # final outage below one half, every output power above the floor
@@ -276,7 +275,7 @@ class TestGradientCorrectness:
         for rho in rho_batch:
             ch = ChannelParams(rho=float(rho))
             consts = [ad.constant(m) for m in weights.matrices]
-            p = forward(session_adjacency(ch), spec, consts,
+            p = forward(session_adjacency(ch), consts,
                         link.power_budget_w).value.reshape(-1)
             assert p.min() >= 2.0
             pout = scheme_rate_factor(scheme, link.rate, k) / (
@@ -289,8 +288,8 @@ class TestGradientCorrectness:
         adj, inv_corr = dataset_constants(rho_batch, proto)
 
         def build(params):
-            root, _ = batch_lagrangian(params, spec, adj, inv_corr,
-                                       [(scheme, link)], proto, lam, ups,
+            root, _ = batch_lagrangian(params, adj, inv_corr,
+                                       [(scheme, link)], lam, ups,
                                        tau_clip=tau_clip)
             return root
 

@@ -131,32 +131,23 @@ class TestRateFactors:
 
 class TestAsymptoticOutage:
     def test_single_round_hand_value(self):
-        ch = ChannelParams(rho=0.0, xi_sq=(1.0,))
+        ch = ChannelParams(rho=0.0, num_rounds=1)
         rep = evaluate(PowerPolicy((10.0,)), ch, Scheme.TYPE_I, LinkConfig())
         assert rep.outage_profile[0] == pytest.approx(0.3, abs=1e-15)
         assert inverse_correlation(ch) == [1.0]
-        raw, _, _, _ = analytic_chain((10.0,), [1.0], (1.0,),
+        raw, _, _, _ = analytic_chain((10.0,), [1.0],
                                       rate_factors(Scheme.TYPE_I, 2.0, 1),
                                       LinkConfig())
         assert raw[0] == rep.outage_profile[0]
 
     def test_cap_engages_at_tiny_power(self):
-        ch = ChannelParams(rho=0.0, xi_sq=(1.0,))
+        ch = ChannelParams(rho=0.0, num_rounds=1)
         rep = evaluate(PowerPolicy((0.01,)), ch, Scheme.TYPE_I, LinkConfig())
         assert rep.outage_profile[0] == OUTAGE_CAP
-        raw, _, _, _ = analytic_chain((0.01,), [1.0], (1.0,),
+        raw, _, _, _ = analytic_chain((0.01,), [1.0],
                                       rate_factors(Scheme.TYPE_I, 2.0, 1),
                                       LinkConfig())
         assert raw[0] > 1.0
-
-    def test_gain_scaling(self):
-        # doubling the gain halves the single-round asymptote
-        ch1 = ChannelParams(rho=0.0, xi_sq=(1.0,))
-        ch2 = ChannelParams(rho=0.0, xi_sq=(2.0,))
-        pol = PowerPolicy((50.0,))
-        a = evaluate(pol, ch1, Scheme.CHASE, LinkConfig()).outage_profile[0]
-        b = evaluate(pol, ch2, Scheme.CHASE, LinkConfig()).outage_profile[0]
-        assert b == pytest.approx(a / 2.0, rel=1e-14)
 
     @given(power=st.floats(5.0, 500.0), extra=st.floats(1.01, 4.0))
     @settings(max_examples=40)
@@ -176,13 +167,13 @@ class TestAsymptoticOutage:
 
 
 class TestLinkMetrics:
-    # With unit gains the chain's outages are P_k = inv_corr_k * factor_k /
-    # (p_1 ... p_k), so chosen inverse-correlation inputs set the profile.
+    # The chain's outages are P_k = inv_corr_k * factor_k / (p_1 ... p_k),
+    # so chosen inverse-correlation inputs set the profile.
 
     @staticmethod
     def chain(powers, inv_corr, rate=1.0, capped=False):
         # Type-I at rate 1 has unit rate factors
-        return analytic_chain(powers, inv_corr, (1.0,) * len(powers),
+        return analytic_chain(powers, inv_corr,
                               rate_factors(Scheme.TYPE_I, rate, len(powers)),
                               LinkConfig(rate=rate), capped=capped)
 
@@ -229,7 +220,7 @@ class TestLinkMetrics:
     def test_average_power_length_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(PowerPolicy((2.0, 3.0, 4.0)),
-                     ChannelParams(rho=0.2, xi_sq=(1.0, 1.0)),
+                     ChannelParams(rho=0.2, num_rounds=2),
                      Scheme.TYPE_I, LinkConfig())
 
     def test_cap_applies_before_the_metrics(self):
@@ -241,12 +232,11 @@ class TestLinkMetrics:
         powers = (np.array([2.0, 3.0]), np.array([4.0, 5.0]))
         factors = rate_factors(Scheme.CHASE, 2.0, 2)
         outages, eta, tau, pavg = analytic_chain(
-            powers, (0.5, 0.25), (1.0, 2.0), factors, LinkConfig(),
-            capped=True)
+            powers, (0.5, 0.25), factors, LinkConfig(), capped=True)
         for n in range(2):
             scalar = analytic_chain(tuple(float(p[n]) for p in powers),
-                                    (0.5, 0.25), (1.0, 2.0), factors,
-                                    LinkConfig(), capped=True)
+                                    (0.5, 0.25), factors, LinkConfig(),
+                                    capped=True)
             assert [float(o[n]) for o in outages] == scalar[0]
             assert (eta[n], tau[n], pavg[n]) == scalar[1:]
 

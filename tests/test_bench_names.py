@@ -1,11 +1,13 @@
 """The traced benchmark run wraps harqpower attributes by name.
 
 bench/spans.py lists them in WRAPPED as (module, attribute, span name), and
-Tracer.install() fails with an AttributeError on any name that is gone.  The
-list is read with ast so that no bench module is imported here.
+Tracer.install() fails with an AttributeError on any name that is gone.  It
+also reads a few attributes of the program's objects while tracing.  The
+file is read with ast so that no bench module is imported here.
 """
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,30 @@ def wrapped_names():
 @pytest.mark.parametrize("module,attr", wrapped_names())
 def test_wrapped_attribute_exists(module, attr):
     assert hasattr(importlib.import_module(f"harqpower.{module}"), attr)
+
+
+def attributes_read(function):
+    """Attribute names that a function of bench/spans.py reads."""
+    tree = ast.parse(SPANS.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    raise AssertionError(f"no {function} in {SPANS}")
+
+
+def test_traced_reads_exist():
+    # _info reads channel.num_rounds and grid.points_per_axis from
+    # grid_search's arguments (channel first, grid fourth); tape_size walks
+    # Node.parents from the root that batch_lagrangian returns
+    from harqpower import autodiff as ad
+    from harqpower.oracle import GridSpec, grid_search
+    from harqpower.types import ChannelParams
+
+    assert {"num_rounds", "points_per_axis"} <= attributes_read("_info")
+    assert "parents" in attributes_read("tape_size")
+    assert ChannelParams(rho=0.0, num_rounds=2).num_rounds == 2
+    names = list(inspect.signature(grid_search).parameters)
+    assert names[0] == "channel" and names[3] == "grid"
+    assert GridSpec(points_per_axis=7).points_per_axis == 7
+    a, b = ad.constant(1.0), ad.constant(2.0)
+    assert list(ad.add(a, b).parents) == [a, b]

@@ -95,6 +95,9 @@ class TestExitCodes:
         ("sweep-power", "--rho", 1.0, "--epochs", 40, "--budget-lo-dbw", 15,
          "--budget-hi-dbw", 16),
         ("mc-validate", "--rate", -1),
+        ("mc-validate", "--rounds", 0),
+        # PowerPolicy would floor -100 dBW at 1e-6 W (-60 dBW)
+        ("mc-validate", "--power-dbw", -100),
     ], ids=lambda argv: " ".join(str(a) for a in argv))
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -116,6 +119,13 @@ class TestExitCodes:
         rc = run("oracle", "--rounds", 1, "--points", 10, "--out", tmp_path)
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_budget_below_power_floor_exits_1(self, tmp_path, capsys):
+        # the grid would top out at -97 dBW, under the 1e-6 W power floor
+        rc = run("oracle", "--power-budget-dbw", -100, "--out", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no feasible power")
 
 
 class TestTrainCommand:

@@ -1,13 +1,11 @@
 """Tests for the session correlation graph and its normalization.
 
 The hand values below were computed from the exact rational degrees of the
-uniform-gain three-round graph at a correlation of one half: the matrix
-entries are the dyadic powers 1/8, 1/16, 1/32 and the degrees are 19/16,
-37/32 and 35/32.  With unit gains the normalized diagonal is 1/degree, so
-the correlation matrix is recovered as H_ij = A_ij / sqrt(A_ii A_jj).
+three-round graph at a correlation of one half: the matrix entries are the
+dyadic powers 1/8, 1/16, 1/32 and the degrees are 19/16, 37/32 and 35/32.
+With unit gains the normalized diagonal is 1/degree, so the correlation
+matrix is recovered as H_ij = A_ij / sqrt(A_ii A_jj).
 """
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,7 @@ from harqpower.types import ChannelParams
 
 
 def unit_gain_correlation(a: np.ndarray) -> np.ndarray:
-    """Correlation matrix behind a unit-gain normalized adjacency."""
+    """Correlation matrix behind a normalized adjacency."""
     d = np.sqrt(np.diag(a))
     return a / d[:, None] / d[None, :]
 
@@ -27,13 +25,12 @@ def unit_gain_correlation(a: np.ndarray) -> np.ndarray:
 def loop_adjacency(channel: ChannelParams) -> np.ndarray:
     """Reference builder: one scalar loop over the matrix entries."""
     k = channel.num_rounds
-    xi = channel.xi_sq
     h = np.zeros((k, k))
     for i in range(k):
-        h[i, i] = xi[i]
+        h[i, i] = 1.0
         for j in range(i + 1, k):
             expo = (i + 1) + (j + 1) + 2 * channel.delta - 2
-            h[i, j] = h[j, i] = math.sqrt(xi[i] * xi[j]) * channel.rho ** expo
+            h[i, j] = h[j, i] = channel.rho ** expo
     d = h.sum(axis=1)
     return h / np.sqrt(np.outer(d, d))
 
@@ -68,26 +65,12 @@ def test_larger_gap_attenuates_edges():
     assert np.all(far[~np.eye(3, dtype=bool)] < near[~np.eye(3, dtype=bool)])
 
 
-def test_nonuniform_gains():
-    # H01 = 2/8, H02 = 3/16, H12 = 1.5/32; degrees 71/16, 83/64, 159/64
-    a = session_adjacency(ChannelParams(rho=0.5, xi_sq=(4.0, 1.0, 2.25)))
-    d = (4.4375, 1.296875, 2.484375)
-    assert a[0, 0] == pytest.approx(4.0 / d[0], rel=1e-15)
-    assert a[2, 2] == pytest.approx(2.25 / d[2], rel=1e-15)
-    assert a[0, 1] == pytest.approx(0.25 / math.sqrt(d[0] * d[1]), rel=1e-15)
-    assert a[0, 2] == pytest.approx(0.1875 / math.sqrt(d[0] * d[2]), rel=1e-15)
-    assert np.allclose(a, a.T)
-    assert a[0, 1] > a[0, 2] > a[1, 2] > 0.0
-
-
-@pytest.mark.parametrize("delta, xi_sq", [(1, (1.0, 1.0, 1.0)),
-                                          (2, (4.0, 1.0, 2.25))],
-                         ids=("unit_gains", "nonuniform_gains"))
-def test_matches_loop_reference(delta, xi_sq):
+@pytest.mark.parametrize("delta", (1, 2), ids=("unit_gains", "unit_gains_delta2"))
+def test_matches_loop_reference(delta):
     rho = np.array([0.0, 0.2, 0.31, 0.5, 0.77, 0.9, 0.98])
-    batched = batch_adjacency(rho, 3, delta, xi_sq)
+    batched = batch_adjacency(rho, 3, delta)
     for i, r in enumerate(rho):
-        ref = loop_adjacency(ChannelParams(rho=float(r), delta=delta, xi_sq=xi_sq))
+        ref = loop_adjacency(ChannelParams(rho=float(r), delta=delta))
         np.testing.assert_allclose(batched[i], ref, rtol=1e-14, atol=0.0)
 
 
@@ -136,6 +119,6 @@ def test_normalization_rejects_nonpositive_degrees():
 
 
 def test_two_round_sessions_supported():
-    a = session_adjacency(ChannelParams(rho=0.6, xi_sq=(1.0, 1.0)))
+    a = session_adjacency(ChannelParams(rho=0.6, num_rounds=2))
     assert a.shape == (2, 2)
     assert a[0, 1] == pytest.approx(0.6 ** 3 / (1.0 + 0.6 ** 3), rel=1e-14)

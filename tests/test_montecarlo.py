@@ -21,8 +21,8 @@ from harqpower.types import ChannelParams, PowerPolicy, Scheme
 RATE = 2.0
 
 
-def exact_single_round(power, xi_sq=1.0):
-    return 1.0 - math.exp(-(2.0 ** RATE - 1.0) / (power * xi_sq))
+def exact_single_round(power):
+    return 1.0 - math.exp(-(2.0 ** RATE - 1.0) / power)
 
 
 def assert_schemes_ordered(estimates):

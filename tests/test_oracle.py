@@ -41,7 +41,7 @@ class TestSingleRound:
     def test_hand_solvable_instance(self):
         link = LinkConfig(outage_target=0.15,
                           power_budget_dbw=10.0 * np.log10(25.0))
-        ch = ChannelParams(rho=0.5, xi_sq=(1.0,))
+        ch = ChannelParams(rho=0.5, num_rounds=1)
         grid = GridSpec(points_per_axis=10, p_min_w=1.0, p_max_w=100.0)
         # axis point 10^(4/3) ~ 21.544 is the only one in [20, 25]
         res = grid_search(ch, Scheme.TYPE_I, link, grid)
@@ -55,7 +55,7 @@ class TestSingleRound:
 
     def test_infeasible_grid_raises(self):
         link = LinkConfig()  # target 1e-2 needs p >= 300 W, grid tops at 63 W
-        ch = ChannelParams(rho=0.5, xi_sq=(1.0,))
+        ch = ChannelParams(rho=0.5, num_rounds=1)
         with pytest.raises(GridInfeasible):
             grid_search(ch, Scheme.TYPE_I, link, default_grid(link))
 
@@ -63,7 +63,7 @@ class TestSingleRound:
 class TestGridSearch:
     def setup_method(self):
         self.link = LinkConfig()
-        self.ch = ChannelParams(rho=0.5, xi_sq=(1.0, 1.0))
+        self.ch = ChannelParams(rho=0.5, num_rounds=2)
         self.grid = GridSpec(points_per_axis=8, p_min_w=0.5, p_max_w=40.0)
 
     def test_matches_scalar_brute_force(self):
@@ -116,7 +116,7 @@ class TestGridSearch:
             (want.latency_s, want.average_power_w, want.outage_k)
 
     def test_round_count_guard(self):
-        ch = ChannelParams(rho=0.2, xi_sq=(1.0,) * 5)
+        ch = ChannelParams(rho=0.2, num_rounds=5)
         with pytest.raises(ComplexityGuard):
             grid_search(ch, Scheme.CHASE, self.link,
                         GridSpec(points_per_axis=3, p_min_w=1.0, p_max_w=10.0))

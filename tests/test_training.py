@@ -14,7 +14,7 @@ import pytest
 from harqpower import autodiff as ad
 from harqpower import training
 from harqpower.analytics import correlation_factor, evaluate
-from harqpower.gcn import GcnWeights, LayerSpec, forward, init_weights
+from harqpower.gcn import GcnWeights, forward, init_weights
 from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.oracle import default_grid, grid_search
 from harqpower.training import (HISTORY_FIELDS, AdamState, TrainConfig,
@@ -29,27 +29,24 @@ LINK = LinkConfig()
 PROTO = ChannelParams(rho=0.0)
 
 
-def scalar_policy_spec(scale):
+def scalar_policy(scale):
     """Single linear layer: every round's power is scale * p_bar/K * row sum."""
-    spec = LayerSpec(dims=(1, 1))
-    return spec, [np.array([[scale]])]
+    return [np.array([[scale]])]
 
 
-def lagrangian(wnodes, spec, rho, scheme, lam, ups, tau_clip=None):
+def lagrangian(wnodes, rho, scheme, lam, ups, tau_clip=None):
     adj, inv_corr = dataset_constants(rho, PROTO)
-    root, stats = batch_lagrangian(wnodes, spec, adj, inv_corr,
-                                   [(scheme, LINK)], PROTO, lam, ups,
-                                   tau_clip=tau_clip)
+    root, stats = batch_lagrangian(wnodes, adj, inv_corr, [(scheme, LINK)],
+                                   lam, ups, tau_clip=tau_clip)
     return root, {key: float(v[0]) for key, v in stats.items()}
 
 
 class TestDatasetConstants:
     def test_values_and_shapes(self):
-        xi = (4.0, 1.0, 2.25)
-        proto = ChannelParams(rho=0.0, delta=2, xi_sq=xi)
+        proto = ChannelParams(rho=0.0, delta=2)
         rho = np.array([0.0, 0.31, 0.9])
         adj, inv_corr = dataset_constants(rho, proto)
-        assert np.array_equal(adj, batch_adjacency(rho, 3, 2, xi))
+        assert np.array_equal(adj, batch_adjacency(rho, 3, 2))
         assert inv_corr.shape == (3, 3, 1, 1)
         for kk in range(3):
             for s, r in enumerate(rho):
@@ -77,11 +74,11 @@ class TestDatasetConstants:
 
 class TestBatchLagrangian:
     def test_matches_scalar_analytics(self):
-        spec, mats = scalar_policy_spec(2.5)
+        mats = scalar_policy(2.5)
         rho = np.array([0.0, 0.3, 0.6, 0.9])
         lam, ups = 0.07, 3e-4
         wnodes = [ad.parameter(m) for m in mats]
-        root, stats = lagrangian(wnodes, spec, rho, Scheme.INCREMENTAL,
+        root, stats = lagrangian(wnodes, rho, Scheme.INCREMENTAL,
                                  lam, ups)
 
         expected_terms = []
@@ -109,10 +106,10 @@ class TestBatchLagrangian:
 
     def test_latency_clip_freezes_objective_gradient(self):
         # with every sample clipped and both duals off, nothing can move
-        spec, mats = scalar_policy_spec(2.5)
+        mats = scalar_policy(2.5)
         rho = np.array([0.0, 0.4, 0.8])
         wnodes = [ad.parameter(m) for m in mats]
-        root, stats = lagrangian(wnodes, spec, rho, Scheme.INCREMENTAL,
+        root, stats = lagrangian(wnodes, rho, Scheme.INCREMENTAL,
                                  0.0, 0.0, tau_clip=0.051)
         assert float(root.value) == pytest.approx(0.051, rel=1e-14)
         assert stats["mean_tau_s"] == pytest.approx(0.051, rel=1e-14)
@@ -120,10 +117,10 @@ class TestBatchLagrangian:
         assert np.array_equal(wnodes[0].adjoint, np.zeros((1, 1)))
 
     def test_duals_still_pull_through_the_clip(self):
-        spec, mats = scalar_policy_spec(2.5)
+        mats = scalar_policy(2.5)
         rho = np.array([0.0, 0.4, 0.8])
         wnodes = [ad.parameter(m) for m in mats]
-        root, _ = lagrangian(wnodes, spec, rho, Scheme.INCREMENTAL,
+        root, _ = lagrangian(wnodes, rho, Scheme.INCREMENTAL,
                              0.05, 0.0, tau_clip=0.051)
         ad.backward(root)
         # outage falls as power rises, so the multiplier pushes power up
@@ -133,8 +130,7 @@ class TestBatchLagrangian:
         rho = np.array([0.1, 0.5, 0.85])
 
         def build(params):
-            spec = LayerSpec(dims=(1, 1))
-            root, _ = lagrangian(params, spec, rho, Scheme.CHASE, 0.02, 1e-4)
+            root, _ = lagrangian(params, rho, Scheme.CHASE, 0.02, 1e-4)
             return root
 
         rep = ad.finite_diff_check(build, [np.array([[2.0]])], step=1e-6)
@@ -148,17 +144,16 @@ class TestOneImplementation:
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
     def test_training_graph_equals_evaluate(self, scheme):
         rng = np.random.default_rng(np.random.SeedSequence((21, 5)))
-        spec = LayerSpec()
-        base = init_weights(spec, seed=4)
+        base = init_weights(seed=4)
         compared = 0
         for rho, scale in zip(rng.random(60) * 0.98, rng.uniform(0.3, 3.0, 60)):
             mats = [m.copy() for m in base.matrices]
             mats[-1] *= scale
             consts = [ad.constant(m) for m in mats]
             adj, inv_corr = dataset_constants(np.array([rho]), PROTO)
-            _, stats = batch_lagrangian(consts, spec, adj, inv_corr,
-                                        [(scheme, LINK)], PROTO, 0.0, 0.0)
-            powers = forward(adj, spec, consts, LINK.power_budget_w).value
+            _, stats = batch_lagrangian(consts, adj, inv_corr,
+                                        [(scheme, LINK)], 0.0, 0.0)
+            powers = forward(adj, consts, LINK.power_budget_w).value
             rep = evaluate(PowerPolicy(tuple(powers[0, :, 0])),
                            ChannelParams(rho=float(rho)), scheme, LINK)
             if max(rep.outage_profile) >= OUTAGE_CAP:
@@ -271,8 +266,8 @@ class TestTrainStack:
         # poison the second run's network output; the other runs stay finite
         original = training.forward
 
-        def poisoned(adjacency, spec, matrices, p_bar_w):
-            out = original(adjacency, spec, matrices, p_bar_w)
+        def poisoned(adjacency, matrices, p_bar_w):
+            out = original(adjacency, matrices, p_bar_w)
             out.value[1] = np.nan
             return out
 
@@ -289,8 +284,7 @@ class TestTrainStack:
 
 class TestEvaluatePolicy:
     def test_consistent_with_analytics(self):
-        spec, mats = scalar_policy_spec(2.0)
-        weights = GcnWeights(spec=spec, matrices=mats, seed=0)
+        weights = GcnWeights(matrices=scalar_policy(2.0))
         ch = ChannelParams(rho=0.5)
         policy, report = evaluate_policy(weights, ch, LINK, Scheme.CHASE)
         direct = evaluate(policy, ch, Scheme.CHASE, LINK)
