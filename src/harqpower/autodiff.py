@@ -1,11 +1,19 @@
 """Minimal reverse-mode automatic differentiation on dense numpy arrays.
 
-Graphs are built eagerly: every operation computes its value on creation and
-remembers, per parent, how to push an adjoint back to it.  backward() walks
-the graph in reverse topological order, so each node's adjoint is complete
-before it is propagated, and it visits only nodes with a parameter ancestor:
-constant subgraphs (inputs, selectors, dual constants) get no adjoint.  No
-global tape is kept; separate graphs never share state and may be evaluated
+Every operation computes its value on creation and remembers two things: its
+forward function of its parents' current values, and, per parent, how to
+push an adjoint back to it.  Both read the parents' `.value` when they are
+called, so a graph whose leaves change in place can be evaluated again
+without rebuilding it.
+
+Tape(root) records the graph under a scalar root once: its topological
+order, the op nodes to recompute and the nodes with a parameter ancestor,
+each with the pushes to its live parents.  tape.replay() recomputes every op
+node from the leaves' current values; tape.backward() accumulates adjoints
+in reverse topological order, so each node's adjoint is complete before it
+is propagated, and constant subgraphs (inputs, selectors, dual constants)
+get no adjoint.  backward(root) is Tape(root).backward().  A tape belongs
+to its graph: separate graphs never share state and may be evaluated
 concurrently.
 
 Gradient conventions at nondifferentiable points: relu'(0) = 0 and the
@@ -19,24 +27,29 @@ import numpy as np
 
 __all__ = [
     "Node", "constant", "parameter", "add", "multiply", "divide", "negate",
-    "matmul", "dense", "relu", "clamp", "log", "reduce_sum",
-    "backward", "GradientReport", "finite_diff_check", "activity_signature",
+    "matmul", "dense", "relu", "clamp", "log", "reduce_sum", "select_row",
+    "Tape", "backward", "GradientReport", "finite_diff_check",
+    "activity_signature",
 ]
 
 
 class Node:
-    __slots__ = ("value", "adjoint", "parents", "pushes", "kind")
+    __slots__ = ("value", "adjoint", "parents", "pushes", "kind", "compute")
     # numpy defers to the reflected operators below, so `ndarray / Node`
     # builds a Node instead of an object array of per-element Nodes
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), pushes=(), kind="constant"):
+    def __init__(self, value, parents=(), pushes=(), kind="constant",
+                 compute=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.adjoint = None
         self.parents = parents
         # pushes[i](g) maps this node's adjoint g to parents[i]'s contribution
         self.pushes = pushes
         self.kind = kind
+        # compute() is this op's value from its parents' current values;
+        # None for leaves
+        self.compute = compute
 
     # convenience operators; all dispatch to the module-level ops
     def __add__(self, other):
@@ -85,53 +98,79 @@ def parameter(value) -> Node:
     return Node(value, kind="parameter")
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+def _op(kind, compute, parents, pushes) -> Node:
+    return Node(compute(), parents, pushes, kind, compute)
+
+
+def _identity(grad):
     return grad
 
 
+def _unbroadcast(shape, grad_shape):
+    """The reduction of a gradient shaped `grad_shape` to an operand's `shape`.
+
+    The summed axes are fixed by the two shapes, so an op works them out
+    once; an operand that was not broadcast gets the identity.
+    """
+    lead = len(grad_shape) - len(shape)
+    axes = [axis for axis, n in enumerate(shape)
+            if n == 1 and grad_shape[lead + axis] != 1]
+    if not lead and not axes:
+        return _identity
+
+    def reduce(grad):
+        for _ in range(lead):
+            grad = grad.sum(axis=0)
+        for axis in axes:
+            grad = grad.sum(axis=axis, keepdims=True)
+        return grad
+    return reduce
+
+
+def _binary_reducers(a: Node, b: Node):
+    shape = np.broadcast_shapes(a.value.shape, b.value.shape)
+    return _unbroadcast(a.value.shape, shape), _unbroadcast(b.value.shape, shape)
+
+
 def add(a: Node, b: Node) -> Node:
-    return Node(a.value + b.value, (a, b),
-                (lambda g: _unbroadcast(g, a.value.shape),
-                 lambda g: _unbroadcast(g, b.value.shape)), "add")
+    return _op("add", lambda: a.value + b.value, (a, b), _binary_reducers(a, b))
 
 
 def multiply(a: Node, b: Node) -> Node:
-    return Node(a.value * b.value, (a, b),
-                (lambda g: _unbroadcast(g * b.value, a.value.shape),
-                 lambda g: _unbroadcast(g * a.value, b.value.shape)),
-                "multiply")
+    to_a, to_b = _binary_reducers(a, b)
+    return _op("multiply", lambda: a.value * b.value, (a, b),
+               (lambda g: to_a(g * b.value), lambda g: to_b(g * a.value)))
 
 
 def divide(a: Node, b: Node) -> Node:
-    if np.any(b.value == 0.0):
-        raise ZeroDivisionError("divide: zero denominator entry")
-    return Node(a.value / b.value, (a, b),
-                (lambda g: _unbroadcast(g / b.value, a.value.shape),
-                 lambda g: _unbroadcast(-g * a.value / (b.value * b.value),
-                                        b.value.shape)), "divide")
+    def compute():
+        if (b.value == 0.0).any():
+            raise ZeroDivisionError("divide: zero denominator entry")
+        return a.value / b.value
+    to_a, to_b = _binary_reducers(a, b)
+    return _op("divide", compute, (a, b),
+               (lambda g: to_a(g / b.value),
+                lambda g: to_b(-g * a.value / (b.value * b.value))))
 
 
 def negate(a: Node) -> Node:
-    return Node(-a.value, (a,), (lambda g: -g,), "negate")
+    return _op("negate", lambda: -a.value, (a,), (lambda g: -g,))
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def matmul(a: Node, b: Node) -> Node:
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    return Node(a.value @ b.value, (a, b),
-                (lambda g: _unbroadcast(g @ _swap(b.value), a.value.shape),
-                 lambda g: _unbroadcast(_swap(a.value) @ g, b.value.shape)),
-                "matmul")
+    # g @ b^T and a^T @ g carry the product's batch axes
+    batch = np.broadcast_shapes(a.value.shape[:-2], b.value.shape[:-2])
+    to_a = _unbroadcast(a.value.shape, batch + a.value.shape[-2:])
+    to_b = _unbroadcast(b.value.shape, batch + b.value.shape[-2:])
+    return _op("matmul", lambda: a.value @ b.value, (a, b),
+               (lambda g: to_a(g @ _swap(b.value)),
+                lambda g: to_b(_swap(a.value) @ g)))
 
 
 def dense(x: Node, w: Node) -> Node:
@@ -146,47 +185,74 @@ def dense(x: Node, w: Node) -> Node:
     n, m = w.value.shape[-2:]
     if w.value.ndim not in (2, 3) or x.value.shape[-1] != n:
         raise ValueError("dense needs x (..., n) and w (n, m) or (R, n, m)")
-    rows = x.value.reshape(w.value.shape[:-2] + (-1, n))
+    runs = w.value.shape[:-2]
     out_shape = x.value.shape[:-1] + (m,)
 
+    def rows():
+        return x.value.reshape(runs + (-1, n))
+
     def flat(g):
-        return g.reshape(w.value.shape[:-2] + (-1, m))
-    return Node((rows @ w.value).reshape(out_shape), (x, w),
-                (lambda g: (flat(g) @ _swap(w.value)).reshape(x.value.shape),
-                 lambda g: _swap(rows) @ flat(g)), "dense")
+        return g.reshape(runs + (-1, m))
+    return _op("dense", lambda: (rows() @ w.value).reshape(out_shape), (x, w),
+               (lambda g: (flat(g) @ _swap(w.value)).reshape(x.value.shape),
+                lambda g: _swap(rows()) @ flat(g)))
 
 
 def relu(a: Node) -> Node:
-    return Node(np.maximum(a.value, 0.0), (a,),
-                (lambda g: g * (a.value > 0.0),), "relu")
+    return _op("relu", lambda: np.maximum(a.value, 0.0), (a,),
+               (lambda g: g * (a.value > 0.0),))
 
 
 def clamp(a: Node, lo=None, hi=None) -> Node:
     """Elementwise clamp to [lo, hi]; gradient is zero outside the open interval."""
     if lo is None and hi is None:
         raise ValueError("clamp needs at least one bound")
-    out = a.value
-    if lo is not None:
-        out = np.maximum(out, lo)
-    if hi is not None:
-        out = np.minimum(out, hi)
-    inside = np.ones_like(a.value, dtype=bool)
-    if lo is not None:
-        inside &= a.value > lo
-    if hi is not None:
-        inside &= a.value < hi
-    return Node(out, (a,), (lambda g: g * inside,), "clamp")
+
+    def compute():
+        out = a.value
+        if lo is not None:
+            out = np.maximum(out, lo)
+        if hi is not None:
+            out = np.minimum(out, hi)
+        return out
+
+    def push(g):
+        if hi is None:
+            return g * (a.value > lo)
+        if lo is None:
+            return g * (a.value < hi)
+        return g * ((a.value > lo) & (a.value < hi))
+    return _op("clamp", compute, (a,), (push,))
 
 
 def log(a: Node) -> Node:
-    if np.any(a.value <= 0.0):
-        raise ValueError("log: nonpositive entry")
-    return Node(np.log(a.value), (a,), (lambda g: g / a.value,), "log")
+    def compute():
+        if (a.value <= 0.0).any():
+            raise ValueError("log: nonpositive entry")
+        return np.log(a.value)
+    return _op("log", compute, (a,), (lambda g: g / a.value,))
 
 
 def reduce_sum(a: Node) -> Node:
-    return Node(a.value.sum(), (a,),
-                (lambda g: np.broadcast_to(g, a.value.shape),), "sum")
+    return _op("sum", lambda: a.value.sum(), (a,),
+               (lambda g: np.full(a.value.shape, g),))
+
+
+def select_row(a: Node, k: int) -> Node:
+    """Row k of the trailing matrices of `a`, keeping the row axis.
+
+    The value is a[..., k:k+1, :] and the push writes the adjoint into that
+    row of zeros: exact both ways, where a product with a one-hot selector
+    row would also carry the other rows' non-finite entries.
+    """
+    if a.value.ndim < 2 or not 0 <= k < a.value.shape[-2]:
+        raise ValueError(f"select_row needs a matrix with a row {k}")
+
+    def push(g):
+        out = np.zeros_like(a.value)
+        out[..., k:k + 1, :] = g
+        return out
+    return _op("row", lambda: a.value[..., k:k + 1, :], (a,), (push,))
 
 
 def _topo_order(root: Node) -> list:
@@ -205,6 +271,64 @@ def _topo_order(root: Node) -> list:
     return order
 
 
+class Tape:
+    """The graph under a scalar root, recorded once and run many times.
+
+    The graph's shapes must stay fixed: refill its leaves in place, then
+    replay() to recompute every op node and backward() to accumulate the
+    adjoints of the new values.
+    """
+
+    def __init__(self, root: Node):
+        if root.value.shape != ():
+            raise ValueError("backward root must be scalar")
+        order = _topo_order(root)
+        self.root = root
+        self._ops = [node for node in order if node.compute is not None]
+        # parents precede their children, so one pass marks every node
+        # with a parameter ancestor; the others never get an adjoint
+        for node in order:
+            live = node.kind == "parameter" or any(
+                p.adjoint is not None for p in node.parents)
+            node.adjoint = 0.0 if live else None
+        self._plan = [(node, tuple((p, push) for p, push
+                                   in zip(node.parents, node.pushes)
+                                   if p.adjoint is not None))
+                      for node in reversed(order) if node.adjoint is not None]
+
+    def replay(self) -> None:
+        """Recompute every op node, in order, from its parents' values.
+
+        Raises as the ops do on creation: ZeroDivisionError on a zero
+        denominator in divide, ValueError on a nonpositive log entry.
+        """
+        for node in self._ops:
+            node.value = np.asarray(node.compute(), dtype=np.float64)
+
+    def backward(self) -> None:
+        """Accumulate adjoints of the root into the live nodes.
+
+        Every call starts the adjoints afresh, so repeated passes over the
+        same values are idempotent, and a parameter whose gradient vanishes
+        gets a zero array.
+        """
+        # a live node's first contribution becomes its adjoint as it is
+        # (adding it to zero would change only the sign of zero entries);
+        # contributions are never written in place, so an adjoint may
+        # share memory with another node's
+        for node, _ in self._plan:
+            node.adjoint = None
+        if self._plan:
+            self.root.adjoint = np.ones_like(self.root.value)
+        for node, edges in self._plan:
+            g = node.adjoint
+            for parent, push in edges:
+                if parent.adjoint is None:
+                    parent.adjoint = push(g)
+                else:
+                    parent.adjoint = parent.adjoint + push(g)
+
+
 @dataclass
 class GradientReport:
     grads: list
@@ -215,29 +339,9 @@ def backward(root: Node) -> None:
     """Accumulate adjoints of `root` (must be scalar) into the graph.
 
     Only nodes with a parameter ancestor (parameters included) receive an
-    adjoint; every other node's adjoint is None.  Adjoints are
-    zero-initialized on every call, so repeated backward passes over the
-    same graph are idempotent, and a parameter whose gradient vanishes gets
-    a zero array.
+    adjoint; every other node's adjoint is None.  Same as Tape(root).backward().
     """
-    if root.value.shape != ():
-        raise ValueError("backward root must be scalar")
-    order = _topo_order(root)
-    # parents precede their children; a live node starts from the scalar
-    # 0.0, which its first contribution broadcasts to the node's shape
-    # exactly as a zero array would
-    for node in order:
-        live = node.kind == "parameter" or any(
-            p.adjoint is not None for p in node.parents)
-        node.adjoint = 0.0 if live else None
-    if root.adjoint is not None:
-        root.adjoint = np.ones_like(root.value)
-    for node in reversed(order):
-        if node.adjoint is None:
-            continue
-        for parent, push in zip(node.parents, node.pushes):
-            if parent.adjoint is not None:
-                parent.adjoint = parent.adjoint + push(node.adjoint)
+    Tape(root).backward()
 
 
 def activity_signature(root: Node) -> list:

@@ -62,6 +62,12 @@ CONFIG_SCHEMA = {
     "budget_lo_dbw": float, "budget_hi_dbw": float,
 }
 
+# dBW keys and their upper bound: the watts of any accepted value, and of
+# the oracle grid's top 3 dB above it, stay finite (the largest float is
+# about 10 ** 308.25)
+DBW_KEYS = ("power_dbw", "power_budget_dbw", "budget_lo_dbw", "budget_hi_dbw")
+MAX_DBW = math.floor(10.0 * math.log10(sys.float_info.max)) - 3.0
+
 # smallest accepted value of the integer keys that count something
 MIN_INT_VALUES = {"trials": 1, "threads": 1, "epochs": 1, "points": 2,
                   "rho_points": 1, "rounds": 1}
@@ -124,6 +130,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key, kind in CONFIG_SCHEMA.items():
         if kind is float and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
+    for key in DBW_KEYS:
+        if cfg[key] > MAX_DBW:
+            raise ConfigError(f"{key} must be <= {MAX_DBW:g} dBW, where watts "
+                              f"stay finite, got {cfg[key]}")
     if cfg["budget_lo_dbw"] > cfg["budget_hi_dbw"]:
         raise ConfigError(f"budget_lo_dbw {cfg['budget_lo_dbw']} exceeds "
                           f"budget_hi_dbw {cfg['budget_hi_dbw']}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 
 __all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
            "sample_rho_dataset", "dataset_constants", "batch_lagrangian",
-           "train", "train_stack", "evaluate_policy", "TrainingDiverged",
-           "HISTORY_FIELDS"]
+           "BatchStats", "train", "train_stack", "evaluate_policy",
+           "TrainingDiverged", "HISTORY_FIELDS"]
 
 HISTORY_FIELDS = ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",
                   "lambda", "upsilon")
@@ -160,6 +161,33 @@ def _run_axis(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1, 1)
 
 
+class BatchStats(Mapping):
+    """Per-run statistics of a Lagrangian graph, one array entry per run.
+
+    Maps objective (each run's batch-mean Lagrangian), mean_tau_s,
+    mean_log_pout and mean_pavg_w to per-run means of the graph's nodes.
+    Each lookup reads the nodes' current values, so after Tape.replay() the
+    same mapping gives the replayed step's statistics.
+    """
+
+    def __init__(self, n_runs: int, **nodes):
+        self._n_runs = n_runs
+        self._nodes = nodes
+
+    def __getitem__(self, key):
+        # the objective is a batch mean, the others are means over the
+        # batch's samples; all are the per-run sum over the batch axis
+        # divided by the batch size
+        per_run = self._nodes[key].value.reshape(self._n_runs, -1)
+        return per_run.sum(axis=1) / per_run.shape[1]
+
+    def __iter__(self):
+        return iter(self._nodes)
+
+    def __len__(self):
+        return len(self._nodes)
+
+
 def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
                      lam, ups, tau_clip: float | None = None):
     """Build the batch-mean Lagrangian graph of a stack of runs.
@@ -170,9 +198,10 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     and `adj` and `inv_corr` a mini-batch's slices of dataset_constants().
     The root is the sum over runs of each run's batch-mean Lagrangian, so
     each run's weights get exactly their own run's gradient.  Returns
-    (root, stats) where stats maps objective (each run's batch-mean
-    Lagrangian), mean_tau_s, mean_log_pout and mean_pavg_w to arrays with
-    one entry per run.
+    (root, stats), stats a BatchStats of the graph.  The graph reads `adj`,
+    `inv_corr`, the weights and the multipliers through the arrays passed
+    in (`lam` and `ups` as views when they are float arrays), so a Tape of
+    the root replays it after those arrays change in place.
 
     The metrics come from analytics.analytic_chain with two deliberate
     exceptions around the outage-near-one region, where the latency ratio
@@ -195,8 +224,7 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     powers = forward(adj, wnodes, p_bar)
 
     # per-round powers as (R,B,1,1) nodes, and per-round (R,1,1,1) factors
-    eye = np.eye(k)
-    p_k = [ad.matmul(ad.constant(eye[kk:kk + 1, :]), powers) for kk in range(k)]
+    p_k = [ad.select_row(powers, kk) for kk in range(k)]
     factors = np.array([rate_factors(scheme, link.rate, k) for scheme, _ in runs])
     pouts, _, tau, pavg = analytic_chain(
         p_k, inv_corr, [_run_axis(factors[:, kk]) for kk in range(k)], link)
@@ -211,17 +239,8 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     lagr = ad.add(lagr, ad.multiply(
         ad.constant(_run_axis(ups)), ad.add(pavg, ad.constant(-_run_axis(p_bar)))))
     root = ad.divide(ad.reduce_sum(lagr), ad.constant(float(b)))
-
-    def per_run(node):
-        return node.value.reshape(len(runs), -1)
-
-    stats = {
-        "objective": per_run(lagr).sum(axis=1) / b,
-        "mean_tau_s": per_run(tau).mean(axis=1),
-        "mean_log_pout": per_run(log_pout).mean(axis=1),
-        "mean_pavg_w": per_run(pavg).mean(axis=1),
-    }
-    return root, stats
+    return root, BatchStats(len(runs), objective=lagr, mean_tau_s=tau,
+                            mean_log_pout=log_pout, mean_pavg_w=pavg)
 
 
 def _label(run) -> str:
@@ -247,8 +266,16 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     link = _shared_link(runs)
     n_runs = len(runs)
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
-    mats = [np.stack([m] * n_runs) for m in init_weights(cfg.seed).matrices]
-    adam = AdamState.like(mats)
+    # every layer's (R, n, m) weight stack is a contiguous view of one flat
+    # buffer, so that one Adam pass updates all of them; run_of names the
+    # run of each entry of that buffer
+    init = [np.stack([m] * n_runs) for m in init_weights(cfg.seed).matrices]
+    flat = np.concatenate([m.reshape(-1) for m in init])
+    mats = [part.reshape(m.shape) for part, m in
+            zip(np.split(flat, np.cumsum([m.size for m in init])[:-1]), init)]
+    run_of = np.concatenate([np.repeat(np.arange(n_runs), m[0].size)
+                             for m in init])
+    adam = AdamState.like([flat])
     adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
                                               channel_proto)
     # a network at the power floor for every sample has zero gradients
@@ -268,8 +295,16 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             "so no gradient can move it; choose another seed")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 13)))
 
+    # the leaves of the training graph, refilled in place every step: the
+    # batch slices, the multipliers and the weights (Adam updates flat in
+    # place); every batch is full, so the graph's shapes never change
+    adj = np.empty((cfg.batch_size,) + adj_all.shape[1:])
+    inv_corr = np.empty(inv_corr_all.shape[:1] + (cfg.batch_size,)
+                        + inv_corr_all.shape[2:])
     lam = np.full(n_runs, INIT_LAMBDA)
     ups = np.full(n_runs, INIT_UPSILON)
+    wnodes = [ad.parameter(m) for m in mats]
+    tape = None
     log_target = math.log(link.outage_target)
     tau_floor = link.payload_bits / (link.bandwidth_hz * link.rate)
     guard_level = DIVERGENCE_FACTOR * tau_floor
@@ -284,21 +319,28 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
         order = shuffle_rng.permutation(cfg.dataset_size)
         for bidx in range(steps_per_epoch):
             sel = order[bidx * cfg.batch_size:(bidx + 1) * cfg.batch_size]
-            wnodes = [ad.parameter(m) for m in mats]
-            root, stats = batch_lagrangian(wnodes, adj_all[sel],
-                                           inv_corr_all[:, sel], runs, lam,
-                                           ups, tau_clip=tau_clip)
+            np.take(adj_all, sel, axis=0, out=adj)
+            np.take(inv_corr_all, sel, axis=1, out=inv_corr)
+            if tape is None:
+                # the first step records the graph; later steps replay it
+                root, graph_stats = batch_lagrangian(wnodes, adj, inv_corr,
+                                                    runs, lam, ups,
+                                                    tau_clip=tau_clip)
+                tape = ad.Tape(root)
+            else:
+                tape.replay()
+            stats = dict(graph_stats)
             bad = ~np.isfinite(stats["objective"])
             if bad.any():
                 r = int(np.argmax(bad))
                 raise TrainingDiverged(
                     f"{_label(runs[r])}: non-finite objective at iteration "
                     f"{it}: { {key: float(v[r]) for key, v in stats.items()} }")
-            ad.backward(root)
-            grads = [w.adjoint for w in wnodes]
-            bad = ~np.all([np.isfinite(g).reshape(n_runs, -1).all(axis=1)
-                           for g in grads], axis=0)
-            if bad.any():
+            tape.backward()
+            grad = np.concatenate([w.adjoint.reshape(-1) for w in wnodes])
+            if not np.isfinite(grad).all():
+                bad = ~np.all([np.isfinite(w.adjoint).reshape(n_runs, -1)
+                               .all(axis=1) for w in wnodes], axis=0)
                 raise TrainingDiverged(
                     f"{_label(runs[int(np.argmax(bad))])}: non-finite gradient "
                     f"at iteration {it}")
@@ -310,13 +352,13 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             tau = stats["mean_tau_s"]
             guarded = ~((0.0 < tau) & (tau <= guard_level))
             guard_steps += guarded
-            adam_update(adam, mats, grads,
-                        np.where(guarded, lr * 0.5, lr)[:, None, None])
+            adam_update(adam, [flat], [grad],
+                        np.where(guarded, lr * 0.5, lr)[run_of])
 
-            lam = np.maximum(0.0, lam + cfg.lr_lambda *
-                             (stats["mean_log_pout"] - log_target))
-            ups = np.maximum(0.0, ups + cfg.lr_upsilon *
-                             (stats["mean_pavg_w"] - p_bar))
+            lam[:] = np.maximum(0.0, lam + cfg.lr_lambda *
+                                (stats["mean_log_pout"] - log_target))
+            ups[:] = np.maximum(0.0, ups + cfg.lr_upsilon *
+                                (stats["mean_pavg_w"] - p_bar))
             for r, history in enumerate(histories):
                 history.append((it, float(tau[r]),
                                 float(stats["mean_log_pout"][r]),

@@ -186,3 +186,63 @@ def test_relu_gradient_is_indicator(x):
     p = ad.parameter(x)
     ad.backward(ad.reduce_sum(ad.relu(p)))
     assert np.array_equal(p.adjoint, (x > 0.0).astype(float))
+
+
+def test_tape_replay_follows_leaves_changed_in_place():
+    x = np.array([1.0, 2.0, 3.0])
+    w = np.array([0.5, -1.0, 2.0])
+    p = ad.parameter(w)
+    root = ad.reduce_sum(ad.divide(ad.multiply(p, ad.constant(x)),
+                                   ad.add(ad.constant(x), ad.constant(1.0))))
+    tape = ad.Tape(root)
+    x *= 2.0
+    w += 1.0
+    tape.replay()
+    tape.backward()
+    q = ad.parameter(w.copy())
+    fresh = ad.reduce_sum(ad.divide(ad.multiply(q, ad.constant(x.copy())),
+                                    ad.add(ad.constant(x.copy()),
+                                           ad.constant(1.0))))
+    ad.backward(fresh)
+    assert root.value.tobytes() == fresh.value.tobytes()
+    assert p.adjoint.tobytes() == q.adjoint.tobytes()
+
+
+def test_tape_replay_rejects_zero_denominator():
+    d = np.array([1.0, 2.0])
+    tape = ad.Tape(ad.reduce_sum(ad.divide(ad.parameter(np.ones(2)),
+                                           ad.constant(d))))
+    d[1] = 0.0
+    with pytest.raises(ZeroDivisionError):
+        tape.replay()
+
+
+def test_tape_replay_rejects_nonpositive_log_entry():
+    x = np.array([1.0, 2.0])
+    tape = ad.Tape(ad.reduce_sum(ad.log(ad.multiply(ad.parameter(np.ones(2)),
+                                                    ad.constant(x)))))
+    x[0] = -1.0
+    with pytest.raises(ValueError, match="nonpositive"):
+        tape.replay()
+
+
+def test_tape_gives_constants_no_adjoint():
+    p = ad.parameter(np.array([2.0]))
+    c = ad.constant(np.array([3.0]))
+    s = ad.multiply(c, c)
+    ad.backward(ad.reduce_sum(ad.multiply(p, s)))
+    assert c.adjoint is None and s.adjoint is None
+    assert np.array_equal(p.adjoint, np.array([9.0]))
+
+
+def test_select_row_is_exact_both_ways():
+    x = np.arange(12.0).reshape(2, 3, 2) + 1.0
+    p = ad.parameter(x)
+    out = ad.select_row(p, 1)
+    assert np.array_equal(out.value, x[:, 1:2, :])
+    ad.backward(ad.reduce_sum(ad.multiply(out, ad.constant(x[:, 1:2, :]))))
+    want = np.zeros_like(x)
+    want[:, 1:2, :] = x[:, 1:2, :]
+    assert np.array_equal(p.adjoint, want)
+    with pytest.raises(ValueError):
+        ad.select_row(p, 3)

@@ -98,6 +98,13 @@ class TestExitCodes:
         ("mc-validate", "--rounds", 0),
         # PowerPolicy would floor -100 dBW at 1e-6 W (-60 dBW)
         ("mc-validate", "--power-dbw", -100),
+        # 10 ** (4000 / 10) W overflows a float
+        ("mc-validate", "--power-dbw", 4000, "--trials", 10),
+        ("oracle", "--power-budget-dbw", 4000, "--points", 4),
+        ("train", "--power-budget-dbw", 4000, "--epochs", 1,
+         "--dataset-size", 10, "--batch-size", 10),
+        ("sweep-power", "--budget-lo-dbw", 4000, "--budget-hi-dbw", 4000,
+         "--epochs", 1, "--dataset-size", 10, "--batch-size", 10),
     ], ids=lambda argv: " ".join(str(a) for a in argv))
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -260,25 +267,28 @@ class TestSweepCommands:
     def test_sweep_power_steps_every_run_together(self, tmp_path,
                                                   monkeypatch):
         # two budgets x three schemes train as one stack: one epoch of the
-        # default 1000/50 dataset is 20 stacked steps, not 6 x 20
-        calls = {"adam_update": 0, "batch_lagrangian": 0, "backward": 0}
+        # default 1000/50 dataset is 20 stacked steps, not 6 x 20; the stack
+        # builds its graph once and replays it on the 19 later steps
+        calls = {"adam_update": 0, "batch_lagrangian": 0, "replay": 0,
+                 "backward": 0}
 
-        def counted(module, name):
-            original = getattr(module, name)
+        def counted(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
         counted(training, "adam_update")
         counted(training, "batch_lagrangian")
-        counted(autodiff, "backward")
+        counted(autodiff.Tape, "replay")
+        counted(autodiff.Tape, "backward")
         rc = run("sweep-power", "--out", tmp_path, "--epochs", 1,
                  "--budget-lo-dbw", 15.0, "--budget-hi-dbw", 16.0)
         assert rc == 0
-        assert calls == {"adam_update": 20, "batch_lagrangian": 20,
-                         "backward": 20}
+        assert calls == {"adam_update": 20, "batch_lagrangian": 1,
+                         "replay": 19, "backward": 20}
         lines = (tmp_path / "sweep_power.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 3
 

@@ -282,6 +282,87 @@ class TestTrainStack:
             train_stack(runs, PROTO, cfg)
 
 
+    def test_non_finite_objective_at_a_replayed_step(self, monkeypatch):
+        # a NaN in one sample's correlation penalty reaches the graph only
+        # when the shuffle puts that sample in a batch, here the second one
+        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+        order = np.random.default_rng(
+            np.random.SeedSequence((cfg.seed, 13))).permutation(20)
+        original = training.dataset_constants
+
+        def poisoned(rho, channel_proto):
+            adj, inv_corr = original(rho, channel_proto)
+            inv_corr[:, order[15]] = np.nan
+            return adj, inv_corr
+
+        monkeypatch.setattr(training, "dataset_constants", poisoned)
+        runs = [(Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
+                (Scheme.INCREMENTAL, LINK)]
+        with pytest.raises(TrainingDiverged,
+                           match=r"^cc at 16 dBW: non-finite objective at "
+                                 r"iteration 1"):
+            train_stack(runs, PROTO, cfg)
+
+
+class TestTapeReplay:
+    """A training step replays the graph recorded on the first one; every
+    replayed step must equal a graph built afresh from the same values."""
+
+    @pytest.mark.parametrize("runs", [
+        [(Scheme.INCREMENTAL, LINK)],
+        [(scheme, LinkConfig(power_budget_dbw=budget)) for scheme, budget
+         in ((Scheme.TYPE_I, 14.0), (Scheme.CHASE, 15.0),
+             (Scheme.INCREMENTAL, 16.0))]],
+        ids=("R=1", "R=3"))
+    def test_replayed_steps_equal_fresh_builds(self, runs):
+        cfg = TrainConfig(dataset_size=60, batch_size=10)
+        adj_all, inv_all = dataset_constants(sample_rho_dataset(cfg), PROTO)
+        order = np.random.default_rng(7).permutation(cfg.dataset_size)
+        mats = [np.stack([m] * len(runs)) for m in init_weights(4).matrices]
+        adam = AdamState.like(mats)
+        wnodes = [ad.parameter(m) for m in mats]
+        adj = np.empty((10,) + adj_all.shape[1:])
+        inv_corr = np.empty((inv_all.shape[0], 10) + inv_all.shape[2:])
+        lam, ups = np.zeros(len(runs)), np.zeros(len(runs))
+        tau_floor = LINK.payload_bits / (LINK.bandwidth_hz * LINK.rate)
+        clip = training.TAU_CLIP_FLOORS * tau_floor
+        guard_level = training.DIVERGENCE_FACTOR * tau_floor
+        tape = None
+        for step in range(6):
+            sel = order[10 * step:10 * (step + 1)]
+            np.take(adj_all, sel, axis=0, out=adj)
+            np.take(inv_all, sel, axis=1, out=inv_corr)
+            if tape is None:
+                root, stats = batch_lagrangian(wnodes, adj, inv_corr, runs,
+                                               lam, ups, tau_clip=clip)
+                tape = ad.Tape(root)
+            else:
+                tape.replay()
+            tape.backward()
+
+            fresh = [ad.parameter(m.copy()) for m in mats]
+            want_root, want = batch_lagrangian(
+                fresh, adj_all[sel], inv_all[:, sel], runs, lam.copy(),
+                ups.copy(), tau_clip=clip)
+            ad.backward(want_root)
+            assert root.value.tobytes() == want_root.value.tobytes()
+            assert set(stats) == set(want)
+            for key in want:
+                assert stats[key].tobytes() == want[key].tobytes(), key
+            for w, f in zip(wnodes, fresh):
+                assert w.adjoint.tobytes() == f.adjoint.tobytes()
+
+            def guarded(st):
+                tau = st["mean_tau_s"]
+                return ~((0.0 < tau) & (tau <= guard_level))
+            assert np.array_equal(guarded(stats), guarded(want))
+
+            # move every leaf in place, as a training step does
+            adam_update(adam, mats, [w.adjoint for w in wnodes], lr=0.05)
+            lam += 0.5
+            ups += 2e-3
+
+
 class TestEvaluatePolicy:
     def test_consistent_with_analytics(self):
         weights = GcnWeights(matrices=scalar_policy(2.0))
