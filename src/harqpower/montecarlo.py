@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .types import ChannelParams, PowerPolicy, Scheme
 
@@ -119,15 +118,15 @@ def estimate_profile(policy: PowerPolicy, channel: ChannelParams, rate: float,
     return _profiles(means, np.sqrt(means * (1.0 - means) / trials))
 
 
-def _rician_power_pdf(u, mean_sq, var):
+def _rician_power_pdf(u, mean_sq, var, i0e):
     """Density of |h|^2 when h ~ CN(m, var), |m|^2 = mean_sq.
 
-    Written with the exponentially scaled Bessel term so the exponent is
-    -(sqrt(u) - |m|)^2 / var <= 0, stable for any argument.
+    Written with the exponentially scaled Bessel term `i0e` (scipy's) so the
+    exponent is -(sqrt(u) - |m|)^2 / var <= 0, stable for any argument.
     """
     z = 2.0 * np.sqrt(u * mean_sq) / var
     expo = -((np.sqrt(u) - np.sqrt(mean_sq)) ** 2) / var
-    return special.i0e(z) * np.exp(expo) / var
+    return i0e(z) * np.exp(expo) / var
 
 
 def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
@@ -143,6 +142,10 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
     for all schemes; an estimate is the mean of weight * event after round
     k, and its stderr is the sample standard error of that mean.
     """
+    # scipy is imported here, the one place that needs it, so that no other
+    # command pays for loading it; importing before _map_chunks starts any
+    # worker keeps the first import on the calling thread
+    from scipy.special import i0e
     t = 2.0 ** rate - 1.0
     n_rounds = channel.num_rounds
     powers = np.asarray(policy.powers)
@@ -157,7 +160,7 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
         z = rng.standard_normal((m, 2))
         a0_sq = 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2)
         u = rng.random((m, n_rounds)) * u_max
-        dens = _rician_power_pdf(u, shared_sq * a0_sq[:, None], var)
+        dens = _rician_power_pdf(u, shared_sq * a0_sq[:, None], var, i0e)
         w = np.cumprod(dens * u_max, axis=1)
         gains = powers * u
         sums = np.empty((2, len(Scheme), n_rounds))

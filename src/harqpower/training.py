@@ -321,14 +321,24 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             sel = order[bidx * cfg.batch_size:(bidx + 1) * cfg.batch_size]
             np.take(adj_all, sel, axis=0, out=adj)
             np.take(inv_corr_all, sel, axis=1, out=inv_corr)
-            if tape is None:
-                # the first step records the graph; later steps replay it
-                root, graph_stats = batch_lagrangian(wnodes, adj, inv_corr,
-                                                    runs, lam, ups,
-                                                    tau_clip=tau_clip)
-                tape = ad.Tape(root)
-            else:
-                tape.replay()
+            try:
+                if tape is None:
+                    # the first step records the graph; later steps replay it
+                    root, graph_stats = batch_lagrangian(
+                        wnodes, adj, inv_corr, runs, lam, ups,
+                        tau_clip=tau_clip)
+                    tape = ad.Tape(root)
+                else:
+                    tape.replay()
+            except (ValueError, ZeroDivisionError) as exc:
+                # a log of an outage that underflowed to zero, or a zero
+                # denominator: the graph has no value at this step, and the
+                # stacked arrays do not say which run caused it
+                who = (_label(runs[0]) if n_runs == 1
+                       else f"a stack of {n_runs} runs")
+                raise TrainingDiverged(
+                    f"{who}: cannot evaluate the Lagrangian at iteration "
+                    f"{it}: {exc}") from exc
             stats = dict(graph_stats)
             bad = ~np.isfinite(stats["objective"])
             if bad.any():

@@ -127,6 +127,19 @@ class TestExitCodes:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_underflowing_outage_exits_1_without_traceback(self, tmp_path,
+                                                           capsys):
+        # at 2000 dBW the final-round outage underflows to 0 and its log has
+        # no value; 1000 dBW still trains
+        rc = run("train", "--power-budget-dbw", 2000, "--epochs", 1,
+                 "--dataset-size", 10, "--batch-size", 10, "--out", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert errors == ["error: ir at 2000 dBW: cannot evaluate the "
+                          "Lagrangian at iteration 0: log: nonpositive entry"]
+
     def test_budget_below_power_floor_exits_1(self, tmp_path, capsys):
         # the grid would top out at -97 dBW, under the 1e-6 W power floor
         rc = run("oracle", "--power-budget-dbw", -100, "--out", tmp_path)
@@ -312,3 +325,63 @@ class TestSelftestCommand:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("('correlation-identities', False")
+
+
+def run_fresh(code: str, cwd) -> str:
+    """Run `code` in a fresh interpreter with harqpower on its path; stdout."""
+    src = os.path.dirname(os.path.dirname(harqpower.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(SEED_ENV_VAR, None)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestStartUpImports:
+    """scipy is loaded only by the commands that call it.
+
+    This file's own process has scipy loaded already (other test modules
+    import it), so these checks run in fresh interpreters.
+    """
+
+    def test_commands_without_scipy_never_load_it(self, tmp_path):
+        code = """
+import sys
+import harqpower
+from harqpower import cli
+fast = ["--epochs", "1", "--dataset-size", "10", "--batch-size", "10"]
+for name, argv in [
+        ("train", ["train", *fast]),
+        ("sweep-power", ["sweep-power", "--budget-lo-dbw", "15",
+                         "--budget-hi-dbw", "15", *fast]),
+        ("sweep-rho", ["sweep-rho", "--rho-points", "2", *fast]),
+        ("oracle", ["oracle", "--points", "8"]),
+        ("mc-validate", ["mc-validate", "--estimator", "direct",
+                         "--trials", "1000"])]:
+    assert cli.main(argv + ["--out", name]) == 0, name
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+        assert run_fresh(code, tmp_path).splitlines()[-1] == "[]"
+        for name in ("train", "sweep-power", "sweep-rho", "oracle",
+                     "mc-validate"):
+            assert (tmp_path / name / "manifest.txt").exists()
+
+    def test_conditional_estimator_first_loads_scipy_under_threads(
+            self, tmp_path):
+        # the two-thread run comes first, so its process imports scipy while
+        # a worker pool is about to start; three chunks split over two
+        # workers, and the report must equal the one-thread report
+        code = """
+import sys
+from harqpower import cli
+assert not any(m.startswith("scipy") for m in sys.modules)
+for threads in ("2", "1"):
+    assert cli.main(["mc-validate", "--estimator", "conditional",
+                     "--trials", "70000", "--seed", "8",
+                     "--threads", threads, "--out", "t" + threads]) == 0
+print("scipy.special" in sys.modules)
+"""
+        assert run_fresh(code, tmp_path).splitlines()[-1] == "True"
+        assert (tmp_path / "t2" / "mc_report.csv").read_bytes() == \
+            (tmp_path / "t1" / "mc_report.csv").read_bytes()

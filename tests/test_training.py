@@ -282,25 +282,42 @@ class TestTrainStack:
             train_stack(runs, PROTO, cfg)
 
 
-    def test_non_finite_objective_at_a_replayed_step(self, monkeypatch):
-        # a NaN in one sample's correlation penalty reaches the graph only
-        # when the shuffle puts that sample in a batch, here the second one
-        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+    @staticmethod
+    def poison_second_batch(monkeypatch, cfg, value):
+        # a bad value in one sample's correlation penalty reaches the graph
+        # only when the shuffle puts that sample in a batch, here the second
         order = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, 13))).permutation(20)
         original = training.dataset_constants
 
         def poisoned(rho, channel_proto):
             adj, inv_corr = original(rho, channel_proto)
-            inv_corr[:, order[15]] = np.nan
+            inv_corr[:, order[15]] = value
             return adj, inv_corr
 
         monkeypatch.setattr(training, "dataset_constants", poisoned)
+
+    def test_non_finite_objective_at_a_replayed_step(self, monkeypatch):
+        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+        self.poison_second_batch(monkeypatch, cfg, np.nan)
         runs = [(Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
                 (Scheme.INCREMENTAL, LINK)]
         with pytest.raises(TrainingDiverged,
                            match=r"^cc at 16 dBW: non-finite objective at "
                                  r"iteration 1"):
+            train_stack(runs, PROTO, cfg)
+
+    def test_zero_outage_at_a_replayed_step(self, monkeypatch):
+        # a zero penalty gives a zero final outage, whose log the replayed
+        # graph cannot take
+        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+        self.poison_second_batch(monkeypatch, cfg, 0.0)
+        runs = [(Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
+                (Scheme.INCREMENTAL, LINK)]
+        with pytest.raises(TrainingDiverged,
+                           match=r"^a stack of 2 runs: cannot evaluate the "
+                                 r"Lagrangian at iteration 1: log: "
+                                 r"nonpositive entry$"):
             train_stack(runs, PROTO, cfg)
 
 
