@@ -52,6 +52,10 @@ class ConfigError(ValueError):
     pass
 
 
+class CommandError(RuntimeError):
+    """A command cannot produce its output; main exits 1."""
+
+
 CONFIG_SCHEMA = {
     "scheme": str, "rounds": int, "delta": int, "rho": float, "rate": float,
     "payload_bits": float, "bandwidth_hz": float, "outage_target": float,
@@ -262,14 +266,24 @@ def cmd_mc_validate(cfg: dict, out_dir: str) -> int:
     channel = _channel(cfg)
     power_w = dbw_to_watts(cfg["power_dbw"])
     policy = PowerPolicy((power_w,) * cfg["rounds"])
+    link = _build(LinkConfig, cfg)
+    profiles = {scheme: evaluate(policy, channel, scheme, link).outage_profile
+                for scheme in Scheme}
+    # every ratio divides by the analytic outage, which underflows to 0 at
+    # extreme powers; such a report has no meaning, so nothing is sampled
+    for scheme, profile in profiles.items():
+        if 0.0 in profile:
+            raise CommandError(
+                f"the analytic {scheme.value} outage after round "
+                f"{profile.index(0.0) + 1} underflows to 0 at "
+                f"{cfg['power_dbw']:g} dBW, so its Monte-Carlo ratio is "
+                "undefined")
     estimator = (estimate_outage_conditional if cfg["estimator"] == "conditional"
                  else estimate_outage)
     estimates = estimator(policy, channel, cfg["rate"], trials=cfg["trials"],
                           seed=cfg["seed"], workers=cfg["threads"])
-    link = _build(LinkConfig, cfg)
     rows = []
-    for scheme in Scheme:
-        profile = evaluate(policy, channel, scheme, link).outage_profile
+    for scheme, profile in profiles.items():
         for k, (analytic, est) in enumerate(zip(profile, estimates[scheme]),
                                             start=1):
             ratio = est.mean / analytic
@@ -374,7 +388,8 @@ def main(argv=None) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         return COMMANDS[args.command](cfg, out_dir)
-    except (GridInfeasible, TrainingDiverged, ComplexityGuard) as exc:
+    except (CommandError, GridInfeasible, TrainingDiverged,
+            ComplexityGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

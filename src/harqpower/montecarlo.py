@@ -11,7 +11,18 @@ received SNR is gamma_k = p_k |h_k|^2.
 Determinism and thread-invariance: trials are partitioned into fixed-size
 chunks; chunk c always draws from the stream seeded by (seed, c) regardless
 of how chunks are assigned to workers, so results are bit-identical for any
-worker count.
+worker count.  Worker w of W (the calling thread is worker 0, and W is at
+most the chunk count) runs chunks w, w + W, ...; the per-chunk results are
+summed in chunk order afterwards.
+
+Layout: a chunk's gains, events and weights are held round-major, as
+contiguous (K, m) rows, so the running Type-I AND, the CC and IR running
+sums and the running product of conditional weights are one ufunc call per
+round, adding and multiplying in the order np.cumsum and np.cumprod would,
+and each (scheme, round) reduction is a sum over one contiguous row.  Each
+worker allocates its scratch once per estimator call, sized to the largest
+chunk, and fills it for every chunk through `out=` arguments, so a call
+allocates no per-chunk arrays.
 
 Two estimators are provided.  Both return {Scheme: (McEstimate for rounds
 1..K)}, scoring every scheme on the same draws through outage_event:
@@ -29,7 +40,7 @@ Two estimators are provided.  Both return {Scheme: (McEstimate for rounds
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,45 +64,124 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
         np.random.SeedSequence((int(seed), int(chunk)))))
 
 
-def _chunk_spans(trials: int):
+def _chunk_spans(trials: int) -> list:
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    for c in range(n_chunks):
-        yield c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
+    return [(c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
+            for c in range(n_chunks)]
 
 
-def _coeffs_chunk(channel: ChannelParams, seed, chunk, m) -> np.ndarray:
+def _complex_gaussian(re, im, out):
+    """(re + 1j * im) / sqrt(2) into `out`: a unit-variance CN(0, 1) draw."""
+    np.multiply(1j, im, out=out)
+    np.add(re, out, out=out)
+    np.multiply(out, 1.0 / math.sqrt(2.0), out=out)
+
+
+def _coeff_sampler(channel: ChannelParams, seed: int, m_max: int):
+    """One worker's sampler: sample(c, m) returns chunk c's (K, m) complex
+    coefficients, a view of scratch that the next call overwrites."""
     k = channel.num_rounds
-    rng = _chunk_rng(seed, chunk)
-    z = rng.standard_normal((m, 2 * (k + 1)))
-    scale = 1.0 / math.sqrt(2.0)
-    a0 = (z[:, 0] + 1j * z[:, 1]) * scale
-    ak = (z[:, 2::2] + 1j * z[:, 3::2]) * scale
     rho_t = channel.rho ** (np.arange(1, k + 1) + channel.delta - 1)
-    return np.sqrt(1.0 - rho_t ** 2) * ak + rho_t * a0[:, None]
+    own = np.sqrt(1.0 - rho_t ** 2)
+    z = np.empty((m_max, 2 * (k + 1)))
+    a0 = np.empty(m_max, dtype=complex)
+    shared = np.empty(m_max, dtype=complex)
+    h = np.empty((k, m_max), dtype=complex)
+
+    def sample(c, m):
+        zc = z[:m]
+        _chunk_rng(seed, c).standard_normal(out=zc)
+        _complex_gaussian(zc[:, 0], zc[:, 1], out=a0[:m])
+        for j in range(k):
+            hj = h[j, :m]
+            _complex_gaussian(zc[:, 2 + 2 * j], zc[:, 3 + 2 * j], out=hj)
+            np.multiply(own[j], hj, out=hj)
+            np.multiply(rho_t[j], a0[:m], out=shared[:m])
+            np.add(hj, shared[:m], out=hj)
+        return h[:, :m]
+
+    return sample
 
 
 def sample_channel_coeffs(channel: ChannelParams, trials: int, seed: int) -> np.ndarray:
     """Complex per-round channel coefficients, shape (trials, K)."""
-    parts = [_coeffs_chunk(channel, seed, c, m) for c, m in _chunk_spans(trials)]
-    return np.concatenate(parts, axis=0)
+    spans = _chunk_spans(trials)
+    sample = _coeff_sampler(channel, seed, spans[0][1])
+    out = np.empty((trials, channel.num_rounds), dtype=complex)
+    for c, m in spans:
+        out[c * CHUNK_TRIALS:c * CHUNK_TRIALS + m] = sample(c, m).T
+    return out
 
 
-def outage_event(scheme: Scheme, rate: float, gains: np.ndarray) -> np.ndarray:
-    """Outage indicators after rounds 1..K for each trial, shape (trials, K)."""
+def outage_event(scheme: Scheme, rate: float, gains: np.ndarray,
+                 out=None, work=None) -> np.ndarray:
+    """Outage indicators after rounds 1..K for each trial, shape (K, trials).
+
+    `gains` holds one row of per-trial SNRs per round, shape (K, trials).
+    Type-I is in outage while every round so far failed, CC while the summed
+    SNR stays below 2^R - 1 and IR while the summed log2(1 + SNR) stays below
+    R; the running sums add one round at a time, as np.cumsum does.  The
+    result goes to `out` (bool) and the running sums to `work` (float), both
+    of the shape of `gains` and allocated when not given.
+    """
     t = 2.0 ** rate - 1.0
+    if out is None:
+        out = np.empty(gains.shape, dtype=bool)
     if scheme is Scheme.TYPE_I:
-        return np.cumprod(gains < t, axis=1).astype(bool)
+        np.less(gains, t, out=out)
+        for k in range(1, len(out)):
+            np.logical_and(out[k - 1], out[k], out=out[k])
+        return out
+    if work is None:
+        work = np.empty(gains.shape)
     if scheme is Scheme.CHASE:
-        return np.cumsum(gains, axis=1) < t
-    return np.cumsum(np.log2(1.0 + gains), axis=1) < rate
+        work[0] = gains[0]
+        terms, limit = gains, t
+    else:
+        np.add(1.0, gains, out=work)
+        np.log2(work, out=work)
+        terms, limit = work, rate
+    for k in range(1, len(work)):
+        np.add(work[k - 1], terms[k], out=work[k])
+    return np.less(work, limit, out=out)
 
 
-def _map_chunks(fn, trials: int, workers: int):
-    spans = list(_chunk_spans(trials))
-    if workers <= 1:
-        return [fn(c, m) for c, m in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda cm: fn(*cm), spans))
+def _map_chunks(make_kernel, trials: int, workers: int) -> list:
+    """kernel(c, m) for every chunk, in chunk order.
+
+    Each worker calls make_kernel(m_max) once, so it owns its scratch for
+    the whole call, then runs its share of the chunks.  An exception in any
+    worker is raised here once every worker has stopped.
+    """
+    spans = _chunk_spans(trials)
+    n_workers = min(workers, len(spans))
+    m_max = spans[0][1]
+    results = [None] * len(spans)
+    errors = []
+
+    def work(w):
+        kernel = make_kernel(m_max)
+        for c in range(w, len(spans), n_workers):
+            results[c] = kernel(*spans[c])
+
+    def thread_main(w):
+        try:
+            work(w)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=thread_main, args=(w,))
+               for w in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    try:
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _profiles(means, stderrs) -> dict:
@@ -106,27 +196,52 @@ def estimate_profile(policy: PowerPolicy, channel: ChannelParams, rate: float,
 
     Each chunk is sampled once and scored for all schemes.
     """
-    powers = np.asarray(policy.powers)
+    powers = np.asarray(policy.powers)[:, None]
 
-    def kernel(c, m):
-        gains = powers * np.abs(_coeffs_chunk(channel, seed, c, m)) ** 2
-        return np.stack([outage_event(s, rate, gains).sum(axis=0)
-                         for s in Scheme])
+    def make_kernel(m_max):
+        sample = _coeff_sampler(channel, seed, m_max)
+        gains = np.empty((channel.num_rounds, m_max))
+        event = np.empty(gains.shape, dtype=bool)
+        work = np.empty(gains.shape)
+
+        def kernel(c, m):
+            g = gains[:, :m]
+            np.abs(sample(c, m), out=g)
+            np.square(g, out=g)
+            np.multiply(powers, g, out=g)
+            return np.stack([
+                outage_event(s, rate, g, out=event[:, :m],
+                             work=work[:, :m]).sum(axis=1)
+                for s in Scheme])
+
+        return kernel
 
     # a Python sum keeps chunk order, so any worker count gives the same bits
-    means = sum(_map_chunks(kernel, trials, workers)) / trials
+    means = sum(_map_chunks(make_kernel, trials, workers)) / trials
     return _profiles(means, np.sqrt(means * (1.0 - means) / trials))
 
 
-def _rician_power_pdf(u, mean_sq, var, i0e):
-    """Density of |h|^2 when h ~ CN(m, var), |m|^2 = mean_sq.
+def _rician_power_pdf(u, mean_sq, var, i0e, out, arg):
+    """Density of |h|^2 at u when h ~ CN(m, var), |m|^2 = mean_sq, into `out`.
 
     Written with the exponentially scaled Bessel term `i0e` (scipy's) so the
     exponent is -(sqrt(u) - |m|)^2 / var <= 0, stable for any argument.
+    `arg` is scratch, and `mean_sq` is overwritten with its square root.
     """
-    z = 2.0 * np.sqrt(u * mean_sq) / var
-    expo = -((np.sqrt(u) - np.sqrt(mean_sq)) ** 2) / var
-    return i0e(z) * np.exp(expo) / var
+    np.multiply(u, mean_sq, out=arg)
+    np.sqrt(arg, out=arg)
+    np.multiply(2.0, arg, out=arg)
+    np.divide(arg, var, out=arg)
+    i0e(arg, out=arg)
+    np.sqrt(u, out=out)
+    np.sqrt(mean_sq, out=mean_sq)
+    np.subtract(out, mean_sq, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    np.divide(out, var, out=out)
+    np.exp(out, out=out)
+    np.multiply(arg, out, out=out)
+    np.divide(out, var, out=out)
 
 
 def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
@@ -155,24 +270,48 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
     shared_sq = rho_t ** 2
     var = 1.0 - rho_t ** 2
 
-    def kernel(c, m):
-        rng = _chunk_rng(seed, c)
-        z = rng.standard_normal((m, 2))
-        a0_sq = 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2)
-        u = rng.random((m, n_rounds)) * u_max
-        dens = _rician_power_pdf(u, shared_sq * a0_sq[:, None], var, i0e)
-        w = np.cumprod(dens * u_max, axis=1)
-        gains = powers * u
-        sums = np.empty((2, len(Scheme), n_rounds))
-        for i, scheme in enumerate(Scheme):
-            # one contiguous row per round count keeps each sum's order
-            weighted = w * outage_event(scheme, rate, gains)
-            for k, vals in enumerate(np.ascontiguousarray(weighted.T)):
-                sums[:, i, k] = vals.sum(), (vals * vals).sum()
-        return sums
+    def make_kernel(m_max):
+        z = np.empty((m_max, 2))
+        draw = np.empty((m_max, n_rounds))
+        a0_sq, mean_sq, arg = np.empty((3, m_max))
+        # u holds the uniform draws, then (scaled in place) the gains
+        u, w, work = np.empty((3, n_rounds, m_max))
+        event = np.empty((n_rounds, m_max), dtype=bool)
+
+        def kernel(c, m):
+            rng = _chunk_rng(seed, c)
+            rng.standard_normal(out=z[:m])
+            a0 = a0_sq[:m]
+            np.square(z[:m, 0], out=a0)
+            np.square(z[:m, 1], out=arg[:m])
+            np.add(a0, arg[:m], out=a0)
+            np.multiply(0.5, a0, out=a0)
+            rng.random(out=draw[:m])
+            for j in range(n_rounds):
+                uj, wj = u[j, :m], w[j, :m]
+                np.multiply(draw[:m, j], u_max[j], out=uj)
+                np.multiply(shared_sq[j], a0, out=mean_sq[:m])
+                _rician_power_pdf(uj, mean_sq[:m], var[j], i0e, wj, arg[:m])
+                np.multiply(wj, u_max[j], out=wj)
+                if j:
+                    np.multiply(w[j - 1, :m], wj, out=wj)
+                np.multiply(powers[j], uj, out=uj)
+            sums = np.empty((2, len(Scheme), n_rounds))
+            for i, scheme in enumerate(Scheme):
+                ev = outage_event(scheme, rate, u[:, :m], out=event[:, :m],
+                                  work=work[:, :m])
+                # the running sums are spent, so work takes weight * event
+                weighted = np.multiply(w[:, :m], ev, out=work[:, :m])
+                for k, vals in enumerate(weighted):
+                    sums[0, i, k] = vals.sum()
+                    np.multiply(vals, vals, out=arg[:m])
+                    sums[1, i, k] = arg[:m].sum()
+            return sums
+
+        return kernel
 
     # a Python sum keeps chunk order, so any worker count gives the same bits
-    s1, s2 = sum(_map_chunks(kernel, trials, workers))
+    s1, s2 = sum(_map_chunks(make_kernel, trials, workers))
     means = s1 / trials
     var_est = np.maximum(0.0, (s2 - trials * means * means) / max(1, trials - 1))
     return _profiles(means, np.sqrt(var_est / trials))

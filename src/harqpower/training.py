@@ -254,6 +254,11 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
     return train_stack([(scheme, link)], channel_proto, cfg)[0]
 
 
+# at extreme budgets some products in the graph and its adjoints overflow to
+# inf; where that leaves the objective or the gradient non-finite, the
+# checks in the loop raise TrainingDiverged, so numpy's overflow warning
+# would only add noise to stderr
+@np.errstate(over="ignore")
 def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     """Train one policy per (scheme, link) run in one primal-dual loop.
 

@@ -6,6 +6,7 @@ directories, with tiny epoch/trial counts so the whole file stays fast.
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -139,6 +140,37 @@ class TestExitCodes:
         errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
         assert errors == ["error: ir at 2000 dBW: cannot evaluate the "
                           "Lagrangian at iteration 0: log: nonpositive entry"]
+
+    def test_underflowing_analytic_outage_exits_1(self, tmp_path, capsys):
+        # at 3000 dBW every analytic outage after round 1 underflows to 0,
+        # so no ratio has a value; the check runs before any sampling
+        out = tmp_path / "mc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("mc-validate", "--power-dbw", 3000, "--trials", 1000,
+                     "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the analytic type1 outage after round 2 "
+                       "underflows to 0 at 3000 dBW, so its Monte-Carlo "
+                       "ratio is undefined"]
+        assert not (out / "mc_report.csv").exists()
+
+    @pytest.mark.parametrize("budget, rc", [(1000, 0), (2000, 1)])
+    def test_extreme_budget_training_prints_no_warning(self, tmp_path,
+                                                       budget, rc):
+        # products in the training graph overflow to inf at these budgets;
+        # stderr holds nothing, or the one error line, and no numpy warning
+        proc = run_fresh_process(
+            ["-m", "harqpower", "train", "--power-budget-dbw", str(budget),
+             "--epochs", "1", "--dataset-size", "10", "--batch-size", "10",
+             "--out", "out"], tmp_path)
+        assert proc.returncode == rc
+        err = proc.stderr.splitlines()
+        if rc == 0:
+            assert err == []
+        else:
+            assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_budget_below_power_floor_exits_1(self, tmp_path, capsys):
         # the grid would top out at -97 dBW, under the 1e-6 W power floor
@@ -327,19 +359,26 @@ class TestSelftestCommand:
         assert proc.stdout.startswith("('correlation-identities', False")
 
 
-def run_fresh(code: str, cwd) -> str:
-    """Run `code` in a fresh interpreter with harqpower on its path; stdout."""
+def run_fresh_process(args, cwd) -> subprocess.CompletedProcess:
+    """Run the interpreter on `args` in a fresh process with harqpower on
+    its path."""
     src = os.path.dirname(os.path.dirname(harqpower.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop(SEED_ENV_VAR, None)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def run_fresh(code: str, cwd) -> str:
+    """Run `code` in a fresh interpreter with harqpower on its path; stdout."""
+    proc = run_fresh_process(["-c", code], cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 class TestStartUpImports:
-    """scipy is loaded only by the commands that call it.
+    """scipy is loaded only by the commands that call it, and
+    concurrent.futures by none.
 
     This file's own process has scipy loaded already (other test modules
     import it), so these checks run in fresh interpreters.
@@ -385,3 +424,17 @@ print("scipy.special" in sys.modules)
         assert run_fresh(code, tmp_path).splitlines()[-1] == "True"
         assert (tmp_path / "t2" / "mc_report.csv").read_bytes() == \
             (tmp_path / "t1" / "mc_report.csv").read_bytes()
+
+    def test_import_and_threaded_run_never_load_concurrent_futures(
+            self, tmp_path):
+        # the Monte-Carlo workers are plain threads
+        code = """
+import sys
+import harqpower
+from harqpower import cli
+after_import = "concurrent.futures" in sys.modules
+assert cli.main(["mc-validate", "--estimator", "direct", "--trials", "70000",
+                 "--threads", "2", "--out", "mc"]) == 0
+print(after_import, "concurrent.futures" in sys.modules)
+"""
+        assert run_fresh(code, tmp_path).splitlines()[-1] == "False False"

@@ -6,13 +6,18 @@ Type-I profile is the product of those laws over rounds. Determinism and
 worker-count invariance are exercised bit for bit. Both estimators score
 every scheme on the same draws, so their estimates are ordered exactly.
 """
+import hashlib
 import math
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harqpower import cli, montecarlo
 from harqpower.montecarlo import (CHUNK_TRIALS, estimate_outage_conditional,
                                   estimate_profile, outage_event,
                                   sample_channel_coeffs)
@@ -73,26 +78,28 @@ class TestSampling:
 
 
 class TestOutageEvent:
+    # gains and events are round-major: one row per round, one column per
+    # trial; the tables below are written trial by trial and transposed
     def test_hand_crafted_gains(self):
         t = 2.0 ** RATE - 1.0  # 3.0
         gains = np.array([
             [4.0, 0.1, 0.1],   # first round succeeds
             [1.0, 1.0, 1.5],   # accumulates: sum crosses 3 only at round 3
             [0.1, 0.2, 0.3],   # everything fails
-        ])
-        t1 = outage_event(Scheme.TYPE_I, RATE, gains)
+        ]).T
+        t1 = outage_event(Scheme.TYPE_I, RATE, gains).T
         assert t1.tolist() == [
             [False, False, False],
             [True, True, True],
             [True, True, True],
         ]
-        cc = outage_event(Scheme.CHASE, RATE, gains)
+        cc = outage_event(Scheme.CHASE, RATE, gains).T
         assert cc.tolist() == [
             [False, False, False],
             [True, True, False],
             [True, True, True],
         ]
-        ir = outage_event(Scheme.INCREMENTAL, RATE, gains)
+        ir = outage_event(Scheme.INCREMENTAL, RATE, gains).T
         # log2(2) + log2(2) = 2 >= R already at round 2
         assert ir.tolist() == [
             [False, False, False],
@@ -104,14 +111,14 @@ class TestOutageEvent:
     @settings(max_examples=30)
     def test_events_nonincreasing_over_rounds(self, seed):
         rng = np.random.default_rng(seed)
-        gains = rng.exponential(size=(50, 3))
+        gains = rng.exponential(size=(50, 3)).T
         for scheme in Scheme:
             ev = outage_event(scheme, RATE, gains).astype(int)
-            assert np.all(np.diff(ev, axis=1) <= 0)
+            assert np.all(np.diff(ev, axis=0) <= 0)
 
     def test_stronger_combining_fails_less(self):
         rng = np.random.default_rng(123)
-        gains = rng.exponential(size=(2000, 3))
+        gains = rng.exponential(size=(2000, 3)).T
         t1 = outage_event(Scheme.TYPE_I, RATE, gains)
         cc = outage_event(Scheme.CHASE, RATE, gains)
         ir = outage_event(Scheme.INCREMENTAL, RATE, gains)
@@ -197,3 +204,289 @@ class TestConditionalEstimator:
                                             seed=13)[Scheme.CHASE][2]
         assert large.stderr < small.stderr
 
+
+class TestWorkers:
+    def test_threads_capped_at_chunk_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class InlineThread:
+            """Runs its target when started, so no thread is ever made."""
+
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+
+            def start(self):
+                started.append(self.args)
+                self.target(*self.args)
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(montecarlo, "threading",
+                            types.SimpleNamespace(Thread=InlineThread))
+        for estimator in ("direct", "conditional"):
+            started.clear()
+            out = tmp_path / estimator
+            # three chunks; the calling thread is worker 0, so workers 1
+            # and 2 are the only threads started
+            assert cli.main(["mc-validate", "--estimator", estimator,
+                             "--trials", str(2 * CHUNK_TRIALS + 1),
+                             "--threads", "64", "--out", str(out)]) == 0
+            assert started == [(1,), (2,)]
+
+    def test_more_workers_than_cores_with_fast_switching(self):
+        # six chunks on five workers, the interpreter switching threads as
+        # often as it can: a lost or misplaced chunk result moves the bits
+        ch, pol = ChannelParams(rho=0.5), PowerPolicy((8.0, 8.0, 8.0))
+        trials = 5 * CHUNK_TRIALS + 7
+        for estimator in (estimate_profile, estimate_outage_conditional):
+            alone = estimator(pol, ch, RATE, trials=trials, seed=3)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                shared = estimator(pol, ch, RATE, trials=trials, seed=3,
+                                   workers=5)
+            finally:
+                sys.setswitchinterval(interval)
+            assert shared == alone
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        class WorkerFailed(RuntimeError):
+            pass
+
+        caller = threading.get_ident()
+        real = montecarlo.outage_event
+
+        def failing_off_caller(*args, **kwargs):
+            if threading.get_ident() != caller:
+                raise WorkerFailed("raised in a worker thread")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "outage_event", failing_off_caller)
+        before = threading.active_count()
+        for estimator in (estimate_profile, estimate_outage_conditional):
+            with pytest.raises(WorkerFailed):
+                estimator(PowerPolicy((8.0, 8.0, 8.0)), ChannelParams(rho=0.5),
+                          RATE, trials=2 * CHUNK_TRIALS, seed=1, workers=2)
+            # every worker was joined before the exception left
+            assert threading.active_count() == before
+
+
+# float.hex of (mean, stderr) for every round, one string per scheme in
+# Scheme order, from 70001 trials (two full chunks and a partial one) at
+# seed 17, rate 2 and powers (6, 9, 14, 20)[:K] W
+PINNED_BITS = {
+    ("direct", 1, 0.0): (
+        "0x1.93ab6ef5b48dep-2 0x1.e42faaf55e48bp-10",
+        "0x1.93ab6ef5b48dep-2 0x1.e42faaf55e48bp-10",
+        "0x1.93ab6ef5b48dep-2 0x1.e42faaf55e48bp-10",
+    ),
+    ("direct", 1, 0.5): (
+        "0x1.935cca9693b98p-2 0x1.e41f2ba7078b1p-10",
+        "0x1.935cca9693b98p-2 0x1.e41f2ba7078b1p-10",
+        "0x1.935cca9693b98p-2 0x1.e41f2ba7078b1p-10",
+    ),
+    ("direct", 1, 0.9): (
+        "0x1.93823d6e8afa1p-2 0x1.e427084feb2b9p-10",
+        "0x1.93823d6e8afa1p-2 0x1.e427084feb2b9p-10",
+        "0x1.93823d6e8afa1p-2 0x1.e427084feb2b9p-10",
+    ),
+    ("direct", 3, 0.0): (
+        "0x1.9193eb18980c1p-2 0x1.e3be5c5fb749fp-10 "
+        "0x1.c31486f9d49aep-4 0x1.362b52d9295a6p-10 "
+        "0x1.5ade23955fb5bp-6 0x1.1d42f1a615d66p-11",
+        "0x1.9193eb18980c1p-2 0x1.e3be5c5fb749fp-10 "
+        "0x1.0094dbb4106d8p-4 0x1.e02dd7888f780p-11 "
+        "0x1.34f375b7d4babp-8 0x1.0f79124c171d4p-12",
+        "0x1.9193eb18980c1p-2 0x1.e3be5c5fb749fp-10 "
+        "0x1.3b81284fe66e0p-5 0x1.7d539f6af00fbp-11 "
+        "0x1.9fadf6d219902p-10 0x1.3b62d79e363b5p-13",
+    ),
+    ("direct", 3, 0.5): (
+        "0x1.90774f15a7548p-2 0x1.e381377feca3ap-10 "
+        "0x1.c15324da3d940p-4 0x1.35a3c0b0f292dp-10 "
+        "0x1.51f9437dd9f94p-6 0x1.19a89b764734dp-11",
+        "0x1.90774f15a7548p-2 0x1.e381377feca3ap-10 "
+        "0x1.03ccba434ffa1p-4 0x1.e2fa80a07747bp-11 "
+        "0x1.44ddde4db692bp-8 0x1.1657f95482eb8p-12",
+        "0x1.90774f15a7548p-2 0x1.e381377feca3ap-10 "
+        "0x1.37a483a400921p-5 0x1.7b141d98834e1p-11 "
+        "0x1.6eff1143df37cp-10 0x1.285ec3658354ep-13",
+    ),
+    ("direct", 3, 0.9): (
+        "0x1.925e240d359c0p-2 0x1.e3e96a39a0ef3p-10 "
+        "0x1.574c6499685aep-3 0x1.721958e74bd70p-10 "
+        "0x1.9830986d730c6p-5 0x1.af2d2d7915e6dp-11",
+        "0x1.925e240d359c0p-2 0x1.e3e96a39a0ef3p-10 "
+        "0x1.a34eb08ada37fp-4 0x1.2c58bcec2335dp-10 "
+        "0x1.bb4c42e53f960p-7 0x1.c9d6d49da66e7p-12",
+        "0x1.925e240d359c0p-2 0x1.e3e96a39a0ef3p-10 "
+        "0x1.0a9657ce86e18p-4 0x1.e8d062fa770c5p-11 "
+        "0x1.39a1d0b6bccd1p-8 0x1.1183128ea8da2p-12",
+    ),
+    ("direct", 4, 0.0): (
+        "0x1.936806a42ab34p-2 0x1.e42187bfa02d5p-10 "
+        "0x1.c4c6ee5ca254cp-4 0x1.36ae03befbfeap-10 "
+        "0x1.60f400472700cp-6 0x1.1fb2c4b17e0acp-11 "
+        "0x1.90b33a08cc88ap-9 0x1.b5971e65979e9p-13",
+        "0x1.936806a42ab34p-2 0x1.e42187bfa02d5p-10 "
+        "0x1.02fb03f04dc3bp-4 0x1.e24498b72e1a2p-11 "
+        "0x1.3c70d41c7b3e7p-8 0x1.12ba60a9b2ebfp-12 "
+        "0x1.df579929a0f00p-13 0x1.df4992d166471p-15",
+        "0x1.936806a42ab34p-2 0x1.e42187bfa02d5p-10 "
+        "0x1.37fe6410b8604p-5 0x1.7b4899881334bp-11 "
+        "0x1.b62612000d1b6p-10 0x1.43c8b29d8017fp-13 "
+        "0x1.6781b2df38b40p-15 0x1.9f1d158fb5491p-16",
+    ),
+    ("direct", 4, 0.5): (
+        "0x1.945b711ff1d70p-2 0x1.e45469c391ad1p-10 "
+        "0x1.c700266283c3dp-4 0x1.3758bb1939d48p-10 "
+        "0x1.67f988c5831c4p-6 0x1.227b78557d1b6p-11 "
+        "0x1.a72b5536c013ep-9 0x1.c1a737de80281p-13",
+        "0x1.945b711ff1d70p-2 0x1.e45469c391ad1p-10 "
+        "0x1.02b01e405f429p-4 0x1.e2038b81a5bf7p-11 "
+        "0x1.2aa713ed6fc59p-8 0x1.0aee5d36cb75ap-12 "
+        "0x1.a36ca6046cd20p-14 0x1.3d0a08dff7b80p-15",
+        "0x1.945b711ff1d70p-2 0x1.e45469c391ad1p-10 "
+        "0x1.3ee5f71581e1bp-5 0x1.7f4a1a8eb70dap-11 "
+        "0x1.767c6fa885bb8p-10 0x1.2b5ff2bb7403cp-13 0x0.0p+0 0x0.0p+0",
+    ),
+    ("direct", 4, 0.9): (
+        "0x1.90e3e8ee5ac30p-2 0x1.e3989fb8ba721p-10 "
+        "0x1.54e63c5d2b04bp-3 0x1.71102078f47f0p-10 "
+        "0x1.96334b5ab6d16p-5 0x1.ae2dedd5b0c08p-11 "
+        "0x1.30bcf09f37109p-7 0x1.7c6a28d35c61ap-12",
+        "0x1.90e3e8ee5ac30p-2 0x1.e3989fb8ba721p-10 "
+        "0x1.a17e53ae79e41p-4 0x1.2bc52bdd87fdap-10 "
+        "0x1.c2c9a149e619cp-7 0x1.cda31f0ffef27p-12 "
+        "0x1.9471e93b1fca8p-11 0x1.b82250dcbc3b3p-14",
+        "0x1.90e3e8ee5ac30p-2 0x1.e3989fb8ba721p-10 "
+        "0x1.04cb60ccae179p-4 0x1.e3d6ead51f95ap-11 "
+        "0x1.33141e1eab19cp-8 0x1.0ea7261125262p-12 "
+        "0x1.df579929a0f00p-14 0x1.52ed3eb2ae5e9p-15",
+    ),
+    ("conditional", 1, 0.0): (
+        "0x1.932fa64a22100p-2 0x1.bffc88a9b0ae0p-13",
+        "0x1.932fa64a22100p-2 0x1.bffc88a9b0ae0p-13",
+        "0x1.932fa64a22100p-2 0x1.bffc88a9b0ae0p-13",
+    ),
+    ("conditional", 1, 0.5): (
+        "0x1.9368d946cd7d9p-2 0x1.8983161b55dfap-12",
+        "0x1.9368d946cd7d9p-2 0x1.8983161b55dfap-12",
+        "0x1.9368d946cd7d9p-2 0x1.8983161b55dfap-12",
+    ),
+    ("conditional", 1, 0.9): (
+        "0x1.94ca6bbeda5cbp-2 0x1.6cd9657ec3079p-10",
+        "0x1.94ca6bbeda5cbp-2 0x1.6cd9657ec3079p-10",
+        "0x1.94ca6bbeda5cbp-2 0x1.6cd9657ec3079p-10",
+    ),
+    ("conditional", 3, 0.0): (
+        "0x1.933b04d82c5c9p-2 0x1.c07fcacfea754p-13 "
+        "0x1.c92bc0bcea756p-4 0x1.32911bab6950bp-14 "
+        "0x1.609f5d7d7ccd4p-6 0x1.f6d29d08536a1p-17",
+        "0x1.933b04d82c5c9p-2 0x1.c07fcacfea754p-13 "
+        "0x1.047fece977558p-4 0x1.fca200dcb07bbp-13 "
+        "0x1.2cafd49e285a3p-8 0x1.470101ed8e6fcp-15",
+        "0x1.933b04d82c5c9p-2 0x1.c07fcacfea754p-13 "
+        "0x1.3956085c46fbfp-5 0x1.e50f23e63440fp-13 "
+        "0x1.7effc80f34268p-10 0x1.99dffb728908dp-16",
+    ),
+    ("conditional", 3, 0.5): (
+        "0x1.9382a8db0557ap-2 0x1.8a966dcdea0c0p-12 "
+        "0x1.ce52e7747dbf5p-4 0x1.0ecb1dcc08e3ep-13 "
+        "0x1.65ceb7387cd7fp-6 0x1.b78f54c730b19p-16",
+        "0x1.9382a8db0557ap-2 0x1.8a966dcdea0c0p-12 "
+        "0x1.080ad0288bcc5p-4 0x1.126202ae514d0p-12 "
+        "0x1.341058ca42020p-8 0x1.5da80fbd3bc72p-15",
+        "0x1.9382a8db0557ap-2 0x1.8a966dcdea0c0p-12 "
+        "0x1.3e1bb5a525710p-5 0x1.023ff7c77d250p-12 "
+        "0x1.8a24f97f73a93p-10 0x1.b708b7110e637p-16",
+    ),
+    ("conditional", 3, 0.9): (
+        "0x1.94db89c4e01fdp-2 0x1.6cf2fe07b7030p-10 "
+        "0x1.5bb8244e3a9a2p-3 0x1.b1023d62cba5bp-11 "
+        "0x1.9aacd3f59d141p-5 0x1.2ceecdff23307p-12",
+        "0x1.94db89c4e01fdp-2 0x1.6cf2fe07b7030p-10 "
+        "0x1.aec49d91b98f7p-4 0x1.bae72b1ada130p-11 "
+        "0x1.c011b6dbd3990p-7 0x1.dbb20b1e3aac6p-13",
+        "0x1.94db89c4e01fdp-2 0x1.6cf2fe07b7030p-10 "
+        "0x1.12652989c9016p-4 0x1.93d3ece4ef712p-11 "
+        "0x1.3a707412300b0p-8 0x1.40e1027c631a0p-13",
+    ),
+    ("conditional", 4, 0.0): (
+        "0x1.92e47131fd300p-2 0x1.c119165a3dcebp-13 "
+        "0x1.c8af849098b08p-4 0x1.33c79482bbf8ap-14 "
+        "0x1.6054e8fa96fe6p-6 0x1.f87f12707acd7p-17 "
+        "0x1.88954f7ffee4ep-9 0x1.20983deeef152p-19",
+        "0x1.92e47131fd300p-2 0x1.c119165a3dcebp-13 "
+        "0x1.0329c8cadfa8dp-4 0x1.fccd30923f83dp-13 "
+        "0x1.2bb1d423ba8e8p-8 0x1.46a9261d02f40p-15 "
+        "0x1.6cc23417f97aep-13 0x1.ab0cc7ac2fe85p-19",
+        "0x1.92e47131fd300p-2 0x1.c119165a3dcebp-13 "
+        "0x1.36a2223dc29cbp-5 0x1.e43482f88d337p-13 "
+        "0x1.7de014e04ba1ep-10 0x1.9980af75ce890p-16 "
+        "0x1.b25b14de76d7ep-16 0x1.5e68988435172p-20",
+    ),
+    ("conditional", 4, 0.5): (
+        "0x1.9326a0bd08acbp-2 0x1.8a4b871172474p-12 "
+        "0x1.cdc72f2e8a15fp-4 0x1.0eb5b408a5ad1p-13 "
+        "0x1.6560d139139b4p-6 0x1.b67b5a327d7aep-16 "
+        "0x1.8e93be1707959p-9 0x1.f10a907aa8775p-19",
+        "0x1.9326a0bd08acbp-2 0x1.8a4b871172474p-12 "
+        "0x1.06b674d08c010p-4 0x1.125b868f93de2p-12 "
+        "0x1.30ff9525be3c5p-8 0x1.5b92698f40eefp-15 "
+        "0x1.74d07dfd81ff7p-13 0x1.c6d41bfc7fcc6p-19",
+        "0x1.9326a0bd08acbp-2 0x1.8a4b871172474p-12 "
+        "0x1.3b47a53083239p-5 0x1.01b692225d306p-12 "
+        "0x1.85564a24daae9p-10 0x1.b3613a04609c1p-16 "
+        "0x1.b5ee983c0d296p-16 0x1.721be23d4487dp-20",
+    ),
+    ("conditional", 4, 0.9): (
+        "0x1.94f5e5e0d5e3cp-2 0x1.6d18b157f8d87p-10 "
+        "0x1.5c402cd37a98bp-3 0x1.b4c157b073b77p-11 "
+        "0x1.9b49ee3a2ec03p-5 0x1.2f18cdd17a08ep-12 "
+        "0x1.4c7fba913f0e4p-7 0x1.0d5e95c5bbdcbp-14",
+        "0x1.94f5e5e0d5e3cp-2 0x1.6d18b157f8d87p-10 "
+        "0x1.af08a4a19d8c1p-4 0x1.bec8733602ec7p-11 "
+        "0x1.bf25fd2b9ac51p-7 0x1.e07fe751e7c23p-13 "
+        "0x1.bf1c5ae8f8ea5p-11 0x1.025ec2b1ed0a1p-15",
+        "0x1.94f5e5e0d5e3cp-2 0x1.6d18b157f8d87p-10 "
+        "0x1.12975a3563c2bp-4 0x1.98b9bd817e356p-11 "
+        "0x1.389e857c221fap-8 0x1.428d8c67829cdp-13 "
+        "0x1.1a2aa7e887e1dp-13 0x1.d19b02d6da20dp-17",
+    ),
+}
+
+PIN_POWERS = (6.0, 9.0, 14.0, 20.0)
+ESTIMATORS = {"direct": estimate_profile,
+              "conditional": estimate_outage_conditional}
+
+
+class TestPinnedBits:
+    """Both estimators keep their exact bits through any kernel rewrite."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("key", sorted(PINNED_BITS))
+    def test_estimates_match_pinned_hex(self, key, workers):
+        name, k, rho = key
+        est = ESTIMATORS[name](PowerPolicy(PIN_POWERS[:k]),
+                               ChannelParams(rho=rho, num_rounds=k), RATE,
+                               trials=70001, seed=17, workers=workers)
+        got = tuple(" ".join(f"{e.mean.hex()} {e.stderr.hex()}"
+                             for e in est[scheme]) for scheme in Scheme)
+        assert got == PINNED_BITS[key]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("estimator, digest", [
+        ("direct",
+         "e3770ace006a1e13aeb87e2509682f171a387790b5d00b2f3e3df8d090b119ab"),
+        ("conditional",
+         "d972d57bed54bdce30679a77ee4e7845fc6bcf75a38597429cb7fe2556641d6b"),
+    ])
+    def test_certify_report_bytes(self, tmp_path, estimator, digest, threads):
+        # the benchmark's certify command: 2^18 trials at 30 dBW, rho 0.5
+        assert cli.main(["mc-validate", "--estimator", estimator,
+                         "--trials", "262144", "--threads", threads,
+                         "--seed", "1234567", "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "mc_report.csv").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest
