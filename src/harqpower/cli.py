@@ -72,9 +72,10 @@ CONFIG_SCHEMA = {
 DBW_KEYS = ("power_dbw", "power_budget_dbw", "budget_lo_dbw", "budget_hi_dbw")
 MAX_DBW = math.floor(10.0 * math.log10(sys.float_info.max)) - 3.0
 
-# smallest accepted value of the integer keys that count something
+# smallest accepted value of the integer keys that count something, and
+# of the seed (numpy's seed sequences take only non-negative integers)
 MIN_INT_VALUES = {"trials": 1, "threads": 1, "epochs": 1, "points": 2,
-                  "rho_points": 1, "rounds": 1}
+                  "rho_points": 1, "rounds": 1, "seed": 0}
 
 # LinkConfig and TrainConfig fields are config keys of the same name
 DEFAULTS = {
@@ -388,11 +389,8 @@ def main(argv=None) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         return COMMANDS[args.command](cfg, out_dir)
-    except (CommandError, GridInfeasible, TrainingDiverged,
-            ComplexityGuard) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CommandError, GridInfeasible, TrainingDiverged, ComplexityGuard,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

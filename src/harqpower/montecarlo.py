@@ -265,6 +265,12 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
     n_rounds = channel.num_rounds
     powers = np.asarray(policy.powers)
     u_max = t / powers
+    # each round's weight factor is scaled by an exact power of two, so the
+    # squared weights stay normal at any power; the weight after round k
+    # carries 2 ** -w_exp[k], which the mean and stderr shed at the end
+    u_exp = np.frexp(u_max)[1]
+    u_unit = np.ldexp(u_max, -u_exp)
+    w_exp = np.cumsum(u_exp)
     rho_t = channel.rho ** (np.arange(1, n_rounds + 1) + channel.delta - 1)
     # |E[h_k | a_0]|^2 per unit |a_0|^2
     shared_sq = rho_t ** 2
@@ -292,7 +298,7 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
                 np.multiply(draw[:m, j], u_max[j], out=uj)
                 np.multiply(shared_sq[j], a0, out=mean_sq[:m])
                 _rician_power_pdf(uj, mean_sq[:m], var[j], i0e, wj, arg[:m])
-                np.multiply(wj, u_max[j], out=wj)
+                np.multiply(wj, u_unit[j], out=wj)
                 if j:
                     np.multiply(w[j - 1, :m], wj, out=wj)
                 np.multiply(powers[j], uj, out=uj)
@@ -314,4 +320,5 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
     s1, s2 = sum(_map_chunks(make_kernel, trials, workers))
     means = s1 / trials
     var_est = np.maximum(0.0, (s2 - trials * means * means) / max(1, trials - 1))
-    return _profiles(means, np.sqrt(var_est / trials))
+    return _profiles(np.ldexp(means, w_exp),
+                     np.ldexp(np.sqrt(var_est / trials), w_exp))

@@ -67,7 +67,6 @@ class OracleResult:
     latency_s: float
     average_power_w: float
     outage_k: float
-    grid: GridSpec
 
 
 def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
@@ -111,4 +110,4 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
     tau, pavg, powers, outage_k = min(bests, key=lambda b: b[:2] + b[2])
     return OracleResult(policy=PowerPolicy(powers), latency_s=float(tau),
                         average_power_w=float(pavg),
-                        outage_k=float(outage_k), grid=grid)
+                        outage_k=float(outage_k))

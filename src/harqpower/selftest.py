@@ -167,15 +167,15 @@ def _check_oracle():
 
 
 def _check_adam():
-    mats = [np.array([[1.0]])]
-    st = AdamState.like(mats)
-    adam_update(st, mats, [np.array([[0.3]])], lr=0.1)
+    x = np.array([1.0])
+    st = AdamState.like(x)
+    adam_update(st, x, np.array([0.3]), lr=0.1)
     expect = 1.0 - 0.1 * 0.3 / (0.3 + 1e-8)
-    _expect(abs(mats[0][0, 0] - expect) < 1e-6, "first Adam step")
-    adam_update(st, mats, [np.array([[0.0]])], lr=0.1)
-    frozen = mats[0][0, 0]
-    adam_update(st, mats, [np.array([[0.0]])], lr=0.0)
-    _expect(mats[0][0, 0] == frozen, "zero learning rate must not move weights")
+    _expect(abs(x[0] - expect) < 1e-6, "first Adam step")
+    adam_update(st, x, np.array([0.0]), lr=0.1)
+    frozen = x[0]
+    adam_update(st, x, np.array([0.0]), lr=0.0)
+    _expect(x[0] == frozen, "zero learning rate must not move weights")
 
 
 CHECKS = [

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 
 __all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
            "sample_rho_dataset", "dataset_constants", "batch_lagrangian",
-           "BatchStats", "train", "train_stack", "evaluate_policy",
+           "train", "train_stack", "evaluate_policy",
            "TrainingDiverged", "HISTORY_FIELDS"]
 
 HISTORY_FIELDS = ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",
@@ -98,26 +97,27 @@ class TrainResult:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def like(cls, mats) -> "AdamState":
-        return cls(m=[np.zeros_like(x) for x in mats],
-                   v=[np.zeros_like(x) for x in mats])
+    def like(cls, x: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(x), v=np.zeros_like(x))
 
 
-def adam_update(state: AdamState, mats, grads, lr) -> None:
-    """One bias-corrected Adam step applied in place to `mats`."""
+def adam_update(state: AdamState, x: np.ndarray, g: np.ndarray, lr) -> None:
+    """One bias-corrected Adam step applied in place to `x`.
+
+    `lr` is a scalar or an array of per-entry step sizes shaped like `x`.
+    """
     state.step += 1
     t = state.step
-    for i, g in enumerate(grads):
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
-        mats[i] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** t)
+    x -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def sample_rho_dataset(cfg: TrainConfig) -> np.ndarray:
@@ -161,33 +161,6 @@ def _run_axis(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1, 1)
 
 
-class BatchStats(Mapping):
-    """Per-run statistics of a Lagrangian graph, one array entry per run.
-
-    Maps objective (each run's batch-mean Lagrangian), mean_tau_s,
-    mean_log_pout and mean_pavg_w to per-run means of the graph's nodes.
-    Each lookup reads the nodes' current values, so after Tape.replay() the
-    same mapping gives the replayed step's statistics.
-    """
-
-    def __init__(self, n_runs: int, **nodes):
-        self._n_runs = n_runs
-        self._nodes = nodes
-
-    def __getitem__(self, key):
-        # the objective is a batch mean, the others are means over the
-        # batch's samples; all are the per-run sum over the batch axis
-        # divided by the batch size
-        per_run = self._nodes[key].value.reshape(self._n_runs, -1)
-        return per_run.sum(axis=1) / per_run.shape[1]
-
-    def __iter__(self):
-        return iter(self._nodes)
-
-    def __len__(self):
-        return len(self._nodes)
-
-
 def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
                      lam, ups, tau_clip: float | None = None):
     """Build the batch-mean Lagrangian graph of a stack of runs.
@@ -198,10 +171,13 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     and `adj` and `inv_corr` a mini-batch's slices of dataset_constants().
     The root is the sum over runs of each run's batch-mean Lagrangian, so
     each run's weights get exactly their own run's gradient.  Returns
-    (root, stats), stats a BatchStats of the graph.  The graph reads `adj`,
-    `inv_corr`, the weights and the multipliers through the arrays passed
-    in (`lam` and `ups` as views when they are float arrays), so a Tape of
-    the root replays it after those arrays change in place.
+    (root, nodes), nodes a dict of the graph's per-sample nodes: objective
+    (each sample's Lagrangian term), mean_tau_s, mean_log_pout and
+    mean_pavg_w; a step's statistics are their per-run batch means.  The
+    graph reads `adj`, `inv_corr`, the weights and the multipliers through
+    the arrays passed in (`lam` and `ups` as views when they are float
+    arrays), so a Tape of the root replays it after those arrays change in
+    place.
 
     The metrics come from analytics.analytic_chain with two deliberate
     exceptions around the outage-near-one region, where the latency ratio
@@ -239,8 +215,8 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     lagr = ad.add(lagr, ad.multiply(
         ad.constant(_run_axis(ups)), ad.add(pavg, ad.constant(-_run_axis(p_bar)))))
     root = ad.divide(ad.reduce_sum(lagr), ad.constant(float(b)))
-    return root, BatchStats(len(runs), objective=lagr, mean_tau_s=tau,
-                            mean_log_pout=log_pout, mean_pavg_w=pavg)
+    return root, {"objective": lagr, "mean_tau_s": tau,
+                  "mean_log_pout": log_pout, "mean_pavg_w": pavg}
 
 
 def _label(run) -> str:
@@ -280,7 +256,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             zip(np.split(flat, np.cumsum([m.size for m in init])[:-1]), init)]
     run_of = np.concatenate([np.repeat(np.arange(n_runs), m[0].size)
                              for m in init])
-    adam = AdamState.like([flat])
+    adam = AdamState.like(flat)
     adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
                                               channel_proto)
     # a network at the power floor for every sample has zero gradients
@@ -329,7 +305,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             try:
                 if tape is None:
                     # the first step records the graph; later steps replay it
-                    root, graph_stats = batch_lagrangian(
+                    root, nodes = batch_lagrangian(
                         wnodes, adj, inv_corr, runs, lam, ups,
                         tau_clip=tau_clip)
                     tape = ad.Tape(root)
@@ -344,7 +320,9 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
                 raise TrainingDiverged(
                     f"{who}: cannot evaluate the Lagrangian at iteration "
                     f"{it}: {exc}") from exc
-            stats = dict(graph_stats)
+            # each statistic is its node's per-run mean over the batch
+            stats = {key: node.value.reshape(n_runs, -1).sum(axis=1)
+                     / cfg.batch_size for key, node in nodes.items()}
             bad = ~np.isfinite(stats["objective"])
             if bad.any():
                 r = int(np.argmax(bad))
@@ -354,11 +332,9 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             tape.backward()
             grad = np.concatenate([w.adjoint.reshape(-1) for w in wnodes])
             if not np.isfinite(grad).all():
-                bad = ~np.all([np.isfinite(w.adjoint).reshape(n_runs, -1)
-                               .all(axis=1) for w in wnodes], axis=0)
+                r = run_of[~np.isfinite(grad)].min()
                 raise TrainingDiverged(
-                    f"{_label(runs[int(np.argmax(bad))])}: non-finite gradient "
-                    f"at iteration {it}")
+                    f"{_label(runs[r])}: non-finite gradient at iteration {it}")
 
             ramp = 1.0 - (1.0 - LR_FINAL_FRAC) * (it / total_steps)
             lr = cfg.lr_weights * ramp
@@ -367,7 +343,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             tau = stats["mean_tau_s"]
             guarded = ~((0.0 < tau) & (tau <= guard_level))
             guard_steps += guarded
-            adam_update(adam, [flat], [grad],
+            adam_update(adam, flat, grad,
                         np.where(guarded, lr * 0.5, lr)[run_of])
 
             lam[:] = np.maximum(0.0, lam + cfg.lr_lambda *

@@ -97,9 +97,6 @@ class PowerPolicy:
     def num_rounds(self) -> int:
         return len(self.powers)
 
-    def __iter__(self):
-        return iter(self.powers)
-
 
 @dataclass
 class PerformanceReport:

@@ -69,6 +69,27 @@ class TestExitCodes:
         assert rc == 2
         assert SEED_ENV_VAR in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "sweep-power", "sweep-rho",
+                                         "mc-validate"])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys,
+                                   source, command):
+        # numpy's seed sequences reject negative integers with a traceback
+        out = tmp_path / "out"
+        argv = [command, "--out", out]
+        if source == "flag":
+            argv += ["--seed", -1]
+        elif source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n")
+            argv += ["--config", cfg]
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: seed must be >= 0, got -1"]
+        assert not out.exists()
+
     def test_bad_scheme_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scheme = turbo\n")

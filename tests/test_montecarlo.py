@@ -204,6 +204,19 @@ class TestConditionalEstimator:
                                             seed=13)[Scheme.CHASE][2]
         assert large.stderr < small.stderr
 
+    @pytest.mark.parametrize("power_dbw", [600, 1000])
+    def test_stderr_survives_extreme_power(self, tmp_path, power_dbw):
+        # the k = 3 weights are ~1e-179 at 600 dBW and ~1e-299 at 1000 dBW,
+        # so their squares underflow unless the weights are scaled
+        assert cli.main(["mc-validate", "--power-dbw", str(power_dbw),
+                         "--trials", "20000", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "mc_report.csv").read_text().splitlines()
+        header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+        stderrs = [float(row[header.index("mc_stderr")]) for row in rows]
+        assert len(stderrs) == 9
+        assert all(0.0 < e < math.inf for e in stderrs), stderrs
+
 
 class TestWorkers:
     def test_threads_capped_at_chunk_count(self, tmp_path, monkeypatch):

@@ -34,11 +34,19 @@ def scalar_policy(scale):
     return [np.array([[scale]])]
 
 
+def run_means(nodes, n_runs, batch_size):
+    """Per-run batch means of batch_lagrangian's nodes, as train_stack
+    computes a step's statistics."""
+    return {key: node.value.reshape(n_runs, -1).sum(axis=1) / batch_size
+            for key, node in nodes.items()}
+
+
 def lagrangian(wnodes, rho, scheme, lam, ups, tau_clip=None):
     adj, inv_corr = dataset_constants(rho, PROTO)
-    root, stats = batch_lagrangian(wnodes, adj, inv_corr, [(scheme, LINK)],
+    root, nodes = batch_lagrangian(wnodes, adj, inv_corr, [(scheme, LINK)],
                                    lam, ups, tau_clip=tau_clip)
-    return root, {key: float(v[0]) for key, v in stats.items()}
+    return root, {key: float(v[0])
+                  for key, v in run_means(nodes, 1, len(rho)).items()}
 
 
 class TestDatasetConstants:
@@ -151,8 +159,9 @@ class TestOneImplementation:
             mats[-1] *= scale
             consts = [ad.constant(m) for m in mats]
             adj, inv_corr = dataset_constants(np.array([rho]), PROTO)
-            _, stats = batch_lagrangian(consts, adj, inv_corr,
+            _, nodes = batch_lagrangian(consts, adj, inv_corr,
                                         [(scheme, LINK)], 0.0, 0.0)
+            stats = run_means(nodes, 1, 1)
             powers = forward(adj, consts, LINK.power_budget_w).value
             rep = evaluate(PowerPolicy(tuple(powers[0, :, 0])),
                            ChannelParams(rho=float(rho)), scheme, LINK)
@@ -176,20 +185,40 @@ class TestOneImplementation:
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
-        mats = [np.array([[1.0, -2.0]])]
-        st = AdamState.like(mats)
-        g = np.array([[0.5, -0.25]])
-        adam_update(st, mats, [g], lr=0.01)
+        x = np.array([1.0, -2.0])
+        st = AdamState.like(x)
+        adam_update(st, x, np.array([0.5, -0.25]), lr=0.01)
         # bias correction makes the first step lr * g / (|g| + eps)
-        assert mats[0][0, 0] == pytest.approx(1.0 - 0.01, rel=1e-6)
-        assert mats[0][0, 1] == pytest.approx(-2.0 + 0.01, rel=1e-6)
+        assert x[0] == pytest.approx(1.0 - 0.01, rel=1e-6)
+        assert x[1] == pytest.approx(-2.0 + 0.01, rel=1e-6)
         assert st.step == 1
 
     def test_zero_learning_rate_freezes(self):
-        mats = [np.array([[3.0]])]
-        st = AdamState.like(mats)
-        adam_update(st, mats, [np.array([[1.0]])], lr=0.0)
-        assert mats[0][0, 0] == 3.0
+        x = np.array([3.0])
+        st = AdamState.like(x)
+        adam_update(st, x, np.array([1.0]), lr=0.0)
+        assert x[0] == 3.0
+
+    def test_per_entry_learning_rate(self):
+        # train_stack halves a guarded run's step through an lr array
+        # indexed by run_of; twin entries see the same gradients, and the
+        # one at half the step moves exactly half as far.  Each step starts
+        # from zero, so the moves are exact; the moments carry over.
+        run_of = np.array([0, 0, 1, 1])
+        x = np.zeros(4)
+        st = AdamState.like(x)
+        rng = np.random.default_rng(3)
+        for guarded in ([False, True], [True, False], [False, False]):
+            x[:] = 0.0
+            lr = np.where(guarded, 0.01 * 0.5, 0.01)[run_of]
+            adam_update(st, x, np.tile(rng.standard_normal(2), 2), lr)
+            run0, run1 = x[:2], x[2:]
+            assert np.all(run0 != 0.0)
+            if guarded[0] == guarded[1]:
+                assert np.array_equal(run0, run1)
+            else:
+                half, full = (run0, run1) if guarded[0] else (run1, run0)
+                assert np.array_equal(half, full * 0.5)
 
 
 class TestTrainLoop:
@@ -281,6 +310,32 @@ class TestTrainStack:
                                  r"iteration 0"):
             train_stack(runs, PROTO, cfg)
 
+    def test_non_finite_gradient_names_its_first_run(self, monkeypatch):
+        # poison the gradient of runs 1 and 2 in different layers after
+        # every backward pass; the objective stays finite
+        params = []
+        original_parameter = ad.parameter
+        original_backward = ad.Tape.backward
+
+        def recorded(value):
+            params.append(original_parameter(value))
+            return params[-1]
+
+        def poisoned(tape):
+            original_backward(tape)
+            params[0].adjoint[2] = np.inf
+            params[-1].adjoint[1] = np.nan
+
+        monkeypatch.setattr(ad, "parameter", recorded)
+        monkeypatch.setattr(ad.Tape, "backward", poisoned)
+        runs = [(Scheme.TYPE_I, LINK),
+                (Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
+                (Scheme.INCREMENTAL, LINK)]
+        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^cc at 16 dBW: non-finite gradient at "
+                                 r"iteration 0$"):
+            train_stack(runs, PROTO, cfg)
 
     @staticmethod
     def poison_second_batch(monkeypatch, cfg, value):
@@ -336,7 +391,7 @@ class TestTapeReplay:
         adj_all, inv_all = dataset_constants(sample_rho_dataset(cfg), PROTO)
         order = np.random.default_rng(7).permutation(cfg.dataset_size)
         mats = [np.stack([m] * len(runs)) for m in init_weights(4).matrices]
-        adam = AdamState.like(mats)
+        adams = [AdamState.like(m) for m in mats]
         wnodes = [ad.parameter(m) for m in mats]
         adj = np.empty((10,) + adj_all.shape[1:])
         inv_corr = np.empty((inv_all.shape[0], 10) + inv_all.shape[2:])
@@ -350,7 +405,7 @@ class TestTapeReplay:
             np.take(adj_all, sel, axis=0, out=adj)
             np.take(inv_all, sel, axis=1, out=inv_corr)
             if tape is None:
-                root, stats = batch_lagrangian(wnodes, adj, inv_corr, runs,
+                root, nodes = batch_lagrangian(wnodes, adj, inv_corr, runs,
                                                lam, ups, tau_clip=clip)
                 tape = ad.Tape(root)
             else:
@@ -358,10 +413,12 @@ class TestTapeReplay:
             tape.backward()
 
             fresh = [ad.parameter(m.copy()) for m in mats]
-            want_root, want = batch_lagrangian(
+            want_root, want_nodes = batch_lagrangian(
                 fresh, adj_all[sel], inv_all[:, sel], runs, lam.copy(),
                 ups.copy(), tau_clip=clip)
             ad.backward(want_root)
+            stats = run_means(nodes, len(runs), 10)
+            want = run_means(want_nodes, len(runs), 10)
             assert root.value.tobytes() == want_root.value.tobytes()
             assert set(stats) == set(want)
             for key in want:
@@ -375,7 +432,8 @@ class TestTapeReplay:
             assert np.array_equal(guarded(stats), guarded(want))
 
             # move every leaf in place, as a training step does
-            adam_update(adam, mats, [w.adjoint for w in wnodes], lr=0.05)
+            for adam, m, w in zip(adams, mats, wnodes):
+                adam_update(adam, m, w.adjoint, lr=0.05)
             lam += 0.5
             ups += 2e-3
 

@@ -1,0 +1,129 @@
+"""Check that this tree's CLI writes the same bytes as a git ref's.
+
+Usage: python tools/same_outputs.py REF
+
+Extracts REF's src/ with `git archive` into a temporary directory, then
+runs each command of COMMANDS in a fresh interpreter against REF's src/
+and against this tree's src/, each in an empty directory with HARQPOWER_SEED
+unset.  It compares the exit codes, stdout, stderr and every file the
+command wrote; the path of each src/ reads as <src> in stdout and stderr,
+so a traceback differs only if its text does.  Prints one line per command
+and exits 1 when any command differs, naming each difference, and 2 when
+REF has no src/ to archive.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TINY_TRAIN = ("--epochs", "1", "--dataset-size", "10", "--batch-size", "10")
+MC_BIG = ("--trials", "262144")
+MC_K4 = ("--trials", "70001", "--rounds", "4", "--rho", "0.9",
+         "--power-dbw", "10")
+MC_K1 = ("--trials", "70001", "--rounds", "1", "--rho", "0",
+         "--power-dbw", "0")
+
+COMMANDS = [
+    ("train", "--epochs", "25", "--scheme", "ir", "--power-budget-dbw", "14.5"),
+    ("train", "--epochs", "25", "--scheme", "cc", "--power-budget-dbw", "16"),
+    ("train", "--epochs", "25", "--scheme", "type1",
+     "--power-budget-dbw", "15.5"),
+    ("train", "--power-budget-dbw", "1000") + TINY_TRAIN,
+    ("train", "--power-budget-dbw", "2000") + TINY_TRAIN,
+    ("train", "--seed", "-1") + TINY_TRAIN,
+    ("sweep-power", "--epochs", "25", "--budget-lo-dbw", "14.5",
+     "--budget-hi-dbw", "17.5"),
+    ("sweep-power", "--epochs", "25"),
+    ("sweep-rho", "--epochs", "25"),
+    *[("mc-validate", "--estimator", est, "--threads", threads) + MC_BIG
+      for est in ("direct", "conditional") for threads in ("1", "2", "3")],
+    *[("mc-validate", "--estimator", est, "--threads", threads) + mc
+      for mc in (MC_K4, MC_K1) for est in ("direct", "conditional")
+      for threads in ("1", "3")],
+    ("mc-validate", "--power-dbw", "600"),
+    ("mc-validate", "--power-dbw", "1000", "--trials", "1000"),
+    ("mc-validate", "--power-dbw", "3000", "--trials", "1000"),
+    ("oracle", "--points", "40"),
+    ("oracle", "--points", "100", "--rho", "0.6"),
+    ("selftest",),
+]
+
+
+def extract_src(ref: str, dest: Path) -> Path:
+    """REF's src/ under dest; raises CalledProcessError for a bad ref."""
+    dest.mkdir()
+    archive = dest / "src.tar"
+    subprocess.run(["git", "-C", str(ROOT), "archive", f"--output={archive}",
+                    ref, "src"], check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def run_command(src: Path, argv, cwd: Path) -> dict:
+    """Exit code, stdout, stderr and output files of one command."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("HARQPOWER_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "harqpower", *argv,
+                           "--out", "out"], cwd=cwd, env=env,
+                          capture_output=True)
+    here = str(src).encode()
+    result = {"exit code": proc.returncode,
+              "stdout": proc.stdout.replace(here, b"<src>"),
+              "stderr": proc.stderr.replace(here, b"<src>")}
+    for path in sorted(cwd.rglob("*")):
+        if path.is_file():
+            result[str(path.relative_to(cwd))] = path.read_bytes()
+    return result
+
+
+def differences(ref: dict, new: dict) -> list:
+    diffs = []
+    for key in sorted(set(ref) | set(new)):
+        if key not in new:
+            diffs.append(f"{key} missing")
+        elif key not in ref:
+            diffs.append(f"{key} new")
+        elif ref[key] != new[key]:
+            diffs.append(f"exit code {ref[key]} -> {new[key]}"
+                         if key == "exit code" else f"{key} differs")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="git ref to compare against, e.g. HEAD~1")
+    args = parser.parse_args(argv)
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        try:
+            ref_src = extract_src(args.ref, tmp / "ref")
+        except subprocess.CalledProcessError:
+            print(f"error: git cannot archive src/ at {args.ref}",
+                  file=sys.stderr)
+            return 2
+        for i, command in enumerate(COMMANDS):
+            outputs = []
+            for name, src in (("ref", ref_src), ("new", ROOT / "src")):
+                cwd = tmp / f"{i}-{name}"
+                cwd.mkdir()
+                outputs.append(run_command(src, command, cwd))
+            diffs = differences(*outputs)
+            differ += bool(diffs)
+            line = " ".join(command)
+            print(f"DIFF  {line}: {'; '.join(diffs)}" if diffs
+                  else f"same  {line}", flush=True)
+    print(f"{differ} of {len(COMMANDS)} commands differ from {args.ref}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
