@@ -31,6 +31,7 @@ __all__ = [
     "rate_factors",
     "inverse_correlation",
     "analytic_chain",
+    "chain_adjoint",
     "evaluate",
 ]
 
@@ -122,9 +123,9 @@ def analytic_chain(powers, inv_corr, factors, link: LinkConfig,
 
     `powers`, `inv_corr` and the scheme's rate factors `factors` (see
     rate_factors) hold one entry per round (1..K).  The entries may be
-    floats, broadcastable arrays (one value per candidate, sample or run) or
-    autodiff Nodes: the chain uses only + - * /, so every caller runs the
-    same operations in the same order.  Round k's outage is
+    floats or broadcastable arrays (one value per candidate, sample or run):
+    the chain uses only + - * /, so every caller runs the same operations in
+    the same order.  Round k's outage is
 
         P_k = inv_corr_k / prod_{j<=k} p_j * rate_factor_k
 
@@ -154,6 +155,32 @@ def analytic_chain(powers, inv_corr, factors, link: LinkConfig,
     for p, pout in zip(powers[1:], outages[:-1]):
         pavg = pavg + p * pout
     return outages, eta, tau, pavg
+
+
+def chain_adjoint(powers, outages, tau, g_tau, g_log_pout, g_pavg) -> list:
+    """Per-round power adjoints through the uncapped analytic_chain.
+
+    Given the chain's per-round `powers` and `outages`, its latency `tau`
+    and the adjoints g_tau, g_log_pout and g_pavg of tau, log P_K and the
+    average power: each P_k is a monomial, dP_k/dp_j = -P_k / p_j for
+    j <= k, so with S = 1 + sum_{k<K} P_k and P_0 = 1 the adjoint of p_j is
+
+        g_pavg P_{j-1} - (g_tau tau (sum_{j<=k<K} P_k / S + P_K / (1 - P_K))
+                          + g_log_pout + g_pavg sum_{k>j} p_k P_{k-1}) / p_j
+    """
+    spent = sum(outages[:-1], 1.0)
+    lat = g_tau * tau
+    pole = outages[-1] / (1.0 - outages[-1])
+    tail = later = 0.0  # sum_{j<=k<K} P_k and sum_{k>j} p_k P_{k-1}
+    grads = []
+    # each round's power, the outage before it and, but for the last, its own
+    rounds = zip(powers, [1.0, *outages[:-1]], [*outages[:-1], 0.0])
+    for p, prev, own in reversed(list(rounds)):
+        tail = tail + own
+        pull = lat * (tail / spent + pole) + g_log_pout + g_pavg * later
+        grads.insert(0, g_pavg * prev - pull / p)
+        later = later + p * prev
+    return grads
 
 
 def evaluate(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,

@@ -4,17 +4,17 @@ Every operation computes its value on creation and remembers two things: its
 forward function of its parents' current values, and, per parent, how to
 push an adjoint back to it.  Both read the parents' `.value` when they are
 called, so a graph whose leaves change in place can be evaluated again
-without rebuilding it.
+without rebuilding it.  op() builds such a node; the ops below use it, and
+so does any fused op of a caller's own, such as training's Lagrangian.
 
 Tape(root) records the graph under a scalar root once: its topological
 order, the op nodes to recompute and the nodes with a parameter ancestor,
 each with the pushes to its live parents.  tape.replay() recomputes every op
 node from the leaves' current values; tape.backward() accumulates adjoints
 in reverse topological order, so each node's adjoint is complete before it
-is propagated, and constant subgraphs (inputs, selectors, dual constants)
-get no adjoint.  backward(root) is Tape(root).backward().  A tape belongs
-to its graph: separate graphs never share state and may be evaluated
-concurrently.
+is propagated, and constant subgraphs (inputs, fixed operands) get no
+adjoint.  backward(root) is Tape(root).backward().  A tape belongs to its
+graph: separate graphs never share state and may be evaluated concurrently.
 
 Gradient conventions at nondifferentiable points: relu'(0) = 0 and the
 derivative of clamp at an exactly-clamped entry is 0.
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Node", "constant", "parameter", "add", "multiply", "divide", "negate",
-    "matmul", "dense", "relu", "clamp", "log", "reduce_sum", "select_row",
+    "Node", "constant", "parameter", "op", "add", "multiply", "divide",
+    "matmul", "dense", "relu", "clamp", "log", "reduce_sum",
     "Tape", "backward", "GradientReport", "finite_diff_check",
     "activity_signature",
 ]
@@ -35,9 +35,6 @@ __all__ = [
 
 class Node:
     __slots__ = ("value", "adjoint", "parents", "pushes", "kind", "compute")
-    # numpy defers to the reflected operators below, so `ndarray / Node`
-    # builds a Node instead of an object array of per-element Nodes
-    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), pushes=(), kind="constant",
                  compute=None):
@@ -51,43 +48,8 @@ class Node:
         # None for leaves
         self.compute = compute
 
-    # convenience operators; all dispatch to the module-level ops
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __mul__(self, other):
-        return multiply(self, _lift(other))
-
-    def __rmul__(self, other):
-        return multiply(_lift(other), self)
-
-    def __truediv__(self, other):
-        return divide(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return divide(_lift(other), self)
-
-    def __neg__(self):
-        return negate(self)
-
-    def __sub__(self, other):
-        return add(self, negate(_lift(other)))
-
-    def __rsub__(self, other):
-        return add(_lift(other), negate(self))
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
     def __repr__(self):
         return f"Node({self.kind}, shape={self.value.shape})"
-
-
-def _lift(x):
-    return x if isinstance(x, Node) else Node(x)
 
 
 def constant(value) -> Node:
@@ -98,7 +60,9 @@ def parameter(value) -> Node:
     return Node(value, kind="parameter")
 
 
-def _op(kind, compute, parents, pushes) -> Node:
+def op(kind: str, compute, parents, pushes) -> Node:
+    """An op node valued compute(), which Tape.replay() calls again;
+    pushes[i](g) maps its adjoint g to parents[i]'s contribution."""
     return Node(compute(), parents, pushes, kind, compute)
 
 
@@ -133,13 +97,13 @@ def _binary_reducers(a: Node, b: Node):
 
 
 def add(a: Node, b: Node) -> Node:
-    return _op("add", lambda: a.value + b.value, (a, b), _binary_reducers(a, b))
+    return op("add", lambda: a.value + b.value, (a, b), _binary_reducers(a, b))
 
 
 def multiply(a: Node, b: Node) -> Node:
     to_a, to_b = _binary_reducers(a, b)
-    return _op("multiply", lambda: a.value * b.value, (a, b),
-               (lambda g: to_a(g * b.value), lambda g: to_b(g * a.value)))
+    return op("multiply", lambda: a.value * b.value, (a, b),
+              (lambda g: to_a(g * b.value), lambda g: to_b(g * a.value)))
 
 
 def divide(a: Node, b: Node) -> Node:
@@ -148,13 +112,9 @@ def divide(a: Node, b: Node) -> Node:
             raise ZeroDivisionError("divide: zero denominator entry")
         return a.value / b.value
     to_a, to_b = _binary_reducers(a, b)
-    return _op("divide", compute, (a, b),
-               (lambda g: to_a(g / b.value),
-                lambda g: to_b(-g * a.value / (b.value * b.value))))
-
-
-def negate(a: Node) -> Node:
-    return _op("negate", lambda: -a.value, (a,), (lambda g: -g,))
+    return op("divide", compute, (a, b),
+              (lambda g: to_a(g / b.value),
+               lambda g: to_b(-g * a.value / (b.value * b.value))))
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -168,9 +128,9 @@ def matmul(a: Node, b: Node) -> Node:
     batch = np.broadcast_shapes(a.value.shape[:-2], b.value.shape[:-2])
     to_a = _unbroadcast(a.value.shape, batch + a.value.shape[-2:])
     to_b = _unbroadcast(b.value.shape, batch + b.value.shape[-2:])
-    return _op("matmul", lambda: a.value @ b.value, (a, b),
-               (lambda g: to_a(g @ _swap(b.value)),
-                lambda g: to_b(_swap(a.value) @ g)))
+    return op("matmul", lambda: a.value @ b.value, (a, b),
+              (lambda g: to_a(g @ _swap(b.value)),
+               lambda g: to_b(_swap(a.value) @ g)))
 
 
 def dense(x: Node, w: Node) -> Node:
@@ -193,14 +153,14 @@ def dense(x: Node, w: Node) -> Node:
 
     def flat(g):
         return g.reshape(runs + (-1, m))
-    return _op("dense", lambda: (rows() @ w.value).reshape(out_shape), (x, w),
-               (lambda g: (flat(g) @ _swap(w.value)).reshape(x.value.shape),
-                lambda g: _swap(rows()) @ flat(g)))
+    return op("dense", lambda: (rows() @ w.value).reshape(out_shape), (x, w),
+              (lambda g: (flat(g) @ _swap(w.value)).reshape(x.value.shape),
+               lambda g: _swap(rows()) @ flat(g)))
 
 
 def relu(a: Node) -> Node:
-    return _op("relu", lambda: np.maximum(a.value, 0.0), (a,),
-               (lambda g: g * (a.value > 0.0),))
+    return op("relu", lambda: np.maximum(a.value, 0.0), (a,),
+              (lambda g: g * (a.value > 0.0),))
 
 
 def clamp(a: Node, lo=None, hi=None) -> Node:
@@ -222,7 +182,7 @@ def clamp(a: Node, lo=None, hi=None) -> Node:
         if lo is None:
             return g * (a.value < hi)
         return g * ((a.value > lo) & (a.value < hi))
-    return _op("clamp", compute, (a,), (push,))
+    return op("clamp", compute, (a,), (push,))
 
 
 def log(a: Node) -> Node:
@@ -230,29 +190,12 @@ def log(a: Node) -> Node:
         if (a.value <= 0.0).any():
             raise ValueError("log: nonpositive entry")
         return np.log(a.value)
-    return _op("log", compute, (a,), (lambda g: g / a.value,))
+    return op("log", compute, (a,), (lambda g: g / a.value,))
 
 
 def reduce_sum(a: Node) -> Node:
-    return _op("sum", lambda: a.value.sum(), (a,),
-               (lambda g: np.full(a.value.shape, g),))
-
-
-def select_row(a: Node, k: int) -> Node:
-    """Row k of the trailing matrices of `a`, keeping the row axis.
-
-    The value is a[..., k:k+1, :] and the push writes the adjoint into that
-    row of zeros: exact both ways, where a product with a one-hot selector
-    row would also carry the other rows' non-finite entries.
-    """
-    if a.value.ndim < 2 or not 0 <= k < a.value.shape[-2]:
-        raise ValueError(f"select_row needs a matrix with a row {k}")
-
-    def push(g):
-        out = np.zeros_like(a.value)
-        out[..., k:k + 1, :] = g
-        return out
-    return _op("row", lambda: a.value[..., k:k + 1, :], (a,), (push,))
+    return op("sum", lambda: a.value.sum(), (a,),
+              (lambda g: np.full(a.value.shape, g),))
 
 
 def _topo_order(root: Node) -> list:

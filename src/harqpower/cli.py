@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .analytics import evaluate
+from .analytics import evaluate, rate_factors
 from .gcn import save_checkpoint
 from .montecarlo import estimate_outage_conditional
 # bench/spans.py traces the direct estimator under the name estimate_outage
@@ -158,8 +158,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
         _channel(cfg)
         _build(LinkConfig, cfg)
         _build(TrainConfig, cfg)
+        # every command computes these, and a huge rate overflows them
+        finite = all(math.isfinite(f) for scheme in Scheme
+                     for f in rate_factors(scheme, cfg["rate"], cfg["rounds"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"rate {cfg['rate']:g} overflows a rate factor "
+                          f"within {cfg['rounds']} rounds")
     return cfg
 
 
@@ -203,7 +211,7 @@ def cmd_train(cfg: dict, out_dir: str) -> int:
     link = _build(LinkConfig, cfg)
     proto = _channel(cfg, rho=0.0)
     result = train(scheme, link, proto, _build(TrainConfig, cfg))
-    rows = [(str(r[0]),) + tuple(fmt(v) for v in r[1:]) for r in result.history]
+    rows = [(str(int(r[0])), *map(fmt, r[1:])) for r in result.history]
     write_csv(os.path.join(out_dir, "history.csv"), HISTORY_FIELDS, rows)
     save_checkpoint(os.path.join(out_dir, f"checkpoint_{scheme.value}.txt"),
                     result.weights)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .analytics import (analytic_chain, correlation_factor, evaluate,
-                        rate_factors)
+from .analytics import (analytic_chain, chain_adjoint, correlation_factor,
+                        evaluate, rate_factors)
 from .gcn import GcnWeights, forward, init_weights
 from .graph import batch_adjacency, session_adjacency
 from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
@@ -89,7 +89,7 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     weights: GcnWeights
-    history: list                  # rows matching HISTORY_FIELDS
+    history: np.ndarray            # (steps, 6) rows matching HISTORY_FIELDS
     lam: float
     ups: float
     guard_steps: int               # steps taken at halved learning rate
@@ -157,7 +157,7 @@ def _shared_link(runs) -> LinkConfig:
 
 
 def _run_axis(values) -> np.ndarray:
-    """Per-run values as an (R, 1, 1, 1) array, against (R, B, K, 1) nodes."""
+    """Per-run values as an (R, 1, 1, 1) array, against (R, B, 1, 1) rows."""
     return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1, 1)
 
 
@@ -171,17 +171,20 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     and `adj` and `inv_corr` a mini-batch's slices of dataset_constants().
     The root is the sum over runs of each run's batch-mean Lagrangian, so
     each run's weights get exactly their own run's gradient.  Returns
-    (root, nodes), nodes a dict of the graph's per-sample nodes: objective
+    (root, stats), stats a dict of per-sample (R, B, 1, 1) arrays: objective
     (each sample's Lagrangian term), mean_tau_s, mean_log_pout and
     mean_pavg_w; a step's statistics are their per-run batch means.  The
     graph reads `adj`, `inv_corr`, the weights and the multipliers through
     the arrays passed in (`lam` and `ups` as views when they are float
     arrays), so a Tape of the root replays it after those arrays change in
-    place.
+    place, and every evaluation puts its new arrays into that dict.
 
-    The metrics come from analytics.analytic_chain with two deliberate
-    exceptions around the outage-near-one region, where the latency ratio
-    has a pole that otherwise wrecks the optimizer:
+    One op maps the network's floored (R, B, K, 1) powers to each sample's
+    Lagrangian term, by analytics.analytic_chain and chain_adjoint; as the
+    divide and log ops do, it raises ZeroDivisionError on a zero denominator
+    and ValueError on a nonpositive final outage.  It departs from the
+    capped report in two deliberate ways around the outage-near-one region,
+    where the latency ratio has a pole that otherwise wrecks the optimizer:
 
     * per-round outage values are not capped below one (the cap turns the
       pole into an eight-orders-of-magnitude cliff whose gradient poisons
@@ -199,24 +202,47 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
     powers = forward(adj, wnodes, p_bar)
 
-    # per-round powers as (R,B,1,1) nodes, and per-round (R,1,1,1) factors
-    p_k = [ad.select_row(powers, kk) for kk in range(k)]
     factors = np.array([rate_factors(scheme, link.rate, k) for scheme, _ in runs])
-    pouts, _, tau, pavg = analytic_chain(
-        p_k, inv_corr, [_run_axis(factors[:, kk]) for kk in range(k)], link)
-    if tau_clip is not None:
-        tau = ad.clamp(tau, lo=0.0, hi=tau_clip)
+    factors = [_run_axis(factors[:, kk]) for kk in range(k)]
+    lam, ups, p_bar = _run_axis(lam), _run_axis(ups), _run_axis(p_bar)
+    log_target = math.log(link.outage_target)
+    stats, chain = {}, {}  # chain: what the push reads of the last compute
 
-    # a zero multiplier adds an exact zero, so every run shares one graph
-    log_pout = ad.log(pouts[-1])
-    lagr = ad.add(tau, ad.multiply(
-        ad.constant(_run_axis(lam)),
-        ad.add(log_pout, ad.constant(-math.log(link.outage_target)))))
-    lagr = ad.add(lagr, ad.multiply(
-        ad.constant(_run_axis(ups)), ad.add(pavg, ad.constant(-_run_axis(p_bar)))))
-    root = ad.divide(ad.reduce_sum(lagr), ad.constant(float(b)))
-    return root, {"objective": lagr, "mean_tau_s": tau,
-                  "mean_log_pout": log_pout, "mean_pavg_w": pavg}
+    # extreme powers overflow the chain or its adjoint, or meet inf * 0;
+    # train_stack's finite checks report those, so warnings are only noise
+    @np.errstate(all="ignore")
+    def compute():
+        rows = [powers.value[..., kk:kk + 1, :] for kk in range(k)]
+        pouts, eta, tau, pavg = analytic_chain(rows, inv_corr, factors, link)
+        # the chain's divisors: power products, 1 + P_1 + ..., eta * bandwidth
+        if ((np.multiply.accumulate(powers.value, axis=-2) == 0.0).any()
+                or np.any(sum(pouts[:-1], 1.0) == 0.0)
+                or (eta * link.bandwidth_hz == 0.0).any()):
+            raise ZeroDivisionError("divide: zero denominator entry")
+        if (pouts[-1] <= 0.0).any():
+            raise ValueError("log: nonpositive entry")
+        live = True
+        if tau_clip is not None:
+            live = (tau > 0.0) & (tau < tau_clip)
+            tau = np.minimum(np.maximum(tau, 0.0), tau_clip)
+        log_pout = np.log(pouts[-1])
+        chain.update(rows=rows, pouts=pouts, live=live)
+        # a zero multiplier adds an exact zero, so every run shares one op
+        stats.update(objective=tau + lam * (log_pout - log_target)
+                     + ups * (pavg - p_bar), mean_tau_s=tau,
+                     mean_log_pout=log_pout, mean_pavg_w=pavg)
+        return stats["objective"]
+
+    @np.errstate(all="ignore")
+    def push(g):
+        # a clipped sample's g_tau is zero, so its clipped latency serves
+        return np.concatenate(chain_adjoint(
+            chain["rows"], chain["pouts"], stats["mean_tau_s"],
+            g * chain["live"], g * lam, g * ups), axis=-2)
+
+    terms = ad.op("lagrangian", compute, (powers,), (push,))
+    root = ad.divide(ad.reduce_sum(terms), ad.constant(float(b)))
+    return root, stats
 
 
 def _label(run) -> str:
@@ -230,11 +256,6 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
     return train_stack([(scheme, link)], channel_proto, cfg)[0]
 
 
-# at extreme budgets some products in the graph and its adjoints overflow to
-# inf; where that leaves the objective or the gradient non-finite, the
-# checks in the loop raise TrainingDiverged, so numpy's overflow warning
-# would only add noise to stderr
-@np.errstate(over="ignore")
 def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     """Train one policy per (scheme, link) run in one primal-dual loop.
 
@@ -291,11 +312,12 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     guard_level = DIVERGENCE_FACTOR * tau_floor
     tau_clip = TAU_CLIP_FLOORS * tau_floor
 
-    histories = [[] for _ in runs]
     guard_steps = np.zeros(n_runs, dtype=int)
     it = 0
     steps_per_epoch = cfg.dataset_size // cfg.batch_size
-    total_steps = max(1, cfg.epochs * steps_per_epoch)
+    total_steps = cfg.epochs * steps_per_epoch
+    history = np.empty((n_runs, total_steps, len(HISTORY_FIELDS)))
+    history[:, :, 0] = np.arange(total_steps)
     for _epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(cfg.dataset_size)
         for bidx in range(steps_per_epoch):
@@ -305,7 +327,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             try:
                 if tape is None:
                     # the first step records the graph; later steps replay it
-                    root, nodes = batch_lagrangian(
+                    root, per_sample = batch_lagrangian(
                         wnodes, adj, inv_corr, runs, lam, ups,
                         tau_clip=tau_clip)
                     tape = ad.Tape(root)
@@ -320,9 +342,9 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
                 raise TrainingDiverged(
                     f"{who}: cannot evaluate the Lagrangian at iteration "
                     f"{it}: {exc}") from exc
-            # each statistic is its node's per-run mean over the batch
-            stats = {key: node.value.reshape(n_runs, -1).sum(axis=1)
-                     / cfg.batch_size for key, node in nodes.items()}
+            # each statistic is its per-sample array's per-run batch mean
+            stats = {key: v.reshape(n_runs, -1).sum(axis=1) / cfg.batch_size
+                     for key, v in per_sample.items()}
             bad = ~np.isfinite(stats["objective"])
             if bad.any():
                 r = int(np.argmax(bad))
@@ -350,15 +372,13 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
                                 (stats["mean_log_pout"] - log_target))
             ups[:] = np.maximum(0.0, ups + cfg.lr_upsilon *
                                 (stats["mean_pavg_w"] - p_bar))
-            for r, history in enumerate(histories):
-                history.append((it, float(tau[r]),
-                                float(stats["mean_log_pout"][r]),
-                                float(stats["mean_pavg_w"][r]),
-                                float(lam[r]), float(ups[r])))
+            # the step's (R, 5) rows, written field by field through .T
+            history[:, it, 1:].T[...] = (tau, stats["mean_log_pout"],
+                                         stats["mean_pavg_w"], lam, ups)
             it += 1
     return [TrainResult(weights=GcnWeights([m[r].copy() for m in mats],
                                            cfg.seed),
-                        history=histories[r], lam=float(lam[r]),
+                        history=history[r], lam=float(lam[r]),
                         ups=float(ups[r]), guard_steps=int(guard_steps[r]))
             for r in range(n_runs)]
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from harqpower import autodiff as ad
-from harqpower.analytics import (correlation_factor, evaluate,
+from harqpower.analytics import (correlation_factor, evaluate, rate_factors,
                                  scheme_rate_factor)
 from harqpower.cli import SEED_ENV_VAR, main
 from harqpower.gcn import forward, init_weights
@@ -247,6 +247,61 @@ class TestClosedFormIdentities:
         assert correlation_factor(0.5, 2, 1) == 0.984375
 
 
+def generic_lagrangian(rows, inv_corr, runs, lam, ups, tau_clip):
+    """batch_lagrangian's root from the generic ops on per-round power
+    leaves: the reference for its fused Lagrangian op, in the chain's order."""
+    link, k = runs[0][1], len(rows)
+
+    def per_run(values):
+        return ad.constant(np.reshape(values, (-1, 1, 1, 1)))
+
+    factors = np.array([rate_factors(scheme, link.rate, k)
+                        for scheme, _ in runs])
+    prod, pouts = None, []
+    for kk, p in enumerate(rows):
+        prod = p if prod is None else ad.multiply(prod, p)
+        pouts.append(ad.multiply(ad.divide(ad.constant(inv_corr[kk]), prod),
+                                 per_run(factors[:, kk])))
+    spent = ad.constant(1.0)
+    for pout in pouts[:-1]:
+        spent = ad.add(spent, pout)
+    success = ad.add(ad.constant(1.0),
+                     ad.multiply(pouts[-1], ad.constant(-1.0)))
+    eta = ad.divide(ad.multiply(ad.constant(link.rate), success), spent)
+    tau = ad.clamp(ad.divide(ad.constant(link.payload_bits),
+                             ad.multiply(eta, ad.constant(link.bandwidth_hz))),
+                   lo=0.0, hi=tau_clip)
+    pavg = rows[0]
+    for p, pout in zip(rows[1:], pouts[:-1]):
+        pavg = ad.add(pavg, ad.multiply(p, pout))
+    log_slack = ad.add(ad.log(pouts[-1]),
+                       ad.constant(-math.log(link.outage_target)))
+    p_bar = np.array([lk.power_budget_w for _, lk in runs])
+    terms = ad.add(ad.add(tau, ad.multiply(per_run(lam), log_slack)),
+                   ad.multiply(per_run(ups), ad.add(pavg, per_run(-p_bar))))
+    return ad.divide(ad.reduce_sum(terms),
+                     ad.constant(float(rows[0].value.shape[1])))
+
+
+def assert_fused_adjoint_matches_generic(matrices, rho_batch, runs, lam, ups,
+                                         tau_clip):
+    adj, inv_corr = dataset_constants(rho_batch, ChannelParams(rho=0.0))
+    root, stats = batch_lagrangian([ad.parameter(m) for m in matrices], adj,
+                                   inv_corr, runs, lam, ups, tau_clip=tau_clip)
+    ad.backward(root)
+    (terms,) = root.parents[0].parents
+    (powers,) = terms.parents
+    assert terms.kind == "lagrangian"
+    rows = [ad.parameter(powers.value[..., kk:kk + 1, :].copy())
+            for kk in range(powers.value.shape[-2])]
+    ref = generic_lagrangian(rows, inv_corr, runs, lam, ups, tau_clip)
+    ad.backward(ref)
+    assert root.value.tobytes() == ref.value.tobytes()
+    want = np.concatenate([r.adjoint for r in rows], axis=-2)
+    np.testing.assert_allclose(powers.adjoint, want, rtol=1e-12, atol=0.0)
+    return stats
+
+
 class TestGradientCorrectness:
     @staticmethod
     def _instance(seed, link, proto):
@@ -296,6 +351,37 @@ class TestGradientCorrectness:
         report = ad.finite_diff_check(build, weights.matrices, step=1e-4)
         assert report.max_rel_error < 1e-4, \
             f"seed {seed}: max rel error {report.max_rel_error:.3e}"
+
+    @pytest.mark.parametrize("seed", FD_SEEDS)
+    def test_fused_adjoint_matches_generic_ops(self, seed):
+        link = LinkConfig()
+        weights, rho_batch, scheme = self._instance(
+            seed, link, ChannelParams(rho=0.0))
+        tau_clip = 10.0 * link.payload_bits / (link.bandwidth_hz * link.rate)
+        assert_fused_adjoint_matches_generic(
+            weights.matrices, rho_batch, [(scheme, link)], *FD_DUALS, tau_clip)
+
+    def test_fused_adjoint_matches_generic_ops_on_a_stack(self):
+        link = LinkConfig()
+        weights, rho_batch, _ = self._instance(4, link, ChannelParams(rho=0.0))
+        runs = [(scheme, LinkConfig(power_budget_dbw=budget)) for scheme, budget
+                in zip(SCHEMES, (14.0, 15.0, 16.0))]
+        assert_fused_adjoint_matches_generic(
+            [np.stack([m] * 3) for m in weights.matrices], rho_batch, runs,
+            np.array([0.05, 0.0, 0.02]), np.array([1e-3, 2e-4, 0.0]), 0.5)
+
+    def test_fused_adjoint_matches_generic_ops_where_the_clip_binds(self):
+        link = LinkConfig()
+        weights, rho_batch, scheme = self._instance(
+            6, link, ChannelParams(rho=0.0))
+        adj, inv_corr = dataset_constants(rho_batch, ChannelParams(rho=0.0))
+        _, stats = batch_lagrangian([ad.constant(m) for m in weights.matrices],
+                                    adj, inv_corr, [(scheme, link)], 0.0, 0.0)
+        tau_clip = float(np.median(stats["mean_tau_s"]))
+        stats = assert_fused_adjoint_matches_generic(
+            weights.matrices, rho_batch, [(scheme, link)], *FD_DUALS, tau_clip)
+        clipped = stats["mean_tau_s"] == tau_clip
+        assert clipped.any() and not clipped.all()
 
 
 class TestLearnedVersusOracle:

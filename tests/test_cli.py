@@ -127,6 +127,10 @@ class TestExitCodes:
          "--dataset-size", 10, "--batch-size", 10),
         ("sweep-power", "--budget-lo-dbw", 4000, "--budget-hi-dbw", 4000,
          "--epochs", 1, "--dataset-size", 10, "--batch-size", 10),
+        # (2 ** rate - 1) ** k and 2 ** rate overflow a float
+        ("mc-validate", "--trials", 1000, "--rate", 1000),
+        ("train", "--epochs", 1, "--dataset-size", 10, "--batch-size", 10,
+         "--rate", 2000),
     ], ids=lambda argv: " ".join(str(a) for a in argv))
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -192,6 +196,23 @@ class TestExitCodes:
             assert err == []
         else:
             assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        *[("train", "--scheme", scheme, "--rounds", rounds)
+          for rounds in (300, 400) for scheme in ("ir", "cc", "type1")],
+        ("train", "--scheme", "type1", "--rounds", 250),
+        ("sweep-rho", "--rounds", 400)],
+        ids=lambda argv: " ".join(str(a) for a in argv))
+    def test_many_rounds_exit_1_with_one_line(self, tmp_path, capsys, argv):
+        # the power products underflow, so the chain meets inf * 0 before
+        # it fails; any numpy warning raises here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(*argv, "--epochs", 1, "--dataset-size", 1,
+                     "--batch-size", 1, "--out", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_budget_below_power_floor_exits_1(self, tmp_path, capsys):
         # the grid would top out at -97 dBW, under the 1e-6 W power floor

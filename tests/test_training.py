@@ -34,11 +34,11 @@ def scalar_policy(scale):
     return [np.array([[scale]])]
 
 
-def run_means(nodes, n_runs, batch_size):
-    """Per-run batch means of batch_lagrangian's nodes, as train_stack
-    computes a step's statistics."""
-    return {key: node.value.reshape(n_runs, -1).sum(axis=1) / batch_size
-            for key, node in nodes.items()}
+def run_means(per_sample, n_runs, batch_size):
+    """Per-run batch means of batch_lagrangian's per-sample statistics, as
+    train_stack computes a step's statistics."""
+    return {key: v.reshape(n_runs, -1).sum(axis=1) / batch_size
+            for key, v in per_sample.items()}
 
 
 def lagrangian(wnodes, rho, scheme, lam, ups, tau_clip=None):
@@ -236,7 +236,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=2, dataset_size=100, batch_size=50)
         r1 = train(Scheme.INCREMENTAL, LINK, PROTO, cfg)
         r2 = train(Scheme.INCREMENTAL, LINK, PROTO, cfg)
-        assert r1.history == r2.history
+        assert r1.history.tobytes() == r2.history.tobytes()
         assert all(np.array_equal(a, b)
                    for a, b in zip(r1.weights.matrices, r2.weights.matrices))
         assert r1.lam == r2.lam and r1.ups == r2.ups
@@ -267,13 +267,14 @@ class TestTrainStack:
         assert len(stacked) == len(self.RUNS)
         for (scheme, link), got in zip(self.RUNS, stacked):
             alone = train(scheme, link, PROTO, cfg)
-            assert got.history == alone.history
+            assert got.history.tobytes() == alone.history.tobytes()
             assert all(np.array_equal(a, b) for a, b in
                        zip(got.weights.matrices, alone.weights.matrices))
             assert (got.lam, got.ups, got.guard_steps) == \
                 (alone.lam, alone.ups, alone.guard_steps)
         # the runs really differ: each scheme and budget trains its own net
-        assert len({r.history[-1][1:] for r in stacked}) == len(self.RUNS)
+        assert len({r.history[-1, 1:].tobytes() for r in stacked}) == \
+            len(self.RUNS)
 
     @pytest.mark.parametrize("other", [
         LinkConfig(rate=1.5), LinkConfig(outage_target=1e-3),

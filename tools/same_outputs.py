@@ -8,13 +8,15 @@ and against this tree's src/, each in an empty directory with HARQPOWER_SEED
 unset.  It compares the exit codes, stdout, stderr and every file the
 command wrote; the path of each src/ reads as <src> in stdout and stderr,
 so a traceback differs only if its text does.  Prints one line per command
-and exits 1 when any command differs, naming each difference, and 2 when
-REF has no src/ to archive.
+and exits 1 when any command differs, naming each difference (for a
+checkpoint, with the largest move of a weight in units in the last place),
+and 2 when REF has no src/ to archive.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import struct
 import subprocess
 import sys
 import tarfile
@@ -38,6 +40,7 @@ COMMANDS = [
     ("train", "--power-budget-dbw", "1000") + TINY_TRAIN,
     ("train", "--power-budget-dbw", "2000") + TINY_TRAIN,
     ("train", "--seed", "-1") + TINY_TRAIN,
+    ("train", "--rounds", "400") + TINY_TRAIN,
     ("sweep-power", "--epochs", "25", "--budget-lo-dbw", "14.5",
      "--budget-hi-dbw", "17.5"),
     ("sweep-power", "--epochs", "25"),
@@ -50,6 +53,7 @@ COMMANDS = [
     ("mc-validate", "--power-dbw", "600"),
     ("mc-validate", "--power-dbw", "1000", "--trials", "1000"),
     ("mc-validate", "--power-dbw", "3000", "--trials", "1000"),
+    ("mc-validate", "--trials", "1000", "--rate", "1000"),
     ("oracle", "--points", "40"),
     ("oracle", "--points", "100", "--rho", "0.6"),
     ("selftest",),
@@ -84,6 +88,18 @@ def run_command(src: Path, argv, cwd: Path) -> dict:
     return result
 
 
+def checkpoint_weights(text: bytes) -> list:
+    """The weights of a checkpoint file, in file order."""
+    return [float(x) for line in text.decode().splitlines()[4:]
+            if not line.startswith("matrix") for x in line.split()]
+
+
+def ordered(x: float) -> int:
+    """x's place among the doubles: adjacent doubles differ by one."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
 def differences(ref: dict, new: dict) -> list:
     diffs = []
     for key in sorted(set(ref) | set(new)):
@@ -91,9 +107,17 @@ def differences(ref: dict, new: dict) -> list:
             diffs.append(f"{key} missing")
         elif key not in ref:
             diffs.append(f"{key} new")
+        elif key == "exit code" and ref[key] != new[key]:
+            diffs.append(f"exit code {ref[key]} -> {new[key]}")
         elif ref[key] != new[key]:
-            diffs.append(f"exit code {ref[key]} -> {new[key]}"
-                         if key == "exit code" else f"{key} differs")
+            diffs.append(f"{key} differs")
+            if Path(key).name.startswith("checkpoint_"):
+                old, now = (checkpoint_weights(ref[key]),
+                            checkpoint_weights(new[key]))
+                if len(old) == len(now):
+                    ulp = max(abs(ordered(a) - ordered(b))
+                              for a, b in zip(old, now))
+                    diffs[-1] += f" (weights move by up to {ulp} ulp)"
     return diffs
 
 
