@@ -53,6 +53,34 @@ __all__ = ["McEstimate", "sample_channel_coeffs", "outage_event",
 CHUNK_TRIALS = 1 << 15
 
 
+# Cephes' i0.c Chebyshev coefficients for exp(-x) I0(x) (tables A and B, the
+# ones numpy's np.i0 uses), as the doubles they parse to: 30 for x <= 8 in
+# y = x/2 - 2, and 25 for x > 8 in y = 32/x - 2, that series over sqrt(x)
+_I0E_TO_8 = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+_I0E_ABOVE_8 = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
+
+
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
@@ -221,18 +249,63 @@ def estimate_profile(policy: PowerPolicy, channel: ChannelParams, rate: float,
     return _profiles(means, np.sqrt(means * (1.0 - means) / trials))
 
 
-def _rician_power_pdf(u, mean_sq, var, i0e, out, arg):
+def _chbevl(y, coeffs, bufs, out):
+    """Cephes' chbevl: the Chebyshev series `coeffs` at y into `out`, adding
+    in its order, with the b0, b1, b2 terms rotating through `bufs`."""
+    b0, b1, b2 = bufs
+    b0.fill(coeffs[0])
+    b1.fill(0.0)
+    for c in coeffs[1:]:
+        b0, b1, b2 = b2, b0, b1
+        np.multiply(y, b1, out=b0)
+        np.subtract(b0, b2, out=b0)
+        np.add(b0, c, out=b0)
+    np.subtract(b0, b2, out=out)
+    np.multiply(0.5, out, out=out)
+
+
+def _i0e(x, out, scratch):
+    """exp(-x) I0(x) for x >= 0 into `out`, which may be `x`, bit for bit
+    as Cephes' i0e; `scratch` holds five float rows of x's length.
+
+    The series up to 8 runs on every element and the one above 8 only when
+    some element needs it, the one case that allocates (a bool mask of the
+    elements above 8).  Each series reads x clamped into its own range,
+    and the one up to 8 also from below at 1e-300, where x/2 - 2 is already
+    -2, so no step overflows, underflows or divides by zero.
+    """
+    y, bufs, high = scratch[0], scratch[1:4], scratch[4]
+    above = None
+    if x.max() > 8.0:
+        np.maximum(x, 8.0, out=y)
+        np.divide(32.0, y, out=y)
+        np.subtract(y, 2.0, out=y)
+        _chbevl(y, _I0E_ABOVE_8, bufs, high)
+        np.maximum(x, 8.0, out=y)
+        np.sqrt(y, out=y)
+        np.divide(high, y, out=high)
+        above = x > 8.0
+    np.clip(x, 1e-300, 8.0, out=y)
+    np.divide(y, 2.0, out=y)
+    np.subtract(y, 2.0, out=y)
+    _chbevl(y, _I0E_TO_8, bufs, out)
+    if above is not None:
+        np.copyto(out, high, where=above)
+
+
+def _rician_power_pdf(u, mean_sq, var, out, arg, scratch):
     """Density of |h|^2 at u when h ~ CN(m, var), |m|^2 = mean_sq, into `out`.
 
-    Written with the exponentially scaled Bessel term `i0e` (scipy's) so the
-    exponent is -(sqrt(u) - |m|)^2 / var <= 0, stable for any argument.
-    `arg` is scratch, and `mean_sq` is overwritten with its square root.
+    Written with the exponentially scaled Bessel term i0e so the exponent is
+    -(sqrt(u) - |m|)^2 / var <= 0, stable for any argument.  `arg` and the
+    five rows of `scratch` are scratch, and `mean_sq` is overwritten with its
+    square root.
     """
     np.multiply(u, mean_sq, out=arg)
     np.sqrt(arg, out=arg)
     np.multiply(2.0, arg, out=arg)
     np.divide(arg, var, out=arg)
-    i0e(arg, out=arg)
+    _i0e(arg, arg, scratch)
     np.sqrt(u, out=out)
     np.sqrt(mean_sq, out=mean_sq)
     np.subtract(out, mean_sq, out=out)
@@ -257,10 +330,6 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
     for all schemes; an estimate is the mean of weight * event after round
     k, and its stderr is the sample standard error of that mean.
     """
-    # scipy is imported here, the one place that needs it, so that no other
-    # command pays for loading it; importing before _map_chunks starts any
-    # worker keeps the first import on the calling thread
-    from scipy.special import i0e
     t = 2.0 ** rate - 1.0
     n_rounds = channel.num_rounds
     powers = np.asarray(policy.powers)
@@ -280,6 +349,7 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
         z = np.empty((m_max, 2))
         draw = np.empty((m_max, n_rounds))
         a0_sq, mean_sq, arg = np.empty((3, m_max))
+        bessel = np.empty((5, m_max))
         # u holds the uniform draws, then (scaled in place) the gains
         u, w, work = np.empty((3, n_rounds, m_max))
         event = np.empty((n_rounds, m_max), dtype=bool)
@@ -297,7 +367,8 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
                 uj, wj = u[j, :m], w[j, :m]
                 np.multiply(draw[:m, j], u_max[j], out=uj)
                 np.multiply(shared_sq[j], a0, out=mean_sq[:m])
-                _rician_power_pdf(uj, mean_sq[:m], var[j], i0e, wj, arg[:m])
+                _rician_power_pdf(uj, mean_sq[:m], var[j], wj, arg[:m],
+                                  bessel[:, :m])
                 np.multiply(wj, u_unit[j], out=wj)
                 if j:
                     np.multiply(w[j - 1, :m], wj, out=wj)

@@ -419,19 +419,32 @@ def run_fresh(code: str, cwd) -> str:
 
 
 class TestStartUpImports:
-    """scipy is loaded only by the commands that call it, and
-    concurrent.futures by none.
+    """No command loads scipy, and none loads concurrent.futures.
 
     This file's own process has scipy loaded already (other test modules
     import it), so these checks run in fresh interpreters.
     """
 
-    def test_commands_without_scipy_never_load_it(self, tmp_path):
+    def test_no_command_needs_scipy(self, tmp_path):
+        # any import of scipy fails in this interpreter; the two-thread
+        # conditional run comes before the one-thread run, so its first
+        # chunks run on a worker pool, three chunks split over two workers,
+        # and its report must equal the one-thread report
         code = """
+import importlib.abc
 import sys
-import harqpower
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked: " + name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
 from harqpower import cli
 fast = ["--epochs", "1", "--dataset-size", "10", "--batch-size", "10"]
+conditional = ["mc-validate", "--estimator", "conditional",
+               "--trials", "70000", "--seed", "8"]
 for name, argv in [
         ("train", ["train", *fast]),
         ("sweep-power", ["sweep-power", "--budget-lo-dbw", "15",
@@ -439,31 +452,17 @@ for name, argv in [
         ("sweep-rho", ["sweep-rho", "--rho-points", "2", *fast]),
         ("oracle", ["oracle", "--points", "8"]),
         ("mc-validate", ["mc-validate", "--estimator", "direct",
-                         "--trials", "1000"])]:
+                         "--trials", "1000"]),
+        ("t2", [*conditional, "--threads", "2"]),
+        ("t1", [*conditional, "--threads", "1"]),
+        ("selftest", ["selftest"])]:
     assert cli.main(argv + ["--out", name]) == 0, name
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
         assert run_fresh(code, tmp_path).splitlines()[-1] == "[]"
         for name in ("train", "sweep-power", "sweep-rho", "oracle",
-                     "mc-validate"):
+                     "mc-validate", "t2", "t1"):
             assert (tmp_path / name / "manifest.txt").exists()
-
-    def test_conditional_estimator_first_loads_scipy_under_threads(
-            self, tmp_path):
-        # the two-thread run comes first, so its process imports scipy while
-        # a worker pool is about to start; three chunks split over two
-        # workers, and the report must equal the one-thread report
-        code = """
-import sys
-from harqpower import cli
-assert not any(m.startswith("scipy") for m in sys.modules)
-for threads in ("2", "1"):
-    assert cli.main(["mc-validate", "--estimator", "conditional",
-                     "--trials", "70000", "--seed", "8",
-                     "--threads", threads, "--out", "t" + threads]) == 0
-print("scipy.special" in sys.modules)
-"""
-        assert run_fresh(code, tmp_path).splitlines()[-1] == "True"
         assert (tmp_path / "t2" / "mc_report.csv").read_bytes() == \
             (tmp_path / "t1" / "mc_report.csv").read_bytes()
 

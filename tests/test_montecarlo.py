@@ -10,7 +10,9 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +160,51 @@ class TestDirectEstimator:
         assert_schemes_ordered(prof)
         # the first round decides alike under every combining scheme
         assert prof[Scheme.TYPE_I][0] == prof[Scheme.CHASE][0]
+
+
+class TestBesselTerm:
+    """montecarlo._i0e against scipy.special.i0e, the Cephes routine whose
+    series and float order it copies."""
+
+    EDGES = [0.0, 5e-324, 1e-300, np.nextafter(8.0, 0.0), 8.0,
+             np.nextafter(8.0, 9.0), 709.0, 710.0, 1e300]
+
+    @staticmethod
+    def i0e(x, out=None):
+        out = np.empty_like(x) if out is None else out
+        montecarlo._i0e(x, out, np.empty((5, x.size)))
+        return out
+
+    def test_bits_match_scipy_without_warnings(self):
+        from scipy.special import i0e
+        rng = np.random.default_rng(12)
+        # log-uniform over [1e-300, 1e300] and uniform over [0, 16] in one
+        # array, so one call runs both series
+        x = np.concatenate([self.EDGES,
+                            10.0 ** rng.uniform(-300.0, 300.0, 1_000_000),
+                            rng.uniform(0.0, 16.0, 500_000)])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            want = i0e(x)
+            got = self.i0e(x)
+            aliased = x.copy()
+            assert self.i0e(aliased, out=aliased) is aliased
+            edges = self.i0e(np.array(self.EDGES))
+        assert got.tobytes() == want.tobytes()
+        assert aliased.tobytes() == want.tobytes()
+        assert edges.tobytes() == want[:len(self.EDGES)].tobytes()
+
+    def test_one_row_allocates_less_than_a_row(self):
+        x = np.random.default_rng(3).uniform(0.0, 16.0, CHUNK_TRIALS)
+        out, scratch = np.empty_like(x), np.empty((5, x.size))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            montecarlo._i0e(x, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
 
 
 class TestConditionalEstimator:
