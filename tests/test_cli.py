@@ -418,19 +418,8 @@ def run_fresh(code: str, cwd) -> str:
     return proc.stdout
 
 
-class TestStartUpImports:
-    """No command loads scipy, and none loads concurrent.futures.
-
-    This file's own process has scipy loaded already (other test modules
-    import it), so these checks run in fresh interpreters.
-    """
-
-    def test_no_command_needs_scipy(self, tmp_path):
-        # any import of scipy fails in this interpreter; the two-thread
-        # conditional run comes before the one-thread run, so its first
-        # chunks run on a worker pool, three chunks split over two workers,
-        # and its report must equal the one-thread report
-        code = """
+# prelude for fresh interpreters: any import of scipy raises ImportError
+BLOCK_SCIPY = """
 import importlib.abc
 import sys
 
@@ -441,10 +430,21 @@ class NoScipy(importlib.abc.MetaPathFinder):
         return None
 
 sys.meta_path.insert(0, NoScipy())
+"""
+
+
+class TestStartUpImports:
+    """No command loads scipy, and none loads concurrent.futures.
+
+    This file's own process has scipy loaded already (other test modules
+    import it), so these checks run in fresh interpreters.
+    """
+
+    def test_commands_without_scipy_never_load_it(self, tmp_path):
+        # any import of scipy fails in this interpreter
+        code = BLOCK_SCIPY + """
 from harqpower import cli
 fast = ["--epochs", "1", "--dataset-size", "10", "--batch-size", "10"]
-conditional = ["mc-validate", "--estimator", "conditional",
-               "--trials", "70000", "--seed", "8"]
 for name, argv in [
         ("train", ["train", *fast]),
         ("sweep-power", ["sweep-power", "--budget-lo-dbw", "15",
@@ -453,16 +453,30 @@ for name, argv in [
         ("oracle", ["oracle", "--points", "8"]),
         ("mc-validate", ["mc-validate", "--estimator", "direct",
                          "--trials", "1000"]),
-        ("t2", [*conditional, "--threads", "2"]),
-        ("t1", [*conditional, "--threads", "1"]),
         ("selftest", ["selftest"])]:
     assert cli.main(argv + ["--out", name]) == 0, name
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
         assert run_fresh(code, tmp_path).splitlines()[-1] == "[]"
         for name in ("train", "sweep-power", "sweep-rho", "oracle",
-                     "mc-validate", "t2", "t1"):
+                     "mc-validate"):
             assert (tmp_path / name / "manifest.txt").exists()
+
+    def test_conditional_estimator_first_loads_scipy_under_threads(
+            self, tmp_path):
+        # the conditional estimator once loaded scipy on first use; it now
+        # runs with scipy blocked. The two-thread run comes first, so its
+        # first chunks run on a worker pool, three chunks split over two
+        # workers, and the report must equal the one-thread report
+        code = BLOCK_SCIPY + """
+from harqpower import cli
+for threads in ("2", "1"):
+    assert cli.main(["mc-validate", "--estimator", "conditional",
+                     "--trials", "70000", "--seed", "8",
+                     "--threads", threads, "--out", "t" + threads]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+        assert run_fresh(code, tmp_path).splitlines()[-1] == "[]"
         assert (tmp_path / "t2" / "mc_report.csv").read_bytes() == \
             (tmp_path / "t1" / "mc_report.csv").read_bytes()
 
