@@ -1,8 +1,7 @@
 """Learned power allocation for latency-optimal HARQ over correlated fading."""
 
 from .analytics import (analytic_chain, correlation_factor, evaluate,
-                        inverse_correlation, ir_rate_factor, rate_factors,
-                        scheme_rate_factor)
+                        rate_factors)
 from .gcn import (GcnWeights, forward, init_weights, load_checkpoint,
                   save_checkpoint)
 from .graph import batch_adjacency, normalize_adjacency, session_adjacency

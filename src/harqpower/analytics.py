@@ -13,7 +13,8 @@ For round k the asymptote factors as
     P_out_k ~ scale_k * rate_factor_k
 
 where scale_k folds the power allocation and the correlation penalty, and
-rate_factor_k depends only on (scheme, rate, k).
+rate_factor_k depends only on (scheme, rate, k); correlation_factor and
+rate_factors return them for every round 1..K in one prefix pass.
 """
 from __future__ import annotations
 
@@ -26,95 +27,80 @@ from .types import (OUTAGE_CAP, ChannelParams, LinkConfig, PerformanceReport,
 
 __all__ = [
     "correlation_factor",
-    "ir_rate_factor",
-    "scheme_rate_factor",
     "rate_factors",
-    "inverse_correlation",
     "analytic_chain",
     "chain_adjoint",
     "evaluate",
 ]
 
 
-def correlation_factor(rho: float, rounds: int, delta: int = 1) -> float:
-    """Correlation penalty of the first `rounds` transmissions.
+def correlation_factor(rho, rounds: int, delta: int = 1) -> np.ndarray:
+    """Correlation penalties of the first k = 1..`rounds` transmissions.
 
-    With t_j = rho^{2(j+delta-1)} the penalty is
-
-        (1 + sum_j t_j/(1-t_j)) * prod_j (1-t_j)
-
-    computed here in the algebraically equivalent expanded form
+    Entry k-1 of the (rounds,) + np.shape(rho) result is, with
+    t_j = rho^{2(j+delta-1)} over j <= k, the penalty
+    (1 + sum_j t_j/(1-t_j)) * prod_j (1-t_j) in the expanded form
 
         prod_j (1-t_j) + sum_j t_j * prod_{i!=j} (1-t_i)
 
     which is exact in floating point for the identity cases (single round,
-    or rho = 0) and exact for dyadic-rational rho.
+    or rho = 0) and for dyadic-rational rho.  Round k multiplies the product
+    and every earlier term by (1-t_k) and adds t_k (1-t_1) ... (1-t_{k-1});
+    products run left to right and the sum in j order.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    rho = np.asarray(rho, dtype=np.float64)
+    inside = (0.0 <= rho) & (rho < 1.0)  # False for a NaN
+    if not np.all(inside):
+        raise ValueError(f"rho must lie in [0, 1), got {rho[~inside][0]}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    t = [rho ** (2 * (j + delta - 1)) for j in range(1, rounds + 1)]
-    total = 1.0
-    for tj in t:
-        total *= 1.0 - tj
-    for j, tj in enumerate(t):
-        term = tj
-        for i, ti in enumerate(t):
-            if i != j:
-                term *= 1.0 - ti
-        total += term
-    return total
+    flat = rho.ravel().tolist()
+    # keep's rows 1..k hold 1 - t_j; terms' row 0 the product, row j term j
+    keep, terms = np.empty((2, rounds + 1, len(flat)))
+    terms[0] = 1.0
+    out = np.empty((rounds, len(flat)))
+    for k in range(1, rounds + 1):
+        # Python's float power: numpy's vector power can miss it by an ulp
+        keep[0] = [r ** (2 * (k + delta - 1)) for r in flat]
+        fresh = np.multiply.accumulate(keep[:k])[-1]  # row by row, in order
+        keep[k] = 1.0 - keep[0]
+        terms[:k] *= keep[k]
+        terms[k] = fresh
+        out[k - 1] = np.add.accumulate(terms[:k + 1])[-1]
+    return out.reshape((rounds,) + rho.shape)
 
 
-def ir_rate_factor(rate: float, rounds: int) -> float:
-    """Rate coefficient of the incremental-redundancy outage asymptote.
+def rate_factors(scheme: Scheme, rate: float, rounds: int) -> list:
+    """Rate coefficients of rounds K = 1..`rounds`, in Python floats.
 
-    For K combined rounds at rate R:
+    Type-I's is (2^R - 1)^K, Chase combining's (2^R - 1)^K / K! (the K-fold
+    MRC integral's volume) and incremental redundancy's
 
         (-1)^K + 2^R * sum_{k=0}^{K-1} (-1)^k (R ln 2)^{K-k-1} / (K-k-1)!
 
-    Nonnegative for all R >= 0; equals 2^R - 1 at K = 1 and tends to 0 as
-    R -> 0.
+    which equals 2^R - 1 at K = 1, tends to 0 as R -> 0 and is positive in
+    exact arithmetic, though its alternating sum can cancel to <= 0 in
+    floating point.  A huge rate raises OverflowError.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if rate < 0:
         raise ValueError("rate must be nonnegative")
-    x = rate * math.log(2.0)
-    acc = 0.0
-    for k in range(rounds):
-        m = rounds - k - 1
-        fact = 1.0
-        for i in range(2, m + 1):
-            fact *= i
-        acc += (-1.0) ** k * x ** m / fact
-    return (-1.0) ** rounds + 2.0 ** rate * acc
-
-
-def scheme_rate_factor(scheme: Scheme, rate: float, rounds: int) -> float:
-    """Scheme-specific coefficient multiplying the power/correlation scale."""
-    if scheme is Scheme.INCREMENTAL:
-        return ir_rate_factor(rate, rounds)
-    base = (2.0 ** rate - 1.0) ** rounds
-    if scheme is Scheme.TYPE_I:
-        return base
-    # Chase combining: the K-fold MRC integral contributes a 1/K! volume.
-    fact = 1.0
-    for i in range(2, rounds + 1):
-        fact *= i
-    return base / fact
-
-
-def rate_factors(scheme: Scheme, rate: float, rounds: int) -> list:
-    """scheme_rate_factor for rounds 1..rounds, as analytic_chain takes them."""
-    return [scheme_rate_factor(scheme, rate, k) for k in range(1, rounds + 1)]
-
-
-def inverse_correlation(channel: ChannelParams) -> list:
-    """1 / correlation_factor for rounds 1..K of one session."""
-    return [1.0 / correlation_factor(channel.rho, k, channel.delta)
-            for k in range(1, channel.num_rounds + 1)]
+    fact = [1.0]  # fact[m] = 2 * 3 * ... * m
+    for m in range(1, rounds + 1):
+        fact.append(fact[-1] * m)
+    if scheme is not Scheme.INCREMENTAL:
+        powers = [(2.0 ** rate - 1.0) ** k for k in range(1, rounds + 1)]
+        return (powers if scheme is Scheme.TYPE_I
+                else [p / f for p, f in zip(powers, fact[1:])])
+    q = [(rate * math.log(2.0)) ** m / fact[m] for m in range(rounds)]
+    factors = []
+    for n in range(1, rounds + 1):
+        acc = 0.0
+        for k in range(n):
+            acc += (-1.0) ** k * q[n - k - 1]
+        factors.append((-1.0) ** n + 2.0 ** rate * acc)
+    return factors
 
 
 def analytic_chain(powers, inv_corr, factors, link: LinkConfig,
@@ -188,9 +174,11 @@ def evaluate(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,
     """Full analytic report for one policy under one channel draw."""
     if policy.num_rounds != channel.num_rounds:
         raise ValueError("policy and channel round counts differ")
+    k = channel.num_rounds
+    inv_corr = (1.0 / correlation_factor(channel.rho, k, channel.delta)).tolist()
     outages, eta, tau, pavg = analytic_chain(
-        policy.powers, inverse_correlation(channel),
-        rate_factors(scheme, link.rate, channel.num_rounds), link, capped=True)
+        policy.powers, inv_corr, rate_factors(scheme, link.rate, k), link,
+        capped=True)
     profile = tuple(float(p) for p in outages)
     pavg = float(pavg)
     return PerformanceReport(

@@ -66,11 +66,12 @@ CONFIG_SCHEMA = {
     "budget_lo_dbw": float, "budget_hi_dbw": float,
 }
 
-# dBW keys and their upper bound: the watts of any accepted value, and of
-# the oracle grid's top 3 dB above it, stay finite (the largest float is
-# about 10 ** 308.25)
+# dBW keys and their bounds: the watts of any accepted value, and of the
+# oracle grid's top 3 dB above it, stay finite and normal (floats span about
+# 10 ** -307.65 to 10 ** 308.25), and a 1e-9 dB step still moves a value
 DBW_KEYS = ("power_dbw", "power_budget_dbw", "budget_lo_dbw", "budget_hi_dbw")
 MAX_DBW = math.floor(10.0 * math.log10(sys.float_info.max)) - 3.0
+MIN_DBW = math.ceil(10.0 * math.log10(sys.float_info.min))
 
 # smallest accepted value of the integer keys that count something, and
 # of the seed (numpy's seed sequences take only non-negative integers)
@@ -136,9 +137,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if kind is float and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     for key in DBW_KEYS:
-        if cfg[key] > MAX_DBW:
-            raise ConfigError(f"{key} must be <= {MAX_DBW:g} dBW, where watts "
-                              f"stay finite, got {cfg[key]}")
+        if not MIN_DBW <= cfg[key] <= MAX_DBW:
+            raise ConfigError(f"{key} must lie in [{MIN_DBW:g}, {MAX_DBW:g}] "
+                              f"dBW, where watts stay finite and normal, "
+                              f"got {cfg[key]}")
     if cfg["budget_lo_dbw"] > cfg["budget_hi_dbw"]:
         raise ConfigError(f"budget_lo_dbw {cfg['budget_lo_dbw']} exceeds "
                           f"budget_hi_dbw {cfg['budget_hi_dbw']}")
@@ -159,15 +161,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
         _build(LinkConfig, cfg)
         _build(TrainConfig, cfg)
         # every command computes these, and a huge rate overflows them
-        finite = all(math.isfinite(f) for scheme in Scheme
-                     for f in rate_factors(scheme, cfg["rate"], cfg["rounds"]))
+        factors = [(k, scheme, f) for scheme in Scheme for k, f in enumerate(
+            rate_factors(scheme, cfg["rate"], cfg["rounds"]), 1)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     except OverflowError:
-        finite = False
-    if not finite:
+        factors = None
+    if factors is None or not all(math.isfinite(f) for _, _, f in factors):
         raise ConfigError(f"rate {cfg['rate']:g} overflows a rate factor "
                           f"within {cfg['rounds']} rounds")
+    # rounding can leave a factor at or below 0 (IR's alternating sum
+    # cancels, a factorial overflows), where outages would not be positive
+    for k, scheme, f in sorted(factors, key=lambda kf: kf[0]):
+        if f <= 0.0:
+            raise ConfigError(f"rate {cfg['rate']:g} leaves the {scheme.value} "
+                              f"rate factor of round {k} at {f:g}, not "
+                              "positive; use fewer rounds")
     return cfg
 
 
@@ -276,10 +285,17 @@ def cmd_mc_validate(cfg: dict, out_dir: str) -> int:
     power_w = dbw_to_watts(cfg["power_dbw"])
     policy = PowerPolicy((power_w,) * cfg["rounds"])
     link = _build(LinkConfig, cfg)
-    profiles = {scheme: evaluate(policy, channel, scheme, link).outage_profile
-                for scheme in Scheme}
-    # every ratio divides by the analytic outage, which underflows to 0 at
-    # extreme powers; such a report has no meaning, so nothing is sampled
+    # every ratio divides by the analytic outage, which has no value when
+    # the power product underflows to 0 at low powers, and underflows to 0
+    # at high ones; such a report has no meaning, so nothing is sampled
+    try:
+        profiles = {scheme: evaluate(policy, channel, scheme, link).outage_profile
+                    for scheme in Scheme}
+    except ZeroDivisionError:
+        raise CommandError(
+            f"the analytic outages divide by zero at {cfg['power_dbw']:g} dBW "
+            f"over {cfg['rounds']} rounds, so no Monte-Carlo ratio has a "
+            "value") from None
     for scheme, profile in profiles.items():
         if 0.0 in profile:
             raise CommandError(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import analytic_chain, inverse_correlation, rate_factors
+from .analytics import analytic_chain, correlation_factor, rate_factors
 from .types import (P_MIN_WATTS, ChannelParams, LinkConfig,
                     PowerPolicy, Scheme, dbw_to_watts)
 
@@ -83,7 +83,7 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
         raise ComplexityGuard(
             f"grid search supports at most {MAX_GRID_ROUNDS} rounds, got {k}")
     axis = grid.axis()
-    inv_corr = inverse_correlation(channel)
+    inv_corr = (1.0 / correlation_factor(channel.rho, k, channel.delta)).tolist()
     factors = rate_factors(scheme, link.rate, k)
     size = grid.points_per_axis ** k
     # each block's best feasible point as (tau, pavg, powers, P_out_K)

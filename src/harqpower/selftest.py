@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .analytics import (analytic_chain, correlation_factor, evaluate,
-                        ir_rate_factor, rate_factors, scheme_rate_factor)
+                        rate_factors)
 from .gcn import forward, init_weights, load_checkpoint, save_checkpoint
 from .graph import session_adjacency
 from .montecarlo import estimate_outage_conditional, estimate_profile
@@ -34,30 +34,26 @@ def _expect(ok, what: str = "") -> None:
 
 def _check_correlation_identities():
     for rho in (0.0, 0.1, 0.37, 0.73, 0.98):
-        _expect(correlation_factor(rho, 1) == 1.0, f"single round at rho={rho}")
-    for k in (1, 2, 3, 5):
-        _expect(correlation_factor(0.0, k) == 1.0, f"rho=0 at k={k}")
-    _expect(correlation_factor(0.5, 2) == 0.984375, "dyadic value at rho=0.5")
-    for rho in (0.2, 0.6, 0.9):
-        vals = [correlation_factor(rho, k) for k in range(1, 6)]
-        _expect(all(0.0 < v <= 1.0 for v in vals), f"range at rho={rho}")
-        _expect(all(a >= b for a, b in zip(vals, vals[1:])), "nonincreasing in k")
+        _expect(correlation_factor(rho, 1)[0] == 1.0, f"single round at rho={rho}")
+    _expect(np.all(correlation_factor(0.0, 5) == 1.0), "rho=0 at k=1..5")
+    _expect(correlation_factor(0.5, 2)[1] == 0.984375, "dyadic value at rho=0.5")
+    vals = correlation_factor(np.array([0.2, 0.6, 0.9]), 5)
+    _expect(np.all((0.0 < vals) & (vals <= 1.0)), "range at rho=0.2, 0.6, 0.9")
+    _expect(np.all(vals[:-1] >= vals[1:]), "nonincreasing in k")
 
 
 def _check_rate_factor():
+    ir = Scheme.INCREMENTAL
     for rate in (0.5, 1.0, 2.0, 4.0):
-        _expect(ir_rate_factor(rate, 1) == 2.0 ** rate - 1.0, f"K=1 at rate={rate}")
-    for k in (1, 2, 3, 4):
-        _expect(ir_rate_factor(0.0, k) == 0.0, f"zero rate at k={k}")
+        _expect(rate_factors(ir, rate, 1) == [2.0 ** rate - 1.0], f"K=1 at rate={rate}")
+    _expect(rate_factors(ir, 0.0, 4) == [0.0] * 4, "zero rate at k=1..4")
     x = 2.0 * math.log(2.0)
-    _expect(abs(ir_rate_factor(2.0, 3) - (-1.0 + 4.0 * (x * x / 2.0 - x + 1.0)))
+    _expect(abs(rate_factors(ir, 2.0, 3)[2] - (-1.0 + 4.0 * (x * x / 2.0 - x + 1.0)))
             < 1e-12, "closed form at rate=2, K=3")
     for rate in (0.5, 1.0, 2.0, 3.0, 4.0):
-        for k in range(1, 6):
-            ir = scheme_rate_factor(Scheme.INCREMENTAL, rate, k)
-            cc = scheme_rate_factor(Scheme.CHASE, rate, k)
-            t1 = scheme_rate_factor(Scheme.TYPE_I, rate, k)
-            _expect(0.0 <= ir <= cc <= t1, f"ordering at rate={rate}, k={k}")
+        ordered = [rate_factors(s, rate, 5) for s in (ir, Scheme.CHASE, Scheme.TYPE_I)]
+        for k, (i, c, t) in enumerate(zip(*ordered), 1):
+            _expect(0.0 <= i <= c <= t, f"ordering at rate={rate}, k={k}")
 
 
 def _check_evaluate():

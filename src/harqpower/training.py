@@ -135,8 +135,7 @@ def dataset_constants(rho: np.ndarray, channel_proto: ChannelParams):
     """
     k, delta = channel_proto.num_rounds, channel_proto.delta
     adj = batch_adjacency(rho, k, delta)
-    inv_corr = np.array([[1.0 / correlation_factor(r, kk, delta) for r in rho]
-                         for kk in range(1, k + 1)])
+    inv_corr = 1.0 / correlation_factor(rho, k, delta)
     return adj, inv_corr[:, :, None, None]
 
 

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from harqpower import autodiff as ad
-from harqpower.analytics import (correlation_factor, evaluate, rate_factors,
-                                 scheme_rate_factor)
+from harqpower.analytics import correlation_factor, evaluate, rate_factors
 from harqpower.cli import SEED_ENV_VAR, main
 from harqpower.gcn import forward, init_weights
 from harqpower.graph import batch_adjacency, session_adjacency
@@ -223,28 +222,28 @@ class TestClosedFormIdentities:
     def test_single_round_correlation_factor_is_one(self):
         for rho in (0.0, 0.3, 0.9, 0.98):
             for delta in (1, 2, 3):
-                assert correlation_factor(rho, 1, delta) == 1.0
+                assert correlation_factor(rho, 1, delta)[0] == 1.0
 
     def test_uncorrelated_factor_is_one(self):
         for k in (1, 2, 3):
-            assert correlation_factor(0.0, k, 2) == 1.0
+            assert correlation_factor(0.0, k, 2)[k - 1] == 1.0
 
     def test_first_round_rate_factor_is_snr_threshold(self):
         for scheme in SCHEMES:
-            assert scheme_rate_factor(scheme, 2.0, 1) == 3.0
-            assert scheme_rate_factor(scheme, 1.0, 1) == 1.0
+            assert rate_factors(scheme, 2.0, 1)[0] == 3.0
+            assert rate_factors(scheme, 1.0, 1)[0] == 1.0
 
     def test_zero_rate_factor_vanishes(self):
         for scheme in SCHEMES:
             for k in (1, 2, 3):
-                assert scheme_rate_factor(scheme, 0.0, k) == 0.0
+                assert rate_factors(scheme, 0.0, k)[k - 1] == 0.0
 
     def test_incremental_three_round_constant(self):
-        value = scheme_rate_factor(Scheme.INCREMENTAL, 2.0, 3)
+        value = rate_factors(Scheme.INCREMENTAL, 2.0, 3)[2]
         assert abs(value - 1.29844) <= 1e-5
 
     def test_half_correlation_two_round_factor_exact(self):
-        assert correlation_factor(0.5, 2, 1) == 0.984375
+        assert correlation_factor(0.5, 2, 1)[1] == 0.984375
 
 
 def generic_lagrangian(rows, inv_corr, runs, lam, ups, tau_clip):
@@ -333,8 +332,9 @@ class TestGradientCorrectness:
             p = forward(session_adjacency(ch), consts,
                         link.power_budget_w).value.reshape(-1)
             assert p.min() >= 2.0
-            pout = scheme_rate_factor(scheme, link.rate, k) / (
-                correlation_factor(float(rho), k, proto.delta) * np.prod(p))
+            pout = rate_factors(scheme, link.rate, k)[k - 1] / (
+                correlation_factor(float(rho), k, proto.delta)[k - 1]
+                * np.prod(p))
             assert pout <= 0.5
 
         lam, ups = FD_DUALS

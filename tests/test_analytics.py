@@ -14,65 +14,128 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from harqpower.analytics import (analytic_chain, correlation_factor, evaluate,
-                                 inverse_correlation, ir_rate_factor,
-                                 rate_factors, scheme_rate_factor)
+                                 rate_factors)
 from harqpower.types import (OUTAGE_CAP, ChannelParams, LinkConfig,
                              PowerPolicy, Scheme)
+
+
+def _scalar_correlation_factor(rho, rounds, delta=1):
+    """Reference: the penalty of `rounds` rounds, one scalar loop per call."""
+    t = [rho ** (2 * (j + delta - 1)) for j in range(1, rounds + 1)]
+    total = 1.0
+    for tj in t:
+        total *= 1.0 - tj
+    for j, tj in enumerate(t):
+        term = tj
+        for i, ti in enumerate(t):
+            if i != j:
+                term *= 1.0 - ti
+        total += term
+    return total
+
+
+def _scalar_rate_factor(scheme, rate, rounds):
+    """Reference: the rate factor of `rounds` rounds, factorials rebuilt."""
+    if scheme is Scheme.INCREMENTAL:
+        x = rate * math.log(2.0)
+        acc = 0.0
+        for k in range(rounds):
+            m = rounds - k - 1
+            fact = 1.0
+            for i in range(2, m + 1):
+                fact *= i
+            acc += (-1.0) ** k * x ** m / fact
+        return (-1.0) ** rounds + 2.0 ** rate * acc
+    base = (2.0 ** rate - 1.0) ** rounds
+    if scheme is Scheme.TYPE_I:
+        return base
+    fact = 1.0
+    for i in range(2, rounds + 1):
+        fact *= i
+    return base / fact
 
 
 class TestCorrelationFactor:
     def test_single_round_is_exactly_one(self):
         for rho in (0.0, 0.1, 0.37, 0.73, 0.98, 0.999):
-            assert correlation_factor(rho, 1) == 1.0
+            assert correlation_factor(rho, 1)[0] == 1.0
 
     def test_uncorrelated_is_exactly_one(self):
         for k in (1, 2, 3, 5, 8):
-            assert correlation_factor(0.0, k) == 1.0
+            assert correlation_factor(0.0, k)[k - 1] == 1.0
 
     def test_dyadic_rational_values_exact(self):
         # 63/64 and 2007/2048, derived with Fraction arithmetic
-        assert correlation_factor(0.5, 2) == 0.984375
-        assert correlation_factor(0.5, 3) == 0.97998046875
+        assert correlation_factor(0.5, 3).tolist() == [1.0, 0.984375,
+                                                      0.97998046875]
 
     def test_two_round_closed_form(self):
         # for a unit gap the two-round penalty collapses to 1 - rho^6
         for rho in (0.1, 0.5, 0.9, 0.98):
-            assert correlation_factor(rho, 2) == pytest.approx(
+            assert correlation_factor(rho, 2)[1] == pytest.approx(
                 1.0 - rho ** 6, rel=1e-12)
 
     def test_strong_correlation_values(self):
-        assert correlation_factor(0.98, 2) == pytest.approx(
-            0.114157619136, rel=1e-12)
-        assert correlation_factor(0.98, 3) == pytest.approx(
-            0.015755237136267575, rel=1e-12)
+        assert correlation_factor(0.98, 3)[1:] == pytest.approx(
+            [0.114157619136, 0.015755237136267575], rel=1e-12)
 
     def test_larger_gap_weakens_coupling(self):
         for rho in (0.3, 0.7, 0.95):
-            assert (correlation_factor(rho, 3, delta=2)
-                    > correlation_factor(rho, 3, delta=1))
+            assert (correlation_factor(rho, 3, delta=2)[2]
+                    > correlation_factor(rho, 3, delta=1)[2])
 
     @given(rho=st.floats(0.0, 0.9999), k=st.integers(1, 6))
     def test_bounded_and_positive(self, rho, k):
-        v = correlation_factor(rho, k)
+        v = correlation_factor(rho, k)[k - 1]
         assert 0.0 < v <= 1.0
 
     @given(rho=st.floats(0.0, 0.999), k=st.integers(1, 5))
     def test_nonincreasing_in_rounds(self, rho, k):
-        assert correlation_factor(rho, k) >= correlation_factor(rho, k + 1)
+        v = correlation_factor(rho, k + 1)
+        assert v[k - 1] >= v[k]
 
     @given(rho=st.floats(0.0, 0.99), bump=st.floats(1e-4, 0.009),
            k=st.integers(2, 5))
     def test_nonincreasing_in_correlation(self, rho, bump, k):
-        assert (correlation_factor(rho, k)
-                >= correlation_factor(rho + bump, k) - 1e-15)
+        v = correlation_factor(np.array([rho, rho + bump]), k)[k - 1]
+        assert v[0] >= v[1] - 1e-15
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            correlation_factor(1.0, 2)
-        with pytest.raises(ValueError):
-            correlation_factor(-0.1, 2)
+        for rho in (1.0, -0.1, math.nan, np.array([0.2, 1.0]),
+                    np.array([[0.5, math.nan]])):
+            with pytest.raises(ValueError, match="rho must lie in"):
+                correlation_factor(rho, 2)
         with pytest.raises(ValueError):
             correlation_factor(0.5, 0)
+
+    def test_one_entry_per_round_and_rho(self):
+        rho = np.array([[0.0, 0.3], [0.6, 0.9]])
+        v = correlation_factor(rho, 4, delta=2)
+        assert v.shape == (4, 2, 2)
+        for k in range(1, 5):
+            for idx in np.ndindex(2, 2):
+                assert v[(k - 1, *idx)] == correlation_factor(
+                    float(rho[idx]), k, 2)[k - 1]
+
+    def test_bits_match_the_scalar_formula(self):
+        # every round of one prefix pass, and its inverse, against the
+        # scalar formula; a shorter pass is the longer one's prefix
+        rng = np.random.default_rng(20_004)
+        rho = np.concatenate([rng.random(20_000),
+                              [0.0, 0.5, 0.98, 1.0 - 2.0 ** -53]])
+        for delta in (1, 2, 3):
+            full = correlation_factor(rho, 8, delta)
+            for k in range(1, 9):
+                want = np.array([_scalar_correlation_factor(r, k, delta)
+                                 for r in rho.tolist()])
+                assert full[k - 1].tobytes() == want.tobytes()
+                assert (1.0 / full[k - 1]).tobytes() == (1.0 / want).tobytes()
+            for rounds in (1, 2, 3, 5):
+                short = correlation_factor(rho, rounds, delta)
+                assert short.tobytes() == full[:rounds].tobytes()
+            for r in rho[-4:].tolist():  # a scalar rho, as evaluate passes
+                assert correlation_factor(r, 8, delta).tolist() == [
+                    _scalar_correlation_factor(r, k, delta) for k in range(1, 9)]
 
 
 def _region_volume(rate, rounds):
@@ -89,44 +152,55 @@ class TestRateFactors:
         for rate in (0.5, 1.0, 2.0, 4.0):
             want = 2.0 ** rate - 1.0
             for scheme in Scheme:
-                assert scheme_rate_factor(scheme, rate, 1) == want
+                assert rate_factors(scheme, rate, 1) == [want]
 
     def test_zero_rate_vanishes(self):
-        for k in (1, 2, 3, 4):
-            assert ir_rate_factor(0.0, k) == 0.0
+        assert rate_factors(Scheme.INCREMENTAL, 0.0, 4) == [0.0] * 4
 
     def test_ir_logarithmic_closed_forms(self):
         # K=2: 2^R * R ln2 - (2^R - 1); K=3 from the same integral once more
-        assert ir_rate_factor(2.0, 2) == pytest.approx(
-            8.0 * math.log(2.0) - 3.0, rel=1e-14)
         x = 2.0 * math.log(2.0)
-        assert ir_rate_factor(2.0, 3) == pytest.approx(
-            -1.0 + 4.0 * (x * x / 2.0 - x + 1.0), rel=1e-14)
+        assert rate_factors(Scheme.INCREMENTAL, 2.0, 3)[1:] == pytest.approx(
+            [8.0 * math.log(2.0) - 3.0, -1.0 + 4.0 * (x * x / 2.0 - x + 1.0)],
+            rel=1e-14)
 
     def test_ir_matches_numeric_volume(self):
         for rate, rounds in ((1.5, 2), (2.0, 3), (3.0, 2)):
-            assert ir_rate_factor(rate, rounds) == pytest.approx(
-                _region_volume(rate, rounds), rel=1e-9)
+            assert rate_factors(Scheme.INCREMENTAL, rate, rounds)[-1] == (
+                pytest.approx(_region_volume(rate, rounds), rel=1e-9))
 
     def test_type1_and_chase_closed_forms(self):
-        assert scheme_rate_factor(Scheme.TYPE_I, 2.0, 3) == 27.0
-        assert scheme_rate_factor(Scheme.CHASE, 2.0, 3) == 4.5
-        assert scheme_rate_factor(Scheme.CHASE, 2.0, 2) == 4.5
-        assert scheme_rate_factor(Scheme.TYPE_I, 1.0, 4) == 1.0
+        assert rate_factors(Scheme.TYPE_I, 2.0, 3) == [3.0, 9.0, 27.0]
+        assert rate_factors(Scheme.CHASE, 2.0, 3) == [3.0, 4.5, 4.5]
+        assert rate_factors(Scheme.TYPE_I, 1.0, 4) == [1.0] * 4
 
     @given(rate=st.floats(0.01, 6.0), k=st.integers(2, 5))
     @settings(max_examples=60)
     def test_combining_gain_ordering(self, rate, k):
-        ir = scheme_rate_factor(Scheme.INCREMENTAL, rate, k)
-        cc = scheme_rate_factor(Scheme.CHASE, rate, k)
-        t1 = scheme_rate_factor(Scheme.TYPE_I, rate, k)
+        ir, cc, t1 = (rate_factors(scheme, rate, k)[k - 1] for scheme in
+                      (Scheme.INCREMENTAL, Scheme.CHASE, Scheme.TYPE_I))
         assert 0.0 < ir < cc < t1
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            ir_rate_factor(2.0, 0)
-        with pytest.raises(ValueError):
-            ir_rate_factor(-1.0, 2)
+        for scheme in Scheme:
+            with pytest.raises(ValueError, match="rounds"):
+                rate_factors(scheme, 2.0, 0)
+            with pytest.raises(ValueError, match="rate"):
+                rate_factors(scheme, -1.0, 2)
+
+    def test_huge_rate_overflows(self):
+        for scheme in Scheme:
+            with pytest.raises(OverflowError):
+                rate_factors(scheme, 2000.0, 3)
+
+    def test_bits_match_the_scalar_formula(self):
+        for scheme in Scheme:
+            for rate in (1e-3, 0.5, 1.0, 2.0, 3.0, 7.3):
+                for rounds in (1, 3, 10, 30):
+                    got = rate_factors(scheme, rate, rounds)
+                    want = [_scalar_rate_factor(scheme, rate, k)
+                            for k in range(1, rounds + 1)]
+                    assert [f.hex() for f in got] == [f.hex() for f in want]
 
 
 class TestAsymptoticOutage:
@@ -134,7 +208,7 @@ class TestAsymptoticOutage:
         ch = ChannelParams(rho=0.0, num_rounds=1)
         rep = evaluate(PowerPolicy((10.0,)), ch, Scheme.TYPE_I, LinkConfig())
         assert rep.outage_profile[0] == pytest.approx(0.3, abs=1e-15)
-        assert inverse_correlation(ch) == [1.0]
+        assert (1.0 / correlation_factor(ch.rho, 1)).tolist() == [1.0]
         raw, _, _, _ = analytic_chain((10.0,), [1.0],
                                       rate_factors(Scheme.TYPE_I, 2.0, 1),
                                       LinkConfig())

@@ -131,6 +131,14 @@ class TestExitCodes:
         ("mc-validate", "--trials", 1000, "--rate", 1000),
         ("train", "--epochs", 1, "--dataset-size", 10, "--batch-size", 10,
          "--rate", 2000),
+        # rounding leaves ir's rate factor below or at 0, so its outages
+        # would not be positive
+        ("mc-validate", "--rate", 3, "--rounds", 25, "--trials", 1000),
+        ("mc-validate", "--rate", 0.001, "--rounds", 5, "--trials", 1000),
+        # 10 ** (-1e8 / 10) W underflows, and -1e8 + 1e-9 is -1e8
+        ("sweep-power", "--budget-lo-dbw", -1e8, "--budget-hi-dbw", -1e8,
+         "--epochs", 1, "--dataset-size", 10, "--batch-size", 10),
+        ("oracle", "--power-budget-dbw", -4000, "--points", 4),
     ], ids=lambda argv: " ".join(str(a) for a in argv))
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -181,6 +189,20 @@ class TestExitCodes:
                        "ratio is undefined"]
         assert not (out / "mc_report.csv").exists()
 
+    def test_underflowing_power_product_exits_1(self, tmp_path, capsys):
+        # 55 rounds at 1e-6 W: the power product underflows to 0 and every
+        # analytic outage divides by it; the check runs before any sampling
+        out = tmp_path / "mc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("mc-validate", "--rate", 17.75, "--rounds", 55,
+                     "--power-dbw=-60", "--trials", 1000, "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the analytic outages divide by zero at -60 dBW "
+                       "over 55 rounds, so no Monte-Carlo ratio has a value"]
+        assert not (out / "mc_report.csv").exists()
+
     @pytest.mark.parametrize("budget, rc", [(1000, 0), (2000, 1)])
     def test_extreme_budget_training_prints_no_warning(self, tmp_path,
                                                        budget, rc):
@@ -204,15 +226,17 @@ class TestExitCodes:
         ("sweep-rho", "--rounds", 400)],
         ids=lambda argv: " ".join(str(a) for a in argv))
     def test_many_rounds_exit_1_with_one_line(self, tmp_path, capsys, argv):
-        # the power products underflow, so the chain meets inf * 0 before
-        # it fails; any numpy warning raises here
+        # the config check rejects these round counts (ir's rate factor is
+        # not positive from 21 rounds at rate 2) before any training, so the
+        # name's exit 1 is now exit 2; test_training covers the training
+        # failure past that check.  Any numpy warning raises here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = run(*argv, "--epochs", 1, "--dataset-size", 1,
                      "--batch-size", 1, "--out", tmp_path)
-        assert rc == 1
+        assert rc == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("config error: ")
 
     def test_budget_below_power_floor_exits_1(self, tmp_path, capsys):
         # the grid would top out at -97 dBW, under the 1e-6 W power floor

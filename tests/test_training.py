@@ -7,6 +7,7 @@ down explicitly.
 """
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestDatasetConstants:
         for kk in range(3):
             for s, r in enumerate(rho):
                 assert inv_corr[kk, s, 0, 0] == 1.0 / correlation_factor(
-                    r, kk + 1, 2)
+                    r, kk + 1, 2)[kk]
 
     def test_built_once_per_training_run(self, monkeypatch):
         calls = {"correlation_factor": 0, "batch_adjacency": 0}
@@ -77,7 +78,7 @@ class TestDatasetConstants:
         cfg = TrainConfig(epochs=2, dataset_size=100, batch_size=25)
         res = train(Scheme.INCREMENTAL, LINK, PROTO, cfg)
         assert len(res.history) == 8
-        assert calls == {"correlation_factor": 3 * 100, "batch_adjacency": 1}
+        assert calls == {"correlation_factor": 1, "batch_adjacency": 1}
 
 
 class TestBatchLagrangian:
@@ -375,6 +376,22 @@ class TestTrainStack:
                                  r"Lagrangian at iteration 1: log: "
                                  r"nonpositive entry$"):
             train_stack(runs, PROTO, cfg)
+
+    @pytest.mark.parametrize("schemes, rounds", [
+        *[((scheme,), rounds) for rounds in (300, 400) for scheme in Scheme],
+        ((Scheme.TYPE_I,), 250), (tuple(Scheme), 400)],
+        ids=lambda v: str(v) if isinstance(v, int)
+        else "+".join(s.value for s in v))
+    def test_many_rounds_diverge_without_warnings(self, schemes, rounds):
+        # the CLI rejects these round counts by their rate factors; past
+        # that check the power products underflow and the chain meets
+        # inf * 0, which must end in TrainingDiverged, not a numpy warning
+        proto = ChannelParams(rho=0.0, num_rounds=rounds)
+        cfg = TrainConfig(epochs=1, dataset_size=1, batch_size=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged, match="at iteration 0"):
+                train_stack([(scheme, LINK) for scheme in schemes], proto, cfg)
 
 
 class TestTapeReplay:

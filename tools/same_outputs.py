@@ -41,10 +41,14 @@ COMMANDS = [
     ("train", "--power-budget-dbw", "2000") + TINY_TRAIN,
     ("train", "--seed", "-1") + TINY_TRAIN,
     ("train", "--rounds", "400") + TINY_TRAIN,
+    ("train", "--rounds", "8") + TINY_TRAIN,
     ("sweep-power", "--epochs", "25", "--budget-lo-dbw", "14.5",
      "--budget-hi-dbw", "17.5"),
     ("sweep-power", "--epochs", "25"),
     ("sweep-rho", "--epochs", "25"),
+    ("sweep-rho", "--epochs", "1", "--rounds", "6", "--rho-points", "5"),
+    ("sweep-power", "--budget-lo-dbw=-1e8", "--budget-hi-dbw=-1e8")
+    + TINY_TRAIN,
     *[("mc-validate", "--estimator", est, "--threads", threads) + MC_BIG
       for est in ("direct", "conditional") for threads in ("1", "2", "3")],
     *[("mc-validate", "--estimator", est, "--threads", threads) + mc
@@ -54,7 +58,12 @@ COMMANDS = [
     ("mc-validate", "--power-dbw", "1000", "--trials", "1000"),
     ("mc-validate", "--power-dbw", "3000", "--trials", "1000"),
     ("mc-validate", "--trials", "1000", "--rate", "1000"),
+    ("mc-validate", "--rounds", "12", "--trials", "2000"),
+    ("mc-validate", "--rate", "3", "--rounds", "25", "--trials", "1000"),
+    ("mc-validate", "--rate", "17.75", "--rounds", "55", "--power-dbw=-60",
+     "--trials", "1000"),
     ("oracle", "--points", "40"),
+    ("oracle", "--rounds", "4", "--points", "12"),
     ("oracle", "--points", "100", "--rho", "0.6"),
     ("selftest",),
 ]
