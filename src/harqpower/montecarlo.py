@@ -15,14 +15,23 @@ worker count.  Worker w of W (the calling thread is worker 0, and W is at
 most the chunk count) runs chunks w, w + W, ...; the per-chunk results are
 summed in chunk order afterwards.
 
-Layout: a chunk's gains, events and weights are held round-major, as
-contiguous (K, m) rows, so the running Type-I AND, the CC and IR running
-sums and the running product of conditional weights are one ufunc call per
-round, adding and multiplying in the order np.cumsum and np.cumprod would,
-and each (scheme, round) reduction is a sum over one contiguous row.  Each
-worker allocates its scratch once per estimator call, sized to the largest
-chunk, and fills it for every chunk through `out=` arguments, so a call
-allocates no per-chunk arrays.
+Layout: gains, events and weights are held round-major, as contiguous
+(K, n) rows, so the running Type-I AND, the CC and IR running sums and the
+running product of conditional weights are one ufunc call per round, adding
+and multiplying in the order np.cumsum and np.cumprod would.  A worker runs
+each chunk in blocks of trials drawn one after another from the chunk's
+generator, which reads the stream in the same order as one draw would, and
+every step but the final sums is elementwise, so the block size moves no
+bit.  The direct estimator works on DIRECT_BLOCK trials at a time: its
+scratch is block-sized and its per-block event counts are integers, whose
+sum is exact.  The conditional estimator works on CONDITIONAL_BLOCK trials
+at a time (large enough that the Bessel term's Chebyshev loop is not
+dominated by per-call cost), but keeps chunk-sized rows of |a_0|^2, of the
+weights and of each scheme's events: every normal of a chunk precedes its
+first uniform in the stream, and each (scheme, round) sum is numpy's
+pairwise sum over one contiguous chunk row, which a split would reorder.
+Each worker allocates its scratch once per estimator call and fills it
+through `out=` arguments; only _i0e's mask is allocated per block.
 
 Two estimators are provided.  Both return {Scheme: (McEstimate for rounds
 1..K)}, scoring every scheme on the same draws through outage_event:
@@ -30,9 +39,10 @@ Two estimators are provided.  Both return {Scheme: (McEstimate for rounds
   * estimate_profile: the direct empirical mean of the outage event.  Its
     standard error is Bernoulli, useless once P << 1/trials.
   * estimate_outage_conditional: samples only the shared component a_0 plus
-    uniform within-threshold gains for all K rounds, one draw per chunk,
-    weighting each trial by the exact conditional density of |h_k|^2 (a
-    noncentral chi-square / Rician power).  Every outage event implies each
+    uniform within-threshold gains for all K rounds (all of a chunk's
+    normals, then all of its uniforms), weighting each trial by the exact
+    conditional density of |h_k|^2 (a noncentral chi-square / Rician
+    power).  Every outage event implies each
     per-round SNR is below 2^R - 1, so restricting the proposal to that box
     loses no probability mass.  This keeps the relative error small even at
     deep outage levels ~1e-9.
@@ -51,6 +61,11 @@ __all__ = ["McEstimate", "sample_channel_coeffs", "outage_event",
            "estimate_profile", "estimate_outage_conditional"]
 
 CHUNK_TRIALS = 1 << 15
+# trials sampled and scored at a time inside a chunk (see "Layout"); the
+# conditional block is larger because the Chebyshev series' per-call cost
+# would dominate at the direct block's size
+DIRECT_BLOCK = 1 << 12
+CONDITIONAL_BLOCK = 1 << 14
 
 
 # Cephes' i0.c Chebyshev coefficients for exp(-x) I0(x) (tables A and B, the
@@ -105,39 +120,51 @@ def _complex_gaussian(re, im, out):
     np.multiply(out, 1.0 / math.sqrt(2.0), out=out)
 
 
-def _coeff_sampler(channel: ChannelParams, seed: int, m_max: int):
-    """One worker's sampler: sample(c, m) returns chunk c's (K, m) complex
-    coefficients, a view of scratch that the next call overwrites."""
+def _blocks(m: int, size: int) -> list:
+    """Slices that cover range(m) in order, each at most `size` long."""
+    return [slice(s, min(s + size, m)) for s in range(0, m, size)]
+
+
+def _coeff_sampler(channel: ChannelParams, n_max: int):
+    """One worker's sampler: sample(rng, n) draws the next n <= n_max trials
+    from rng and returns their (K, n) complex coefficients, a view of
+    scratch that the next call overwrites.
+
+    Each trial reads 2(K + 1) consecutive normals, so drawing a chunk in
+    blocks reads its stream in the same order as drawing it at once.
+    """
     k = channel.num_rounds
     rho_t = channel.rho ** (np.arange(1, k + 1) + channel.delta - 1)
     own = np.sqrt(1.0 - rho_t ** 2)
-    z = np.empty((m_max, 2 * (k + 1)))
-    a0 = np.empty(m_max, dtype=complex)
-    shared = np.empty(m_max, dtype=complex)
-    h = np.empty((k, m_max), dtype=complex)
+    z = np.empty((n_max, 2 * (k + 1)))
+    a0 = np.empty(n_max, dtype=complex)
+    shared = np.empty(n_max, dtype=complex)
+    h = np.empty((k, n_max), dtype=complex)
 
-    def sample(c, m):
-        zc = z[:m]
-        _chunk_rng(seed, c).standard_normal(out=zc)
-        _complex_gaussian(zc[:, 0], zc[:, 1], out=a0[:m])
+    def sample(rng, n):
+        zc = z[:n]
+        rng.standard_normal(out=zc)
+        _complex_gaussian(zc[:, 0], zc[:, 1], out=a0[:n])
         for j in range(k):
-            hj = h[j, :m]
+            hj = h[j, :n]
             _complex_gaussian(zc[:, 2 + 2 * j], zc[:, 3 + 2 * j], out=hj)
             np.multiply(own[j], hj, out=hj)
-            np.multiply(rho_t[j], a0[:m], out=shared[:m])
-            np.add(hj, shared[:m], out=hj)
-        return h[:, :m]
+            np.multiply(rho_t[j], a0[:n], out=shared[:n])
+            np.add(hj, shared[:n], out=hj)
+        return h[:, :n]
 
     return sample
 
 
 def sample_channel_coeffs(channel: ChannelParams, trials: int, seed: int) -> np.ndarray:
     """Complex per-round channel coefficients, shape (trials, K)."""
-    spans = _chunk_spans(trials)
-    sample = _coeff_sampler(channel, seed, spans[0][1])
+    sample = _coeff_sampler(channel, min(DIRECT_BLOCK, trials))
     out = np.empty((trials, channel.num_rounds), dtype=complex)
-    for c, m in spans:
-        out[c * CHUNK_TRIALS:c * CHUNK_TRIALS + m] = sample(c, m).T
+    for c, m in _chunk_spans(trials):
+        rng = _chunk_rng(seed, c)
+        rows = out[c * CHUNK_TRIALS:c * CHUNK_TRIALS + m]
+        for b in _blocks(m, DIRECT_BLOCK):
+            rows[b] = sample(rng, b.stop - b.start).T
     return out
 
 
@@ -227,20 +254,27 @@ def estimate_profile(policy: PowerPolicy, channel: ChannelParams, rate: float,
     powers = np.asarray(policy.powers)[:, None]
 
     def make_kernel(m_max):
-        sample = _coeff_sampler(channel, seed, m_max)
-        gains = np.empty((channel.num_rounds, m_max))
+        n_max = min(DIRECT_BLOCK, m_max)
+        sample = _coeff_sampler(channel, n_max)
+        gains = np.empty((channel.num_rounds, n_max))
         event = np.empty(gains.shape, dtype=bool)
         work = np.empty(gains.shape)
 
         def kernel(c, m):
-            g = gains[:, :m]
-            np.abs(sample(c, m), out=g)
-            np.square(g, out=g)
-            np.multiply(powers, g, out=g)
-            return np.stack([
-                outage_event(s, rate, g, out=event[:, :m],
-                             work=work[:, :m]).sum(axis=1)
-                for s in Scheme])
+            rng = _chunk_rng(seed, c)
+            # event counts are integers, so adding them block by block is
+            # exact
+            counts = np.zeros((len(Scheme), channel.num_rounds), dtype=int)
+            for b in _blocks(m, n_max):
+                n = b.stop - b.start
+                g = gains[:, :n]
+                np.abs(sample(rng, n), out=g)
+                np.square(g, out=g)
+                np.multiply(powers, g, out=g)
+                for i, s in enumerate(Scheme):
+                    counts[i] += outage_event(s, rate, g, out=event[:, :n],
+                                              work=work[:, :n]).sum(axis=1)
+            return counts
 
         return kernel
 
@@ -346,43 +380,59 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
     var = 1.0 - rho_t ** 2
 
     def make_kernel(m_max):
-        z = np.empty((m_max, 2))
-        draw = np.empty((m_max, n_rounds))
-        a0_sq, mean_sq, arg = np.empty((3, m_max))
-        bessel = np.empty((5, m_max))
-        # u holds the uniform draws, then (scaled in place) the gains
-        u, w, work = np.empty((3, n_rounds, m_max))
-        event = np.empty((n_rounds, m_max), dtype=bool)
+        n_max = min(CONDITIONAL_BLOCK, m_max)
+        # chunk rows: |a_0|^2 (every normal precedes every uniform in the
+        # stream), the weights, each scheme's events and one product row,
+        # so that each (scheme, round) sum runs over one contiguous row
+        a0_sq, prod = np.empty((2, m_max))
+        w = np.empty((n_rounds, m_max))
+        events = np.empty((len(Scheme), n_rounds, m_max), dtype=bool)
+        # block rows; u holds the uniform draws, then (scaled in place) the
+        # gains.  The trial-major draws share memory with scratch that is
+        # idle while they live: the normals with the Bessel rows, spent
+        # before the first density, and the uniforms with the running sums,
+        # spent before the first event
+        mean_sq, arg = np.empty((2, n_max))
+        bessel = np.empty((5, n_max))
+        z = bessel[:2].reshape(n_max, 2)
+        u, work = np.empty((2, n_rounds, n_max))
+        draw = work.reshape(n_max, n_rounds)
 
         def kernel(c, m):
             rng = _chunk_rng(seed, c)
-            rng.standard_normal(out=z[:m])
-            a0 = a0_sq[:m]
-            np.square(z[:m, 0], out=a0)
-            np.square(z[:m, 1], out=arg[:m])
-            np.add(a0, arg[:m], out=a0)
-            np.multiply(0.5, a0, out=a0)
-            rng.random(out=draw[:m])
-            for j in range(n_rounds):
-                uj, wj = u[j, :m], w[j, :m]
-                np.multiply(draw[:m, j], u_max[j], out=uj)
-                np.multiply(shared_sq[j], a0, out=mean_sq[:m])
-                _rician_power_pdf(uj, mean_sq[:m], var[j], wj, arg[:m],
-                                  bessel[:, :m])
-                np.multiply(wj, u_unit[j], out=wj)
-                if j:
-                    np.multiply(w[j - 1, :m], wj, out=wj)
-                np.multiply(powers[j], uj, out=uj)
+            blocks = _blocks(m, n_max)
+            for b in blocks:
+                n = b.stop - b.start
+                rng.standard_normal(out=z[:n])
+                a0 = a0_sq[b]
+                np.square(z[:n, 0], out=a0)
+                np.square(z[:n, 1], out=arg[:n])
+                np.add(a0, arg[:n], out=a0)
+                np.multiply(0.5, a0, out=a0)
+            for b in blocks:
+                n = b.stop - b.start
+                rng.random(out=draw[:n])
+                for j in range(n_rounds):
+                    uj, wj = u[j, :n], w[j, b]
+                    np.multiply(draw[:n, j], u_max[j], out=uj)
+                    np.multiply(shared_sq[j], a0_sq[b], out=mean_sq[:n])
+                    _rician_power_pdf(uj, mean_sq[:n], var[j], wj, arg[:n],
+                                      bessel[:, :n])
+                    np.multiply(wj, u_unit[j], out=wj)
+                    if j:
+                        np.multiply(w[j - 1, b], wj, out=wj)
+                    np.multiply(powers[j], uj, out=uj)
+                for ev, scheme in zip(events, Scheme):
+                    outage_event(scheme, rate, u[:, :n], out=ev[:, b],
+                                 work=work[:, :n])
             sums = np.empty((2, len(Scheme), n_rounds))
-            for i, scheme in enumerate(Scheme):
-                ev = outage_event(scheme, rate, u[:, :m], out=event[:, :m],
-                                  work=work[:, :m])
-                # the running sums are spent, so work takes weight * event
-                weighted = np.multiply(w[:, :m], ev, out=work[:, :m])
-                for k, vals in enumerate(weighted):
+            vals = prod[:m]
+            for i, ev in enumerate(events):
+                for k in range(n_rounds):
+                    np.multiply(w[k, :m], ev[k, :m], out=vals)
                     sums[0, i, k] = vals.sum()
-                    np.multiply(vals, vals, out=arg[:m])
-                    sums[1, i, k] = arg[:m].sum()
+                    np.multiply(vals, vals, out=vals)
+                    sums[1, i, k] = vals.sum()
             return sums
 
         return kernel

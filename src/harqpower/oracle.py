@@ -18,9 +18,10 @@ __all__ = ["GridSpec", "OracleResult", "ComplexityGuard", "GridInfeasible",
            "default_grid", "grid_search"]
 
 MAX_GRID_ROUNDS = 4
-# grid points evaluated per block; bounds the search's working memory at a
-# few MB whatever the grid size
-BLOCK_POINTS = 1 << 16
+# grid points evaluated per block: a block's dozen or so arrays stay near
+# 1 MB, in cache, whatever the grid size; the tie-break makes the result
+# independent of the block size
+BLOCK_POINTS = 1 << 13
 
 
 class ComplexityGuard(ValueError):
@@ -74,7 +75,8 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
     """Best feasible grid point by latency.
 
     Ties break toward smaller average power, then lexicographically smaller
-    power vectors, making the result independent of evaluation order.
+    power vectors, making the result independent of evaluation order.  A
+    point whose latency overflows (a tiny bandwidth, say) is infeasible.
     Raises GridInfeasible when no grid point satisfies both constraints and
     ComplexityGuard when the round count exceeds MAX_GRID_ROUNDS.
     """
@@ -91,9 +93,13 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
     for start in range(0, size, BLOCK_POINTS):
         flat = np.arange(start, min(start + BLOCK_POINTS, size))
         cols = [axis[i] for i in np.unravel_index(flat, (grid.points_per_axis,) * k)]
-        outages, _, tau, pavg = analytic_chain(cols, inv_corr, factors, link,
-                                               capped=True)
-        feasible = (outages[-1] <= link.outage_target) & (pavg <= link.power_budget_w)
+        # an overflow or a 0/0 leaves inf or nan, and the test below is
+        # false for both
+        with np.errstate(all="ignore"):
+            outages, _, tau, pavg = analytic_chain(cols, inv_corr, factors,
+                                                   link, capped=True)
+        feasible = ((outages[-1] <= link.outage_target)
+                    & (pavg <= link.power_budget_w) & np.isfinite(tau))
         idx = np.flatnonzero(feasible)
         if idx.size:
             keys = tuple(c[idx] for c in reversed(cols)) + (pavg[idx], tau[idx])

@@ -324,18 +324,21 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             np.take(adj_all, sel, axis=0, out=adj)
             np.take(inv_corr_all, sel, axis=1, out=inv_corr)
             try:
-                if tape is None:
-                    # the first step records the graph; later steps replay it
-                    root, per_sample = batch_lagrangian(
-                        wnodes, adj, inv_corr, runs, lam, ups,
-                        tau_clip=tau_clip)
-                    tape = ad.Tape(root)
-                else:
-                    tape.replay()
-            except (ValueError, ZeroDivisionError) as exc:
-                # a log of an outage that underflowed to zero, or a zero
-                # denominator: the graph has no value at this step, and the
-                # stacked arrays do not say which run caused it
+                # weights that the last Adam step sent too far overflow here
+                with np.errstate(over="raise", invalid="raise"):
+                    if tape is None:
+                        # the first step records the graph; later steps
+                        # replay it
+                        root, per_sample = batch_lagrangian(
+                            wnodes, adj, inv_corr, runs, lam, ups,
+                            tau_clip=tau_clip)
+                        tape = ad.Tape(root)
+                    else:
+                        tape.replay()
+            except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
+                # a log of an outage that underflowed to zero, a zero
+                # denominator or an overflow: the graph has no value at this
+                # step, and the stacked arrays do not say which run caused it
                 who = (_label(runs[0]) if n_runs == 1
                        else f"a stack of {n_runs} runs")
                 raise TrainingDiverged(
@@ -364,8 +367,15 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             tau = stats["mean_tau_s"]
             guarded = ~((0.0 < tau) & (tau <= guard_level))
             guard_steps += guarded
-            adam_update(adam, flat, grad,
-                        np.where(guarded, lr * 0.5, lr)[run_of])
+            # a step that overflows is reported by the check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                adam_update(adam, flat, grad,
+                            np.where(guarded, lr * 0.5, lr)[run_of])
+            if not np.isfinite(flat).all():
+                r = run_of[~np.isfinite(flat)].min()
+                raise TrainingDiverged(
+                    f"{_label(runs[r])}: non-finite weights after the Adam "
+                    f"step at iteration {it}")
 
             lam[:] = np.maximum(0.0, lam + cfg.lr_lambda *
                                 (stats["mean_log_pout"] - log_target))
@@ -375,6 +385,14 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             history[:, it, 1:].T[...] = (tau, stats["mean_log_pout"],
                                          stats["mean_pavg_w"], lam, ups)
             it += 1
+    # no replay follows the last step, so its weights get one forward pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = forward(adj_all[:cfg.batch_size], consts, p_bar).value
+    bad = ~np.isfinite(out.reshape(n_runs, -1)).all(axis=1)
+    if bad.any():
+        raise TrainingDiverged(
+            f"{_label(runs[int(np.argmax(bad))])}: non-finite network output "
+            f"after the Adam step at iteration {it - 1}")
     return [TrainResult(weights=GcnWeights([m[r].copy() for m in mats],
                                            cfg.seed),
                         history=history[r], lam=float(lam[r]),

@@ -238,6 +238,55 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
+    @pytest.mark.parametrize("lr, argv, message", [
+        # one step sends the weights to about 1e300, where the network's
+        # products overflow: the last step's check names it
+        ("1e300", ("train", "--epochs", 1),
+         "ir at 15 dBW: non-finite network output after the Adam step at "
+         "iteration 0"),
+        ("1e300", ("sweep-rho", "--epochs", 1),
+         "type1 at 15 dBW: non-finite network output after the Adam step at "
+         "iteration 0"),
+        # with a second step, its forward pass overflows first
+        ("1e300", ("train", "--epochs", 2),
+         "ir at 15 dBW: cannot evaluate the Lagrangian at iteration 1: "
+         "overflow encountered in matmul"),
+        # a gradient entry above 1 overflows the Adam step itself
+        ("1.79e308", ("train", "--epochs", 1, "--scheme", "cc",
+                      "--power-budget-dbw", 10),
+         "cc at 10 dBW: non-finite weights after the Adam step at "
+         "iteration 0"),
+    ], ids=["train-1-step", "sweep-rho-1-step", "train-2-steps",
+            "adam-step"])
+    def test_diverging_weights_exit_1_with_one_line(self, tmp_path, capsys,
+                                                    lr, argv, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lr_weights = {lr}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(*argv, "--config", cfg, "--dataset-size", 10,
+                     "--batch-size", 10, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not any(out.glob("*.csv"))
+
+    def test_overflowing_oracle_latency_prints_no_warning(self, tmp_path,
+                                                          capsys):
+        # at 1e-300 Hz most grid latencies overflow; those points are
+        # infeasible, and the best finite one is the answer
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bandwidth_hz = 1e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("oracle", "--config", cfg, "--points", 8,
+                     "--out", tmp_path / "out")
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == ("oracle ir: tau=8.65037e+305 "
+                       "powers=[4.8497, 4.8497, 63.0957]\n")
+
     def test_budget_below_power_floor_exits_1(self, tmp_path, capsys):
         # the grid would top out at -97 dBW, under the 1e-6 W power floor
         rc = run("oracle", "--power-budget-dbw", -100, "--out", tmp_path)

@@ -332,6 +332,26 @@ class TestWorkers:
             assert threading.active_count() == before
 
 
+
+class TestWorkingSet:
+    """A certify-sized call keeps its scratch block-sized: 2^18 trials at
+    30 dBW, rho 0.5 and K = 3 on one worker (a chunk-sized working set
+    peaks at 6.2 MiB direct and 5.7 MiB conditional)."""
+
+    @pytest.mark.parametrize("name, bound_mib", [("direct", 2.5),
+                                                 ("conditional", 4.0)])
+    def test_peak_stays_under_bound(self, name, bound_mib):
+        tracemalloc.start()
+        try:
+            ESTIMATORS[name](PowerPolicy((1000.0,) * 3),
+                             ChannelParams(rho=0.5), RATE, trials=1 << 18,
+                             seed=1234567, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * (1 << 20)
+
+
 # float.hex of (mean, stderr) for every round, one string per scheme in
 # Scheme order, from 70001 trials (two full chunks and a partial one) at
 # seed 17, rate 2 and powers (6, 9, 14, 20)[:K] W
@@ -517,9 +537,252 @@ PINNED_BITS = {
     ),
 }
 
+# the same at rho 0.5, keyed (estimator, K, trials), for trial counts at the
+# block and chunk edges: one trial, one either side of each block size, and
+# one past a chunk
+EDGE_TRIALS = (1, 4095, 4097, 16383, 16385, 32769)
+EDGE_BITS = {
+    ("direct", 1, 1): (
+        "0x1.0000000000000p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x0.0p+0",
+    ),
+    ("direct", 1, 4095): (
+        "0x1.93d93d93d93d9p-2 0x1.f48217bec9100p-8",
+        "0x1.93d93d93d93d9p-2 0x1.f48217bec9100p-8",
+        "0x1.93d93d93d93d9p-2 0x1.f48217bec9100p-8",
+    ),
+    ("direct", 1, 4097): (
+        "0x1.93e6c193e6c19p-2 0x1.f465bc0c76659p-8",
+        "0x1.93e6c193e6c19p-2 0x1.f465bc0c76659p-8",
+        "0x1.93e6c193e6c19p-2 0x1.f465bc0c76659p-8",
+    ),
+    ("direct", 1, 16383): (
+        "0x1.97265c997265dp-2 0x1.f52a177159767p-9",
+        "0x1.97265c997265dp-2 0x1.f52a177159767p-9",
+        "0x1.97265c997265dp-2 0x1.f52a177159767p-9",
+    ),
+    ("direct", 1, 16385): (
+        "0x1.9729a359729a3p-2 0x1.f522f2500381fp-9",
+        "0x1.9729a359729a3p-2 0x1.f522f2500381fp-9",
+        "0x1.9729a359729a3p-2 0x1.f522f2500381fp-9",
+    ),
+    ("direct", 1, 32769): (
+        "0x1.951cd5c654735p-2 0x1.620e5c69c20b0p-9",
+        "0x1.951cd5c654735p-2 0x1.620e5c69c20b0p-9",
+        "0x1.951cd5c654735p-2 0x1.620e5c69c20b0p-9",
+    ),
+    ("direct", 4, 1): (
+        "0x1.0000000000000p+0 0x0.0p+0 "
+        "0x1.0000000000000p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0",
+    ),
+    ("direct", 4, 4095): (
+        "0x1.8758758758758p-2 0x1.f1a432c6a11cep-8 "
+        "0x1.bf1bf1bf1bf1cp-4 0x1.3f5c1bdd53c7ep-8 "
+        "0x1.3813813813814p-6 0x1.17faece7b8a82p-9 "
+        "0x1.8018018018018p-9 0x1.badcebd0d264dp-11",
+        "0x1.8758758758758p-2 0x1.f1a432c6a11cep-8 "
+        "0x1.1611611611611p-4 0x1.019f2beaccb68p-8 "
+        "0x1.3013013013013p-8 0x1.1663ba78ab461p-10 "
+        "0x0.0p+0 0x0.0p+0",
+        "0x1.8758758758758p-2 0x1.f1a432c6a11cep-8 "
+        "0x1.7417417417417p-5 0x1.aa7fd574b7a17p-9 "
+        "0x1.c01c01c01c01cp-10 0x1.5273004fbd511p-11 "
+        "0x0.0p+0 0x0.0p+0",
+    ),
+    ("direct", 4, 4097): (
+        "0x1.8767898767898p-2 0x1.f188c11c4b938p-8 "
+        "0x1.bee411bee411cp-4 0x1.3f36a47daace2p-8 "
+        "0x1.37ec8137ec813p-6 0x1.17d846a583a3ep-9 "
+        "0x1.7fe8017fe8018p-9 0x1.baa5a87839ceep-11",
+        "0x1.8767898767898p-2 0x1.f188c11c4b938p-8 "
+        "0x1.15eea115eea11p-4 0x1.018026053db84p-8 "
+        "0x1.2fed012fed013p-8 0x1.164104ed76e4cp-10 "
+        "0x0.0p+0 0x0.0p+0",
+        "0x1.8767898767898p-2 0x1.f188c11c4b938p-8 "
+        "0x1.73e8c173e8c17p-5 0x1.aa4bcd455383fp-9 "
+        "0x1.bfe401bfe401cp-10 0x1.5248bdd879eccp-11 "
+        "0x0.0p+0 0x0.0p+0",
+    ),
+    ("direct", 4, 16383): (
+        "0x1.8f563d58f563dp-2 0x1.f3774937afd82p-9 "
+        "0x1.c7071c1c7071cp-4 0x1.41cbd31f8b29dp-9 "
+        "0x1.6505941650594p-6 0x1.2b0473f060f9bp-10 "
+        "0x1.9806601980660p-9 0x1.c85e08dcc93a4p-12",
+        "0x1.8f563d58f563dp-2 0x1.f3774937afd82p-9 "
+        "0x1.0444111044411p-4 0x1.f397be974bc2fp-10 "
+        "0x1.3804e013804e0p-8 0x1.19f5c15baf686p-11 "
+        "0x1.0004001000400p-13 0x1.6a09e64601652p-14",
+        "0x1.8f563d58f563dp-2 0x1.f3774937afd82p-9 "
+        "0x1.4c853214c8532p-5 0x1.942a5e452ba5ap-10 "
+        "0x1.9006401900640p-10 0x1.3fc67803f9ccdp-12 "
+        "0x0.0p+0 0x0.0p+0",
+    ),
+    ("direct", 4, 16385): (
+        "0x1.8f49c2d8f49c3p-2 0x1.f36caaad2e2c6p-9 "
+        "0x1.c6f8e41c6f8e4p-4 0x1.41c265bee6004p-9 "
+        "0x1.64fa6c164fa6cp-6 0x1.2afb3695be201p-10 "
+        "0x1.97f9a0197f9a0p-9 0x1.c84fcbd8962d1p-12",
+        "0x1.8f49c2d8f49c3p-2 0x1.f36caaad2e2c6p-9 "
+        "0x1.043bef1043befp-4 0x1.f388a9a9c60b0p-10 "
+        "0x1.37fb20137fb20p-8 0x1.19ecf735d8ea8p-11 "
+        "0x1.fff8001fff800p-14 0x1.69fe965150f9bp-14",
+        "0x1.8f49c2d8f49c3p-2 0x1.f36caaad2e2c6p-9 "
+        "0x1.4c7ace14c7acep-5 0x1.941e018768cb7p-10 "
+        "0x1.8ff9c018ff9c0p-10 0x1.3fbc7bec8bcf8p-12 "
+        "0x0.0p+0 0x0.0p+0",
+    ),
+    ("direct", 4, 32769): (
+        "0x1.93e4d8364f936p-2 0x1.61defcd1567fep-9 "
+        "0x1.c41c77c71071ep-4 0x1.c5c9e101532a2p-10 "
+        "0x1.4ffd60053ff58p-6 0x1.9a7ae0b9d5165p-11 "
+        "0x1.83fcf8060ff3ep-9 0x1.3aafe1e282f4ap-12",
+        "0x1.93e4d8364f936p-2 0x1.61defcd1567fep-9 "
+        "0x1.001dffc400780p-4 0x1.5e9ca949f84c4p-10 "
+        "0x1.2ffda004bff68p-8 0x1.89982bd50ed26p-12 "
+        "0x1.fffc0007fff00p-14 0x1.fff40017ffb00p-15",
+        "0x1.93e4d8364f936p-2 0x1.61defcd1567fep-9 "
+        "0x1.3ffd8004fff60p-5 0x1.188ffd498b789p-10 "
+        "0x1.3ffd8004fff60p-10 0x1.94831757c5616p-13 "
+        "0x0.0p+0 0x0.0p+0",
+    ),
+    ("conditional", 1, 1): (
+        "0x1.94e364329949dp-2 0x0.0p+0",
+        "0x1.94e364329949dp-2 0x0.0p+0",
+        "0x1.94e364329949dp-2 0x0.0p+0",
+    ),
+    ("conditional", 1, 4095): (
+        "0x1.92a2d29730b6fp-2 0x1.9d7d812e2487cp-10",
+        "0x1.92a2d29730b6fp-2 0x1.9d7d812e2487cp-10",
+        "0x1.92a2d29730b6fp-2 0x1.9d7d812e2487cp-10",
+    ),
+    ("conditional", 1, 4097): (
+        "0x1.92c9cc421aa36p-2 0x1.9c8430b62bee8p-10",
+        "0x1.92c9cc421aa36p-2 0x1.9c8430b62bee8p-10",
+        "0x1.92c9cc421aa36p-2 0x1.9c8430b62bee8p-10",
+    ),
+    ("conditional", 1, 16383): (
+        "0x1.92f896d1032ebp-2 0x1.99c689a121577p-11",
+        "0x1.92f896d1032ebp-2 0x1.99c689a121577p-11",
+        "0x1.92f896d1032ebp-2 0x1.99c689a121577p-11",
+    ),
+    ("conditional", 1, 16385): (
+        "0x1.92d127e5f9188p-2 0x1.98654043750ccp-11",
+        "0x1.92d127e5f9188p-2 0x1.98654043750ccp-11",
+        "0x1.92d127e5f9188p-2 0x1.98654043750ccp-11",
+    ),
+    ("conditional", 1, 32769): (
+        "0x1.93ebc3d6d4cccp-2 0x1.1f8e247d36bd4p-11",
+        "0x1.93ebc3d6d4cccp-2 0x1.1f8e247d36bd4p-11",
+        "0x1.93ebc3d6d4cccp-2 0x1.1f8e247d36bd4p-11",
+    ),
+    ("conditional", 4, 1): (
+        "0x1.94e364329949dp-2 0x0.0p+0 "
+        "0x1.d88c4f72bd61dp-4 0x0.0p+0 "
+        "0x1.7d9a6e7756a58p-6 0x0.0p+0 "
+        "0x1.b0b31d20e15a8p-9 0x0.0p+0",
+        "0x1.94e364329949dp-2 0x0.0p+0 "
+        "0x1.d88c4f72bd61dp-4 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0",
+        "0x1.94e364329949dp-2 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0",
+    ),
+    ("conditional", 4, 4095): (
+        "0x1.9189aaf5a2695p-2 0x1.9c86fd91decfap-10 "
+        "0x1.cbca24b25903dp-4 0x1.1b92cb12ca946p-11 "
+        "0x1.63dacff5589b1p-6 0x1.c9f4f54d3796bp-14 "
+        "0x1.8ca756868389bp-9 0x1.034c65388090cp-16",
+        "0x1.9189aaf5a2695p-2 0x1.9c86fd91decfap-10 "
+        "0x1.0287345c109fep-4 0x1.1c810008bc4a7p-10 "
+        "0x1.3145f40b1f2f2p-8 0x1.65cecd2e5fe8ep-13 "
+        "0x1.71266d7d66b03p-13 0x1.d163392b656ffp-17",
+        "0x1.9189aaf5a2695p-2 0x1.9c86fd91decfap-10 "
+        "0x1.3ad08019a86d2p-5 0x1.0a8165794e45fp-10 "
+        "0x1.745a3ea03833dp-10 0x1.b459ea779a20cp-14 "
+        "0x1.f45ad995c84c4p-16 0x1.92bcda02ddcfdp-18",
+    ),
+    ("conditional", 4, 4097): (
+        "0x1.91bf994674f63p-2 0x1.98b022f463602p-10 "
+        "0x1.cbe4b9b0ce644p-4 0x1.19f295e43fa2cp-11 "
+        "0x1.63ec742688bdfp-6 0x1.c7d16ff55597bp-14 "
+        "0x1.8ccd5414c2450p-9 0x1.02737779381e0p-16",
+        "0x1.91bf994674f63p-2 0x1.98b022f463602p-10 "
+        "0x1.010a39450bcb6p-4 0x1.1b471dce5e0f1p-10 "
+        "0x1.3507f7c53cffep-8 0x1.68a81edabc497p-13 "
+        "0x1.76c1e272e0bcbp-13 0x1.d8fd408e2b425p-17",
+        "0x1.91bf994674f63p-2 0x1.98b022f463602p-10 "
+        "0x1.3a267b3d0ae67p-5 0x1.0a0d7d3d09e27p-10 "
+        "0x1.7608363f14b97p-10 0x1.b97ec9772d9c8p-14 "
+        "0x1.17902753ca150p-15 0x1.bfde2c05382e1p-18",
+    ),
+    ("conditional", 4, 16383): (
+        "0x1.932c1061db8d7p-2 0x1.9917bbc9d0112p-11 "
+        "0x1.ce078fbfa4783p-4 0x1.18408fc991cddp-12 "
+        "0x1.660dc9d45c815p-6 0x1.c8a3618716b5ap-15 "
+        "0x1.8f77f41265d8dp-9 0x1.032f61e06f042p-17",
+        "0x1.932c1061db8d7p-2 0x1.9917bbc9d0112p-11 "
+        "0x1.05473a86a3575p-4 0x1.1b95f8f8d85c0p-11 "
+        "0x1.35d29d546be5dp-8 0x1.6b5054bd6a616p-14 "
+        "0x1.88447d2ad9b16p-13 0x1.e521e68a4a6c9p-18",
+        "0x1.932c1061db8d7p-2 0x1.9917bbc9d0112p-11 "
+        "0x1.3aea8995ec507p-5 0x1.09ebefbec4284p-11 "
+        "0x1.9352eb7997d57p-10 0x1.cd2abe74ed1fep-15 "
+        "0x1.dd607d5f65f8dp-16 0x1.90fcd5cf0a8d3p-19",
+    ),
+    ("conditional", 4, 16385): (
+        "0x1.930dba45858a1p-2 0x1.98b88e43ba787p-11 "
+        "0x1.cdf20b28a0f1ep-4 0x1.1781bb6da9a22p-12 "
+        "0x1.65cef5cf9cf41p-6 0x1.c5a4df37dcd1ep-15 "
+        "0x1.8f35cd4ebc67dp-9 0x1.01bc781885d8fp-17",
+        "0x1.930dba45858a1p-2 0x1.98b88e43ba787p-11 "
+        "0x1.0517aca726ee2p-4 0x1.1b0c0c44b8f19p-11 "
+        "0x1.3232c6f89cdaep-8 0x1.6741b10e692dap-14 "
+        "0x1.7f00c34c3db48p-13 0x1.dc1fa4870f287p-18",
+        "0x1.930dba45858a1p-2 0x1.98b88e43ba787p-11 "
+        "0x1.3adcb7558ca59p-5 0x1.09a36ef40a678p-11 "
+        "0x1.880e329bfc5f5p-10 0x1.c2fbcb797ac66p-15 "
+        "0x1.e085f1c7bd83ep-16 0x1.94d874b018714p-19",
+    ),
+    ("conditional", 4, 32769): (
+        "0x1.93ac27e7cbd61p-2 0x1.2068646bc999ep-11 "
+        "0x1.ce61832125bd7p-4 0x1.8c0889e9196e9p-13 "
+        "0x1.65e6efd1790d3p-6 0x1.40aefe83e2d15p-15 "
+        "0x1.8f4cc6dda45e8p-9 0x1.6bad6a0e8960ep-18",
+        "0x1.93ac27e7cbd61p-2 0x1.2068646bc999ep-11 "
+        "0x1.08cb33f144fd0p-4 0x1.913085a1a1514p-12 "
+        "0x1.347ee60fb441ep-8 0x1.fdf2f0072b039p-15 "
+        "0x1.7ba5d2064fea9p-13 0x1.4fb99643a0873p-18",
+        "0x1.93ac27e7cbd61p-2 0x1.2068646bc999ep-11 "
+        "0x1.3d9453a8be365p-5 0x1.79559d5dfde56p-12 "
+        "0x1.8470f08d88543p-10 0x1.3df2cb6cf9d2bp-15 "
+        "0x1.aba77fdec8663p-16 0x1.0d1f172872bc7p-19",
+    ),
+}
+
 PIN_POWERS = (6.0, 9.0, 14.0, 20.0)
 ESTIMATORS = {"direct": estimate_profile,
               "conditional": estimate_outage_conditional}
+
+
+def pinned_hex(name, k, rho, trials, workers):
+    est = ESTIMATORS[name](PowerPolicy(PIN_POWERS[:k]),
+                           ChannelParams(rho=rho, num_rounds=k), RATE,
+                           trials=trials, seed=17, workers=workers)
+    return tuple(" ".join(f"{e.mean.hex()} {e.stderr.hex()}"
+                          for e in est[scheme]) for scheme in Scheme)
 
 
 class TestPinnedBits:
@@ -529,12 +792,29 @@ class TestPinnedBits:
     @pytest.mark.parametrize("key", sorted(PINNED_BITS))
     def test_estimates_match_pinned_hex(self, key, workers):
         name, k, rho = key
-        est = ESTIMATORS[name](PowerPolicy(PIN_POWERS[:k]),
-                               ChannelParams(rho=rho, num_rounds=k), RATE,
-                               trials=70001, seed=17, workers=workers)
-        got = tuple(" ".join(f"{e.mean.hex()} {e.stderr.hex()}"
-                             for e in est[scheme]) for scheme in Scheme)
-        assert got == PINNED_BITS[key]
+        assert pinned_hex(name, k, rho, 70001, workers) == PINNED_BITS[key]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("key", sorted(EDGE_BITS))
+    def test_block_edges_match_pinned_hex(self, key, workers):
+        name, k, trials = key
+        assert pinned_hex(name, k, 0.5, trials, workers) == EDGE_BITS[key]
+
+    @pytest.mark.parametrize("block", [1000, CHUNK_TRIALS])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, name,
+                                                   block):
+        # a block that divides no chunk, and one block per chunk
+        monkeypatch.setattr(montecarlo, "DIRECT_BLOCK", block)
+        monkeypatch.setattr(montecarlo, "CONDITIONAL_BLOCK", block)
+        got = pinned_hex(name, 4, 0.5, 70001, workers=3)
+        assert got == PINNED_BITS[(name, 4, 0.5)]
+
+    def test_edge_trials_straddle_every_block(self):
+        for block in (montecarlo.DIRECT_BLOCK, montecarlo.CONDITIONAL_BLOCK):
+            assert {block - 1, block + 1} <= set(EDGE_TRIALS)
+        assert CHUNK_TRIALS + 1 in EDGE_TRIALS
+        assert {key[2] for key in EDGE_BITS} == set(EDGE_TRIALS)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("estimator, digest", [

@@ -5,6 +5,9 @@ small two-round grid can be brute-forced through the scalar evaluator to
 confirm the vectorized search picks the identical point.
 """
 import itertools
+import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +117,35 @@ class TestGridSearch:
         assert got.policy == want.policy
         assert (got.latency_s, got.average_power_w, got.outage_k) == \
             (want.latency_s, want.average_power_w, want.outage_k)
+
+    def test_working_set_stays_small(self):
+        # the certify grid, 100^3 points; one 2^16-point block peaks at
+        # 9.7 MiB
+        grid = default_grid(self.link, points=100)
+        tracemalloc.start()
+        try:
+            grid_search(ChannelParams(rho=0.5), Scheme.INCREMENTAL, self.link,
+                        grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (1 << 20)
+
+    def search_quietly(self, bandwidth_hz):
+        link = LinkConfig(bandwidth_hz=bandwidth_hz)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return grid_search(ChannelParams(rho=0.5), Scheme.INCREMENTAL,
+                               link, default_grid(link, points=8))
+
+    def test_overflowing_latency_is_infeasible(self):
+        # at 1e-300 Hz most latencies overflow to inf; the best finite one wins
+        res = self.search_quietly(1e-300)
+        assert math.isfinite(res.latency_s) and res.latency_s > 1e305
+
+    def test_grid_without_finite_latency_raises(self):
+        with pytest.raises(GridInfeasible):
+            self.search_quietly(1e-305)
 
     def test_round_count_guard(self):
         ch = ChannelParams(rho=0.2, num_rounds=5)

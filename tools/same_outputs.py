@@ -31,6 +31,9 @@ MC_K4 = ("--trials", "70001", "--rounds", "4", "--rho", "0.9",
          "--power-dbw", "10")
 MC_K1 = ("--trials", "70001", "--rounds", "1", "--rho", "0",
          "--power-dbw", "0")
+# one trial past a direct block and one past a chunk, at K=3 and K=1
+MC_EDGES = [("--trials", trials) + rounds for trials in ("4097", "32769")
+            for rounds in ((), ("--rounds", "1"))]
 
 COMMANDS = [
     ("train", "--epochs", "25", "--scheme", "ir", "--power-budget-dbw", "14.5"),
@@ -52,7 +55,7 @@ COMMANDS = [
     *[("mc-validate", "--estimator", est, "--threads", threads) + MC_BIG
       for est in ("direct", "conditional") for threads in ("1", "2", "3")],
     *[("mc-validate", "--estimator", est, "--threads", threads) + mc
-      for mc in (MC_K4, MC_K1) for est in ("direct", "conditional")
+      for mc in (MC_K4, MC_K1, *MC_EDGES) for est in ("direct", "conditional")
       for threads in ("1", "3")],
     ("mc-validate", "--power-dbw", "600"),
     ("mc-validate", "--power-dbw", "1000", "--trials", "1000"),
