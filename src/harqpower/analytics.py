@@ -28,6 +28,7 @@ from .types import (OUTAGE_CAP, ChannelParams, LinkConfig, PerformanceReport,
 __all__ = [
     "correlation_factor",
     "rate_factors",
+    "ChainWork",
     "analytic_chain",
     "chain_adjoint",
     "evaluate",
@@ -103,15 +104,70 @@ def rate_factors(scheme: Scheme, rate: float, rounds: int) -> list:
     return factors
 
 
+def _rounds_last(rows: int, lead) -> np.ndarray:
+    """An empty (lead..., rows) array whose rows along the last axis are
+    each contiguous, so a loop over rounds runs on contiguous rows."""
+    return np.moveaxis(np.empty((rows,) + tuple(lead)), 0, -1)
+
+
+def _arrays(count: int, lead) -> list:
+    """`count` empty arrays shaped `lead`, 0-d ones included."""
+    block = np.empty((count,) + tuple(lead))
+    return [block[i, ...] for i in range(count)]
+
+
+class ChainWork:
+    """Buffers of analytic_chain and chain_adjoint for one shape (..., K).
+
+    A caller that runs the chain on arrays of one shape again and again
+    passes one ChainWork to every call, so that no call allocates.  The
+    adjoint's buffers are made on its first call.
+    """
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        lead, k = self.shape[:-1], self.shape[-1]
+        self.prod = _rounds_last(k, lead)
+        # ext holds P_0 = 1 and the outages P_1..P_K: prev and outages are
+        # its two overlapping views
+        self.ext = _rounds_last(k + 1, lead)
+        self.ext[..., 0] = 1.0
+        self.terms = _rounds_last(k, lead)  # the pavg terms p_k P_{k-1}
+        self.spent, self.eta, self.tau, self.pavg = _arrays(4, lead)
+        self.tail = None
+
+    def _adjoint_buffers(self) -> None:
+        lead, k = self.shape[:-1], self.shape[-1]
+        # the suffix sums start from round K's zero
+        self.tail, self.later = (_rounds_last(k, lead) for _ in range(2))
+        self.tail[..., -1] = self.later[..., -1] = 0.0
+        self.pull, self.scratch = (_rounds_last(k, lead) for _ in range(2))
+        self.lat, self.pole = _arrays(2, lead)
+
+    @property
+    def prev(self) -> np.ndarray:
+        return self.ext[..., :-1]
+
+    @property
+    def outages(self) -> np.ndarray:
+        return self.ext[..., 1:]
+
+
+def _running(out, rows) -> None:
+    """Left-to-right running total of `rows` (..., K) into `out` (...)."""
+    np.copyto(out, rows[..., 0])
+    for k in range(1, rows.shape[-1]):
+        out += rows[..., k]
+
+
 def analytic_chain(powers, inv_corr, factors, link: LinkConfig,
-                   capped: bool = False):
-    """Outage -> throughput -> latency -> average power for one power vector.
+                   capped: bool = False, work: ChainWork | None = None):
+    """Outage -> throughput -> latency -> average power for power vectors.
 
     `powers`, `inv_corr` and the scheme's rate factors `factors` (see
-    rate_factors) hold one entry per round (1..K).  The entries may be
-    floats or broadcastable arrays (one value per candidate, sample or run):
-    the chain uses only + - * /, so every caller runs the same operations in
-    the same order.  Round k's outage is
+    rate_factors) broadcast against each other with one entry per round
+    (1..K) on the last axis; the leading axes index candidates, samples or
+    runs, and `powers` carries all of them.  Round k's outage is
 
         P_k = inv_corr_k / prod_{j<=k} p_j * rate_factor_k
 
@@ -121,52 +177,75 @@ def analytic_chain(powers, inv_corr, factors, link: LinkConfig,
         latency    = payload / (throughput * bandwidth)
         avg power  = sum_k p_k * P_{k-1}
 
-    With `capped`, each P_k is replaced by min(P_k, OUTAGE_CAP) before it
-    enters the later metrics; the asymptote can exceed 1 at low SNR.
-    Returns (outages, throughput, latency, average power), where outages are
-    the per-round values the metrics used.
+    Products and sums run along K from round 1 up, as prefix products and
+    running sums, so every caller runs the same operations in the same
+    order.  With `capped`, each P_k is replaced by min(P_k, OUTAGE_CAP)
+    before it enters the later metrics; the asymptote can exceed 1 at low
+    SNR.  Returns (outages, throughput, latency, average power): the
+    per-round outages the metrics used, shaped (..., K), and three (...)
+    arrays, all views of `work`'s buffers (fresh ones without `work`).
     """
-    outages = []
-    prod = None
-    for p, ic, factor in zip(powers, inv_corr, factors):
-        prod = p if prod is None else prod * p
-        pout = ic / prod * factor
-        outages.append(np.minimum(pout, OUTAGE_CAP) if capped else pout)
-    spent = 1.0
-    for pout in outages[:-1]:
-        spent = spent + pout
-    eta = link.rate * (1.0 - outages[-1]) / spent
-    tau = link.payload_bits / (eta * link.bandwidth_hz)
-    pavg = powers[0]
-    for p, pout in zip(powers[1:], outages[:-1]):
-        pavg = pavg + p * pout
-    return outages, eta, tau, pavg
+    powers, inv_corr, factors = (np.asarray(x, dtype=np.float64)
+                                 for x in (powers, inv_corr, factors))
+    if work is None:
+        work = ChainWork(np.broadcast_shapes(powers.shape, inv_corr.shape,
+                                             factors.shape))
+    prod, outages = work.prod, work.outages
+    np.copyto(prod[..., 0], powers[..., 0])
+    for k in range(1, prod.shape[-1]):
+        np.multiply(prod[..., k - 1], powers[..., k], out=prod[..., k])
+    np.divide(inv_corr, prod, out=outages)
+    np.multiply(outages, factors, out=outages)
+    if capped:
+        np.minimum(outages, OUTAGE_CAP, out=outages)
+    _running(work.spent, work.prev)
+    eta = np.subtract(1.0, outages[..., -1], out=work.eta)
+    np.multiply(link.rate, eta, out=eta)
+    np.divide(eta, work.spent, out=eta)
+    tau = np.multiply(eta, link.bandwidth_hz, out=work.tau)
+    np.divide(link.payload_bits, tau, out=tau)
+    np.multiply(powers, work.prev, out=work.terms)
+    _running(work.pavg, work.terms)
+    return outages, eta, tau, work.pavg
 
 
-def chain_adjoint(powers, outages, tau, g_tau, g_log_pout, g_pavg) -> list:
+def chain_adjoint(powers, work: ChainWork, tau, g_tau, g_log_pout, g_pavg,
+                  out=None) -> np.ndarray:
     """Per-round power adjoints through the uncapped analytic_chain.
 
-    Given the chain's per-round `powers` and `outages`, its latency `tau`
-    and the adjoints g_tau, g_log_pout and g_pavg of tau, log P_K and the
-    average power: each P_k is a monomial, dP_k/dp_j = -P_k / p_j for
-    j <= k, so with S = 1 + sum_{k<K} P_k and P_0 = 1 the adjoint of p_j is
+    `work` holds the chain's last evaluation on `powers`; `tau` is the
+    latency the objective used, and g_tau, g_log_pout and g_pavg are the
+    adjoints of tau, log P_K and the average power, all broadcasting
+    against the chain's (...) shape.  Each P_k is a monomial,
+    dP_k/dp_j = -P_k / p_j for j <= k, so with S = 1 + sum_{k<K} P_k and
+    P_0 = 1 the adjoint of p_j is
 
         g_pavg P_{j-1} - (g_tau tau (sum_{j<=k<K} P_k / S + P_K / (1 - P_K))
                           + g_log_pout + g_pavg sum_{k>j} p_k P_{k-1}) / p_j
+
+    where both suffix sums run from round K down, starting at zero.
+    Returns the (..., K) adjoints, in `out` when given.
     """
-    spent = sum(outages[:-1], 1.0)
-    lat = g_tau * tau
-    pole = outages[-1] / (1.0 - outages[-1])
-    tail = later = 0.0  # sum_{j<=k<K} P_k and sum_{k>j} p_k P_{k-1}
-    grads = []
-    # each round's power, the outage before it and, but for the last, its own
-    rounds = zip(powers, [1.0, *outages[:-1]], [*outages[:-1], 0.0])
-    for p, prev, own in reversed(list(rounds)):
-        tail = tail + own
-        pull = lat * (tail / spent + pole) + g_log_pout + g_pavg * later
-        grads.insert(0, g_pavg * prev - pull / p)
-        later = later + p * prev
-    return grads
+    if work.tail is None:
+        work._adjoint_buffers()
+    outages, tail, later = work.outages, work.tail, work.later
+    last = outages[..., -1]
+    lat = np.multiply(g_tau, tau, out=work.lat)
+    pole = np.subtract(1.0, last, out=work.pole)
+    np.divide(last, pole, out=pole)
+    for j in range(tail.shape[-1] - 2, -1, -1):
+        np.add(tail[..., j + 1], outages[..., j], out=tail[..., j])
+        np.add(later[..., j + 1], work.terms[..., j + 1], out=later[..., j])
+    pull = np.divide(tail, work.spent[..., None], out=work.pull)
+    pull += pole[..., None]
+    np.multiply(lat[..., None], pull, out=pull)
+    pull += np.asarray(g_log_pout)[..., None]
+    g_pavg = np.asarray(g_pavg)[..., None]
+    pull += np.multiply(g_pavg, later, out=work.scratch)
+    np.divide(pull, powers, out=pull)
+    out = np.multiply(g_pavg, work.prev, out=out)
+    out -= pull
+    return out
 
 
 def evaluate(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,
@@ -175,10 +254,16 @@ def evaluate(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,
     if policy.num_rounds != channel.num_rounds:
         raise ValueError("policy and channel round counts differ")
     k = channel.num_rounds
-    inv_corr = (1.0 / correlation_factor(channel.rho, k, channel.delta)).tolist()
-    outages, eta, tau, pavg = analytic_chain(
-        policy.powers, inv_corr, rate_factors(scheme, link.rate, k), link,
-        capped=True)
+    inv_corr = 1.0 / correlation_factor(channel.rho, k, channel.delta)
+    work = ChainWork((k,))
+    # a power product that overflows to inf gives an outage of 0; one that
+    # underflows to 0 leaves no outage at all
+    with np.errstate(all="ignore"):
+        outages, eta, tau, pavg = analytic_chain(
+            policy.powers, inv_corr, rate_factors(scheme, link.rate, k), link,
+            capped=True, work=work)
+    if not work.prod.all():
+        raise ZeroDivisionError("float division by zero")
     profile = tuple(float(p) for p in outages)
     pavg = float(pavg)
     return PerformanceReport(

@@ -50,8 +50,102 @@ def init_weights(seed: int) -> GcnWeights:
     return GcnWeights(matrices=mats, seed=seed)
 
 
-def forward(adjacency: np.ndarray, matrices, p_bar_w) -> ad.Node:
-    """Per-round powers floored at P_MIN_WATTS, as an autodiff node.
+def _swap(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
+class _Network:
+    """One network's pass over fixed shapes, in buffers made once.
+
+    Reads the adjacency and the weight matrices through the arrays given,
+    so a caller that refills them in place evaluates the new values.
+    Layer l keeps u_l = A @ V_l, its output z_l (relu'd in place but for
+    the last layer) and the 0/1 mask of its entries above the floor, which
+    are what the backward pass reads.  The masks are float, so that the
+    backward products need no cast buffer.  Every view a pass uses is made
+    here.
+    """
+
+    def __init__(self, adjacency, matrices, share):
+        self.adjacency, self.matrices = adjacency, matrices
+        runs = share.shape
+        lead = runs + adjacency.shape[:-1]
+        # the input feature of every round: the uniform split p_bar / K
+        self.v0 = (share.reshape(runs + (1,) * adjacency.ndim)
+                   * np.ones(lead + (1,)))
+        self.out = np.empty(lead + (1,))
+        # the axes between the run axis and the feature axis are one gemm's
+        # rows, so each layer is one (rows, n) x (n, m) product per run; a
+        # single network's weights have no run axis, whatever p_bar's shape
+        runs = matrices[0].shape[:-2]
+        self._rows = lambda x: x.reshape(runs + (-1, x.shape[-1]))
+        self.u, self.z, self.mask = [], [], []
+        self._layers = []
+        last = len(matrices) - 1
+        for layer, w in enumerate(matrices):
+            u = np.empty(lead + w.shape[-2:-1])
+            z = np.empty(lead + w.shape[-1:])
+            mask = np.empty(z.shape)
+            floor, act = (0.0, z) if layer < last else (P_MIN_WATTS, self.out)
+            self._layers.append((u, self._rows(u), w, self._rows(z), z,
+                                 np.empty(z.shape, dtype=bool), mask, floor,
+                                 act))
+            self.u.append(u)
+            self.z.append(z)
+            self.mask.append(mask)
+        self.grad = None
+
+    def forward(self) -> np.ndarray:
+        a, v = self.adjacency, self.v0
+        for u, u_rows, w, z_rows, z, above, mask, floor, act in self._layers:
+            np.matmul(a, v, out=u)
+            np.matmul(u_rows, w, out=z_rows)
+            np.copyto(mask, np.greater(z, floor, out=above))
+            v = np.maximum(z, floor, out=act)
+        return self.out
+
+    def _backward_plan(self, grad) -> None:
+        if grad is None:
+            grad = np.empty(sum(m.size for m in self.matrices))
+        sizes = np.cumsum([m.size for m in self.matrices])[:-1]
+        self.grad = [part.reshape(m.shape) for part, m in
+                     zip(np.split(grad, sizes), self.matrices)]
+        self.gz = [np.empty_like(z) for z in self.z]
+        a_t = _swap(self.adjacency)
+        # per layer from the last: the weight gradient's operands and, below
+        # the first layer, the adjoint pushed through w, A and the relu
+        self._plan = []
+        for layer in range(len(self.matrices) - 1, -1, -1):
+            gz = self._rows(self.gz[layer])
+            below = None
+            if layer:
+                gu = np.empty_like(self.u[layer])
+                below = (_swap(self.matrices[layer]), gu, self._rows(gu), a_t,
+                         self.gz[layer - 1], self.mask[layer - 1])
+            self._plan.append((_swap(self._rows(self.u[layer])), gz,
+                               self.grad[layer], below))
+
+    def backward(self, g: np.ndarray, grad: np.ndarray | None) -> list:
+        """Each layer's weight gradient for the output adjoint `g`.
+
+        The gradients are views of one flat buffer, `grad` when given to
+        the first call, laid out as the weight matrices one after another.
+        """
+        if self.grad is None:
+            self._backward_plan(grad)
+        np.multiply(g, self.mask[-1], out=self.gz[-1])
+        for u_t, gz, grad_w, below in self._plan:
+            np.matmul(u_t, gz, out=grad_w)
+            if below is not None:
+                w_t, gu, gu_rows, a_t, gz_below, mask = below
+                np.matmul(gz, w_t, out=gu_rows)
+                np.matmul(a_t, gu, out=gz_below)
+                np.multiply(gz_below, mask, out=gz_below)
+        return self.grad
+
+
+def forward(adjacency: np.ndarray, matrices, p_bar_w, grad=None) -> ad.Node:
+    """Per-round powers floored at P_MIN_WATTS, as one autodiff op.
 
     `adjacency` is one (K, K) session or a (B, K, K) stack.  `matrices` are
     the layer weights as autodiff nodes: parameters to differentiate through
@@ -60,22 +154,23 @@ def forward(adjacency: np.ndarray, matrices, p_bar_w) -> ad.Node:
     is a float; the output has shape (K, 1) or (B, K, 1).  For a stack of R
     networks they are (R, n, m), `p_bar_w` holds the R budgets, and the
     output gains a leading run axis.
+
+    The op reads the adjacency and the weights through the arrays given
+    and writes into buffers it makes once, so a Tape replays it after they
+    change in place.  Its backward pass gives every weight node a view of
+    one flat gradient buffer (`grad` when given) laid out as the matrices
+    one after another.
     """
+    adjacency = np.asarray(adjacency, dtype=np.float64)
     k = adjacency.shape[-1]
     if adjacency.ndim not in (2, 3) or adjacency.shape[-2] != k:
         raise ValueError("adjacency must be square")
-    share = np.asarray(p_bar_w, dtype=np.float64) / k
-    runs = share.shape
-    a = ad.constant(adjacency)
-    v = ad.constant(share.reshape(runs + (1,) * adjacency.ndim)
-                    * np.ones(runs + adjacency.shape[:-1] + (1,)))
-    for layer, w in enumerate(matrices):
-        v = ad.dense(ad.matmul(a, v), w)
-        if layer < len(matrices) - 1:
-            v = ad.relu(v)
-    if v.value.shape[-1] != 1:
+    if matrices[-1].value.shape[-1] != 1:
         raise ValueError("final layer must emit one feature per round")
-    return ad.clamp(v, lo=P_MIN_WATTS)
+    net = _Network(adjacency, [w.value for w in matrices],
+                   np.asarray(p_bar_w, dtype=np.float64) / k)
+    return ad.op("gcn", net.forward, tuple(matrices),
+                 lambda g: net.backward(g, grad))
 
 
 def save_checkpoint(path, weights: GcnWeights) -> None:

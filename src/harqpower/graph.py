@@ -42,8 +42,10 @@ def batch_adjacency(rho: np.ndarray, num_rounds: int, delta: int) -> np.ndarray:
     of the shared-component fading model.
     """
     k = num_rounds
+    # entry (i, j) depends on i + j only: 2K - 1 powers per session
     i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    h = rho[:, None, None] ** (i + j + 2 * delta)[None, :, :]
+    powers = rho[:, None] ** np.arange(2 * delta, 2 * (k + delta) - 1)
+    h = np.take(powers, i + j, axis=1)
     h[:, np.arange(k), np.arange(k)] = 1.0
     return normalize_adjacency(h)
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import analytic_chain, correlation_factor, rate_factors
+from .analytics import (ChainWork, analytic_chain, correlation_factor,
+                        rate_factors)
 from .types import (P_MIN_WATTS, ChannelParams, LinkConfig,
                     PowerPolicy, Scheme, dbw_to_watts)
 
@@ -85,27 +86,37 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
         raise ComplexityGuard(
             f"grid search supports at most {MAX_GRID_ROUNDS} rounds, got {k}")
     axis = grid.axis()
-    inv_corr = (1.0 / correlation_factor(channel.rho, k, channel.delta)).tolist()
+    inv_corr = 1.0 / correlation_factor(channel.rho, k, channel.delta)
     factors = rate_factors(scheme, link.rate, k)
     size = grid.points_per_axis ** k
+    shape = (grid.points_per_axis,) * k
+    # one block's buffers, reused by every block: (points, K) powers, each
+    # round's contiguous, and the chain's work
+    rows = min(BLOCK_POINTS, size)
+    powers, work = np.empty((k, rows)).T, ChainWork((rows, k))
     # each block's best feasible point as (tau, pavg, powers, P_out_K)
     bests = []
     for start in range(0, size, BLOCK_POINTS):
         flat = np.arange(start, min(start + BLOCK_POINTS, size))
-        cols = [axis[i] for i in np.unravel_index(flat, (grid.points_per_axis,) * k)]
+        if flat.size < rows:
+            powers, work = powers[:flat.size], ChainWork((flat.size, k))
+        # mode="clip" writes straight into `out` ("raise" buffers); every
+        # index is in range
+        for j, index in enumerate(np.unravel_index(flat, shape)):
+            np.take(axis, index, out=powers[:, j], mode="clip")
         # an overflow or a 0/0 leaves inf or nan, and the test below is
         # false for both
         with np.errstate(all="ignore"):
-            outages, _, tau, pavg = analytic_chain(cols, inv_corr, factors,
-                                                   link, capped=True)
-        feasible = ((outages[-1] <= link.outage_target)
+            outages, _, tau, pavg = analytic_chain(
+                powers, inv_corr, factors, link, capped=True, work=work)
+        feasible = ((outages[:, -1] <= link.outage_target)
                     & (pavg <= link.power_budget_w) & np.isfinite(tau))
         idx = np.flatnonzero(feasible)
         if idx.size:
-            keys = tuple(c[idx] for c in reversed(cols)) + (pavg[idx], tau[idx])
-            best = idx[np.lexsort(keys)[0]]
-            bests.append((tau[best], pavg[best], tuple(c[best] for c in cols),
-                          outages[-1][best]))
+            keys = tuple(powers[idx, j] for j in reversed(range(k)))
+            best = idx[np.lexsort(keys + (pavg[idx], tau[idx]))[0]]
+            bests.append((tau[best], pavg[best], tuple(powers[best]),
+                          outages[best, -1]))
     if not bests:
         raise GridInfeasible(
             f"no feasible point on a {grid.points_per_axis}^{k} grid for "

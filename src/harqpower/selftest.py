@@ -20,7 +20,8 @@ from .gcn import forward, init_weights, load_checkpoint, save_checkpoint
 from .graph import session_adjacency
 from .montecarlo import estimate_outage_conditional, estimate_profile
 from .oracle import GridInfeasible, GridSpec, default_grid, grid_search
-from .training import AdamState, adam_update
+from .training import (AdamState, adam_update, batch_lagrangian,
+                       dataset_constants)
 from .types import ChannelParams, LinkConfig, PowerPolicy, Scheme
 
 __all__ = ["run_selftest"]
@@ -95,26 +96,36 @@ def _check_graph():
 
 
 def _check_autodiff():
+    # the hand-derived training gradient of a two-layer network against
+    # central differences, at weights where no relu or floor switches
     rng = np.random.default_rng(5)
-    vals = [rng.standard_normal((2, 3)), rng.standard_normal((3, 1))]
-    x_in = rng.standard_normal((4, 2))
+    mats = [rng.uniform(0.5, 1.5, (1, 3)), rng.uniform(0.5, 1.5, (3, 1))]
+    adj, inv_corr = dataset_constants(np.array([0.1, 0.5, 0.85]),
+                                      ChannelParams(rho=0.0))
+    runs = [(Scheme.CHASE, LinkConfig())]
 
-    def build(params):
-        w1, w2 = params
-        h = ad.relu(ad.matmul(ad.constant(x_in), w1))
-        y = ad.matmul(h, w2)
-        return ad.reduce_sum(ad.clamp(ad.multiply(y, y), hi=25.0))
+    def lagrangian(params):
+        return batch_lagrangian(params, adj, inv_corr, runs, 0.02, 1e-4)[0]
 
-    rep = ad.finite_diff_check(build, vals, step=1e-5)
-    _expect(rep.max_rel_error is not None and rep.max_rel_error < 1e-4,
-            f"finite-difference mismatch {rep.max_rel_error}")
-
-    p = ad.parameter(np.array([1.0, -2.0]))
-    root = ad.reduce_sum(ad.multiply(p, p))
+    params = [ad.parameter(m) for m in mats]
+    root = lagrangian(params)
     ad.backward(root)
-    g1 = p.adjoint.copy()
+    grads = [p.adjoint.copy() for p in params]
+    step = 1e-6
+    for m, g in zip(mats, grads):
+        for idx in np.ndindex(m.shape):
+            base = m[idx]
+            m[idx] = base + step
+            hi = float(lagrangian([ad.constant(x) for x in mats]).value)
+            m[idx] = base - step
+            lo = float(lagrangian([ad.constant(x) for x in mats]).value)
+            m[idx] = base
+            fd = (hi - lo) / (2.0 * step)
+            _expect(abs(fd - g[idx]) <= 1e-6 * max(abs(fd), abs(g[idx])),
+                    f"finite-difference mismatch {fd} vs {g[idx]}")
     ad.backward(root)
-    _expect(np.array_equal(g1, p.adjoint), "backward must be idempotent")
+    _expect(all(np.array_equal(g, p.adjoint) for g, p in zip(grads, params)),
+            "backward must be idempotent")
 
 
 def _check_gcn():

@@ -1,14 +1,15 @@
 """Primal-dual training of the GCN power policy.
 
-Each step draws a mini-batch of correlation coefficients, builds one
-differentiable graph that evaluates the policy network and the analytic
-latency/outage/power metrics for the whole batch, and descends the batch-mean
-Lagrangian
+Each step draws a mini-batch of correlation coefficients, evaluates the
+policy network and the analytic latency/outage/power metrics for the whole
+batch, and descends the batch-mean Lagrangian
 
     L = latency + lam * (log P_out_K - log target) + ups * (avg_power - budget)
 
 in the network weights (Adam) while ascending the projected multipliers.
-Both constraint terms use the same mini-batch as the weight gradient.
+Both constraint terms use the same mini-batch as the weight gradient.  The
+graph is two fused ops with hand-derived products, recorded on the first
+step and replayed on later ones into buffers made once.
 
 Several runs that differ only in scheme and power budget train as one
 stack: the weights, Adam moments, multipliers, step-size guard and history
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .analytics import (analytic_chain, chain_adjoint, correlation_factor,
-                        evaluate, rate_factors)
+from .analytics import (ChainWork, analytic_chain, chain_adjoint,
+                        correlation_factor, evaluate, rate_factors)
 from .gcn import GcnWeights, forward, init_weights
 from .graph import batch_adjacency, session_adjacency
 from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
@@ -39,6 +40,8 @@ __all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
 
 HISTORY_FIELDS = ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",
                   "lambda", "upsilon")
+# the per-sample statistics of batch_lagrangian, in its buffer's order
+STAT_FIELDS = ("objective", "mean_tau_s", "mean_log_pout", "mean_pavg_w")
 
 # Per-sample ceiling on the latency term inside the training graph, in units
 # of the payload/(bandwidth*rate) latency floor.  The asymptotic latency
@@ -100,6 +103,8 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    # two scratch arrays shaped like m, made on the first update
+    scratch: np.ndarray | None = None
 
     @classmethod
     def like(cls, x: np.ndarray) -> "AdamState":
@@ -110,14 +115,29 @@ def adam_update(state: AdamState, x: np.ndarray, g: np.ndarray, lr) -> None:
     """One bias-corrected Adam step applied in place to `x`.
 
     `lr` is a scalar or an array of per-entry step sizes shaped like `x`.
+    The moments and the step are computed in place, in the order of
+
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+        x -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
     """
+    if state.scratch is None:
+        state.scratch = np.empty((2,) + state.m.shape)
+    step, denom = state.scratch
     state.step += 1
     t = state.step
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** t)
-    x -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=denom)
+    v += np.multiply(denom, g, out=denom)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
+    np.multiply(lr, step, out=step)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    x -= step
 
 
 def sample_rho_dataset(cfg: TrainConfig) -> np.ndarray:
@@ -131,12 +151,12 @@ def dataset_constants(rho: np.ndarray, channel_proto: ChannelParams):
 
     Returns the normalized adjacencies, shape (N, K, K), and the inverse
     correlation penalties 1 / correlation_factor for rounds 1..K, shape
-    (K, N, 1, 1).  A mini-batch slices both with its sample indices.
+    (N, K).  A mini-batch slices both with its sample indices.
     """
     k, delta = channel_proto.num_rounds, channel_proto.delta
     adj = batch_adjacency(rho, k, delta)
     inv_corr = 1.0 / correlation_factor(rho, k, delta)
-    return adj, inv_corr[:, :, None, None]
+    return adj, np.ascontiguousarray(inv_corr.T)
 
 
 def _shared_link(runs) -> LinkConfig:
@@ -155,35 +175,34 @@ def _shared_link(runs) -> LinkConfig:
     return link
 
 
-def _run_axis(values) -> np.ndarray:
-    """Per-run values as an (R, 1, 1, 1) array, against (R, B, 1, 1) rows."""
-    return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1, 1)
-
-
 def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
-                     lam, ups, tau_clip: float | None = None):
+                     lam, ups, tau_clip: float | None = None, grad=None,
+                     out=None):
     """Build the batch-mean Lagrangian graph of a stack of runs.
 
     `runs` holds one (scheme, link) pair per run; the links may differ only
     in the power budget.  `wnodes` are the (R, n, m) stacked layer weights
     (or (n, m) matrices for a single run), `lam` and `ups` the R multipliers,
-    and `adj` and `inv_corr` a mini-batch's slices of dataset_constants().
-    The root is the sum over runs of each run's batch-mean Lagrangian, so
-    each run's weights get exactly their own run's gradient.  Returns
-    (root, stats), stats a dict of per-sample (R, B, 1, 1) arrays: objective
-    (each sample's Lagrangian term), mean_tau_s, mean_log_pout and
-    mean_pavg_w; a step's statistics are their per-run batch means.  The
-    graph reads `adj`, `inv_corr`, the weights and the multipliers through
-    the arrays passed in (`lam` and `ups` as views when they are float
-    arrays), so a Tape of the root replays it after those arrays change in
-    place, and every evaluation puts its new arrays into that dict.
+    and `adj` (B, K, K) and `inv_corr` (B, K) a mini-batch's slices of
+    dataset_constants().  The root is the sum over runs of each run's
+    batch-mean Lagrangian, so each run's weights get exactly their own run's
+    gradient; the backward pass writes it into `grad` when given (see
+    gcn.forward).  Returns (root, stats), stats a dict of per-sample (R, B)
+    arrays: objective (each sample's Lagrangian term), mean_tau_s,
+    mean_log_pout and mean_pavg_w, the rows of one (4, R, B) buffer in
+    STAT_FIELDS order (`out` when given); a step's statistics are their
+    per-run batch means.  The graph reads `adj`, `inv_corr`, the weights
+    and the multipliers through the arrays passed in (`lam` and `ups` as
+    views when they are float arrays) and writes into buffers made once, so
+    a Tape of the root replays it after those arrays change in place.
 
-    One op maps the network's floored (R, B, K, 1) powers to each sample's
-    Lagrangian term, by analytics.analytic_chain and chain_adjoint; as the
-    divide and log ops do, it raises ZeroDivisionError on a zero denominator
-    and ValueError on a nonpositive final outage.  It departs from the
-    capped report in two deliberate ways around the outage-near-one region,
-    where the latency ratio has a pole that otherwise wrecks the optimizer:
+    The graph is two ops: the network (gcn.forward) and one op that maps
+    its floored (R, B, K, 1) powers to the batch-mean Lagrangian by
+    analytics.analytic_chain and chain_adjoint.  That op raises
+    ZeroDivisionError on a zero denominator and ValueError on a nonpositive
+    final outage.  It departs from the capped report in two deliberate ways
+    around the outage-near-one region, where the latency ratio has a pole
+    that otherwise wrecks the optimizer:
 
     * per-round outage values are not capped below one (the cap turns the
       pole into an eight-orders-of-magnitude cliff whose gradient poisons
@@ -199,48 +218,76 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     link = _shared_link(runs)
     b, k = adj.shape[0], adj.shape[1]
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
-    powers = forward(adj, wnodes, p_bar)
+    net = forward(adj, wnodes, p_bar, grad=grad)
+    n_runs = len(runs)
+    shape = (n_runs, b, k)
+    powers = net.value.reshape(shape)
 
-    factors = np.array([rate_factors(scheme, link.rate, k) for scheme, _ in runs])
-    factors = [_run_axis(factors[:, kk]) for kk in range(k)]
-    lam, ups, p_bar = _run_axis(lam), _run_axis(ups), _run_axis(p_bar)
+    factors = np.array([rate_factors(scheme, link.rate, k)
+                        for scheme, _ in runs]).reshape(n_runs, 1, k)
+    # (R, 1) views of the per-run multipliers against (R, B) rows
+    lam, ups = (np.asarray(x, dtype=np.float64).reshape(-1, 1)
+                for x in (lam, ups))
+    p_bar = p_bar.reshape(-1, 1)
     log_target = math.log(link.outage_target)
-    stats, chain = {}, {}  # chain: what the push reads of the last compute
+    work = ChainWork(shape)
+    per_sample = np.empty((4,) + shape[:-1]) if out is None else out
+    objective, tau, log_pout, pavg = per_sample
+    stats = dict(zip(STAT_FIELDS, per_sample))
+    # live is the 0/1 mask of the samples whose latency the clip leaves
+    # free, float so that its product with the adjoint needs no cast buffer
+    above, below = np.empty((2,) + shape[:-1], dtype=bool)
+    live, scratch, g_tau = np.empty((3,) + shape[:-1])
+    g_duals = np.empty((2, n_runs, 1))
+    g_powers = np.empty(net.value.shape)
 
     # extreme powers overflow the chain or its adjoint, or meet inf * 0;
     # train_stack's finite checks report those, so warnings are only noise
     @np.errstate(all="ignore")
-    def compute():
-        rows = [powers.value[..., kk:kk + 1, :] for kk in range(k)]
-        pouts, eta, tau, pavg = analytic_chain(rows, inv_corr, factors, link)
+    def terms():
+        pouts, eta, raw_tau, chain_pavg = analytic_chain(
+            powers, inv_corr, factors, link, work=work)
         # the chain's divisors: power products, 1 + P_1 + ..., eta * bandwidth
-        if ((np.multiply.accumulate(powers.value, axis=-2) == 0.0).any()
-                or np.any(sum(pouts[:-1], 1.0) == 0.0)
-                or (eta * link.bandwidth_hz == 0.0).any()):
+        if (not work.prod.all() or not work.spent.all()
+                or not np.multiply(eta, link.bandwidth_hz, out=scratch).all()):
             raise ZeroDivisionError("divide: zero denominator entry")
-        if (pouts[-1] <= 0.0).any():
+        if np.less_equal(pouts[..., -1], 0.0, out=above).any():
             raise ValueError("log: nonpositive entry")
-        live = True
-        if tau_clip is not None:
-            live = (tau > 0.0) & (tau < tau_clip)
-            tau = np.minimum(np.maximum(tau, 0.0), tau_clip)
-        log_pout = np.log(pouts[-1])
-        chain.update(rows=rows, pouts=pouts, live=live)
+        np.copyto(tau, raw_tau)
+        if tau_clip is None:
+            live.fill(1.0)
+        else:
+            np.greater(tau, 0.0, out=above)
+            np.logical_and(above, np.less(tau, tau_clip, out=below), out=above)
+            np.copyto(live, above)
+            np.maximum(tau, 0.0, out=tau)
+            np.minimum(tau, tau_clip, out=tau)
+        np.log(pouts[..., -1], out=log_pout)
+        np.copyto(pavg, chain_pavg)
         # a zero multiplier adds an exact zero, so every run shares one op
-        stats.update(objective=tau + lam * (log_pout - log_target)
-                     + ups * (pavg - p_bar), mean_tau_s=tau,
-                     mean_log_pout=log_pout, mean_pavg_w=pavg)
-        return stats["objective"]
+        np.subtract(log_pout, log_target, out=objective)
+        np.multiply(lam, objective, out=objective)
+        np.add(tau, objective, out=objective)
+        np.subtract(pavg, p_bar, out=scratch)
+        np.multiply(ups, scratch, out=scratch)
+        np.add(objective, scratch, out=objective)
+
+    def compute():
+        terms()
+        return objective.sum() / float(b)
 
     @np.errstate(all="ignore")
-    def push(g):
+    def vjp(g):
         # a clipped sample's g_tau is zero, so its clipped latency serves
-        return np.concatenate(chain_adjoint(
-            chain["rows"], chain["pouts"], stats["mean_tau_s"],
-            g * chain["live"], g * lam, g * ups), axis=-2)
+        g = g / float(b)
+        np.multiply(g, live, out=g_tau)
+        np.multiply(g, lam, out=g_duals[0])
+        np.multiply(g, ups, out=g_duals[1])
+        chain_adjoint(powers, work, tau, g_tau, g_duals[0], g_duals[1],
+                      out=g_powers.reshape(shape))
+        return (g_powers,)
 
-    terms = ad.op("lagrangian", compute, (powers,), (push,))
-    root = ad.divide(ad.reduce_sum(terms), ad.constant(float(b)))
+    root = ad.op("lagrangian", compute, (net,), vjp)
     return root, stats
 
 
@@ -253,6 +300,20 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
           cfg: TrainConfig) -> TrainResult:
     """Primal-dual training of one policy; deterministic in cfg.seed."""
     return train_stack([(scheme, link)], channel_proto, cfg)[0]
+
+
+def _first_failing_run(runs, mats, adj, inv_corr, lam, ups, tau_clip):
+    """The first run whose Lagrangian alone cannot be evaluated on this
+    batch, as (index, exception), or None when each one can."""
+    for r, run in enumerate(runs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                batch_lagrangian([ad.constant(m[r:r + 1]) for m in mats], adj,
+                                 inv_corr, [run], lam[r:r + 1], ups[r:r + 1],
+                                 tau_clip=tau_clip)
+        except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
+            return r, exc
+    return None
 
 
 def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
@@ -268,14 +329,16 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     n_runs = len(runs)
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
     # every layer's (R, n, m) weight stack is a contiguous view of one flat
-    # buffer, so that one Adam pass updates all of them; run_of names the
-    # run of each entry of that buffer
+    # buffer, so that one Adam pass updates all of them, and the backward
+    # pass writes the gradient into a second buffer of that layout; run_of
+    # names the run of each entry
     init = [np.stack([m] * n_runs) for m in init_weights(cfg.seed).matrices]
     flat = np.concatenate([m.reshape(-1) for m in init])
     mats = [part.reshape(m.shape) for part, m in
             zip(np.split(flat, np.cumsum([m.size for m in init])[:-1]), init)]
     run_of = np.concatenate([np.repeat(np.arange(n_runs), m[0].size)
                              for m in init])
+    grad = np.empty_like(flat)
     adam = AdamState.like(flat)
     adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
                                               channel_proto)
@@ -300,16 +363,30 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     # batch slices, the multipliers and the weights (Adam updates flat in
     # place); every batch is full, so the graph's shapes never change
     adj = np.empty((cfg.batch_size,) + adj_all.shape[1:])
-    inv_corr = np.empty(inv_corr_all.shape[:1] + (cfg.batch_size,)
-                        + inv_corr_all.shape[2:])
-    lam = np.full(n_runs, INIT_LAMBDA)
-    ups = np.full(n_runs, INIT_UPSILON)
+    inv_corr = np.empty((cfg.batch_size,) + inv_corr_all.shape[1:])
+    # the multipliers, one row each, and their step sizes and targets
+    duals = np.array([[INIT_LAMBDA] * n_runs, [INIT_UPSILON] * n_runs])
+    lam, ups = duals
+    dual_lr = np.array([[cfg.lr_lambda], [cfg.lr_upsilon]])
+    dual_bound = np.stack([np.full(n_runs, math.log(link.outage_target)),
+                           p_bar])
     wnodes = [ad.parameter(m) for m in mats]
     tape = None
-    log_target = math.log(link.outage_target)
     tau_floor = link.payload_bits / (link.bandwidth_hz * link.rate)
     guard_level = DIVERGENCE_FACTOR * tau_floor
     tau_clip = TAU_CLIP_FLOORS * tau_floor
+
+    # the graph's (4, R, B) per-sample statistics in STAT_FIELDS order and
+    # their per-run batch means; the rest is scratch for the checks and the
+    # updates
+    per_sample = np.empty((4, n_runs, cfg.batch_size))
+    means = np.empty((4, n_runs))
+    mean_tau = means[1]
+    lr_run = np.empty(n_runs)
+    dual_step = np.empty_like(duals)
+    guarded, scratch_bool = np.empty((2, n_runs), dtype=bool)
+    lr_entries = np.empty_like(flat)
+    finite = np.empty(flat.shape, dtype=bool)
 
     guard_steps = np.zeros(n_runs, dtype=int)
     it = 0
@@ -321,42 +398,48 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
         order = shuffle_rng.permutation(cfg.dataset_size)
         for bidx in range(steps_per_epoch):
             sel = order[bidx * cfg.batch_size:(bidx + 1) * cfg.batch_size]
-            np.take(adj_all, sel, axis=0, out=adj)
-            np.take(inv_corr_all, sel, axis=1, out=inv_corr)
+            # mode="clip" writes straight into `out` ("raise" buffers)
+            np.take(adj_all, sel, axis=0, out=adj, mode="clip")
+            np.take(inv_corr_all, sel, axis=0, out=inv_corr, mode="clip")
             try:
                 # weights that the last Adam step sent too far overflow here
                 with np.errstate(over="raise", invalid="raise"):
                     if tape is None:
                         # the first step records the graph; later steps
                         # replay it
-                        root, per_sample = batch_lagrangian(
+                        root, _ = batch_lagrangian(
                             wnodes, adj, inv_corr, runs, lam, ups,
-                            tau_clip=tau_clip)
+                            tau_clip=tau_clip, grad=grad, out=per_sample)
                         tape = ad.Tape(root)
                     else:
                         tape.replay()
             except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
                 # a log of an outage that underflowed to zero, a zero
                 # denominator or an overflow: the graph has no value at this
-                # step, and the stacked arrays do not say which run caused it
-                who = (_label(runs[0]) if n_runs == 1
-                       else f"a stack of {n_runs} runs")
+                # step; the stacked arrays do not say whose it was, so the
+                # runs are evaluated one by one
+                r, cause = 0, exc
+                if n_runs > 1:
+                    r, cause = _first_failing_run(
+                        runs, mats, adj, inv_corr, lam, ups,
+                        tau_clip) or (None, exc)
+                who = (f"a stack of {n_runs} runs" if r is None
+                       else _label(runs[r]))
                 raise TrainingDiverged(
                     f"{who}: cannot evaluate the Lagrangian at iteration "
-                    f"{it}: {exc}") from exc
-            # each statistic is its per-sample array's per-run batch mean
-            stats = {key: v.reshape(n_runs, -1).sum(axis=1) / cfg.batch_size
-                     for key, v in per_sample.items()}
-            bad = ~np.isfinite(stats["objective"])
-            if bad.any():
-                r = int(np.argmax(bad))
+                    f"{it}: {cause}") from exc
+            # each statistic is its per-sample row's per-run batch mean
+            np.add.reduce(per_sample, axis=-1, out=means)
+            means /= cfg.batch_size
+            if not np.isfinite(means[0], out=scratch_bool).all():
+                r = int(np.argmin(scratch_bool))
+                stats = dict(zip(STAT_FIELDS, means[:, r].tolist()))
                 raise TrainingDiverged(
                     f"{_label(runs[r])}: non-finite objective at iteration "
-                    f"{it}: { {key: float(v[r]) for key, v in stats.items()} }")
+                    f"{it}: {stats}")
             tape.backward()
-            grad = np.concatenate([w.adjoint.reshape(-1) for w in wnodes])
-            if not np.isfinite(grad).all():
-                r = run_of[~np.isfinite(grad)].min()
+            if not np.isfinite(grad, out=finite).all():
+                r = run_of[~finite].min()
                 raise TrainingDiverged(
                     f"{_label(runs[r])}: non-finite gradient at iteration {it}")
 
@@ -364,26 +447,30 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             lr = cfg.lr_weights * ramp
             # batches whose mean latency leaves the sane window (a razor-thin
             # outage-near-one crossing, either branch) get a half-size step
-            tau = stats["mean_tau_s"]
-            guarded = ~((0.0 < tau) & (tau <= guard_level))
+            np.greater(mean_tau, 0.0, out=guarded)
+            guarded &= np.less_equal(mean_tau, guard_level, out=scratch_bool)
+            np.logical_not(guarded, out=guarded)
             guard_steps += guarded
+            lr_run.fill(lr)
+            lr_run[guarded] = lr * 0.5
             # a step that overflows is reported by the check below
             with np.errstate(over="ignore", invalid="ignore"):
                 adam_update(adam, flat, grad,
-                            np.where(guarded, lr * 0.5, lr)[run_of])
-            if not np.isfinite(flat).all():
-                r = run_of[~np.isfinite(flat)].min()
+                            np.take(lr_run, run_of, out=lr_entries,
+                                    mode="clip"))
+            if not np.isfinite(flat, out=finite).all():
+                r = run_of[~finite].min()
                 raise TrainingDiverged(
                     f"{_label(runs[r])}: non-finite weights after the Adam "
                     f"step at iteration {it}")
 
-            lam[:] = np.maximum(0.0, lam + cfg.lr_lambda *
-                                (stats["mean_log_pout"] - log_target))
-            ups[:] = np.maximum(0.0, ups + cfg.lr_upsilon *
-                                (stats["mean_pavg_w"] - p_bar))
-            # the step's (R, 5) rows, written field by field through .T
-            history[:, it, 1:].T[...] = (tau, stats["mean_log_pout"],
-                                         stats["mean_pavg_w"], lam, ups)
+            # projected ascent on the mean outage and power slacks
+            np.subtract(means[2:], dual_bound, out=dual_step)
+            np.multiply(dual_lr, dual_step, out=dual_step)
+            np.add(duals, dual_step, out=dual_step)
+            np.maximum(0.0, dual_step, out=duals)
+            history[:, it, 1:4] = means[1:].T
+            history[:, it, 4:] = duals.T
             it += 1
     # no replay follows the last step, so its weights get one forward pass
     with np.errstate(over="ignore", invalid="ignore"):

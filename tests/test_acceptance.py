@@ -10,10 +10,10 @@ are built once in session fixtures; the full module takes several minutes.
 import math
 import time
 
+import generic_ops as ad
 import numpy as np
 import pytest
 
-from harqpower import autodiff as ad
 from harqpower.analytics import correlation_factor, evaluate, rate_factors
 from harqpower.cli import SEED_ENV_VAR, main
 from harqpower.gcn import forward, init_weights
@@ -254,12 +254,15 @@ def generic_lagrangian(rows, inv_corr, runs, lam, ups, tau_clip):
     def per_run(values):
         return ad.constant(np.reshape(values, (-1, 1, 1, 1)))
 
+    def per_sample(values):
+        return ad.constant(np.reshape(values, (-1, 1, 1)))
+
     factors = np.array([rate_factors(scheme, link.rate, k)
                         for scheme, _ in runs])
     prod, pouts = None, []
     for kk, p in enumerate(rows):
         prod = p if prod is None else ad.multiply(prod, p)
-        pouts.append(ad.multiply(ad.divide(ad.constant(inv_corr[kk]), prod),
+        pouts.append(ad.multiply(ad.divide(per_sample(inv_corr[:, kk]), prod),
                                  per_run(factors[:, kk])))
     spent = ad.constant(1.0)
     for pout in pouts[:-1]:
@@ -288,9 +291,8 @@ def assert_fused_adjoint_matches_generic(matrices, rho_batch, runs, lam, ups,
     root, stats = batch_lagrangian([ad.parameter(m) for m in matrices], adj,
                                    inv_corr, runs, lam, ups, tau_clip=tau_clip)
     ad.backward(root)
-    (terms,) = root.parents[0].parents
-    (powers,) = terms.parents
-    assert terms.kind == "lagrangian"
+    (powers,) = root.parents
+    assert root.kind == "lagrangian" and powers.kind == "gcn"
     rows = [ad.parameter(powers.value[..., kk:kk + 1, :].copy())
             for kk in range(powers.value.shape[-2])]
     ref = generic_lagrangian(rows, inv_corr, runs, lam, ups, tau_clip)

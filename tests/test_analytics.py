@@ -260,7 +260,7 @@ class TestLinkMetrics:
 
     def test_dyadic_hand_values(self):
         outages, eta, tau, pavg = self.chain((2.0, 4.0, 8.0), (1.0, 2.0, 8.0))
-        assert outages == [0.5, 0.25, 0.125]
+        assert outages.tolist() == [0.5, 0.25, 0.125]
         # (1 - 1/8) / (1 + 1/2 + 1/4)
         assert eta == 0.5
         assert tau == LinkConfig().payload_bits / (0.5 * LinkConfig().bandwidth_hz)
@@ -275,20 +275,20 @@ class TestLinkMetrics:
         # zero outage: every packet goes through in one round at full rate
         outages, eta, tau, pavg = self.chain((3.0, 5.0, 7.0), (0.0, 0.0, 0.0),
                                              rate=2.0)
-        assert outages == [0.0, 0.0, 0.0]
+        assert outages.tolist() == [0.0, 0.0, 0.0]
         assert eta == 2.0
         assert tau == 0.05
         assert pavg == 3.0
 
     def test_average_power_hand_value(self):
         outages, _, _, pavg = self.chain((2.0, 3.0, 4.0), (1.0, 1.5, 2.4))
-        assert outages[:2] == [0.5, 0.25]
+        assert outages[:2].tolist() == [0.5, 0.25]
         assert pavg == 4.5
 
     def test_average_power_certain_retransmission(self):
         # certain failure of rounds 1 and 2 means every round is paid for
         outages, _, _, pavg = self.chain((2.0, 3.0, 4.0), (2.0, 6.0, 12.0))
-        assert outages == [1.0, 1.0, 0.5]
+        assert outages.tolist() == [1.0, 1.0, 0.5]
         assert pavg == 9.0
 
     def test_average_power_length_mismatch(self):
@@ -299,20 +299,22 @@ class TestLinkMetrics:
 
     def test_cap_applies_before_the_metrics(self):
         outages, eta, _, _ = self.chain((2.0, 3.0), (4.0, 12.0), capped=True)
-        assert outages == [OUTAGE_CAP, OUTAGE_CAP]
+        assert outages.tolist() == [OUTAGE_CAP, OUTAGE_CAP]
         assert eta == (1.0 - OUTAGE_CAP) / (1.0 + OUTAGE_CAP)
 
     def test_runs_elementwise_on_arrays(self):
-        powers = (np.array([2.0, 3.0]), np.array([4.0, 5.0]))
+        # two candidates' powers, rounds on the last axis
+        powers = np.array([[2.0, 4.0], [3.0, 5.0]])
         factors = rate_factors(Scheme.CHASE, 2.0, 2)
         outages, eta, tau, pavg = analytic_chain(
             powers, (0.5, 0.25), factors, LinkConfig(), capped=True)
+        assert outages.shape == (2, 2) and eta.shape == (2,)
         for n in range(2):
-            scalar = analytic_chain(tuple(float(p[n]) for p in powers),
+            scalar = analytic_chain(tuple(float(p) for p in powers[n]),
                                     (0.5, 0.25), factors, LinkConfig(),
                                     capped=True)
-            assert [float(o[n]) for o in outages] == scalar[0]
-            assert (eta[n], tau[n], pavg[n]) == scalar[1:]
+            assert outages[n].tolist() == scalar[0].tolist()
+            assert (eta[n], tau[n], pavg[n]) == tuple(map(float, scalar[1:]))
 
 
 class TestEvaluate:

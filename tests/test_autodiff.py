@@ -1,9 +1,11 @@
-"""Tests for the reverse-mode differentiation core.
+"""Tests for the reverse-mode differentiation core and the generic ops.
 
-Gradient values are checked against central finite differences at smooth
-points and against hand algebra for the closed-form cases. Kink behavior
-(relu and clamp boundaries) is pinned to the documented zero-subgradient
-convention.
+The core (Node, op, add, Tape, backward) is the program's; the other ops
+live in tests/generic_ops.py, as the reference for the hand-derived
+gradients.  Gradient values are checked against central finite differences
+at smooth points and against hand algebra for the closed-form cases. Kink
+behavior (relu and clamp boundaries) is pinned to the documented
+zero-subgradient convention.
 """
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from harqpower import autodiff as ad
+import generic_ops as ad
 
 
 def test_values_match_numpy():

@@ -3,17 +3,24 @@
 Everything runs in-process through main(argv) against tmp_path output
 directories, with tiny epoch/trial counts so the whole file stays fast.
 """
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harqpower
 from harqpower import autodiff, montecarlo, training
-from harqpower.cli import (DEFAULTS, SEED_ENV_VAR, ConfigError, main,
-                           read_config)
+from harqpower.cli import (DEFAULTS, MAX_DBW, MIN_DBW, SEED_ENV_VAR,
+                           ConfigError, main, read_config)
+from harqpower.types import Scheme
 
 FAST_TRAIN = ("--epochs", "2", "--dataset-size", "20", "--batch-size", "10")
 
@@ -269,6 +276,27 @@ class TestExitCodes:
                      "--batch-size", 10, "--out", out)
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep-power",), "type1 at 12 dBW"),
+        (("sweep-rho", "--power-budget-dbw", 14), "type1 at 14 dBW")],
+        ids=["sweep-power", "sweep-rho"])
+    def test_diverging_stack_names_its_failing_run(self, tmp_path, capsys,
+                                                   argv, message):
+        # the second step of a stack of 21 (or 3) runs overflows; the runs,
+        # evaluated one by one, name the first that cannot be evaluated
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr_weights = 1e300\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(*argv, "--epochs", 2, "--config", cfg, "--dataset-size",
+                     10, "--batch-size", 10, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {message}: cannot evaluate the Lagrangian at iteration "
+            "1: overflow encountered in matmul"]
         assert not any(out.glob("*.csv"))
 
     def test_overflowing_oracle_latency_prints_no_warning(self, tmp_path,
@@ -566,3 +594,78 @@ assert cli.main(["mc-validate", "--estimator", "direct", "--trials", "70000",
 print(after_import, "concurrent.futures" in sys.modules)
 """
         assert run_fresh(code, tmp_path).splitlines()[-1] == "False False"
+
+
+def _magnitudes(lo_exp, hi_exp):
+    """Positive floats 10**e, e uniform in [lo_exp, hi_exp]."""
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+class TestExtremeTrainingInputs:
+    """Training commands on extreme inputs end in a clean exit: 0 with
+    finite CSVs, 1 or 2 with at most one line on stderr, never a numpy
+    warning or a traceback."""
+
+    @staticmethod
+    def check(command, lr, budget, target, rate, rounds):
+        lr_weights, lr_lambda, lr_upsilon = lr
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(f"lr_weights = {lr_weights!r}\n"
+                         f"lr_lambda = {lr_lambda!r}\n"
+                         f"lr_upsilon = {lr_upsilon!r}\n"
+                         f"outage_target = {target!r}\n"
+                         f"rate = {rate!r}\nrounds = {rounds}\n")
+            # --flag=value, since argparse reads "-1e-05" as an option
+            budget_flags = ((f"--power-budget-dbw={budget!r}",)
+                            if command == "train"
+                            else (f"--budget-lo-dbw={budget!r}",
+                                  f"--budget-hi-dbw={budget!r}"))
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                rc = run(command, "--config", cfg, *budget_flags,
+                         "--epochs", 1, "--dataset-size", 10, "--batch-size",
+                         10, "--out", out)
+            assert rc in (0, 1, 2)
+            assert len(err.getvalue().splitlines()) <= (0 if rc == 0 else 1), \
+                err.getvalue()
+            assert [str(w.message) for w in caught] == []
+            if rc == 0:
+                csvs = [name for name in os.listdir(out)
+                        if name.endswith(".csv")]
+                assert csvs
+                for name in csvs:
+                    with open(os.path.join(out, name)) as fh:
+                        rows = [line.split(",") for line in fh.read().split()]
+                    cells = [c for row in rows[1:] for c in row]
+                    values = [float(c) for c in cells
+                              if c not in {s.value for s in Scheme}]
+                    assert np.all(np.isfinite(values)), name
+
+    # learning rates of either sign and any size; budgets across the dBW
+    # range the CLI accepts and around the default; outage targets and
+    # rates from the smallest normal floats up; round counts around the
+    # default and far past it
+    LR = st.tuples(*[st.one_of(st.just(0.0), _magnitudes(-300.0, 308.0),
+                               _magnitudes(-300.0, 308.0).map(lambda x: -x))]
+                   * 3)
+    BUDGET = st.one_of(st.floats(-60.0, 60.0), st.floats(MIN_DBW, MAX_DBW))
+    TARGET = st.one_of(_magnitudes(-300.0, -1e-9), st.just(1.0 - 2.0 ** -53))
+    RATE = st.one_of(st.floats(0.25, 8.0), _magnitudes(-300.0, 3.0))
+    ROUNDS = st.one_of(st.integers(1, 5), st.integers(1, 12),
+                       st.integers(1, 200))
+
+    @given(lr=LR, budget=BUDGET, target=TARGET, rate=RATE, rounds=ROUNDS)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_train(self, lr, budget, target, rate, rounds):
+        self.check("train", lr, budget, target, rate, rounds)
+
+    @given(lr=LR, budget=BUDGET, target=TARGET, rate=RATE, rounds=ROUNDS)
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_sweep_power(self, lr, budget, target, rate, rounds):
+        self.check("sweep-power", lr, budget, target, rate, rounds)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harqpower import autodiff as ad
+import generic_ops as ad
 from harqpower.gcn import (DEFAULT_DIMS, GcnWeights, forward, init_weights,
                            load_checkpoint, save_checkpoint)
 from harqpower.graph import batch_adjacency, session_adjacency

@@ -122,3 +122,18 @@ def test_two_round_sessions_supported():
     a = session_adjacency(ChannelParams(rho=0.6, num_rounds=2))
     assert a.shape == (2, 2)
     assert a[0, 1] == pytest.approx(0.6 ** 3 / (1.0 + 0.6 ** 3), rel=1e-14)
+
+
+@pytest.mark.parametrize("rounds", (1, 3, 8, 40))
+@pytest.mark.parametrize("delta", (1, 2))
+def test_distinct_powers_match_the_full_formula(rounds, delta):
+    # batch_adjacency evaluates the 2K - 1 distinct powers rho^(i+j+2 delta)
+    # per session; every entry, and so every degree, keeps the bits of the
+    # K^2 formula
+    rho = np.concatenate([np.random.default_rng(rounds).random(500),
+                          [0.0, 0.5, 0.25, 1e-300, 0.999999]])
+    i, j = np.meshgrid(np.arange(rounds), np.arange(rounds), indexing="ij")
+    h = rho[:, None, None] ** (i + j + 2 * delta)[None, :, :]
+    h[:, np.arange(rounds), np.arange(rounds)] = 1.0
+    got = batch_adjacency(rho, rounds, delta)
+    assert got.tobytes() == normalize_adjacency(h).tobytes()

@@ -7,13 +7,14 @@ down explicitly.
 """
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
+import generic_ops as ad
 import numpy as np
 import pytest
 
-from harqpower import autodiff as ad
-from harqpower import training
+from harqpower import autodiff, training
 from harqpower.analytics import correlation_factor, evaluate
 from harqpower.gcn import GcnWeights, forward, init_weights
 from harqpower.graph import batch_adjacency, session_adjacency
@@ -56,10 +57,10 @@ class TestDatasetConstants:
         rho = np.array([0.0, 0.31, 0.9])
         adj, inv_corr = dataset_constants(rho, proto)
         assert np.array_equal(adj, batch_adjacency(rho, 3, 2))
-        assert inv_corr.shape == (3, 3, 1, 1)
+        assert inv_corr.shape == (3, 3)
         for kk in range(3):
             for s, r in enumerate(rho):
-                assert inv_corr[kk, s, 0, 0] == 1.0 / correlation_factor(
+                assert inv_corr[s, kk] == 1.0 / correlation_factor(
                     r, kk + 1, 2)[kk]
 
     def test_built_once_per_training_run(self, monkeypatch):
@@ -297,8 +298,8 @@ class TestTrainStack:
         # poison the second run's network output; the other runs stay finite
         original = training.forward
 
-        def poisoned(adjacency, matrices, p_bar_w):
-            out = original(adjacency, matrices, p_bar_w)
+        def poisoned(adjacency, matrices, p_bar_w, **kwargs):
+            out = original(adjacency, matrices, p_bar_w, **kwargs)
             out.value[1] = np.nan
             return out
 
@@ -316,8 +317,8 @@ class TestTrainStack:
         # poison the gradient of runs 1 and 2 in different layers after
         # every backward pass; the objective stays finite
         params = []
-        original_parameter = ad.parameter
-        original_backward = ad.Tape.backward
+        original_parameter = autodiff.parameter
+        original_backward = autodiff.Tape.backward
 
         def recorded(value):
             params.append(original_parameter(value))
@@ -328,8 +329,8 @@ class TestTrainStack:
             params[0].adjoint[2] = np.inf
             params[-1].adjoint[1] = np.nan
 
-        monkeypatch.setattr(ad, "parameter", recorded)
-        monkeypatch.setattr(ad.Tape, "backward", poisoned)
+        monkeypatch.setattr(autodiff, "parameter", recorded)
+        monkeypatch.setattr(autodiff.Tape, "backward", poisoned)
         runs = [(Scheme.TYPE_I, LINK),
                 (Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
                 (Scheme.INCREMENTAL, LINK)]
@@ -349,7 +350,7 @@ class TestTrainStack:
 
         def poisoned(rho, channel_proto):
             adj, inv_corr = original(rho, channel_proto)
-            inv_corr[:, order[15]] = value
+            inv_corr[order[15]] = value
             return adj, inv_corr
 
         monkeypatch.setattr(training, "dataset_constants", poisoned)
@@ -366,13 +367,14 @@ class TestTrainStack:
 
     def test_zero_outage_at_a_replayed_step(self, monkeypatch):
         # a zero penalty gives a zero final outage, whose log the replayed
-        # graph cannot take
+        # graph cannot take; the runs, evaluated one by one, name the first
+        # that fails
         cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
         self.poison_second_batch(monkeypatch, cfg, 0.0)
         runs = [(Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
                 (Scheme.INCREMENTAL, LINK)]
         with pytest.raises(TrainingDiverged,
-                           match=r"^a stack of 2 runs: cannot evaluate the "
+                           match=r"^cc at 16 dBW: cannot evaluate the "
                                  r"Lagrangian at iteration 1: log: "
                                  r"nonpositive entry$"):
             train_stack(runs, PROTO, cfg)
@@ -412,7 +414,7 @@ class TestTapeReplay:
         adams = [AdamState.like(m) for m in mats]
         wnodes = [ad.parameter(m) for m in mats]
         adj = np.empty((10,) + adj_all.shape[1:])
-        inv_corr = np.empty((inv_all.shape[0], 10) + inv_all.shape[2:])
+        inv_corr = np.empty((10,) + inv_all.shape[1:])
         lam, ups = np.zeros(len(runs)), np.zeros(len(runs))
         tau_floor = LINK.payload_bits / (LINK.bandwidth_hz * LINK.rate)
         clip = training.TAU_CLIP_FLOORS * tau_floor
@@ -421,7 +423,7 @@ class TestTapeReplay:
         for step in range(6):
             sel = order[10 * step:10 * (step + 1)]
             np.take(adj_all, sel, axis=0, out=adj)
-            np.take(inv_all, sel, axis=1, out=inv_corr)
+            np.take(inv_all, sel, axis=0, out=inv_corr)
             if tape is None:
                 root, nodes = batch_lagrangian(wnodes, adj, inv_corr, runs,
                                                lam, ups, tau_clip=clip)
@@ -432,7 +434,7 @@ class TestTapeReplay:
 
             fresh = [ad.parameter(m.copy()) for m in mats]
             want_root, want_nodes = batch_lagrangian(
-                fresh, adj_all[sel], inv_all[:, sel], runs, lam.copy(),
+                fresh, adj_all[sel], inv_all[sel], runs, lam.copy(),
                 ups.copy(), tau_clip=clip)
             ad.backward(want_root)
             stats = run_means(nodes, len(runs), 10)
@@ -454,6 +456,88 @@ class TestTapeReplay:
                 adam_update(adam, m, w.adjoint, lr=0.05)
             lam += 0.5
             ups += 2e-3
+
+
+class TestHandDerivedStep:
+    """The step is two fused ops with hand-derived products (the network
+    and the Lagrangian), over buffers made on the first step."""
+
+    STACK = [(scheme, LinkConfig(power_budget_dbw=budget)) for scheme, budget
+             in ((Scheme.TYPE_I, 14.0), (Scheme.CHASE, 15.0),
+                 (Scheme.INCREMENTAL, 16.0))]
+
+    @pytest.mark.parametrize("runs", [
+        *[[(scheme, LINK)] for scheme in Scheme], STACK],
+        ids=[f"R=1-{scheme.value}" for scheme in Scheme] + ["R=3"])
+    def test_weight_gradient_matches_finite_differences(self, runs):
+        # seed-4 weights scaled to a mid operating point, where every
+        # sample's powers sit above the floor and its outage below one half
+        rho = np.random.default_rng(np.random.SeedSequence((4, 17))).random(8)
+        adj, inv_corr = dataset_constants(0.95 * rho, PROTO)
+        mats = [np.stack([m] * len(runs)) for m in init_weights(4).matrices]
+        p_bar = np.array([lk.power_budget_w for _, lk in runs])
+        out = forward(adj, [ad.constant(m) for m in mats], p_bar).value
+        mats[-1] *= 18.0 / out.mean()
+        lam = np.linspace(0.05, 0.02, len(runs))
+        ups = np.linspace(1e-3, 2e-4, len(runs))
+
+        def build(params):
+            return batch_lagrangian(params, adj, inv_corr, runs, lam, ups)[0]
+
+        rep = ad.finite_diff_check(build, mats, step=1e-5)
+        assert rep.max_rel_error < 1e-5
+        # the gradient is one flat buffer, laid out as the matrices
+        params = [ad.parameter(m) for m in mats]
+        ad.backward(build(params))
+        flat = params[0].adjoint.base
+        assert flat.shape == (sum(m.size for m in mats),)
+        assert all(p.adjoint.base is flat for p in params)
+
+    @pytest.mark.parametrize("rounds", (1, 5))
+    def test_stacked_runs_equal_serial_runs_at_round_edges(self, rounds):
+        # one round has no retransmission terms; five rounds are wider
+        # than the default three
+        proto = ChannelParams(rho=0.0, num_rounds=rounds)
+        cfg = TrainConfig(epochs=1, dataset_size=100, batch_size=25)
+        stacked = train_stack(self.STACK, proto, cfg)
+        for run, got in zip(self.STACK, stacked):
+            alone = train_stack([run], proto, cfg)[0]
+            assert got.history.tobytes() == alone.history.tobytes()
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got.weights.matrices, alone.weights.matrices))
+
+    @pytest.mark.parametrize("n_runs", (1, 3))
+    def test_later_steps_allocate_no_layer_arrays(self, monkeypatch, n_runs):
+        # trace the memory a whole step takes, from one Adam update to the
+        # next, once the first step has made the buffers: less than one
+        # of the network's 16-feature layer arrays, where a step that
+        # allocated its layers would take all of them and their gradients
+        # (numpy's per-call iterator buffers of the (R, B, K) chain arrays
+        # are what remains)
+        peaks, calls = [], []
+        original = training.adam_update
+
+        def traced(*args, **kwargs):
+            calls.append(None)
+            if tracemalloc.is_tracing():
+                peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+                tracemalloc.stop()
+            original(*args, **kwargs)
+            if len(calls) >= 2:
+                tracemalloc.start()
+                start[0] = tracemalloc.get_traced_memory()[0]
+
+        start = [0]
+        monkeypatch.setattr(training, "adam_update", traced)
+        cfg = TrainConfig(epochs=1, dataset_size=250, batch_size=50)
+        try:
+            train_stack(self.STACK[:n_runs], PROTO, cfg)
+        finally:
+            if tracemalloc.is_tracing():
+                tracemalloc.stop()
+        assert len(peaks) == 3
+        layer_bytes = n_runs * cfg.batch_size * PROTO.num_rounds * 16 * 8
+        assert max(peaks) < layer_bytes, (peaks, layer_bytes)
 
 
 class TestEvaluatePolicy:

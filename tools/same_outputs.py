@@ -52,6 +52,12 @@ COMMANDS = [
     ("sweep-rho", "--epochs", "1", "--rounds", "6", "--rho-points", "5"),
     ("sweep-power", "--budget-lo-dbw=-1e8", "--budget-hi-dbw=-1e8")
     + TINY_TRAIN,
+    # the training step's shape edges: one round (no retransmission terms),
+    # a stack of 15 five-round runs, and two rounds
+    ("train", "--rounds", "1", "--epochs", "25"),
+    ("sweep-power", "--rounds", "5", "--epochs", "5", "--budget-lo-dbw", "14",
+     "--budget-hi-dbw", "16"),
+    ("sweep-rho", "--rounds", "2", "--epochs", "5"),
     *[("mc-validate", "--estimator", est, "--threads", threads) + MC_BIG
       for est in ("direct", "conditional") for threads in ("1", "2", "3")],
     *[("mc-validate", "--estimator", est, "--threads", threads) + mc
