@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -171,12 +172,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"rate {cfg['rate']:g} overflows a rate factor "
                           f"within {cfg['rounds']} rounds")
     # rounding can leave a factor at or below 0 (IR's alternating sum
-    # cancels, a factorial overflows), where outages would not be positive
+    # cancels, a factorial overflows, every scheme's 2^rate - 1 of round 1
+    # is 0 at a tiny rate), where outages would not be positive
     for k, scheme, f in sorted(factors, key=lambda kf: kf[0]):
         if f <= 0.0:
+            advice = ("2^rate - 1 rounds to 0 at this rate" if k == 1
+                      else "use fewer rounds")
             raise ConfigError(f"rate {cfg['rate']:g} leaves the {scheme.value} "
                               f"rate factor of round {k} at {f:g}, not "
-                              "positive; use fewer rounds")
+                              f"positive; {advice}")
     return cfg
 
 
@@ -371,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *keys):
+        # so that "-1e-05" and "-inf" after a flag are values, not options;
+        # argparse's own negative-number pattern takes only plain decimals
+        p._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.I)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int)

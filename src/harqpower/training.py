@@ -16,7 +16,8 @@ stack: the weights, Adam moments, multipliers, step-size guard and history
 carry a leading run axis R, and every run takes its steps on the same
 dataset constants and mini-batch order in one loop.  Runs never mix (each
 run's weight gradient is its own gemm), so a run trained in a stack is
-bitwise the run trained alone; train() is the stack of one.
+bitwise the run trained alone; train() is the stack of one.  Checks on a
+step's own (R, ...) arrays name the first run that fails, in one pass.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 __all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
            "sample_rho_dataset", "dataset_constants", "batch_lagrangian",
            "train", "train_stack", "evaluate_policy",
-           "TrainingDiverged", "HISTORY_FIELDS"]
+           "TrainingDiverged", "UndefinedLagrangian", "HISTORY_FIELDS"]
 
 HISTORY_FIELDS = ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",
                   "lambda", "upsilon")
@@ -72,6 +73,21 @@ DIVERGENCE_FACTOR = 100.0
 
 class TrainingDiverged(RuntimeError):
     pass
+
+
+class UndefinedLagrangian(ArithmeticError):
+    """The batch Lagrangian of run `run` has no value; the message says why."""
+
+    def __init__(self, run: int, cause: str):
+        super().__init__(cause)
+        self.run = run
+
+
+def _first_run(bad: np.ndarray, run_of=None) -> int:
+    """The first run with a true entry in the mask `bad`, which has a
+    leading run axis, or whose entries' runs are run_of."""
+    run = np.indices(bad.shape)[0] if run_of is None else run_of
+    return int(run[bad].min())
 
 
 @dataclass(frozen=True)
@@ -199,10 +215,12 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     The graph is two ops: the network (gcn.forward) and one op that maps
     its floored (R, B, K, 1) powers to the batch-mean Lagrangian by
     analytics.analytic_chain and chain_adjoint.  That op raises
-    ZeroDivisionError on a zero denominator and ValueError on a nonpositive
-    final outage.  It departs from the capped report in two deliberate ways
-    around the outage-near-one region, where the latency ratio has a pole
-    that otherwise wrecks the optimizer:
+    UndefinedLagrangian, naming the first run, on a non-finite power, then
+    on a zero denominator, then on a nonpositive final outage; numpy warns
+    of overflows unless the caller silences it, as train_stack does.  The op
+    departs from the capped report in two deliberate ways around the
+    outage-near-one region, where the latency ratio has a pole that
+    otherwise wrecks the optimizer:
 
     * per-round outage values are not capped below one (the cap turns the
       pole into an eight-orders-of-magnitude cliff whose gradient poisons
@@ -234,6 +252,7 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     per_sample = np.empty((4,) + shape[:-1]) if out is None else out
     objective, tau, log_pout, pavg = per_sample
     stats = dict(zip(STAT_FIELDS, per_sample))
+    finite = np.empty(shape, dtype=bool)
     # live is the 0/1 mask of the samples whose latency the clip leaves
     # free, float so that its product with the adjoint needs no cast buffer
     above, below = np.empty((2,) + shape[:-1], dtype=bool)
@@ -241,18 +260,22 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     g_duals = np.empty((2, n_runs, 1))
     g_powers = np.empty(net.value.shape)
 
-    # extreme powers overflow the chain or its adjoint, or meet inf * 0;
-    # train_stack's finite checks report those, so warnings are only noise
-    @np.errstate(all="ignore")
     def terms():
+        if not np.isfinite(powers, out=finite).all():
+            raise UndefinedLagrangian(_first_run(~finite),
+                                      "non-finite network output")
         pouts, eta, raw_tau, chain_pavg = analytic_chain(
             powers, inv_corr, factors, link, work=work)
         # the chain's divisors: power products, 1 + P_1 + ..., eta * bandwidth
-        if (not work.prod.all() or not work.spent.all()
-                or not np.multiply(eta, link.bandwidth_hz, out=scratch).all()):
-            raise ZeroDivisionError("divide: zero denominator entry")
+        np.all(work.prod, axis=-1, out=above)
+        np.logical_and(above, work.spent, out=above)
+        np.multiply(eta, link.bandwidth_hz, out=scratch)
+        if not np.logical_and(above, scratch, out=above).all():
+            raise UndefinedLagrangian(_first_run(~above),
+                                      "divide: zero denominator entry")
         if np.less_equal(pouts[..., -1], 0.0, out=above).any():
-            raise ValueError("log: nonpositive entry")
+            raise UndefinedLagrangian(_first_run(above),
+                                      "log: nonpositive entry")
         np.copyto(tau, raw_tau)
         if tau_clip is None:
             live.fill(1.0)
@@ -276,7 +299,6 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
         terms()
         return objective.sum() / float(b)
 
-    @np.errstate(all="ignore")
     def vjp(g):
         # a clipped sample's g_tau is zero, so its clipped latency serves
         g = g / float(b)
@@ -302,27 +324,15 @@ def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
     return train_stack([(scheme, link)], channel_proto, cfg)[0]
 
 
-def _first_failing_run(runs, mats, adj, inv_corr, lam, ups, tau_clip):
-    """The first run whose Lagrangian alone cannot be evaluated on this
-    batch, as (index, exception), or None when each one can."""
-    for r, run in enumerate(runs):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                batch_lagrangian([ad.constant(m[r:r + 1]) for m in mats], adj,
-                                 inv_corr, [run], lam[r:r + 1], ups[r:r + 1],
-                                 tau_clip=tau_clip)
-        except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
-            return r, exc
-    return None
-
-
+@np.errstate(all="ignore")
 def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     """Train one policy per (scheme, link) run in one primal-dual loop.
 
     The links may differ only in the power budget (ValueError otherwise).
     Every run starts from the same initial weights and sees the same
     mini-batches; returns one TrainResult per run, each bitwise equal to
-    train() on that run alone.
+    train() on that run alone.  A failed step raises TrainingDiverged
+    naming its run, with no numpy warning.
     """
     runs = tuple(runs)
     link = _shared_link(runs)
@@ -402,44 +412,30 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             np.take(adj_all, sel, axis=0, out=adj, mode="clip")
             np.take(inv_corr_all, sel, axis=0, out=inv_corr, mode="clip")
             try:
-                # weights that the last Adam step sent too far overflow here
-                with np.errstate(over="raise", invalid="raise"):
-                    if tape is None:
-                        # the first step records the graph; later steps
-                        # replay it
-                        root, _ = batch_lagrangian(
-                            wnodes, adj, inv_corr, runs, lam, ups,
-                            tau_clip=tau_clip, grad=grad, out=per_sample)
-                        tape = ad.Tape(root)
-                    else:
-                        tape.replay()
-            except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
-                # a log of an outage that underflowed to zero, a zero
-                # denominator or an overflow: the graph has no value at this
-                # step; the stacked arrays do not say whose it was, so the
-                # runs are evaluated one by one
-                r, cause = 0, exc
-                if n_runs > 1:
-                    r, cause = _first_failing_run(
-                        runs, mats, adj, inv_corr, lam, ups,
-                        tau_clip) or (None, exc)
-                who = (f"a stack of {n_runs} runs" if r is None
-                       else _label(runs[r]))
+                if tape is None:
+                    # the first step records the graph; later steps replay it
+                    root, _ = batch_lagrangian(
+                        wnodes, adj, inv_corr, runs, lam, ups,
+                        tau_clip=tau_clip, grad=grad, out=per_sample)
+                    tape = ad.Tape(root)
+                else:
+                    tape.replay()
+            except UndefinedLagrangian as exc:
                 raise TrainingDiverged(
-                    f"{who}: cannot evaluate the Lagrangian at iteration "
-                    f"{it}: {cause}") from exc
+                    f"{_label(runs[exc.run])}: cannot evaluate the "
+                    f"Lagrangian at iteration {it}: {exc}") from exc
             # each statistic is its per-sample row's per-run batch mean
             np.add.reduce(per_sample, axis=-1, out=means)
             means /= cfg.batch_size
             if not np.isfinite(means[0], out=scratch_bool).all():
-                r = int(np.argmin(scratch_bool))
+                r = _first_run(~scratch_bool)
                 stats = dict(zip(STAT_FIELDS, means[:, r].tolist()))
                 raise TrainingDiverged(
                     f"{_label(runs[r])}: non-finite objective at iteration "
                     f"{it}: {stats}")
             tape.backward()
             if not np.isfinite(grad, out=finite).all():
-                r = run_of[~finite].min()
+                r = _first_run(~finite, run_of)
                 raise TrainingDiverged(
                     f"{_label(runs[r])}: non-finite gradient at iteration {it}")
 
@@ -453,13 +449,10 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             guard_steps += guarded
             lr_run.fill(lr)
             lr_run[guarded] = lr * 0.5
-            # a step that overflows is reported by the check below
-            with np.errstate(over="ignore", invalid="ignore"):
-                adam_update(adam, flat, grad,
-                            np.take(lr_run, run_of, out=lr_entries,
-                                    mode="clip"))
+            adam_update(adam, flat, grad,
+                        np.take(lr_run, run_of, out=lr_entries, mode="clip"))
             if not np.isfinite(flat, out=finite).all():
-                r = run_of[~finite].min()
+                r = _first_run(~finite, run_of)
                 raise TrainingDiverged(
                     f"{_label(runs[r])}: non-finite weights after the Adam "
                     f"step at iteration {it}")
@@ -473,12 +466,11 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             history[:, it, 4:] = duals.T
             it += 1
     # no replay follows the last step, so its weights get one forward pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = forward(adj_all[:cfg.batch_size], consts, p_bar).value
-    bad = ~np.isfinite(out.reshape(n_runs, -1)).all(axis=1)
+    out = forward(adj_all[:cfg.batch_size], consts, p_bar).value
+    bad = ~np.isfinite(out)
     if bad.any():
         raise TrainingDiverged(
-            f"{_label(runs[int(np.argmax(bad))])}: non-finite network output "
+            f"{_label(runs[_first_run(bad)])}: non-finite network output "
             f"after the Adam step at iteration {it - 1}")
     return [TrainResult(weights=GcnWeights([m[r].copy() for m in mats],
                                            cfg.seed),

@@ -3,9 +3,11 @@
 Everything runs in-process through main(argv) against tmp_path output
 directories, with tiny epoch/trial counts so the whole file stays fast.
 """
+import argparse
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 import harqpower
 from harqpower import autodiff, montecarlo, training
 from harqpower.cli import (DEFAULTS, MAX_DBW, MIN_DBW, SEED_ENV_VAR,
-                           ConfigError, main, read_config)
+                           ConfigError, build_parser, main, read_config,
+                           resolve_config)
 from harqpower.types import Scheme
 
 FAST_TRAIN = ("--epochs", "2", "--dataset-size", "20", "--batch-size", "10")
@@ -32,6 +35,23 @@ def no_ambient_seed(monkeypatch):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def float_flags() -> list:
+    """(command, flag) for every float-valued flag of every command."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(name, flag) for name, parser in commands.items()
+            for action in parser._actions if action.type is float
+            for flag in action.option_strings]
+
+
+def resolved(args):
+    """resolve_config's result for `args`, or its error's text."""
+    try:
+        return resolve_config(args)
+    except ConfigError as exc:
+        return str(exc)
 
 
 class TestConfigFile:
@@ -162,6 +182,33 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", float_flags(),
+                             ids=lambda v: v)
+    def test_negative_exponent_after_a_space_is_a_value(self, command, flag):
+        parser = build_parser()
+        spaced = parser.parse_args([command, flag, "-1e-05"])
+        joined = parser.parse_args([command, f"{flag}=-1e-05"])
+        assert vars(spaced) == vars(joined)
+        assert getattr(spaced, flag[2:].replace("-", "_")) == -1e-05
+        assert resolved(spaced) == resolved(joined)
+
+    @pytest.mark.parametrize("argv, message", [
+        # every scheme's round-1 factor is 2^rate - 1, which rounds to 0
+        # below a rate of about 1.6e-16, where fewer rounds cannot help
+        (("--rate", "1e-300"), "rate 1e-300 leaves the type1 rate factor of "
+         "round 1 at 0, not positive; 2^rate - 1 rounds to 0 at this rate"),
+        (("--rate", "1e-17"), "rate 1e-17 leaves the type1 rate factor of "
+         "round 1 at 0, not positive; 2^rate - 1 rounds to 0 at this rate"),
+        (("--rate", 3, "--rounds", 25), "rate 3 leaves the ir rate factor of "
+         "round 25 at -1.77636e-15, not positive; use fewer rounds")],
+        ids=["1e-300", "1e-17", "rate-3-rounds-25"])
+    def test_nonpositive_rate_factor_message(self, tmp_path, capsys, argv,
+                                             message):
+        rc = run("mc-validate", *argv, "--trials", 1000, "--out", tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}"]
+
     def test_infeasible_oracle_exits_1(self, tmp_path, capsys):
         # one round at the default 1e-2 target needs 300 W; grid tops at 63 W
         rc = run("oracle", "--rounds", 1, "--points", 10, "--out", tmp_path)
@@ -257,7 +304,7 @@ class TestExitCodes:
         # with a second step, its forward pass overflows first
         ("1e300", ("train", "--epochs", 2),
          "ir at 15 dBW: cannot evaluate the Lagrangian at iteration 1: "
-         "overflow encountered in matmul"),
+         "non-finite network output"),
         # a gradient entry above 1 overflows the Adam step itself
         ("1.79e308", ("train", "--epochs", 1, "--scheme", "cc",
                       "--power-budget-dbw", 10),
@@ -284,8 +331,8 @@ class TestExitCodes:
         ids=["sweep-power", "sweep-rho"])
     def test_diverging_stack_names_its_failing_run(self, tmp_path, capsys,
                                                    argv, message):
-        # the second step of a stack of 21 (or 3) runs overflows; the runs,
-        # evaluated one by one, name the first that cannot be evaluated
+        # the second step of a stack of 21 (or 3) runs overflows; the
+        # stacked step's network output names the first run it fails
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lr_weights = 1e300\n")
         out = tmp_path / "out"
@@ -296,7 +343,7 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {message}: cannot evaluate the Lagrangian at iteration "
-            "1: overflow encountered in matmul"]
+            "1: non-finite network output"]
         assert not any(out.glob("*.csv"))
 
     def test_overflowing_oracle_latency_prints_no_warning(self, tmp_path,
@@ -617,11 +664,10 @@ class TestExtremeTrainingInputs:
                          f"lr_upsilon = {lr_upsilon!r}\n"
                          f"outage_target = {target!r}\n"
                          f"rate = {rate!r}\nrounds = {rounds}\n")
-            # --flag=value, since argparse reads "-1e-05" as an option
-            budget_flags = ((f"--power-budget-dbw={budget!r}",)
+            budget_flags = (("--power-budget-dbw", repr(budget))
                             if command == "train"
-                            else (f"--budget-lo-dbw={budget!r}",
-                                  f"--budget-hi-dbw={budget!r}"))
+                            else ("--budget-lo-dbw", repr(budget),
+                                  "--budget-hi-dbw", repr(budget)))
             out = os.path.join(tmp, "out")
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
@@ -635,6 +681,13 @@ class TestExtremeTrainingInputs:
             assert len(err.getvalue().splitlines()) <= (0 if rc == 0 else 1), \
                 err.getvalue()
             assert [str(w.message) for w in caught] == []
+            if rc == 1:
+                # a failed training names its run, or the seed whose
+                # initial network is dead
+                names = "|".join(re.escape(f"{s.value} at {budget:g} dBW")
+                                 for s in Scheme)
+                assert re.match(rf"error: ({names}|seed \d+): ",
+                                err.getvalue()), err.getvalue()
             if rc == 0:
                 csvs = [name for name in os.listdir(out)
                         if name.endswith(".csv")]

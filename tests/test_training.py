@@ -295,15 +295,15 @@ class TestTrainStack:
             train_stack([], PROTO, TrainConfig(epochs=1))
 
     def test_non_finite_objective_names_its_run(self, monkeypatch):
-        # poison the second run's network output; the other runs stay finite
-        original = training.forward
+        # poison the second run's rate factors: its powers stay finite and
+        # its chain has no zero divisor, so only its objective is not finite
+        original = training.rate_factors
 
-        def poisoned(adjacency, matrices, p_bar_w, **kwargs):
-            out = original(adjacency, matrices, p_bar_w, **kwargs)
-            out.value[1] = np.nan
-            return out
+        def poisoned(scheme, rate, rounds):
+            factors = original(scheme, rate, rounds)
+            return [np.nan] * rounds if scheme is Scheme.CHASE else factors
 
-        monkeypatch.setattr(training, "forward", poisoned)
+        monkeypatch.setattr(training, "rate_factors", poisoned)
         runs = [(Scheme.TYPE_I, LINK),
                 (Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
                 (Scheme.INCREMENTAL, LINK)]
@@ -312,6 +312,44 @@ class TestTrainStack:
                            match=r"^cc at 16 dBW: non-finite objective at "
                                  r"iteration 0"):
             train_stack(runs, PROTO, cfg)
+
+    @pytest.mark.parametrize("power, cause", [
+        (np.nan, "non-finite network output"),
+        (0.0, "divide: zero denominator entry"),
+        # the power product overflows, so the final outage is 0
+        (1e200, "log: nonpositive entry")],
+        ids=["network-output", "zero-denominator", "nonpositive-log"])
+    def test_undefined_step_names_its_one_failing_run(self, monkeypatch,
+                                                      power, cause):
+        # only the third run's network output is poisoned; the stacked step's
+        # own arrays name it, and no run is evaluated a second time
+        original = training.forward
+
+        def poisoned(adjacency, matrices, p_bar_w, **kwargs):
+            out = original(adjacency, matrices, p_bar_w, **kwargs)
+            out.value[2] = power
+            return out
+
+        calls = []
+        original_lagrangian = training.batch_lagrangian
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original_lagrangian(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", poisoned)
+        monkeypatch.setattr(training, "batch_lagrangian", counted)
+        runs = [(Scheme.TYPE_I, LINK),
+                (Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
+                (Scheme.INCREMENTAL, LinkConfig(power_budget_dbw=17.0))]
+        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as caught:
+                train_stack(runs, PROTO, cfg)
+        assert str(caught.value) == ("ir at 17 dBW: cannot evaluate the "
+                                     f"Lagrangian at iteration 0: {cause}")
+        assert len(calls) == 1
 
     def test_non_finite_gradient_names_its_first_run(self, monkeypatch):
         # poison the gradient of runs 1 and 2 in different layers after
@@ -367,8 +405,7 @@ class TestTrainStack:
 
     def test_zero_outage_at_a_replayed_step(self, monkeypatch):
         # a zero penalty gives a zero final outage, whose log the replayed
-        # graph cannot take; the runs, evaluated one by one, name the first
-        # that fails
+        # graph cannot take; every run fails, and the first is named
         cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
         self.poison_second_batch(monkeypatch, cfg, 0.0)
         runs = [(Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),

@@ -5,17 +5,20 @@ Usage: python tools/same_outputs.py REF
 Extracts REF's src/ with `git archive` into a temporary directory, then
 runs each command of COMMANDS in a fresh interpreter against REF's src/
 and against this tree's src/, each in an empty directory with HARQPOWER_SEED
-unset.  It compares the exit codes, stdout, stderr and every file the
-command wrote; the path of each src/ reads as <src> in stdout and stderr,
-so a traceback differs only if its text does.  Prints one line per command
-and exits 1 when any command differs, naming each difference (for a
-checkpoint, with the largest move of a weight in units in the last place),
-and 2 when REF has no src/ to archive.
+unset.  In a command, the value after --config is the text of a config
+file, written to run.cfg in that directory first.  It compares the exit
+codes, stdout, stderr and every file the command wrote; the path of each
+src/ reads as <src> in stdout and stderr, so a traceback differs only if
+its text does.  Prints one line per command and exits 1 when any command
+differs, naming each difference (for a checkpoint, with the largest move
+of a weight in units in the last place), and 2 when REF has no src/ to
+archive.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -31,6 +34,10 @@ MC_K4 = ("--trials", "70001", "--rounds", "4", "--rho", "0.9",
          "--power-dbw", "10")
 MC_K1 = ("--trials", "70001", "--rounds", "1", "--rho", "0",
          "--power-dbw", "0")
+# one Adam step sends the weights to about 1e300, where the network's
+# products overflow
+LR_HUGE = ("--config", "lr_weights = 1e300", "--dataset-size", "10",
+           "--batch-size", "10")
 # one trial past a direct block and one past a chunk, at K=3 and K=1
 MC_EDGES = [("--trials", trials) + rounds for trials in ("4097", "32769")
             for rounds in ((), ("--rounds", "1"))]
@@ -52,6 +59,13 @@ COMMANDS = [
     ("sweep-rho", "--epochs", "1", "--rounds", "6", "--rho-points", "5"),
     ("sweep-power", "--budget-lo-dbw=-1e8", "--budget-hi-dbw=-1e8")
     + TINY_TRAIN,
+    # training steps that fail, each naming its run
+    ("train", "--epochs", "1") + LR_HUGE,
+    ("train", "--epochs", "2") + LR_HUGE,
+    ("sweep-power", "--epochs", "2") + LR_HUGE,
+    ("train", "--config", "lr_weights = 1.79e308", "--epochs", "1",
+     "--scheme", "cc", "--power-budget-dbw", "10", "--dataset-size", "10",
+     "--batch-size", "10"),
     # the training step's shape edges: one round (no retransmission terms),
     # a stack of 15 five-round runs, and two rounds
     ("train", "--rounds", "1", "--epochs", "25"),
@@ -91,6 +105,11 @@ def extract_src(ref: str, dest: Path) -> Path:
 
 def run_command(src: Path, argv, cwd: Path) -> dict:
     """Exit code, stdout, stderr and output files of one command."""
+    argv = list(argv)
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        (cwd / "run.cfg").write_text(argv[at] + "\n")
+        argv[at] = "run.cfg"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("HARQPOWER_SEED", None)
     proc = subprocess.run([sys.executable, "-m", "harqpower", *argv,
@@ -160,7 +179,7 @@ def main(argv=None) -> int:
                 outputs.append(run_command(src, command, cwd))
             diffs = differences(*outputs)
             differ += bool(diffs)
-            line = " ".join(command)
+            line = shlex.join(command)
             print(f"DIFF  {line}: {'; '.join(diffs)}" if diffs
                   else f"same  {line}", flush=True)
     print(f"{differ} of {len(COMMANDS)} commands differ from {args.ref}")
