@@ -5,9 +5,9 @@ forward function of its parents' current values, and its vector-Jacobian
 product, which maps an adjoint of its value to one contribution per parent.
 Both read the parents' `.value` when they are called, so a graph whose
 leaves change in place can be evaluated again without rebuilding it.  op()
-builds such a node; add() is the one generic op, and the program's ops are
-fused ones of their own with hand-derived products, such as the policy
-network (gcn.forward) and training's Lagrangian.
+builds such a node.  The module defines no op of its own: the program's
+one graph is training's, two fused ops with hand-derived products (the
+policy network's pass and the Lagrangian).
 
 Tape(root) records the graph under a scalar root once: its topological
 order, the op nodes to recompute and the nodes with a parameter ancestor,
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Node", "constant", "parameter", "op", "add", "Tape", "backward"]
+__all__ = ["Node", "constant", "parameter", "op", "Tape", "backward"]
 
 
 class Node:
@@ -58,29 +58,6 @@ def op(kind: str, compute, parents, vjp) -> Node:
     parent.  An op may return its own buffers from either, which its next
     call overwrites."""
     return Node(compute(), parents, vjp, kind, compute)
-
-
-def _unbroadcast(shape, grad_shape):
-    """The reduction of a gradient shaped `grad_shape` to an operand's `shape`."""
-    lead = len(grad_shape) - len(shape)
-    axes = [axis for axis, n in enumerate(shape)
-            if n == 1 and grad_shape[lead + axis] != 1]
-
-    def reduce(grad):
-        for _ in range(lead):
-            grad = grad.sum(axis=0)
-        for axis in axes:
-            grad = grad.sum(axis=axis, keepdims=True)
-        return grad
-    return reduce
-
-
-def add(a: Node, b: Node) -> Node:
-    shape = np.broadcast_shapes(a.value.shape, b.value.shape)
-    to_a = _unbroadcast(a.value.shape, shape)
-    to_b = _unbroadcast(b.value.shape, shape)
-    return op("add", lambda: a.value + b.value, (a, b),
-              lambda g: (to_a(g), to_b(g)))
 
 
 def _topo_order(root: Node) -> list:

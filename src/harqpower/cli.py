@@ -67,6 +67,10 @@ CONFIG_SCHEMA = {
     "budget_lo_dbw": float, "budget_hi_dbw": float,
 }
 
+# the string keys and the values each accepts, as flags and in a config
+CHOICES = {"scheme": tuple(s.value for s in Scheme),
+           "estimator": ("direct", "conditional")}
+
 # dBW keys and their bounds: the watts of any accepted value, and of the
 # oracle grid's top 3 dB above it, stay finite and normal (floats span about
 # 10 ** -307.65 to 10 ** 308.25), and a 1e-9 dB step still moves a value
@@ -151,18 +155,20 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if cfg["power_dbw"] < floor_dbw:
         raise ConfigError(f"power_dbw must be >= {floor_dbw:g} (the "
                           f"{P_MIN_WATTS:g} W power floor), got {cfg['power_dbw']}")
-    if cfg["scheme"] not in {s.value for s in Scheme}:
-        raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
-    if cfg["estimator"] not in ("direct", "conditional"):
-        raise ConfigError(f"unknown estimator {cfg['estimator']!r}")
+    for key, allowed in CHOICES.items():
+        if cfg[key] not in allowed:
+            raise ConfigError(f"unknown {key} {cfg[key]!r}")
+    # train and oracle use the configured scheme; the others use all three
+    schemes = ((Scheme(cfg["scheme"]),) if args.command in ("train", "oracle")
+               else tuple(Scheme))
     # the dataclasses check their own fields; every command builds its
     # objects from this config, so none of them can fail later
     try:
         _channel(cfg)
         _build(LinkConfig, cfg)
         _build(TrainConfig, cfg)
-        # every command computes these, and a huge rate overflows them
-        factors = [(k, scheme, f) for scheme in Scheme for k, f in enumerate(
+        # a huge rate overflows the factors of the command's schemes
+        factors = [(k, scheme, f) for scheme in schemes for k, f in enumerate(
             rate_factors(scheme, cfg["rate"], cfg["rounds"]), 1)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -383,10 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         for key in keys:
             flag = "--" + key.replace("_", "-")
-            if key == "scheme":
-                p.add_argument(flag, choices=[s.value for s in Scheme])
-            elif key == "estimator":
-                p.add_argument(flag, choices=("direct", "conditional"))
+            if key in CHOICES:
+                p.add_argument(flag, choices=CHOICES[key])
             else:
                 p.add_argument(flag, type=CONFIG_SCHEMA[key])
 

@@ -10,6 +10,9 @@ learned policy depends on the channel only through the adjacency.  A network
 is its list of weight matrices W_0..W_{L-1}: layer l maps n_l features to
 n_{l+1}, every layer but the last is relu and the last is linear.  The
 output is floored at P_MIN_WATTS, the smallest power a policy may use.
+
+forward() returns a network's pass, plain numpy with a hand-derived
+backward; training makes it one op of its autodiff graph.
 """
 from __future__ import annotations
 
@@ -17,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .types import P_MIN_WATTS
 
-__all__ = ["GcnWeights", "init_weights", "forward", "save_checkpoint",
-           "load_checkpoint"]
+__all__ = ["GcnWeights", "init_weights", "flat_views", "forward",
+           "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_MAGIC = "HARQPOWER-GCN"
 CHECKPOINT_VERSION = 1
@@ -50,6 +52,14 @@ def init_weights(seed: int) -> GcnWeights:
     return GcnWeights(matrices=mats, seed=seed)
 
 
+def flat_views(flat: np.ndarray, like) -> list:
+    """Views of the 1-D buffer `flat` shaped like the arrays `like`, laid
+    out one after another."""
+    ends = np.cumsum([m.size for m in like])[:-1]
+    return [part.reshape(m.shape)
+            for part, m in zip(np.split(flat, ends), like)]
+
+
 def _swap(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
@@ -63,10 +73,10 @@ class _Network:
     the last layer) and the 0/1 mask of its entries above the floor, which
     are what the backward pass reads.  The masks are float, so that the
     backward products need no cast buffer.  Every view a pass uses is made
-    here.
+    here, or on the first backward pass for the gradient.
     """
 
-    def __init__(self, adjacency, matrices, share):
+    def __init__(self, adjacency, matrices, share, grad):
         self.adjacency, self.matrices = adjacency, matrices
         runs = share.shape
         lead = runs + adjacency.shape[:-1]
@@ -93,9 +103,11 @@ class _Network:
             self.u.append(u)
             self.z.append(z)
             self.mask.append(mask)
+        self._flat = grad
         self.grad = None
 
     def forward(self) -> np.ndarray:
+        """Run the pass on the arrays' current values; returns `out`."""
         a, v = self.adjacency, self.v0
         for u, u_rows, w, z_rows, z, above, mask, floor, act in self._layers:
             np.matmul(a, v, out=u)
@@ -104,12 +116,10 @@ class _Network:
             v = np.maximum(z, floor, out=act)
         return self.out
 
-    def _backward_plan(self, grad) -> None:
-        if grad is None:
-            grad = np.empty(sum(m.size for m in self.matrices))
-        sizes = np.cumsum([m.size for m in self.matrices])[:-1]
-        self.grad = [part.reshape(m.shape) for part, m in
-                     zip(np.split(grad, sizes), self.matrices)]
+    def _backward_plan(self) -> None:
+        if self._flat is None:
+            self._flat = np.empty(sum(m.size for m in self.matrices))
+        self.grad = flat_views(self._flat, self.matrices)
         self.gz = [np.empty_like(z) for z in self.z]
         a_t = _swap(self.adjacency)
         # per layer from the last: the weight gradient's operands and, below
@@ -125,14 +135,15 @@ class _Network:
             self._plan.append((_swap(self._rows(self.u[layer])), gz,
                                self.grad[layer], below))
 
-    def backward(self, g: np.ndarray, grad: np.ndarray | None) -> list:
-        """Each layer's weight gradient for the output adjoint `g`.
+    def backward(self, g: np.ndarray) -> list:
+        """Each layer's weight gradient for the adjoint `g` of `out`, at
+        the values of the last forward pass.
 
-        The gradients are views of one flat buffer, `grad` when given to
-        the first call, laid out as the weight matrices one after another.
+        The gradients are views of one flat buffer laid out by flat_views,
+        the same list on every call.
         """
         if self.grad is None:
-            self._backward_plan(grad)
+            self._backward_plan()
         np.multiply(g, self.mask[-1], out=self.gz[-1])
         for u_t, gz, grad_w, below in self._plan:
             np.matmul(u_t, gz, out=grad_w)
@@ -144,33 +155,32 @@ class _Network:
         return self.grad
 
 
-def forward(adjacency: np.ndarray, matrices, p_bar_w, grad=None) -> ad.Node:
-    """Per-round powers floored at P_MIN_WATTS, as one autodiff op.
+def forward(adjacency: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
+    """The network's pass on `adjacency`, run once; its powers are `.out`.
 
     `adjacency` is one (K, K) session or a (B, K, K) stack.  `matrices` are
-    the layer weights as autodiff nodes: parameters to differentiate through
-    the network, constants to just evaluate it.  Every layer but the last
-    applies relu.  For one network they are (n, m) matrices and `p_bar_w`
-    is a float; the output has shape (K, 1) or (B, K, 1).  For a stack of R
-    networks they are (R, n, m), `p_bar_w` holds the R budgets, and the
-    output gains a leading run axis.
+    the layer weight arrays; every layer but the last applies relu, and the
+    output is floored at P_MIN_WATTS.  For one network they are (n, m)
+    matrices and `p_bar_w` is a float; `.out` has shape (K, 1) or
+    (B, K, 1).  For a stack of R networks they are (R, n, m), `p_bar_w`
+    holds the R budgets, and `.out` gains a leading run axis.
 
-    The op reads the adjacency and the weights through the arrays given
-    and writes into buffers it makes once, so a Tape replays it after they
-    change in place.  Its backward pass gives every weight node a view of
-    one flat gradient buffer (`grad` when given) laid out as the matrices
-    one after another.
+    The pass reads the adjacency and the weights through the arrays given
+    and writes into buffers it makes once: after a caller refills those
+    arrays in place, `.forward()` runs it again.  `.backward(g)` writes
+    every layer's weight gradient into one flat buffer (`grad` when given)
+    laid out by flat_views, and returns its views.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
     k = adjacency.shape[-1]
     if adjacency.ndim not in (2, 3) or adjacency.shape[-2] != k:
         raise ValueError("adjacency must be square")
-    if matrices[-1].value.shape[-1] != 1:
+    if matrices[-1].shape[-1] != 1:
         raise ValueError("final layer must emit one feature per round")
-    net = _Network(adjacency, [w.value for w in matrices],
-                   np.asarray(p_bar_w, dtype=np.float64) / k)
-    return ad.op("gcn", net.forward, tuple(matrices),
-                 lambda g: net.backward(g, grad))
+    net = _Network(adjacency, matrices,
+                   np.asarray(p_bar_w, dtype=np.float64) / k, grad)
+    net.forward()
+    return net
 
 
 def save_checkpoint(path, weights: GcnWeights) -> None:

@@ -129,8 +129,8 @@ def _check_autodiff():
 
 
 def _check_gcn():
-    out = forward(np.eye(3), [ad.constant(np.array([[2.0]]))], p_bar_w=6.0)
-    _expect(np.array_equal(out.value[:, 0], np.array([4.0, 4.0, 4.0])),
+    out = forward(np.eye(3), [np.array([[2.0]])], p_bar_w=6.0).out
+    _expect(np.array_equal(out[:, 0], np.array([4.0, 4.0, 4.0])),
             "identity adjacency forward")
     full = init_weights(seed=3)
     with tempfile.TemporaryDirectory() as d:

@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .analytics import (ChainWork, analytic_chain, chain_adjoint,
                         correlation_factor, evaluate, rate_factors)
-from .gcn import GcnWeights, forward, init_weights
+from .gcn import GcnWeights, flat_views, forward, init_weights
 from .graph import batch_adjacency, session_adjacency
 from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 
@@ -202,9 +202,9 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     and `adj` (B, K, K) and `inv_corr` (B, K) a mini-batch's slices of
     dataset_constants().  The root is the sum over runs of each run's
     batch-mean Lagrangian, so each run's weights get exactly their own run's
-    gradient; the backward pass writes it into `grad` when given (see
-    gcn.forward).  Returns (root, stats), stats a dict of per-sample (R, B)
-    arrays: objective (each sample's Lagrangian term), mean_tau_s,
+    gradient; the backward pass writes it into `grad` when given (laid out
+    by gcn.flat_views).  Returns (root, stats), stats a dict of per-sample
+    (R, B) arrays: objective (each sample's Lagrangian term), mean_tau_s,
     mean_log_pout and mean_pavg_w, the rows of one (4, R, B) buffer in
     STAT_FIELDS order (`out` when given); a step's statistics are their
     per-run batch means.  The graph reads `adj`, `inv_corr`, the weights
@@ -212,8 +212,9 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     views when they are float arrays) and writes into buffers made once, so
     a Tape of the root replays it after those arrays change in place.
 
-    The graph is two ops: the network (gcn.forward) and one op that maps
-    its floored (R, B, K, 1) powers to the batch-mean Lagrangian by
+    The graph is two ops: the network's pass (gcn.forward), made here the
+    "gcn" op over the weight nodes, and one op that maps its floored
+    (R, B, K, 1) powers to the batch-mean Lagrangian by
     analytics.analytic_chain and chain_adjoint.  That op raises
     UndefinedLagrangian, naming the first run, on a non-finite power, then
     on a zero denominator, then on a nonpositive final outage; numpy warns
@@ -236,10 +237,10 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     link = _shared_link(runs)
     b, k = adj.shape[0], adj.shape[1]
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
-    net = forward(adj, wnodes, p_bar, grad=grad)
+    net = forward(adj, [w.value for w in wnodes], p_bar, grad=grad)
     n_runs = len(runs)
     shape = (n_runs, b, k)
-    powers = net.value.reshape(shape)
+    powers = net.out.reshape(shape)
 
     factors = np.array([rate_factors(scheme, link.rate, k)
                         for scheme, _ in runs]).reshape(n_runs, 1, k)
@@ -258,7 +259,7 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     above, below = np.empty((2,) + shape[:-1], dtype=bool)
     live, scratch, g_tau = np.empty((3,) + shape[:-1])
     g_duals = np.empty((2, n_runs, 1))
-    g_powers = np.empty(net.value.shape)
+    g_powers = np.empty(net.out.shape)
 
     def terms():
         if not np.isfinite(powers, out=finite).all():
@@ -309,7 +310,8 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
                       out=g_powers.reshape(shape))
         return (g_powers,)
 
-    root = ad.op("lagrangian", compute, (net,), vjp)
+    network = ad.op("gcn", net.forward, tuple(wnodes), net.backward)
+    root = ad.op("lagrangian", compute, (network,), vjp)
     return root, stats
 
 
@@ -344,8 +346,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     # names the run of each entry
     init = [np.stack([m] * n_runs) for m in init_weights(cfg.seed).matrices]
     flat = np.concatenate([m.reshape(-1) for m in init])
-    mats = [part.reshape(m.shape) for part, m in
-            zip(np.split(flat, np.cumsum([m.size for m in init])[:-1]), init)]
+    mats = flat_views(flat, init)
     run_of = np.concatenate([np.repeat(np.arange(n_runs), m[0].size)
                              for m in init])
     grad = np.empty_like(flat)
@@ -355,10 +356,9 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     # a network at the power floor for every sample has zero gradients
     # everywhere, so its weights could never move; batch-sized slices keep
     # the check's memory at one step's, and it stops once every run is live
-    consts = [ad.constant(m) for m in mats]
     dead = np.ones(n_runs, dtype=bool)
     for i in range(0, cfg.dataset_size, cfg.batch_size):
-        out = forward(adj_all[i:i + cfg.batch_size], consts, p_bar).value
+        out = forward(adj_all[i:i + cfg.batch_size], mats, p_bar).out
         dead &= np.all(out.reshape(n_runs, -1) == P_MIN_WATTS, axis=1)
         if not dead.any():
             break
@@ -466,7 +466,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             history[:, it, 4:] = duals.T
             it += 1
     # no replay follows the last step, so its weights get one forward pass
-    out = forward(adj_all[:cfg.batch_size], consts, p_bar).value
+    out = forward(adj_all[:cfg.batch_size], mats, p_bar).out
     bad = ~np.isfinite(out)
     if bad.any():
         raise TrainingDiverged(
@@ -482,8 +482,8 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
 def evaluate_policy(weights: GcnWeights, channel: ChannelParams,
                     link: LinkConfig, scheme: Scheme):
     """Run the trained network on one channel and score it analytically."""
-    consts = [ad.constant(m) for m in weights.matrices]
-    out = forward(session_adjacency(channel), consts, link.power_budget_w)
-    policy = PowerPolicy(tuple(out.value[:, 0]))
+    out = forward(session_adjacency(channel), weights.matrices,
+                  link.power_budget_w).out
+    policy = PowerPolicy(tuple(out[:, 0]))
     report = evaluate(policy, channel, scheme, link)
     return policy, report

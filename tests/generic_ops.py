@@ -16,14 +16,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from harqpower.autodiff import (Node, Tape, _topo_order, _unbroadcast, add,
-                                backward, constant, op, parameter)
+from harqpower.autodiff import (Node, Tape, _topo_order, backward, constant,
+                                op, parameter)
 
 __all__ = [
     "Node", "Tape", "add", "backward", "constant", "op", "parameter",
     "multiply", "divide", "matmul", "relu", "clamp", "log", "reduce_sum",
     "GradientReport", "finite_diff_check", "activity_signature",
 ]
+
+
+def _unbroadcast(shape, grad_shape):
+    """The reduction of a gradient shaped `grad_shape` to an operand's `shape`."""
+    lead = len(grad_shape) - len(shape)
+    axes = [axis for axis, n in enumerate(shape)
+            if n == 1 and grad_shape[lead + axis] != 1]
+
+    def reduce(grad):
+        for _ in range(lead):
+            grad = grad.sum(axis=0)
+        for axis in axes:
+            grad = grad.sum(axis=axis, keepdims=True)
+        return grad
+    return reduce
+
+
+def add(a: Node, b: Node) -> Node:
+    shape = np.broadcast_shapes(a.value.shape, b.value.shape)
+    to_a = _unbroadcast(a.value.shape, shape)
+    to_b = _unbroadcast(b.value.shape, shape)
+    return op("add", lambda: a.value + b.value, (a, b),
+              lambda g: (to_a(g), to_b(g)))
 
 
 def _binary_reducers(a: Node, b: Node):
@@ -112,8 +135,8 @@ class GradientReport:
 def activity_signature(root: Node) -> list:
     """Boolean activity masks of every relu/clamp node, in topological order.
 
-    A policy network op (gcn.forward) contributes the masks of its layers,
-    which its backward pass reads.  Two evaluations of the same builder
+    A policy network op (the pass of gcn.forward) contributes the masks of
+    its layers, which its backward pass reads.  Two evaluations of the same builder
     with different parameter values are finite-difference comparable only
     when their signatures match.
     """

@@ -312,9 +312,8 @@ class TestGradientCorrectness:
         weights = init_weights(seed)
         scheme = SCHEMES[seed % 3]
         adj = batch_adjacency(rho_batch, proto.num_rounds, proto.delta)
-        wn = [ad.parameter(m) for m in weights.matrices]
-        v = forward(adj, wn, link.power_budget_w)
-        mean_out = float(np.mean(v.value))
+        v = forward(adj, weights.matrices, link.power_budget_w).out
+        mean_out = float(np.mean(v))
         assert mean_out > 0.01, f"seed {seed}: collapsed init"
         weights.matrices[-1] *= FD_TARGET_MEAN_W / mean_out
         return weights, rho_batch, scheme
@@ -330,9 +329,8 @@ class TestGradientCorrectness:
         k = proto.num_rounds
         for rho in rho_batch:
             ch = ChannelParams(rho=float(rho))
-            consts = [ad.constant(m) for m in weights.matrices]
-            p = forward(session_adjacency(ch), consts,
-                        link.power_budget_w).value.reshape(-1)
+            p = forward(session_adjacency(ch), weights.matrices,
+                        link.power_budget_w).out.reshape(-1)
             assert p.min() >= 2.0
             pout = rate_factors(scheme, link.rate, k)[k - 1] / (
                 correlation_factor(float(rho), k, proto.delta)[k - 1]

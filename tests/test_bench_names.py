@@ -10,6 +10,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -44,8 +45,10 @@ def test_traced_reads_exist():
     # grid_search's arguments (channel first, grid fourth); tape_size walks
     # Node.parents from the root that batch_lagrangian returns
     from harqpower import autodiff as ad
+    from harqpower.gcn import init_weights
     from harqpower.oracle import GridSpec, grid_search
-    from harqpower.types import ChannelParams
+    from harqpower.training import batch_lagrangian, dataset_constants
+    from harqpower.types import ChannelParams, LinkConfig, Scheme
 
     assert {"num_rounds", "points_per_axis"} <= attributes_read("_info")
     assert "parents" in attributes_read("tape_size")
@@ -53,5 +56,16 @@ def test_traced_reads_exist():
     names = list(inspect.signature(grid_search).parameters)
     assert names[0] == "channel" and names[3] == "grid"
     assert GridSpec(points_per_axis=7).points_per_axis == 7
-    a, b = ad.constant(1.0), ad.constant(2.0)
-    assert list(ad.add(a, b).parents) == [a, b]
+    adj, inv_corr = dataset_constants(np.array([0.2, 0.7]),
+                                      ChannelParams(rho=0.0))
+    root, _ = batch_lagrangian(
+        [ad.parameter(m) for m in init_weights(4).matrices], adj, inv_corr,
+        [(Scheme.INCREMENTAL, LinkConfig())], 0.0, 0.0)
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    # the root, the network op and the network's five weight parameters
+    assert len(seen) == 7

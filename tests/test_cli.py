@@ -200,14 +200,27 @@ class TestExitCodes:
         (("--rate", "1e-17"), "rate 1e-17 leaves the type1 rate factor of "
          "round 1 at 0, not positive; 2^rate - 1 rounds to 0 at this rate"),
         (("--rate", 3, "--rounds", 25), "rate 3 leaves the ir rate factor of "
-         "round 25 at -1.77636e-15, not positive; use fewer rounds")],
-        ids=["1e-300", "1e-17", "rate-3-rounds-25"])
+         "round 25 at -1.77636e-15, not positive; use fewer rounds"),
+        # ir's alternating sum cancels to 0, where type1's and cc's factors
+        # stay positive
+        (("--rate", "1e-15", "--rounds", 2), "rate 1e-15 leaves the ir rate "
+         "factor of round 2 at 0, not positive; use fewer rounds")],
+        ids=["1e-300", "1e-17", "rate-3-rounds-25", "rate-1e-15-rounds-2"])
     def test_nonpositive_rate_factor_message(self, tmp_path, capsys, argv,
                                              message):
         rc = run("mc-validate", *argv, "--trials", 1000, "--out", tmp_path)
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             f"config error: {message}"]
+
+    def test_rate_factors_of_unused_schemes_are_not_checked(self, tmp_path,
+                                                             capsys):
+        # train uses only its scheme, so ir's zero factor of round 2 at
+        # this rate does not reject a type1 run
+        rc = run("train", "--scheme", "type1", "--rate", "1e-15", "--rounds",
+                 2, *FAST_TRAIN, "--out", tmp_path)
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     def test_infeasible_oracle_exits_1(self, tmp_path, capsys):
         # one round at the default 1e-2 target needs 300 W; grid tops at 63 W
@@ -273,24 +286,30 @@ class TestExitCodes:
         else:
             assert len(err) == 1 and err[0].startswith("error: ")
 
-    @pytest.mark.parametrize("argv", [
-        *[("train", "--scheme", scheme, "--rounds", rounds)
-          for rounds in (300, 400) for scheme in ("ir", "cc", "type1")],
-        ("train", "--scheme", "type1", "--rounds", 250),
-        ("sweep-rho", "--rounds", 400)],
-        ids=lambda argv: " ".join(str(a) for a in argv))
-    def test_many_rounds_exit_1_with_one_line(self, tmp_path, capsys, argv):
-        # the config check rejects these round counts (ir's rate factor is
-        # not positive from 21 rounds at rate 2) before any training, so the
-        # name's exit 1 is now exit 2; test_training covers the training
-        # failure past that check.  Any numpy warning raises here
+    @pytest.mark.parametrize("argv, rc", [
+        pytest.param(argv, rc, id=" ".join(str(a) for a in argv))
+        for argv, rc in [
+            *[(("train", "--scheme", scheme, "--rounds", rounds),
+               1 if scheme == "type1" else 2)
+              for rounds in (300, 400) for scheme in ("ir", "cc", "type1")],
+            (("train", "--scheme", "type1", "--rounds", 250), 1),
+            (("sweep-rho", "--rounds", 400), 2)]])
+    def test_many_rounds_exit_1_with_one_line(self, tmp_path, capsys, argv,
+                                              rc):
+        # the config check rejects the round counts where a used scheme's
+        # rate factor is not positive (ir's from 21 rounds at rate 2, cc's
+        # from 171) before any training, with exit 2; type1's factors stay
+        # positive, so its runs train and fail the first step with exit 1
+        # (a non-finite objective at 250 rounds, a zero denominator at 300
+        # and 400).  Any numpy warning raises here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = run(*argv, "--epochs", 1, "--dataset-size", 1,
-                     "--batch-size", 1, "--out", tmp_path)
-        assert rc == 2
+            got = run(*argv, "--epochs", 1, "--dataset-size", 1,
+                      "--batch-size", 1, "--out", tmp_path)
+        assert got == rc
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: ")
+        prefix = "error: " if rc == 1 else "config error: "
+        assert len(err) == 1 and err[0].startswith(prefix)
 
     @pytest.mark.parametrize("lr, argv, message", [
         # one step sends the weights to about 1e300, where the network's

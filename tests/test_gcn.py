@@ -1,10 +1,14 @@
 """Tests for the graph-convolutional policy network and its checkpoints."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import generic_ops as ad
+import harqpower
 from harqpower.gcn import (DEFAULT_DIMS, GcnWeights, forward, init_weights,
                            load_checkpoint, save_checkpoint)
 from harqpower.graph import batch_adjacency, session_adjacency
@@ -12,9 +16,8 @@ from harqpower.types import P_MIN_WATTS, ChannelParams, PowerPolicy
 
 
 def powers(adjacency, matrices, p_bar_w):
-    """Forward pass on constant weights, as an array of per-round powers."""
-    out = forward(adjacency, [ad.constant(m) for m in matrices], p_bar_w)
-    return out.value[..., 0]
+    """Forward pass as an array of per-round powers."""
+    return forward(adjacency, matrices, p_bar_w).out[..., 0]
 
 
 class TestInit:
@@ -68,10 +71,25 @@ class TestForward:
 
     def test_gradient_reaches_parameters(self):
         w = ad.parameter(np.array([[1.5]]))
-        out = forward(np.eye(2), [w], p_bar_w=4.0)
+        net = forward(np.eye(2), [w.value], p_bar_w=4.0)
+        out = ad.op("gcn", net.forward, (w,), net.backward)
         ad.backward(ad.reduce_sum(out))
         # two rounds, each emitting (p_bar / K) * w
         assert np.array_equal(w.adjoint, np.array([[4.0]]))
+
+    def test_import_does_not_load_autodiff(self):
+        # the package's __init__ imports training, which builds the tape,
+        # so the module is imported under a bare package object
+        code = ("import sys, types; pkg = types.ModuleType('harqpower'); "
+                f"pkg.__path__ = {list(harqpower.__path__)!r}; "
+                "sys.modules['harqpower'] = pkg; import harqpower.gcn; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('harqpower')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == str(
+            ["harqpower", "harqpower.gcn", "harqpower.types"])
 
     def test_rejects_nonsquare_adjacency(self):
         w = init_weights(seed=0)

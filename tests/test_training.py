@@ -164,7 +164,7 @@ class TestOneImplementation:
             _, nodes = batch_lagrangian(consts, adj, inv_corr,
                                         [(scheme, LINK)], 0.0, 0.0)
             stats = run_means(nodes, 1, 1)
-            powers = forward(adj, consts, LINK.power_budget_w).value
+            powers = forward(adj, mats, LINK.power_budget_w).out
             rep = evaluate(PowerPolicy(tuple(powers[0, :, 0])),
                            ChannelParams(rho=float(rho)), scheme, LINK)
             if max(rep.outage_profile) >= OUTAGE_CAP:
@@ -321,14 +321,21 @@ class TestTrainStack:
         ids=["network-output", "zero-denominator", "nonpositive-log"])
     def test_undefined_step_names_its_one_failing_run(self, monkeypatch,
                                                       power, cause):
-        # only the third run's network output is poisoned; the stacked step's
-        # own arrays name it, and no run is evaluated a second time
+        # only the third run's network output is poisoned, on every run of
+        # the pass; the stacked step's own arrays name it, and no run is
+        # evaluated a second time
         original = training.forward
 
         def poisoned(adjacency, matrices, p_bar_w, **kwargs):
-            out = original(adjacency, matrices, p_bar_w, **kwargs)
-            out.value[2] = power
-            return out
+            net = original(adjacency, matrices, p_bar_w, **kwargs)
+            run_pass = net.forward
+
+            def forward():
+                out = run_pass()
+                out[2] = power
+                return out
+            net.forward = forward
+            return net
 
         calls = []
         original_lagrangian = training.batch_lagrangian
@@ -422,8 +429,8 @@ class TestTrainStack:
         ids=lambda v: str(v) if isinstance(v, int)
         else "+".join(s.value for s in v))
     def test_many_rounds_diverge_without_warnings(self, schemes, rounds):
-        # the CLI rejects these round counts by their rate factors; past
-        # that check the power products underflow and the chain meets
+        # the CLI rejects these round counts by ir's and cc's rate factors,
+        # not type1's; the power products underflow and the chain meets
         # inf * 0, which must end in TrainingDiverged, not a numpy warning
         proto = ChannelParams(rho=0.0, num_rounds=rounds)
         cfg = TrainConfig(epochs=1, dataset_size=1, batch_size=1)
@@ -513,7 +520,7 @@ class TestHandDerivedStep:
         adj, inv_corr = dataset_constants(0.95 * rho, PROTO)
         mats = [np.stack([m] * len(runs)) for m in init_weights(4).matrices]
         p_bar = np.array([lk.power_budget_w for _, lk in runs])
-        out = forward(adj, [ad.constant(m) for m in mats], p_bar).value
+        out = forward(adj, mats, p_bar).out
         mats[-1] *= 18.0 / out.mean()
         lam = np.linspace(0.05, 0.02, len(runs))
         ups = np.linspace(1e-3, 2e-4, len(runs))

@@ -85,6 +85,11 @@ COMMANDS = [
     ("mc-validate", "--rate", "3", "--rounds", "25", "--trials", "1000"),
     ("mc-validate", "--rate", "17.75", "--rounds", "55", "--power-dbw=-60",
      "--trials", "1000"),
+    # ir's rate factor of round 2 cancels to 0 at this rate: train uses
+    # only type1's, mc-validate all three schemes'
+    ("train", "--scheme", "type1", "--rate", "1e-15", "--rounds", "2")
+    + TINY_TRAIN,
+    ("mc-validate", "--rate", "1e-15", "--rounds", "2", "--trials", "1000"),
     ("oracle", "--points", "40"),
     ("oracle", "--rounds", "4", "--points", "12"),
     ("oracle", "--points", "100", "--rho", "0.6"),
