@@ -8,8 +8,12 @@ batch, and descends the batch-mean Lagrangian
 
 in the network weights (Adam) while ascending the projected multipliers.
 Both constraint terms use the same mini-batch as the weight gradient.  The
+latency term is clipped at TAU_CLIP_FLOORS latency floors of the link.  The
 graph is two fused ops with hand-derived products, recorded on the first
-step and replayed on later ones into buffers made once.
+step and replayed on later ones.  Only the network's layer arrays and the
+chain's rounds-last rows are buffers made once, because they are the step's
+largest and a fresh (..., K) chain is several times slower; the masks,
+adjoints, Adam's terms and the dual step are plain numpy expressions.
 
 Several runs that differ only in scheme and power budget train as one
 stack: the weights, Adam moments, multipliers, step-size guard and history
@@ -66,9 +70,6 @@ LR_FINAL_FRAC = 0.02
 # is actually violated, which keeps early descent on the pure objective
 INIT_LAMBDA = 0.0
 INIT_UPSILON = 0.0
-# reject factor for the latency spike guard, in units of the
-# payload/(bandwidth*rate) lower bound
-DIVERGENCE_FACTOR = 100.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -119,8 +120,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    # two scratch arrays shaped like m, made on the first update
-    scratch: np.ndarray | None = None
 
     @classmethod
     def like(cls, x: np.ndarray) -> "AdamState":
@@ -131,29 +130,20 @@ def adam_update(state: AdamState, x: np.ndarray, g: np.ndarray, lr) -> None:
     """One bias-corrected Adam step applied in place to `x`.
 
     `lr` is a scalar or an array of per-entry step sizes shaped like `x`.
-    The moments and the step are computed in place, in the order of
+    The moments are updated in place, and the step is
 
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
         x -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
     """
-    if state.scratch is None:
-        state.scratch = np.empty((2,) + state.m.shape)
-    step, denom = state.scratch
     state.step += 1
     t = state.step
     m, v = state.m, state.v
     m *= ADAM_BETA1
-    m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+    m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
-    np.multiply(1.0 - ADAM_BETA2, g, out=denom)
-    v += np.multiply(denom, g, out=denom)
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
-    np.multiply(lr, step, out=step)
-    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    step /= denom
-    x -= step
+    v += (1.0 - ADAM_BETA2) * g * g
+    x -= lr * (m / (1.0 - ADAM_BETA1 ** t)) / (
+        np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
 
 
 def sample_rho_dataset(cfg: TrainConfig) -> np.ndarray:
@@ -192,8 +182,7 @@ def _shared_link(runs) -> LinkConfig:
 
 
 def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
-                     lam, ups, tau_clip: float | None = None, grad=None,
-                     out=None):
+                     lam, ups, grad=None, out=None):
     """Build the batch-mean Lagrangian graph of a stack of runs.
 
     `runs` holds one (scheme, link) pair per run; the links may differ only
@@ -209,8 +198,9 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     STAT_FIELDS order (`out` when given); a step's statistics are their
     per-run batch means.  The graph reads `adj`, `inv_corr`, the weights
     and the multipliers through the arrays passed in (`lam` and `ups` as
-    views when they are float arrays) and writes into buffers made once, so
-    a Tape of the root replays it after those arrays change in place.
+    views when they are float arrays), and writes the statistics, the
+    network's layers and the chain into buffers made here, so a Tape of the
+    root replays it after those arrays change in place.
 
     The graph is two ops: the network's pass (gcn.forward), made here the
     "gcn" op over the weight nodes, and one op that maps its floored
@@ -226,11 +216,11 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     * per-round outage values are not capped below one (the cap turns the
       pole into an eight-orders-of-magnitude cliff whose gradient poisons
       Adam's second moments for thousands of steps);
-    * each sample's latency term is clipped into [0, tau_clip] with zero
-      subgradient outside, so uebercorrelated draws whose raw outage sits
-      near or beyond one contribute a bounded constant to the objective
-      instead of a divergent pull, while their power and outage constraint
-      terms stay exact.
+    * each sample's latency term is clipped into [0, TAU_CLIP_FLOORS *
+      payload / (bandwidth * rate)] with zero subgradient outside, so
+      uebercorrelated draws whose raw outage sits near or beyond one
+      contribute a bounded constant to the objective instead of a divergent
+      pull, while their power and outage constraint terms stay exact.
 
     Reported metrics elsewhere always use the capped chain.
     """
@@ -249,66 +239,47 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
                 for x in (lam, ups))
     p_bar = p_bar.reshape(-1, 1)
     log_target = math.log(link.outage_target)
+    tau_clip = TAU_CLIP_FLOORS * (
+        link.payload_bits / (link.bandwidth_hz * link.rate))
     work = ChainWork(shape)
     per_sample = np.empty((4,) + shape[:-1]) if out is None else out
     objective, tau, log_pout, pavg = per_sample
     stats = dict(zip(STAT_FIELDS, per_sample))
-    finite = np.empty(shape, dtype=bool)
-    # live is the 0/1 mask of the samples whose latency the clip leaves
-    # free, float so that its product with the adjoint needs no cast buffer
-    above, below = np.empty((2,) + shape[:-1], dtype=bool)
-    live, scratch, g_tau = np.empty((3,) + shape[:-1])
-    g_duals = np.empty((2, n_runs, 1))
-    g_powers = np.empty(net.out.shape)
 
-    def terms():
-        if not np.isfinite(powers, out=finite).all():
+    def compute():
+        finite = np.isfinite(powers)
+        if not finite.all():
             raise UndefinedLagrangian(_first_run(~finite),
                                       "non-finite network output")
         pouts, eta, raw_tau, chain_pavg = analytic_chain(
             powers, inv_corr, factors, link, work=work)
         # the chain's divisors: power products, 1 + P_1 + ..., eta * bandwidth
-        np.all(work.prod, axis=-1, out=above)
-        np.logical_and(above, work.spent, out=above)
-        np.multiply(eta, link.bandwidth_hz, out=scratch)
-        if not np.logical_and(above, scratch, out=above).all():
-            raise UndefinedLagrangian(_first_run(~above),
+        defined = (work.prod.all(axis=-1) & (work.spent != 0.0)
+                   & (eta * link.bandwidth_hz != 0.0))
+        if not defined.all():
+            raise UndefinedLagrangian(_first_run(~defined),
                                       "divide: zero denominator entry")
-        if np.less_equal(pouts[..., -1], 0.0, out=above).any():
-            raise UndefinedLagrangian(_first_run(above),
+        nonpositive = pouts[..., -1] <= 0.0
+        if nonpositive.any():
+            raise UndefinedLagrangian(_first_run(nonpositive),
                                       "log: nonpositive entry")
-        np.copyto(tau, raw_tau)
-        if tau_clip is None:
-            live.fill(1.0)
-        else:
-            np.greater(tau, 0.0, out=above)
-            np.logical_and(above, np.less(tau, tau_clip, out=below), out=above)
-            np.copyto(live, above)
-            np.maximum(tau, 0.0, out=tau)
-            np.minimum(tau, tau_clip, out=tau)
+        np.minimum(np.maximum(raw_tau, 0.0), tau_clip, out=tau)
         np.log(pouts[..., -1], out=log_pout)
         np.copyto(pavg, chain_pavg)
         # a zero multiplier adds an exact zero, so every run shares one op
-        np.subtract(log_pout, log_target, out=objective)
-        np.multiply(lam, objective, out=objective)
-        np.add(tau, objective, out=objective)
-        np.subtract(pavg, p_bar, out=scratch)
-        np.multiply(ups, scratch, out=scratch)
-        np.add(objective, scratch, out=objective)
-
-    def compute():
-        terms()
+        objective[...] = (tau + lam * (log_pout - log_target)
+                          + ups * (pavg - p_bar))
         return objective.sum() / float(b)
 
     def vjp(g):
-        # a clipped sample's g_tau is zero, so its clipped latency serves
+        # a clipped sample's latency adjoint is zero, so its clipped latency
+        # serves; a sample is clipped exactly where its latency sits on a
+        # bound of [0, tau_clip]
         g = g / float(b)
-        np.multiply(g, live, out=g_tau)
-        np.multiply(g, lam, out=g_duals[0])
-        np.multiply(g, ups, out=g_duals[1])
-        chain_adjoint(powers, work, tau, g_tau, g_duals[0], g_duals[1],
-                      out=g_powers.reshape(shape))
-        return (g_powers,)
+        live = (0.0 < tau) & (tau < tau_clip)
+        g_powers = chain_adjoint(powers, work, tau, g * live, g * lam,
+                                 g * ups)
+        return (g_powers.reshape(net.out.shape),)
 
     network = ad.op("gcn", net.forward, tuple(wnodes), net.backward)
     root = ad.op("lagrangian", compute, (network,), vjp)
@@ -382,21 +353,8 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
                            p_bar])
     wnodes = [ad.parameter(m) for m in mats]
     tape = None
-    tau_floor = link.payload_bits / (link.bandwidth_hz * link.rate)
-    guard_level = DIVERGENCE_FACTOR * tau_floor
-    tau_clip = TAU_CLIP_FLOORS * tau_floor
-
-    # the graph's (4, R, B) per-sample statistics in STAT_FIELDS order and
-    # their per-run batch means; the rest is scratch for the checks and the
-    # updates
+    # the graph's (4, R, B) per-sample statistics in STAT_FIELDS order
     per_sample = np.empty((4, n_runs, cfg.batch_size))
-    means = np.empty((4, n_runs))
-    mean_tau = means[1]
-    lr_run = np.empty(n_runs)
-    dual_step = np.empty_like(duals)
-    guarded, scratch_bool = np.empty((2, n_runs), dtype=bool)
-    lr_entries = np.empty_like(flat)
-    finite = np.empty(flat.shape, dtype=bool)
 
     guard_steps = np.zeros(n_runs, dtype=int)
     it = 0
@@ -414,9 +372,9 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             try:
                 if tape is None:
                     # the first step records the graph; later steps replay it
-                    root, _ = batch_lagrangian(
-                        wnodes, adj, inv_corr, runs, lam, ups,
-                        tau_clip=tau_clip, grad=grad, out=per_sample)
+                    root, _ = batch_lagrangian(wnodes, adj, inv_corr, runs,
+                                               lam, ups, grad=grad,
+                                               out=per_sample)
                     tape = ad.Tape(root)
                 else:
                     tape.replay()
@@ -424,44 +382,41 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
                 raise TrainingDiverged(
                     f"{_label(runs[exc.run])}: cannot evaluate the "
                     f"Lagrangian at iteration {it}: {exc}") from exc
-            # each statistic is its per-sample row's per-run batch mean
-            np.add.reduce(per_sample, axis=-1, out=means)
-            means /= cfg.batch_size
-            if not np.isfinite(means[0], out=scratch_bool).all():
-                r = _first_run(~scratch_bool)
+            # each statistic is its per-sample row's per-run batch mean; a
+            # sum of finite samples can still overflow
+            means = per_sample.sum(axis=-1) / cfg.batch_size
+            finite = np.isfinite(means)
+            if not finite.all():
+                field, r = np.argwhere(~finite)[0]
                 stats = dict(zip(STAT_FIELDS, means[:, r].tolist()))
                 raise TrainingDiverged(
-                    f"{_label(runs[r])}: non-finite objective at iteration "
-                    f"{it}: {stats}")
+                    f"{_label(runs[r])}: non-finite {STAT_FIELDS[field]} at "
+                    f"iteration {it}: {stats}")
             tape.backward()
-            if not np.isfinite(grad, out=finite).all():
+            finite = np.isfinite(grad)
+            if not finite.all():
                 r = _first_run(~finite, run_of)
                 raise TrainingDiverged(
                     f"{_label(runs[r])}: non-finite gradient at iteration {it}")
 
             ramp = 1.0 - (1.0 - LR_FINAL_FRAC) * (it / total_steps)
             lr = cfg.lr_weights * ramp
-            # batches whose mean latency leaves the sane window (a razor-thin
-            # outage-near-one crossing, either branch) get a half-size step
-            np.greater(mean_tau, 0.0, out=guarded)
-            guarded &= np.less_equal(mean_tau, guard_level, out=scratch_bool)
-            np.logical_not(guarded, out=guarded)
+            # a batch whose every sample sits past the latency pole (each
+            # clipped to 0) gets a half-size step
+            guarded = means[1] == 0.0
             guard_steps += guarded
-            lr_run.fill(lr)
-            lr_run[guarded] = lr * 0.5
             adam_update(adam, flat, grad,
-                        np.take(lr_run, run_of, out=lr_entries, mode="clip"))
-            if not np.isfinite(flat, out=finite).all():
+                        np.where(guarded, lr * 0.5, lr)[run_of])
+            finite = np.isfinite(flat)
+            if not finite.all():
                 r = _first_run(~finite, run_of)
                 raise TrainingDiverged(
                     f"{_label(runs[r])}: non-finite weights after the Adam "
                     f"step at iteration {it}")
 
             # projected ascent on the mean outage and power slacks
-            np.subtract(means[2:], dual_bound, out=dual_step)
-            np.multiply(dual_lr, dual_step, out=dual_step)
-            np.add(duals, dual_step, out=dual_step)
-            np.maximum(0.0, dual_step, out=duals)
+            np.maximum(0.0, duals + dual_lr * (means[2:] - dual_bound),
+                       out=duals)
             history[:, it, 1:4] = means[1:].T
             history[:, it, 4:] = duals.T
             it += 1

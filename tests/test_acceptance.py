@@ -14,6 +14,7 @@ import generic_ops as ad
 import numpy as np
 import pytest
 
+from harqpower import training
 from harqpower.analytics import correlation_factor, evaluate, rate_factors
 from harqpower.cli import SEED_ENV_VAR, main
 from harqpower.gcn import forward, init_weights
@@ -285,17 +286,27 @@ def generic_lagrangian(rows, inv_corr, runs, lam, ups, tau_clip):
                      ad.constant(float(rows[0].value.shape[1])))
 
 
-def assert_fused_adjoint_matches_generic(matrices, rho_batch, runs, lam, ups,
-                                         tau_clip):
+def tau_floor(link) -> float:
+    """The latency floor payload / (bandwidth * rate), the clip's unit."""
+    return link.payload_bits / (link.bandwidth_hz * link.rate)
+
+
+def tau_clip(link) -> float:
+    """batch_lagrangian's latency clip on `link`, associated as it is there."""
+    return training.TAU_CLIP_FLOORS * tau_floor(link)
+
+
+def assert_fused_adjoint_matches_generic(matrices, rho_batch, runs, lam, ups):
     adj, inv_corr = dataset_constants(rho_batch, ChannelParams(rho=0.0))
     root, stats = batch_lagrangian([ad.parameter(m) for m in matrices], adj,
-                                   inv_corr, runs, lam, ups, tau_clip=tau_clip)
+                                   inv_corr, runs, lam, ups)
     ad.backward(root)
     (powers,) = root.parents
     assert root.kind == "lagrangian" and powers.kind == "gcn"
     rows = [ad.parameter(powers.value[..., kk:kk + 1, :].copy())
             for kk in range(powers.value.shape[-2])]
-    ref = generic_lagrangian(rows, inv_corr, runs, lam, ups, tau_clip)
+    ref = generic_lagrangian(rows, inv_corr, runs, lam, ups,
+                             tau_clip(runs[0][1]))
     ad.backward(ref)
     assert root.value.tobytes() == ref.value.tobytes()
     want = np.concatenate([r.adjoint for r in rows], axis=-2)
@@ -338,14 +349,11 @@ class TestGradientCorrectness:
             assert pout <= 0.5
 
         lam, ups = FD_DUALS
-        tau_clip = 10.0 * link.payload_bits / (link.bandwidth_hz * link.rate)
-
         adj, inv_corr = dataset_constants(rho_batch, proto)
 
         def build(params):
             root, _ = batch_lagrangian(params, adj, inv_corr,
-                                       [(scheme, link)], lam, ups,
-                                       tau_clip=tau_clip)
+                                       [(scheme, link)], lam, ups)
             return root
 
         report = ad.finite_diff_check(build, weights.matrices, step=1e-4)
@@ -357,9 +365,8 @@ class TestGradientCorrectness:
         link = LinkConfig()
         weights, rho_batch, scheme = self._instance(
             seed, link, ChannelParams(rho=0.0))
-        tau_clip = 10.0 * link.payload_bits / (link.bandwidth_hz * link.rate)
         assert_fused_adjoint_matches_generic(
-            weights.matrices, rho_batch, [(scheme, link)], *FD_DUALS, tau_clip)
+            weights.matrices, rho_batch, [(scheme, link)], *FD_DUALS)
 
     def test_fused_adjoint_matches_generic_ops_on_a_stack(self):
         link = LinkConfig()
@@ -368,19 +375,23 @@ class TestGradientCorrectness:
                 in zip(SCHEMES, (14.0, 15.0, 16.0))]
         assert_fused_adjoint_matches_generic(
             [np.stack([m] * 3) for m in weights.matrices], rho_batch, runs,
-            np.array([0.05, 0.0, 0.02]), np.array([1e-3, 2e-4, 0.0]), 0.5)
+            np.array([0.05, 0.0, 0.02]), np.array([1e-3, 2e-4, 0.0]))
 
-    def test_fused_adjoint_matches_generic_ops_where_the_clip_binds(self):
+    def test_fused_adjoint_matches_generic_ops_where_the_clip_binds(
+            self, monkeypatch):
         link = LinkConfig()
         weights, rho_batch, scheme = self._instance(
             6, link, ChannelParams(rho=0.0))
         adj, inv_corr = dataset_constants(rho_batch, ChannelParams(rho=0.0))
         _, stats = batch_lagrangian([ad.constant(m) for m in weights.matrices],
                                     adj, inv_corr, [(scheme, link)], 0.0, 0.0)
-        tau_clip = float(np.median(stats["mean_tau_s"]))
+        # move the clip to the batch's median latency, in latency floors
+        median = float(np.median(stats["mean_tau_s"]))
+        monkeypatch.setattr(training, "TAU_CLIP_FLOORS",
+                            median / tau_floor(link))
         stats = assert_fused_adjoint_matches_generic(
-            weights.matrices, rho_batch, [(scheme, link)], *FD_DUALS, tau_clip)
-        clipped = stats["mean_tau_s"] == tau_clip
+            weights.matrices, rho_batch, [(scheme, link)], *FD_DUALS)
+        clipped = stats["mean_tau_s"] == tau_clip(link)
         assert clipped.any() and not clipped.all()
 
 

@@ -286,6 +286,23 @@ class TestExitCodes:
         else:
             assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_overflowing_batch_mean_exits_1_with_one_line(self, tmp_path,
+                                                          capsys):
+        # every sample's average power is finite near the dBW ceiling, but
+        # their sum over the batch overflows, so the step's mean is inf
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("train", "--scheme", "type1", "--rounds", 1,
+                     "--power-budget-dbw", 3075, "--epochs", 1,
+                     "--dataset-size", 10, "--batch-size", 10, "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: type1 at 3075 dBW: non-finite "
+                                 "mean_pavg_w at iteration 0: ")
+        assert not any(out.glob("*.csv"))
+
     @pytest.mark.parametrize("argv, rc", [
         pytest.param(argv, rc, id=" ".join(str(a) for a in argv))
         for argv, rc in [

@@ -43,10 +43,14 @@ def run_means(per_sample, n_runs, batch_size):
             for key, v in per_sample.items()}
 
 
-def lagrangian(wnodes, rho, scheme, lam, ups, tau_clip=None):
+# LINK's latency floor payload / (bandwidth * rate), the clip's unit
+TAU_FLOOR = LINK.payload_bits / (LINK.bandwidth_hz * LINK.rate)
+
+
+def lagrangian(wnodes, rho, scheme, lam, ups):
     adj, inv_corr = dataset_constants(rho, PROTO)
     root, nodes = batch_lagrangian(wnodes, adj, inv_corr, [(scheme, LINK)],
-                                   lam, ups, tau_clip=tau_clip)
+                                   lam, ups)
     return root, {key: float(v[0])
                   for key, v in run_means(nodes, 1, len(rho)).items()}
 
@@ -114,24 +118,24 @@ class TestBatchLagrangian:
         assert stats["mean_log_pout"] == pytest.approx(np.mean(logs), rel=1e-12)
         assert stats["mean_pavg_w"] == pytest.approx(np.mean(pavgs), rel=1e-12)
 
-    def test_latency_clip_freezes_objective_gradient(self):
+    def test_latency_clip_freezes_objective_gradient(self, monkeypatch):
         # with every sample clipped and both duals off, nothing can move
+        monkeypatch.setattr(training, "TAU_CLIP_FLOORS", 0.051 / TAU_FLOOR)
         mats = scalar_policy(2.5)
         rho = np.array([0.0, 0.4, 0.8])
         wnodes = [ad.parameter(m) for m in mats]
-        root, stats = lagrangian(wnodes, rho, Scheme.INCREMENTAL,
-                                 0.0, 0.0, tau_clip=0.051)
+        root, stats = lagrangian(wnodes, rho, Scheme.INCREMENTAL, 0.0, 0.0)
         assert float(root.value) == pytest.approx(0.051, rel=1e-14)
         assert stats["mean_tau_s"] == pytest.approx(0.051, rel=1e-14)
         ad.backward(root)
         assert np.array_equal(wnodes[0].adjoint, np.zeros((1, 1)))
 
-    def test_duals_still_pull_through_the_clip(self):
+    def test_duals_still_pull_through_the_clip(self, monkeypatch):
+        monkeypatch.setattr(training, "TAU_CLIP_FLOORS", 0.051 / TAU_FLOOR)
         mats = scalar_policy(2.5)
         rho = np.array([0.0, 0.4, 0.8])
         wnodes = [ad.parameter(m) for m in mats]
-        root, _ = lagrangian(wnodes, rho, Scheme.INCREMENTAL,
-                             0.05, 0.0, tau_clip=0.051)
+        root, _ = lagrangian(wnodes, rho, Scheme.INCREMENTAL, 0.05, 0.0)
         ad.backward(root)
         # outage falls as power rises, so the multiplier pushes power up
         assert wnodes[0].adjoint[0, 0] < 0.0
@@ -277,6 +281,26 @@ class TestTrainStack:
         # the runs really differ: each scheme and budget trains its own net
         assert len({r.history[-1, 1:].tobytes() for r in stacked}) == \
             len(self.RUNS)
+
+    def test_guarded_stack_equals_serial_runs(self):
+        # at 8 dBW every sample of some batches sits past the latency pole
+        # (each latency clipped to 0), and those runs take half-size steps;
+        # at 15 dBW no run does
+        runs = [(scheme, LinkConfig(power_budget_dbw=budget))
+                for budget in (8.0, 15.0) for scheme in Scheme]
+        cfg = TrainConfig(epochs=5)
+        stacked = train_stack(runs, PROTO, cfg)
+        for (scheme, link), got in zip(runs, stacked):
+            alone = train(scheme, link, PROTO, cfg)
+            assert got.history.tobytes() == alone.history.tobytes()
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got.weights.matrices, alone.weights.matrices))
+            assert (got.lam, got.ups, got.guard_steps) == \
+                (alone.lam, alone.ups, alone.guard_steps)
+        guards = {(scheme.value, link.power_budget_dbw): got.guard_steps
+                  for (scheme, link), got in zip(runs, stacked)}
+        assert guards[("type1", 8.0)] > 0 and guards[("cc", 8.0)] > 0
+        assert [guards[(s.value, 15.0)] for s in Scheme] == [0, 0, 0]
 
     @pytest.mark.parametrize("other", [
         LinkConfig(rate=1.5), LinkConfig(outage_target=1e-3),
@@ -460,9 +484,6 @@ class TestTapeReplay:
         adj = np.empty((10,) + adj_all.shape[1:])
         inv_corr = np.empty((10,) + inv_all.shape[1:])
         lam, ups = np.zeros(len(runs)), np.zeros(len(runs))
-        tau_floor = LINK.payload_bits / (LINK.bandwidth_hz * LINK.rate)
-        clip = training.TAU_CLIP_FLOORS * tau_floor
-        guard_level = training.DIVERGENCE_FACTOR * tau_floor
         tape = None
         for step in range(6):
             sel = order[10 * step:10 * (step + 1)]
@@ -470,7 +491,7 @@ class TestTapeReplay:
             np.take(inv_all, sel, axis=0, out=inv_corr)
             if tape is None:
                 root, nodes = batch_lagrangian(wnodes, adj, inv_corr, runs,
-                                               lam, ups, tau_clip=clip)
+                                               lam, ups)
                 tape = ad.Tape(root)
             else:
                 tape.replay()
@@ -479,7 +500,7 @@ class TestTapeReplay:
             fresh = [ad.parameter(m.copy()) for m in mats]
             want_root, want_nodes = batch_lagrangian(
                 fresh, adj_all[sel], inv_all[sel], runs, lam.copy(),
-                ups.copy(), tau_clip=clip)
+                ups.copy())
             ad.backward(want_root)
             stats = run_means(nodes, len(runs), 10)
             want = run_means(want_nodes, len(runs), 10)
@@ -490,10 +511,9 @@ class TestTapeReplay:
             for w, f in zip(wnodes, fresh):
                 assert w.adjoint.tobytes() == f.adjoint.tobytes()
 
-            def guarded(st):
-                tau = st["mean_tau_s"]
-                return ~((0.0 < tau) & (tau <= guard_level))
-            assert np.array_equal(guarded(stats), guarded(want))
+            # train_stack's guard: every sample's latency clipped to 0
+            assert np.array_equal(stats["mean_tau_s"] == 0.0,
+                                  want["mean_tau_s"] == 0.0)
 
             # move every leaf in place, as a training step does
             for adam, m, w in zip(adams, mats, wnodes):

@@ -59,6 +59,13 @@ COMMANDS = [
     ("sweep-rho", "--epochs", "1", "--rounds", "6", "--rho-points", "5"),
     ("sweep-power", "--budget-lo-dbw=-1e8", "--budget-hi-dbw=-1e8")
     + TINY_TRAIN,
+    # low budgets where some runs take half-size (guarded) steps and others
+    # do not
+    ("sweep-power", "--budget-lo-dbw", "8", "--budget-hi-dbw", "10",
+     "--epochs", "5"),
+    # every sample's average power is finite, but the batch's sum overflows
+    ("train", "--scheme", "type1", "--rounds", "1", "--power-budget-dbw",
+     "3075") + TINY_TRAIN,
     # training steps that fail, each naming its run
     ("train", "--epochs", "1") + LR_HUGE,
     ("train", "--epochs", "2") + LR_HUGE,
