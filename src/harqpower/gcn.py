@@ -11,8 +11,16 @@ is its list of weight matrices W_0..W_{L-1}: layer l maps n_l features to
 n_{l+1}, every layer but the last is relu and the last is linear.  The
 output is floored at P_MIN_WATTS, the smallest power a policy may use.
 
-forward() returns a network's pass, plain numpy with a hand-derived
-backward; training makes it one op of its autodiff graph.
+The layers have no bias, the input is the constant c = p_bar / K >= 0 and
+A_norm is entrywise >= 0, so relu(t x) = t relu(x) for t >= 0 makes layer
+l's activations the outer product c (A_norm^l 1) psi_{l-1}, where psi_0 =
+W_0 and psi_l = relu(psi_{l-1}) @ W_l depend on the weights alone.  The
+network is exactly p = max(P_MIN_WATTS, c * phi * A_norm^L 1), phi the
+1 x 1 psi_{L-1}: one scalar scales a fixed correlation-shaped profile, and
+phi <= 0 is a dead network.  forward() evaluates this form (rejecting a
+negative adjacency entry or budget, where it fails) and returns the pass,
+plain numpy with a hand-derived backward; training makes it one op of its
+autodiff graph.
 """
 from __future__ import annotations
 
@@ -65,75 +73,64 @@ def _swap(x: np.ndarray) -> np.ndarray:
 
 
 class _Network:
-    """One network's pass over fixed shapes, in buffers made once.
+    """One network's pass over fixed shapes, in its rank-one form, in
+    buffers made once.
 
     Reads the adjacency and the weight matrices through the arrays given,
-    so a caller that refills them in place evaluates the new values.
-    Layer l keeps u_l = A @ V_l, its output z_l (relu'd in place but for
-    the last layer) and the 0/1 mask of its entries above the floor, which
-    are what the backward pass reads.  The masks are float, so that the
-    backward products need no cast buffer.  Every view a pass uses is made
-    here, or on the first backward pass for the gradient.
+    so a caller that refills them in place evaluates the new values.  The
+    pass keeps d = A^L 1, the chain psi_l, relu(psi_l), the 0/1 mask of the
+    live hidden units (`mask`, one per hidden layer) and of the outputs
+    above the floor (`live`), which are what the backward pass reads.  The
+    masks are float, so that the backward products need no cast buffer.
     """
 
     def __init__(self, adjacency, matrices, share, grad):
         self.adjacency, self.matrices = adjacency, matrices
-        runs = share.shape
-        lead = runs + adjacency.shape[:-1]
-        # the input feature of every round: the uniform split p_bar / K
-        self.v0 = (share.reshape(runs + (1,) * adjacency.ndim)
-                   * np.ones(lead + (1,)))
-        self.out = np.empty(lead + (1,))
-        # the axes between the run axis and the feature axis are one gemm's
-        # rows, so each layer is one (rows, n) x (n, m) product per run; a
-        # single network's weights have no run axis, whatever p_bar's shape
-        runs = matrices[0].shape[:-2]
-        self._rows = lambda x: x.reshape(runs + (-1, x.shape[-1]))
-        self.u, self.z, self.mask = [], [], []
-        self._layers = []
-        last = len(matrices) - 1
-        for layer, w in enumerate(matrices):
-            u = np.empty(lead + w.shape[-2:-1])
-            z = np.empty(lead + w.shape[-1:])
-            mask = np.empty(z.shape)
-            floor, act = (0.0, z) if layer < last else (P_MIN_WATTS, self.out)
-            self._layers.append((u, self._rows(u), w, self._rows(z), z,
-                                 np.empty(z.shape, dtype=bool), mask, floor,
-                                 act))
-            self.u.append(u)
-            self.z.append(z)
-            self.mask.append(mask)
-        self._flat = grad
-        self.grad = None
+        runs, k_axes = share.shape, (1,) * adjacency.ndim
+        self.share = share.reshape(runs + k_axes)
+        # A^l 1 for l = 0..L, each the adjacency times the one before
+        ones = np.ones(adjacency.shape[:-1] + (1,))
+        self._adj_powers = [ones] + [np.empty_like(ones) for _ in matrices]
+        self.d = self._adj_powers[-1]
+        # psi_0 is W_0 itself, a (1, n_1) row per run; phi is the last psi
+        self.psi = [matrices[0]] + [np.empty(w.shape[:-2] + (1, w.shape[-1]))
+                                    for w in matrices[1:]]
+        self.relu = [np.empty_like(p) for p in self.psi[:-1]]
+        self.mask = [np.empty_like(p) for p in self.psi[:-1]]
+        self._phi = self.psi[-1].reshape(self.psi[-1].shape[:-2] + k_axes)
+        self._scale = np.empty(np.broadcast_shapes(self.share.shape,
+                                                   self._phi.shape))
+        self.out = np.empty(runs + adjacency.shape[:-1] + (1,))
+        self.live = np.empty(self.out.shape)
+        self._live = np.empty(self.out.shape, dtype=bool)
+        # the backward pass: the adjoint of out, of phi per run and of each
+        # psi, psi_0's being W_0's gradient in the flat buffer
+        self.grad = flat_views(np.empty(sum(m.size for m in matrices))
+                               if grad is None else grad, matrices)
+        self._g = np.empty(self.out.shape)
+        self._g_rows = self._g.reshape(runs + (-1,))
+        self._g_psi = self.grad[:1] + [np.empty_like(p) for p in self.psi[1:]]
+        self._g_phi = self._g_psi[-1].reshape(runs)
+        self._share_runs = share.reshape(runs)
+        self._plan = [(_swap(self.relu[layer - 1]), self._g_psi[layer],
+                       self.grad[layer], _swap(self.matrices[layer]),
+                       self._g_psi[layer - 1], self.mask[layer - 1])
+                      for layer in range(len(matrices) - 1, 0, -1)]
 
     def forward(self) -> np.ndarray:
         """Run the pass on the arrays' current values; returns `out`."""
-        a, v = self.adjacency, self.v0
-        for u, u_rows, w, z_rows, z, above, mask, floor, act in self._layers:
-            np.matmul(a, v, out=u)
-            np.matmul(u_rows, w, out=z_rows)
-            np.copyto(mask, np.greater(z, floor, out=above))
-            v = np.maximum(z, floor, out=act)
-        return self.out
-
-    def _backward_plan(self) -> None:
-        if self._flat is None:
-            self._flat = np.empty(sum(m.size for m in self.matrices))
-        self.grad = flat_views(self._flat, self.matrices)
-        self.gz = [np.empty_like(z) for z in self.z]
-        a_t = _swap(self.adjacency)
-        # per layer from the last: the weight gradient's operands and, below
-        # the first layer, the adjoint pushed through w, A and the relu
-        self._plan = []
-        for layer in range(len(self.matrices) - 1, -1, -1):
-            gz = self._rows(self.gz[layer])
-            below = None
-            if layer:
-                gu = np.empty_like(self.u[layer])
-                below = (_swap(self.matrices[layer]), gu, self._rows(gu), a_t,
-                         self.gz[layer - 1], self.mask[layer - 1])
-            self._plan.append((_swap(self._rows(self.u[layer])), gz,
-                               self.grad[layer], below))
+        for v, av in zip(self._adj_powers, self._adj_powers[1:]):
+            np.matmul(self.adjacency, v, out=av)
+        for psi, w, relu, mask, nxt in zip(self.psi, self.matrices[1:],
+                                           self.relu, self.mask,
+                                           self.psi[1:]):
+            np.matmul(np.maximum(psi, 0.0, out=relu), w, out=nxt)
+            np.sign(relu, out=mask)
+        np.multiply(self.share, self._phi, out=self._scale)
+        np.multiply(self._scale, self.d, out=self.out)
+        np.copyto(self.live, np.greater(self.out, P_MIN_WATTS,
+                                        out=self._live))
+        return np.maximum(self.out, P_MIN_WATTS, out=self.out)
 
     def backward(self, g: np.ndarray) -> list:
         """Each layer's weight gradient for the adjoint `g` of `out`, at
@@ -142,26 +139,27 @@ class _Network:
         The gradients are views of one flat buffer laid out by flat_views,
         the same list on every call.
         """
-        if self.grad is None:
-            self._backward_plan()
-        np.multiply(g, self.mask[-1], out=self.gz[-1])
-        for u_t, gz, grad_w, below in self._plan:
-            np.matmul(u_t, gz, out=grad_w)
-            if below is not None:
-                w_t, gu, gu_rows, a_t, gz_below, mask = below
-                np.matmul(gz, w_t, out=gu_rows)
-                np.matmul(a_t, gu, out=gz_below)
-                np.multiply(gz_below, mask, out=gz_below)
+        # above the floor out = (p_bar / K) phi d, so phi's adjoint is
+        # (p_bar / K) sum(g d) over those outputs
+        np.multiply(g, self.live, out=self._g)
+        np.multiply(self._g, self.d, out=self._g)
+        np.sum(self._g_rows, axis=-1, out=self._g_phi)
+        np.multiply(self._g_phi, self._share_runs, out=self._g_phi)
+        for relu_t, g_psi, grad_w, w_t, below, mask in self._plan:
+            np.multiply(relu_t, g_psi, out=grad_w)
+            np.matmul(g_psi, w_t, out=below)
+            np.multiply(below, mask, out=below)
         return self.grad
 
 
 def forward(adjacency: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
     """The network's pass on `adjacency`, run once; its powers are `.out`.
 
-    `adjacency` is one (K, K) session or a (B, K, K) stack.  `matrices` are
-    the layer weight arrays; every layer but the last applies relu, and the
+    `adjacency` is one (K, K) session or a (B, K, K) stack, entrywise >= 0.
+    `matrices` are the layer weight arrays, the first taking one feature and
+    the last emitting one; every layer but the last applies relu, and the
     output is floored at P_MIN_WATTS.  For one network they are (n, m)
-    matrices and `p_bar_w` is a float; `.out` has shape (K, 1) or
+    matrices and `p_bar_w` is a float >= 0; `.out` has shape (K, 1) or
     (B, K, 1).  For a stack of R networks they are (R, n, m), `p_bar_w`
     holds the R budgets, and `.out` gains a leading run axis.
 
@@ -175,10 +173,14 @@ def forward(adjacency: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
     k = adjacency.shape[-1]
     if adjacency.ndim not in (2, 3) or adjacency.shape[-2] != k:
         raise ValueError("adjacency must be square")
-    if matrices[-1].shape[-1] != 1:
-        raise ValueError("final layer must emit one feature per round")
-    net = _Network(adjacency, matrices,
-                   np.asarray(p_bar_w, dtype=np.float64) / k, grad)
+    if matrices[0].shape[-2] != 1 or matrices[-1].shape[-1] != 1:
+        raise ValueError("the network must map one feature per round to one")
+    share = np.asarray(p_bar_w, dtype=np.float64) / k
+    if np.any(adjacency < 0.0):
+        raise ValueError("adjacency entries must be nonnegative")
+    if np.any(share < 0.0):
+        raise ValueError("p_bar_w must be nonnegative")
+    net = _Network(adjacency, matrices, share, grad)
     net.forward()
     return net
 

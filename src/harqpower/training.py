@@ -10,10 +10,10 @@ in the network weights (Adam) while ascending the projected multipliers.
 Both constraint terms use the same mini-batch as the weight gradient.  The
 latency term is clipped at TAU_CLIP_FLOORS latency floors of the link.  The
 graph is two fused ops with hand-derived products, recorded on the first
-step and replayed on later ones.  Only the network's layer arrays and the
-chain's rounds-last rows are buffers made once, because they are the step's
-largest and a fresh (..., K) chain is several times slower; the masks,
-adjoints, Adam's terms and the dual step are plain numpy expressions.
+step and replayed on later ones.  Only the network's pass (gcn.forward)
+and the chain's rounds-last rows are buffers made once, the chain's because
+a fresh (..., K) chain is several times slower; the masks, adjoints, Adam's
+terms and the dual step are plain numpy expressions.
 
 Several runs that differ only in scheme and power budget train as one
 stack: the weights, Adam moments, multipliers, step-size guard and history
@@ -199,7 +199,7 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     per-run batch means.  The graph reads `adj`, `inv_corr`, the weights
     and the multipliers through the arrays passed in (`lam` and `ups` as
     views when they are float arrays), and writes the statistics, the
-    network's layers and the chain into buffers made here, so a Tape of the
+    network's pass and the chain into buffers made here, so a Tape of the
     root replays it after those arrays change in place.
 
     The graph is two ops: the network's pass (gcn.forward), made here the
@@ -325,15 +325,9 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
                                               channel_proto)
     # a network at the power floor for every sample has zero gradients
-    # everywhere, so its weights could never move; batch-sized slices keep
-    # the check's memory at one step's, and it stops once every run is live
-    dead = np.ones(n_runs, dtype=bool)
-    for i in range(0, cfg.dataset_size, cfg.batch_size):
-        out = forward(adj_all[i:i + cfg.batch_size], mats, p_bar).out
-        dead &= np.all(out.reshape(n_runs, -1) == P_MIN_WATTS, axis=1)
-        if not dead.any():
-            break
-    if dead.any():
+    # everywhere, so its weights could never move
+    out = forward(adj_all, mats, p_bar).out
+    if np.all(out.reshape(n_runs, -1) == P_MIN_WATTS, axis=1).any():
         raise TrainingDiverged(
             f"seed {cfg.seed}: the initial network outputs the "
             f"{P_MIN_WATTS:g} W floor for every training sample (dead ReLU), "

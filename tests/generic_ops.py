@@ -135,10 +135,11 @@ class GradientReport:
 def activity_signature(root: Node) -> list:
     """Boolean activity masks of every relu/clamp node, in topological order.
 
-    A policy network op (the pass of gcn.forward) contributes the masks of
-    its layers, which its backward pass reads.  Two evaluations of the same builder
-    with different parameter values are finite-difference comparable only
-    when their signatures match.
+    A policy network op (the pass of gcn.forward) contributes its kinks,
+    which its backward pass reads: the sign masks of its hidden units and
+    the mask of its outputs above the power floor.  Two evaluations of the
+    same builder with different parameter values are finite-difference
+    comparable only when their signatures match.
     """
     sig = []
     for node in _topo_order(root):
@@ -147,7 +148,8 @@ def activity_signature(root: Node) -> list:
         elif node.kind == "clamp":
             sig.append(node.value == node.parents[0].value)
         elif node.kind == "gcn":
-            sig.extend(mask.copy() for mask in node.compute.__self__.mask)
+            net = node.compute.__self__
+            sig.extend(mask.copy() for mask in net.mask + [net.live])
     return sig
 
 

@@ -96,6 +96,18 @@ class TestForward:
         with pytest.raises(ValueError):
             powers(np.ones((3, 2)), w.matrices, p_bar_w=1.0)
 
+    def test_rejects_a_negative_adjacency_entry_or_budget(self):
+        # the rank-one form needs A^l 1 >= 0 and p_bar >= 0
+        w = init_weights(seed=4)
+        adj = batch_adjacency(np.array([0.3, 0.6]), 3, 1)
+        adj[1, 0, 2] = -1e-300
+        with pytest.raises(ValueError, match="^adjacency entries must be "
+                                             "nonnegative$"):
+            forward(adj, w.matrices, 1.0)
+        mats = [np.stack([m] * 2) for m in w.matrices]
+        with pytest.raises(ValueError, match="^p_bar_w must be nonnegative$"):
+            forward(np.eye(3), mats, np.array([1.0, -0.5]))
+
     @given(scale=st.floats(0.1, 10.0), seed=st.integers(0, 50))
     @settings(max_examples=40)
     def test_positive_homogeneity_in_input_power(self, scale, seed):
@@ -109,6 +121,95 @@ class TestForward:
         assert scaled[live] == pytest.approx(
             np.maximum(scale * base[live], P_MIN_WATTS), rel=1e-12)
         assert np.all(scaled[~live] <= max(scale, 1.0) * P_MIN_WATTS)
+
+
+def layer_by_layer(adjacency, matrices, p_bar_w, g):
+    """One network's output and weight gradients for the output adjoint g,
+    evaluated layer by layer as V_{l+1} = act(A V_l W_l)."""
+    v = np.full(adjacency.shape[:-1] + (1,), p_bar_w / adjacency.shape[-1])
+    u, z = [], []
+    for w in matrices:
+        u.append(adjacency @ v)
+        z.append(u[-1] @ w)
+        v = np.maximum(z[-1], 0.0)
+    g_z = g * (z[-1] > P_MIN_WATTS)
+    grads = [None] * len(matrices)
+    for layer in range(len(matrices) - 1, -1, -1):
+        grads[layer] = (u[layer].reshape(-1, u[layer].shape[-1]).T
+                        @ g_z.reshape(-1, g_z.shape[-1]))
+        if layer:
+            g_z = (np.swapaxes(adjacency, -1, -2)
+                   @ (g_z @ matrices[layer].T)) * (z[layer - 1] > 0.0)
+    return np.maximum(z[-1], P_MIN_WATTS), grads
+
+
+class TestRankOneIdentity:
+    """The pass evaluates p = max(P_MIN, (p_bar / K) phi A^L 1), which is
+    the layer-by-layer network exactly: it agrees with it in output and
+    weight gradient to rounding, at live and dead hidden units and at
+    floored and live outputs."""
+
+    ADJACENCIES = {**{f"rho={rho}": batch_adjacency(np.array([rho, rho]), 4, 1)
+                      for rho in (0.0, 0.35, 0.9, 0.98)},
+                   "eye": np.eye(3)}
+
+    @staticmethod
+    def network(dims, seed):
+        # the first Glorot-uniform draw with the first hidden unit of every
+        # hidden layer dead and phi above the floor
+        rng = np.random.default_rng(seed)
+        while True:
+            mats = [rng.uniform(-1.0, 1.0, (n, m)) * np.sqrt(6.0 / (n + m))
+                    for n, m in zip(dims[:-1], dims[1:])]
+            for w in mats[:-1]:
+                w[:, 0] = -np.abs(w[:, 0])
+            if layer_by_layer(np.eye(1), mats, 1.0, 0.0)[0] > P_MIN_WATTS:
+                return mats
+
+    @pytest.mark.parametrize("adjacency", ADJACENCIES.values(),
+                             ids=ADJACENCIES.keys())
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 5, 1), DEFAULT_DIMS],
+                             ids=["1-layer", "2-layer", "default"])
+    @pytest.mark.parametrize("n_runs", (None, 3))
+    @pytest.mark.parametrize("budget", ("live", "floor"))
+    def test_pass_equals_layer_by_layer(self, adjacency, dims, n_runs,
+                                        budget):
+        runs = [self.network(dims, seed) for seed in range(n_runs or 1)]
+        d = layer_by_layer(adjacency, [np.eye(1)] * len(dims[1:]), 1.0,
+                           0.0)[0][..., 0] * adjacency.shape[-1]
+        levels = np.unique(d)
+        # a floor level between two of the profile's values, or above all
+        floor_at = (levels[len(levels) // 2 - 1:len(levels) // 2 + 1].mean()
+                    if len(levels) > 1 else 2.0 * levels[0])
+        p_bar = []
+        for mats in runs:
+            phi = layer_by_layer(np.eye(1), mats, 1.0, 0.0)[0].item()
+            p_bar.append(31.6 if budget == "live" else
+                         P_MIN_WATTS * adjacency.shape[-1] / (phi * floor_at))
+        rng = np.random.default_rng(len(dims))
+        g = rng.uniform(0.5, 1.5, (len(runs),) + adjacency.shape[:-1] + (1,))
+        want = [layer_by_layer(adjacency, mats, pb, gr)
+                for mats, pb, gr in zip(runs, p_bar, g)]
+        if n_runs is None:
+            net = forward(adjacency, runs[0], p_bar[0])
+            got_out, got_grads = net.out[None], [net.backward(g[0])]
+        else:
+            net = forward(adjacency, [np.stack(m) for m in zip(*runs)],
+                          np.array(p_bar))
+            got_out = net.out
+            got_grads = list(zip(*net.backward(g)))
+        for r, (out, grads) in enumerate(want):
+            np.testing.assert_allclose(got_out[r], out, rtol=1e-13, atol=0)
+            for got, grad in zip(got_grads[r], grads):
+                np.testing.assert_allclose(got, grad, rtol=1e-13, atol=0)
+        floored = got_out == P_MIN_WATTS
+        if budget == "live":
+            assert not floored.any()
+        else:
+            assert floored.any() and (len(levels) == 1 or not floored.all())
+        if len(dims) > 2:
+            # the dead hidden units take no gradient
+            assert all((grads[1][0] == 0.0).all() for _, grads in want)
 
 
 class TestPowerPolicyFloor:

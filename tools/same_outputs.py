@@ -50,6 +50,8 @@ COMMANDS = [
     ("train", "--power-budget-dbw", "1000") + TINY_TRAIN,
     ("train", "--power-budget-dbw", "2000") + TINY_TRAIN,
     ("train", "--seed", "-1") + TINY_TRAIN,
+    # a dead seed: the initial network outputs the floor for every sample
+    ("train", "--seed", "7") + TINY_TRAIN,
     ("train", "--rounds", "400") + TINY_TRAIN,
     ("train", "--rounds", "8") + TINY_TRAIN,
     ("sweep-power", "--epochs", "25", "--budget-lo-dbw", "14.5",
