@@ -78,10 +78,10 @@ class _Network:
 
     Reads the adjacency and the weight matrices through the arrays given,
     so a caller that refills them in place evaluates the new values.  The
-    pass keeps d = A^L 1, the chain psi_l, relu(psi_l), the 0/1 mask of the
-    live hidden units (`mask`, one per hidden layer) and of the outputs
-    above the floor (`live`), which are what the backward pass reads.  The
-    masks are float, so that the backward products need no cast buffer.
+    pass keeps d = A^L 1, the chain psi_l, relu(psi_l) and the 0/1 mask of
+    the live hidden units (`mask`, one per hidden layer), which with `out`
+    are what the backward pass reads.  The masks are float, so that the
+    backward products need no cast buffer.
     """
 
     def __init__(self, adjacency, matrices, share, grad):
@@ -101,8 +101,6 @@ class _Network:
         self._scale = np.empty(np.broadcast_shapes(self.share.shape,
                                                    self._phi.shape))
         self.out = np.empty(runs + adjacency.shape[:-1] + (1,))
-        self.live = np.empty(self.out.shape)
-        self._live = np.empty(self.out.shape, dtype=bool)
         # the backward pass: the adjoint of out, of phi per run and of each
         # psi, psi_0's being W_0's gradient in the flat buffer
         self.grad = flat_views(np.empty(sum(m.size for m in matrices))
@@ -128,8 +126,6 @@ class _Network:
             np.sign(relu, out=mask)
         np.multiply(self.share, self._phi, out=self._scale)
         np.multiply(self._scale, self.d, out=self.out)
-        np.copyto(self.live, np.greater(self.out, P_MIN_WATTS,
-                                        out=self._live))
         return np.maximum(self.out, P_MIN_WATTS, out=self.out)
 
     def backward(self, g: np.ndarray) -> list:
@@ -140,8 +136,11 @@ class _Network:
         the same list on every call.
         """
         # above the floor out = (p_bar / K) phi d, so phi's adjoint is
-        # (p_bar / K) sum(g d) over those outputs
-        np.multiply(g, self.live, out=self._g)
+        # (p_bar / K) sum(g d) over those outputs; out - P_MIN_WATTS is 0 on
+        # the floor and exactly nonzero above it, so its sign is the 0/1 mask
+        np.subtract(self.out, P_MIN_WATTS, out=self._g)
+        np.sign(self._g, out=self._g)
+        np.multiply(self._g, g, out=self._g)
         np.multiply(self._g, self.d, out=self._g)
         np.sum(self._g_rows, axis=-1, out=self._g_phi)
         np.multiply(self._g_phi, self._share_runs, out=self._g_phi)

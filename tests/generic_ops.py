@@ -18,6 +18,7 @@ import numpy as np
 
 from harqpower.autodiff import (Node, Tape, _topo_order, backward, constant,
                                 op, parameter)
+from harqpower.types import P_MIN_WATTS
 
 __all__ = [
     "Node", "Tape", "add", "backward", "constant", "op", "parameter",
@@ -149,7 +150,8 @@ def activity_signature(root: Node) -> list:
             sig.append(node.value == node.parents[0].value)
         elif node.kind == "gcn":
             net = node.compute.__self__
-            sig.extend(mask.copy() for mask in net.mask + [net.live])
+            sig.extend(mask.copy() for mask in net.mask)
+            sig.append(net.out > P_MIN_WATTS)
     return sig
 
 

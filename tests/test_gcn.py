@@ -175,17 +175,18 @@ class TestRankOneIdentity:
     def test_pass_equals_layer_by_layer(self, adjacency, dims, n_runs,
                                         budget):
         runs = [self.network(dims, seed) for seed in range(n_runs or 1)]
-        d = layer_by_layer(adjacency, [np.eye(1)] * len(dims[1:]), 1.0,
-                           0.0)[0][..., 0] * adjacency.shape[-1]
-        levels = np.unique(d)
-        # a floor level between two of the profile's values, or above all
+        k = adjacency.shape[-1]
+        levels = np.unique(np.linalg.matrix_power(adjacency, len(dims) - 1)
+                           .sum(axis=-1))
+        # the floor between two of the profile A^L 1's values, or above all
         floor_at = (levels[len(levels) // 2 - 1:len(levels) // 2 + 1].mean()
                     if len(levels) > 1 else 2.0 * levels[0])
         p_bar = []
         for mats in runs:
+            # on one round at p_bar = 1 the network outputs phi
             phi = layer_by_layer(np.eye(1), mats, 1.0, 0.0)[0].item()
             p_bar.append(31.6 if budget == "live" else
-                         P_MIN_WATTS * adjacency.shape[-1] / (phi * floor_at))
+                         P_MIN_WATTS * k / (phi * floor_at))
         rng = np.random.default_rng(len(dims))
         g = rng.uniform(0.5, 1.5, (len(runs),) + adjacency.shape[:-1] + (1,))
         want = [layer_by_layer(adjacency, mats, pb, gr)
@@ -208,7 +209,7 @@ class TestRankOneIdentity:
         else:
             assert floored.any() and (len(levels) == 1 or not floored.all())
         if len(dims) > 2:
-            # the dead hidden units take no gradient
+            # layer 1's first input unit is dead: its weights take no gradient
             assert all((grads[1][0] == 0.0).all() for _, grads in want)
 
 
