@@ -17,10 +17,10 @@ l's activations the outer product c (A_norm^l 1) psi_{l-1}, where psi_0 =
 W_0 and psi_l = relu(psi_{l-1}) @ W_l depend on the weights alone.  The
 network is exactly p = max(P_MIN_WATTS, c * phi * A_norm^L 1), phi the
 1 x 1 psi_{L-1}: one scalar scales a fixed correlation-shaped profile, and
-phi <= 0 is a dead network.  forward() evaluates this form (rejecting a
-negative adjacency entry or budget, where it fails) and returns the pass,
-plain numpy with a hand-derived backward; training makes it one op of its
-autodiff graph.
+phi <= 0 is a dead network.  profile() builds d = A_norm^L 1 (rejecting a
+negative adjacency entry, where the form fails), training once per run for
+every sample; forward_profile() is the pass on d, plain numpy with a
+hand-derived backward, and forward() the two on one adjacency.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ import numpy as np
 
 from .types import P_MIN_WATTS
 
-__all__ = ["GcnWeights", "init_weights", "flat_views", "forward",
-           "save_checkpoint", "load_checkpoint"]
+__all__ = ["GcnWeights", "init_weights", "flat_views", "profile",
+           "forward_profile", "forward", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_MAGIC = "HARQPOWER-GCN"
 CHECKPOINT_VERSION = 1
@@ -76,22 +76,18 @@ class _Network:
     """One network's pass over fixed shapes, in its rank-one form, in
     buffers made once.
 
-    Reads the adjacency and the weight matrices through the arrays given,
-    so a caller that refills them in place evaluates the new values.  The
-    pass keeps d = A^L 1, the chain psi_l, relu(psi_l) and the 0/1 mask of
-    the live hidden units (`mask`, one per hidden layer), which with `out`
-    are what the backward pass reads.  The masks are float, so that the
-    backward products need no cast buffer.
+    Reads the profile d = A^L 1 and the weight matrices through the arrays
+    given, so a caller that refills them in place evaluates the new values.
+    The pass keeps the chain psi_l, relu(psi_l) and the 0/1 mask of the live
+    hidden units (`mask`, one per hidden layer), which with `out` are what
+    the backward pass reads.  The masks are float, so that the backward
+    products need no cast buffer.
     """
 
-    def __init__(self, adjacency, matrices, share, grad):
-        self.adjacency, self.matrices = adjacency, matrices
-        runs, k_axes = share.shape, (1,) * adjacency.ndim
+    def __init__(self, d, matrices, share, grad):
+        self.d, self.matrices = d, matrices
+        runs, k_axes = share.shape, (1,) * d.ndim
         self.share = share.reshape(runs + k_axes)
-        # A^l 1 for l = 0..L, each the adjacency times the one before
-        ones = np.ones(adjacency.shape[:-1] + (1,))
-        self._adj_powers = [ones] + [np.empty_like(ones) for _ in matrices]
-        self.d = self._adj_powers[-1]
         # psi_0 is W_0 itself, a (1, n_1) row per run; phi is the last psi
         self.psi = [matrices[0]] + [np.empty(w.shape[:-2] + (1, w.shape[-1]))
                                     for w in matrices[1:]]
@@ -100,7 +96,7 @@ class _Network:
         self._phi = self.psi[-1].reshape(self.psi[-1].shape[:-2] + k_axes)
         self._scale = np.empty(np.broadcast_shapes(self.share.shape,
                                                    self._phi.shape))
-        self.out = np.empty(runs + adjacency.shape[:-1] + (1,))
+        self.out = np.empty(runs + d.shape)
         # the backward pass: the adjoint of out, of phi per run and of each
         # psi, psi_0's being W_0's gradient in the flat buffer
         self.grad = flat_views(np.empty(sum(m.size for m in matrices))
@@ -117,8 +113,6 @@ class _Network:
 
     def forward(self) -> np.ndarray:
         """Run the pass on the arrays' current values; returns `out`."""
-        for v, av in zip(self._adj_powers, self._adj_powers[1:]):
-            np.matmul(self.adjacency, v, out=av)
         for psi, w, relu, mask, nxt in zip(self.psi, self.matrices[1:],
                                            self.relu, self.mask,
                                            self.psi[1:]):
@@ -151,37 +145,52 @@ class _Network:
         return self.grad
 
 
-def forward(adjacency: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
-    """The network's pass on `adjacency`, run once; its powers are `.out`.
-
-    `adjacency` is one (K, K) session or a (B, K, K) stack, entrywise >= 0.
-    `matrices` are the layer weight arrays, the first taking one feature and
-    the last emitting one; every layer but the last applies relu, and the
-    output is floored at P_MIN_WATTS.  For one network they are (n, m)
-    matrices and `p_bar_w` is a float >= 0; `.out` has shape (K, 1) or
-    (B, K, 1).  For a stack of R networks they are (R, n, m), `p_bar_w`
-    holds the R budgets, and `.out` gains a leading run axis.
-
-    The pass reads the adjacency and the weights through the arrays given
-    and writes into buffers it makes once: after a caller refills those
-    arrays in place, `.forward()` runs it again.  `.backward(g)` writes
-    every layer's weight gradient into one flat buffer (`grad` when given)
-    laid out by flat_views, and returns its views.
-    """
+def profile(adjacency: np.ndarray, depth: int) -> np.ndarray:
+    """A^depth 1 of one (K, K) adjacency or a (B, K, K) stack, entrywise
+    >= 0, shaped (K, 1) or (B, K, 1).  np.matmul takes a stack's matrices
+    one by one, so its rows are the profiles of its matrices alone."""
     adjacency = np.asarray(adjacency, dtype=np.float64)
     k = adjacency.shape[-1]
     if adjacency.ndim not in (2, 3) or adjacency.shape[-2] != k:
         raise ValueError("adjacency must be square")
-    if matrices[0].shape[-2] != 1 or matrices[-1].shape[-1] != 1:
-        raise ValueError("the network must map one feature per round to one")
-    share = np.asarray(p_bar_w, dtype=np.float64) / k
     if np.any(adjacency < 0.0):
         raise ValueError("adjacency entries must be nonnegative")
+    d = np.ones(adjacency.shape[:-1] + (1,))
+    for _ in range(depth):
+        d = adjacency @ d
+    return d
+
+
+def forward_profile(d: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
+    """The network's pass on the profile `d` = A^L 1, run once; its powers
+    are `.out`, shaped like `d`: one (K, 1) profile or a (B, K, 1) stack.
+
+    `matrices` are the layer weight arrays, the first taking one feature and
+    the last emitting one, (n, m) for one network with a float `p_bar_w` >=
+    0, or (R, n, m) for a stack of R networks with the R budgets in
+    `p_bar_w`, where `.out` gains a leading run axis.  The pass reads `d`
+    and the weights through the arrays given and writes into buffers it
+    makes once: after a caller refills those arrays in place, `.forward()`
+    runs it again.  `.backward(g)` writes every layer's weight gradient into
+    one flat buffer (`grad` when given) laid out by flat_views, and returns
+    its views.
+    """
+    if d.ndim not in (2, 3) or d.shape[-1] != 1:
+        raise ValueError("a profile must be (K, 1) or (B, K, 1)")
+    if matrices[0].shape[-2] != 1 or matrices[-1].shape[-1] != 1:
+        raise ValueError("the network must map one feature per round to one")
+    share = np.asarray(p_bar_w, dtype=np.float64) / d.shape[-2]
     if np.any(share < 0.0):
         raise ValueError("p_bar_w must be nonnegative")
-    net = _Network(adjacency, matrices, share, grad)
+    net = _Network(d, matrices, share, grad)
     net.forward()
     return net
+
+
+def forward(adjacency: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
+    """forward_profile's pass on profile(adjacency, len(matrices))."""
+    return forward_profile(profile(adjacency, len(matrices)), matrices,
+                           p_bar_w, grad)
 
 
 def save_checkpoint(path, weights: GcnWeights) -> None:

@@ -16,7 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .analytics import (analytic_chain, correlation_factor, evaluate,
                         rate_factors)
-from .gcn import forward, init_weights, load_checkpoint, save_checkpoint
+from .gcn import (forward, init_weights, load_checkpoint, profile,
+                  save_checkpoint)
 from .graph import session_adjacency
 from .montecarlo import estimate_outage_conditional, estimate_profile
 from .oracle import GridInfeasible, GridSpec, default_grid, grid_search
@@ -102,10 +103,10 @@ def _check_autodiff():
     mats = [rng.uniform(0.5, 1.5, (1, 3)), rng.uniform(0.5, 1.5, (3, 1))]
     adj, inv_corr = dataset_constants(np.array([0.1, 0.5, 0.85]),
                                       ChannelParams(rho=0.0))
-    runs = [(Scheme.CHASE, LinkConfig())]
+    d, runs = profile(adj, len(mats)), [(Scheme.CHASE, LinkConfig())]
 
     def lagrangian(params):
-        return batch_lagrangian(params, adj, inv_corr, runs, 0.02, 1e-4)[0]
+        return batch_lagrangian(params, d, inv_corr, runs, 0.02, 1e-4)[0]
 
     params = [ad.parameter(m) for m in mats]
     root = lagrangian(params)

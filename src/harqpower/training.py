@@ -10,10 +10,13 @@ in the network weights (Adam) while ascending the projected multipliers.
 Both constraint terms use the same mini-batch as the weight gradient.  The
 latency term is clipped at TAU_CLIP_FLOORS latency floors of the link.  The
 graph is two fused ops with hand-derived products, recorded on the first
-step and replayed on later ones.  Only the network's pass (gcn.forward)
-and the chain's rounds-last rows are buffers made once, the chain's because
-a fresh (..., K) chain is several times slower; the masks, adjoints, Adam's
-terms and the dual step are plain numpy expressions.
+step and replayed on later ones; its leaves are the weights, the
+multipliers and a batch's rows of two per-sample constants made once per
+run, the network profile A^L 1 and the inverse correlation penalties.  Only
+the network's pass (gcn.forward_profile) and the chain's rounds-last rows
+are buffers made once, the chain's because a fresh (..., K) chain is
+several times slower; the masks, adjoints, Adam's terms and the dual step
+are plain numpy expressions.  One finiteness test guards a step (_diagnose).
 
 Several runs that differ only in scheme and power budget train as one
 stack: the weights, Adam moments, multipliers, step-size guard and history
@@ -34,7 +37,8 @@ import numpy as np
 from . import autodiff as ad
 from .analytics import (ChainWork, analytic_chain, chain_adjoint,
                         correlation_factor, evaluate, rate_factors)
-from .gcn import GcnWeights, flat_views, forward, init_weights
+from .gcn import (GcnWeights, flat_views, forward, forward_profile,
+                  init_weights, profile)
 from .graph import batch_adjacency, session_adjacency
 from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 
@@ -43,6 +47,8 @@ __all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
            "train", "train_stack", "evaluate_policy",
            "TrainingDiverged", "UndefinedLagrangian", "HISTORY_FIELDS"]
 
+# mean_tau_s is the batch mean of the clipped latency the objective uses,
+# so a batch whose every sample sits past the latency pole logs 0
 HISTORY_FIELDS = ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",
                   "lambda", "upsilon")
 # the per-sample statistics of batch_lagrangian, in its buffer's order
@@ -181,35 +187,38 @@ def _shared_link(runs) -> LinkConfig:
     return link
 
 
-def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
+def batch_lagrangian(wnodes, d: np.ndarray, inv_corr: np.ndarray, runs,
                      lam, ups, grad=None, out=None):
     """Build the batch-mean Lagrangian graph of a stack of runs.
 
     `runs` holds one (scheme, link) pair per run; the links may differ only
     in the power budget.  `wnodes` are the (R, n, m) stacked layer weights
     (or (n, m) matrices for a single run), `lam` and `ups` the R multipliers,
-    and `adj` (B, K, K) and `inv_corr` (B, K) a mini-batch's slices of
-    dataset_constants().  The root is the sum over runs of each run's
-    batch-mean Lagrangian, so each run's weights get exactly their own run's
-    gradient; the backward pass writes it into `grad` when given (laid out
-    by gcn.flat_views).  Returns (root, stats), stats a dict of per-sample
-    (R, B) arrays: objective (each sample's Lagrangian term), mean_tau_s,
-    mean_log_pout and mean_pavg_w, the rows of one (4, R, B) buffer in
-    STAT_FIELDS order (`out` when given); a step's statistics are their
-    per-run batch means.  The graph reads `adj`, `inv_corr`, the weights
-    and the multipliers through the arrays passed in (`lam` and `ups` as
-    views when they are float arrays), and writes the statistics, the
-    network's pass and the chain into buffers made here, so a Tape of the
-    root replays it after those arrays change in place.
+    and `d` (B, K, 1) and `inv_corr` (B, K) a mini-batch's rows of the
+    network profiles gcn.profile(adjacency, L) and of dataset_constants().
+    The root is the sum over runs of each run's batch-mean Lagrangian, so
+    each run's weights get exactly their own run's gradient; the backward
+    pass writes it into `grad` when given (laid out by gcn.flat_views).
+    Returns (root, stats), stats a dict of per-sample (R, B) arrays:
+    objective (each sample's Lagrangian term), mean_tau_s, mean_log_pout
+    and mean_pavg_w, the rows of one (4, R, B) buffer in STAT_FIELDS order
+    (`out` when given), and raw_tau_s, the latency before the clip; a
+    step's statistics are their per-run batch means.  The graph reads `d`,
+    `inv_corr`, the weights and the multipliers through the arrays passed
+    in (`lam` and `ups` as views when they are float arrays), and writes
+    the statistics, the network's pass and the chain into buffers made
+    here, so a Tape of the root replays it after those arrays change in
+    place.
 
-    The graph is two ops: the network's pass (gcn.forward), made here the
-    "gcn" op over the weight nodes, and one op that maps its floored
-    (R, B, K, 1) powers to the batch-mean Lagrangian by
-    analytics.analytic_chain and chain_adjoint.  That op raises
-    UndefinedLagrangian, naming the first run, on a non-finite power, then
-    on a zero denominator, then on a nonpositive final outage; numpy warns
-    of overflows unless the caller silences it, as train_stack does.  The op
-    departs from the capped report in two deliberate ways around the
+    The graph is two ops: the network's pass on `d` (gcn.forward_profile),
+    made here the "gcn" op over the weight nodes, and one op that maps its
+    floored (R, B, K, 1) powers to the batch-mean Lagrangian by
+    analytics.analytic_chain and chain_adjoint.  Its compute(check=True)
+    raises UndefinedLagrangian, naming the first run, on a non-finite
+    power, then on a zero denominator, then on a nonpositive final outage;
+    a replay checks nothing (train_stack tests a step once).  numpy warns
+    of overflows unless the caller silences it, as train_stack does.  The
+    op departs from the capped report in two deliberate ways around the
     outage-near-one region, where the latency ratio has a pole that
     otherwise wrecks the optimizer:
 
@@ -225,9 +234,9 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     Reported metrics elsewhere always use the capped chain.
     """
     link = _shared_link(runs)
-    b, k = adj.shape[0], adj.shape[1]
+    b, k = d.shape[0], d.shape[1]
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
-    net = forward(adj, [w.value for w in wnodes], p_bar, grad=grad)
+    net = forward_profile(d, [w.value for w in wnodes], p_bar, grad=grad)
     n_runs = len(runs)
     shape = (n_runs, b, k)
     powers = net.out.reshape(shape)
@@ -244,25 +253,22 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
     work = ChainWork(shape)
     per_sample = np.empty((4,) + shape[:-1]) if out is None else out
     objective, tau, log_pout, pavg = per_sample
-    stats = dict(zip(STAT_FIELDS, per_sample))
+    stats = dict(zip(STAT_FIELDS, per_sample), raw_tau_s=work.tau)
 
-    def compute():
-        finite = np.isfinite(powers)
-        if not finite.all():
-            raise UndefinedLagrangian(_first_run(~finite),
-                                      "non-finite network output")
+    def compute(check=False):
         pouts, eta, raw_tau, chain_pavg = analytic_chain(
             powers, inv_corr, factors, link, work=work)
-        # the chain's divisors: power products, 1 + P_1 + ..., eta * bandwidth
-        defined = (work.prod.all(axis=-1) & (work.spent != 0.0)
-                   & (eta * link.bandwidth_hz != 0.0))
-        if not defined.all():
-            raise UndefinedLagrangian(_first_run(~defined),
-                                      "divide: zero denominator entry")
-        nonpositive = pouts[..., -1] <= 0.0
-        if nonpositive.any():
-            raise UndefinedLagrangian(_first_run(nonpositive),
-                                      "log: nonpositive entry")
+        if check:
+            # the chain's divisors: power products, 1 + P_1 + ...,
+            # eta * bandwidth
+            defined = (work.prod.all(axis=-1) & (work.spent != 0.0)
+                       & (eta * link.bandwidth_hz != 0.0))
+            for bad, cause in (
+                    (~np.isfinite(powers), "non-finite network output"),
+                    (~defined, "divide: zero denominator entry"),
+                    (pouts[..., -1] <= 0.0, "log: nonpositive entry")):
+                if bad.any():
+                    raise UndefinedLagrangian(_first_run(bad), cause)
         np.minimum(np.maximum(raw_tau, 0.0), tau_clip, out=tau)
         np.log(pouts[..., -1], out=log_pout)
         np.copyto(pavg, chain_pavg)
@@ -289,6 +295,43 @@ def batch_lagrangian(wnodes, adj: np.ndarray, inv_corr: np.ndarray, runs,
 def _label(run) -> str:
     scheme, link = run
     return f"{scheme.value} at {link.power_budget_dbw:g} dBW"
+
+
+def _diagnose(runs, it: int, root, means, grad, flat, run_of) -> None:
+    """Raise TrainingDiverged for step `it`, whose test tripped, naming the
+    first run that fails the step's first failing check: the Lagrangian of
+    batch_lagrangian's `root` has a value (its compute(check=True) on the
+    step's powers), then its means, gradient and weights after Adam are
+    finite.  Returns if all pass.
+
+    The test misses none: a non-finite p_k makes the average power's term
+    p_k P_{k-1} non-finite; a zero power product stays zero through later
+    finite powers, so P_K = inv_corr_K / 0 * factor_K and log P_K are not
+    finite, as log P_K is for P_K <= 0; eta * bandwidth = 0 makes the raw
+    latency payload / 0 infinite (the clip hides it: at P_K = 1 every
+    statistic is finite); 1 + P_1 + ... + P_{K-1} >= 1, as positive rate
+    factors give outages >= 0; a non-finite gradient gives Adam a NaN step.
+    """
+    try:
+        root.compute(check=True)
+    except UndefinedLagrangian as exc:
+        raise TrainingDiverged(
+            f"{_label(runs[exc.run])}: cannot evaluate the Lagrangian at "
+            f"iteration {it}: {exc}") from exc
+    finite = np.isfinite(means)
+    if not finite.all():
+        field, r = np.argwhere(~finite)[0]
+        stats = dict(zip(STAT_FIELDS, means[:, r].tolist()))
+        raise TrainingDiverged(
+            f"{_label(runs[r])}: non-finite {STAT_FIELDS[field]} at "
+            f"iteration {it}: {stats}")
+    for values, what in ((grad, "gradient"),
+                         (flat, "weights after the Adam step")):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise TrainingDiverged(
+                f"{_label(runs[_first_run(bad, run_of)])}: non-finite {what} "
+                f"at iteration {it}")
 
 
 def train(scheme: Scheme, link: LinkConfig, channel_proto: ChannelParams,
@@ -324,10 +367,16 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     adam = AdamState.like(flat)
     adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
                                               channel_proto)
+    # every sample's profile A^L 1, fixed for the run: the pass reads rows
+    d_all = profile(adj_all, len(mats))
+    del adj_all
     # a network at the power floor for every sample has zero gradients
-    # everywhere, so its weights could never move
-    out = forward(adj_all, mats, p_bar).out
-    if np.all(out.reshape(n_runs, -1) == P_MIN_WATTS, axis=1).any():
+    # everywhere, so its weights could never move.  Its outputs are
+    # max(P_MIN_WATTS, s d), s = (p_bar / K) phi, d > 0; fl(s d) rises with
+    # d for s >= 0 and is <= 0 for s < 0, so all are the floor exactly when
+    # the largest d's is (a NaN s is live either way)
+    top = forward_profile(np.full(d_all.shape[1:], d_all.max()), mats, p_bar)
+    if np.all(top.out.reshape(n_runs, -1) == P_MIN_WATTS, axis=1).any():
         raise TrainingDiverged(
             f"seed {cfg.seed}: the initial network outputs the "
             f"{P_MIN_WATTS:g} W floor for every training sample (dead ReLU), "
@@ -335,9 +384,9 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 13)))
 
     # the leaves of the training graph, refilled in place every step: the
-    # batch slices, the multipliers and the weights (Adam updates flat in
-    # place); every batch is full, so the graph's shapes never change
-    adj = np.empty((cfg.batch_size,) + adj_all.shape[1:])
+    # batch's rows of d and inv_corr, the multipliers and the weights (Adam
+    # updates flat in place); every batch is full, so no shape changes
+    d = np.empty((cfg.batch_size,) + d_all.shape[1:])
     inv_corr = np.empty((cfg.batch_size,) + inv_corr_all.shape[1:])
     # the multipliers, one row each, and their step sizes and targets
     duals = np.array([[INIT_LAMBDA] * n_runs, [INIT_UPSILON] * n_runs])
@@ -361,37 +410,20 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
         for bidx in range(steps_per_epoch):
             sel = order[bidx * cfg.batch_size:(bidx + 1) * cfg.batch_size]
             # mode="clip" writes straight into `out` ("raise" buffers)
-            np.take(adj_all, sel, axis=0, out=adj, mode="clip")
+            np.take(d_all, sel, axis=0, out=d, mode="clip")
             np.take(inv_corr_all, sel, axis=0, out=inv_corr, mode="clip")
-            try:
-                if tape is None:
-                    # the first step records the graph; later steps replay it
-                    root, _ = batch_lagrangian(wnodes, adj, inv_corr, runs,
+            if tape is None:
+                # the first step records the graph; later steps replay it
+                root, stats = batch_lagrangian(wnodes, d, inv_corr, runs,
                                                lam, ups, grad=grad,
                                                out=per_sample)
-                    tape = ad.Tape(root)
-                else:
-                    tape.replay()
-            except UndefinedLagrangian as exc:
-                raise TrainingDiverged(
-                    f"{_label(runs[exc.run])}: cannot evaluate the "
-                    f"Lagrangian at iteration {it}: {exc}") from exc
-            # each statistic is its per-sample row's per-run batch mean; a
-            # sum of finite samples can still overflow
+                tape = ad.Tape(root)
+                raw_tau = stats["raw_tau_s"]
+            else:
+                tape.replay()
+            # each statistic is its per-sample row's per-run batch mean
             means = per_sample.sum(axis=-1) / cfg.batch_size
-            finite = np.isfinite(means)
-            if not finite.all():
-                field, r = np.argwhere(~finite)[0]
-                stats = dict(zip(STAT_FIELDS, means[:, r].tolist()))
-                raise TrainingDiverged(
-                    f"{_label(runs[r])}: non-finite {STAT_FIELDS[field]} at "
-                    f"iteration {it}: {stats}")
             tape.backward()
-            finite = np.isfinite(grad)
-            if not finite.all():
-                r = _first_run(~finite, run_of)
-                raise TrainingDiverged(
-                    f"{_label(runs[r])}: non-finite gradient at iteration {it}")
 
             ramp = 1.0 - (1.0 - LR_FINAL_FRAC) * (it / total_steps)
             lr = cfg.lr_weights * ramp
@@ -401,12 +433,9 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             guard_steps += guarded
             adam_update(adam, flat, grad,
                         np.where(guarded, lr * 0.5, lr)[run_of])
-            finite = np.isfinite(flat)
-            if not finite.all():
-                r = _first_run(~finite, run_of)
-                raise TrainingDiverged(
-                    f"{_label(runs[r])}: non-finite weights after the Adam "
-                    f"step at iteration {it}")
+            # the step's one test: a sum is finite only if its terms are
+            if not np.isfinite(means.sum() + raw_tau.sum() + flat.sum()):
+                _diagnose(runs, it, root, means, grad, flat, run_of)
 
             # projected ascent on the mean outage and power slacks
             np.maximum(0.0, duals + dual_lr * (means[2:] - dual_bound),
@@ -415,7 +444,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             history[:, it, 4:] = duals.T
             it += 1
     # no replay follows the last step, so its weights get one forward pass
-    out = forward(adj_all[:cfg.batch_size], mats, p_bar).out
+    out = forward_profile(d_all[:cfg.batch_size], mats, p_bar).out
     bad = ~np.isfinite(out)
     if bad.any():
         raise TrainingDiverged(

@@ -17,7 +17,7 @@ import pytest
 from harqpower import training
 from harqpower.analytics import correlation_factor, evaluate, rate_factors
 from harqpower.cli import SEED_ENV_VAR, main
-from harqpower.gcn import forward, init_weights
+from harqpower.gcn import forward, init_weights, profile
 from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.montecarlo import estimate_outage_conditional, estimate_profile
 from harqpower.oracle import default_grid, grid_search
@@ -298,8 +298,9 @@ def tau_clip(link) -> float:
 
 def assert_fused_adjoint_matches_generic(matrices, rho_batch, runs, lam, ups):
     adj, inv_corr = dataset_constants(rho_batch, ChannelParams(rho=0.0))
-    root, stats = batch_lagrangian([ad.parameter(m) for m in matrices], adj,
-                                   inv_corr, runs, lam, ups)
+    root, stats = batch_lagrangian([ad.parameter(m) for m in matrices],
+                                   profile(adj, len(matrices)), inv_corr,
+                                   runs, lam, ups)
     ad.backward(root)
     (powers,) = root.parents
     assert root.kind == "lagrangian" and powers.kind == "gcn"
@@ -352,8 +353,8 @@ class TestGradientCorrectness:
         adj, inv_corr = dataset_constants(rho_batch, proto)
 
         def build(params):
-            root, _ = batch_lagrangian(params, adj, inv_corr,
-                                       [(scheme, link)], lam, ups)
+            root, _ = batch_lagrangian(params, profile(adj, len(params)),
+                                       inv_corr, [(scheme, link)], lam, ups)
             return root
 
         report = ad.finite_diff_check(build, weights.matrices, step=1e-4)
@@ -384,7 +385,8 @@ class TestGradientCorrectness:
             6, link, ChannelParams(rho=0.0))
         adj, inv_corr = dataset_constants(rho_batch, ChannelParams(rho=0.0))
         _, stats = batch_lagrangian([ad.constant(m) for m in weights.matrices],
-                                    adj, inv_corr, [(scheme, link)], 0.0, 0.0)
+                                    profile(adj, len(weights.matrices)),
+                                    inv_corr, [(scheme, link)], 0.0, 0.0)
         # move the clip to the batch's median latency, in latency floors
         median = float(np.median(stats["mean_tau_s"]))
         monkeypatch.setattr(training, "TAU_CLIP_FLOORS",

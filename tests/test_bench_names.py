@@ -45,7 +45,7 @@ def test_traced_reads_exist():
     # grid_search's arguments (channel first, grid fourth); tape_size walks
     # Node.parents from the root that batch_lagrangian returns
     from harqpower import autodiff as ad
-    from harqpower.gcn import init_weights
+    from harqpower.gcn import init_weights, profile
     from harqpower.oracle import GridSpec, grid_search
     from harqpower.training import batch_lagrangian, dataset_constants
     from harqpower.types import ChannelParams, LinkConfig, Scheme
@@ -58,8 +58,9 @@ def test_traced_reads_exist():
     assert GridSpec(points_per_axis=7).points_per_axis == 7
     adj, inv_corr = dataset_constants(np.array([0.2, 0.7]),
                                       ChannelParams(rho=0.0))
+    mats = init_weights(4).matrices
     root, _ = batch_lagrangian(
-        [ad.parameter(m) for m in init_weights(4).matrices], adj, inv_corr,
+        [ad.parameter(m) for m in mats], profile(adj, len(mats)), inv_corr,
         [(Scheme.INCREMENTAL, LinkConfig())], 0.0, 0.0)
     seen, stack = set(), [root]
     while stack:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import generic_ops as ad
 import harqpower
-from harqpower.gcn import (DEFAULT_DIMS, GcnWeights, forward, init_weights,
-                           load_checkpoint, save_checkpoint)
+from harqpower.gcn import (DEFAULT_DIMS, GcnWeights, forward, forward_profile,
+                           init_weights, load_checkpoint, profile,
+                           save_checkpoint)
 from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.types import P_MIN_WATTS, ChannelParams, PowerPolicy
 
@@ -211,6 +212,35 @@ class TestRankOneIdentity:
         if len(dims) > 2:
             # layer 1's first input unit is dead: its weights take no gradient
             assert all((grads[1][0] == 0.0).all() for _, grads in want)
+
+
+class TestProfile:
+    """Training builds every dataset sample's profile A^L 1 once and gathers
+    a batch's rows of it, where the pass used to build the batch's own."""
+
+    @pytest.mark.parametrize("k", (1, 3, 8))
+    def test_dataset_rows_equal_the_batch_profile(self, k):
+        # bitwise, since np.matmul takes each matrix of a stack alone
+        rng = np.random.default_rng(k)
+        adj = batch_adjacency(rng.random(1000), k, 1)
+        depth = len(DEFAULT_DIMS) - 1
+        d_all = profile(adj, depth)
+        assert d_all.shape == (1000, k, 1)
+        order = rng.permutation(1000)
+        for size in (1, 9, 50):
+            sel = order[:size]
+            rows = np.empty((size, k, 1))
+            np.take(d_all, sel, axis=0, out=rows, mode="clip")
+            assert rows.tobytes() == profile(adj[sel], depth).tobytes()
+        for i in order[:20]:
+            assert d_all[i].tobytes() == profile(adj[i], depth).tobytes()
+
+    def test_rejects_what_is_not_a_profile(self):
+        # an adjacency in place of its profile
+        w = init_weights(seed=4)
+        with pytest.raises(ValueError, match="^a profile must be"):
+            forward_profile(batch_adjacency(np.array([0.5]), 3, 1),
+                            w.matrices, 1.0)
 
 
 class TestPowerPolicyFloor:

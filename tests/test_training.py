@@ -16,7 +16,7 @@ import pytest
 
 from harqpower import autodiff, training
 from harqpower.analytics import correlation_factor, evaluate
-from harqpower.gcn import GcnWeights, forward, init_weights
+from harqpower.gcn import GcnWeights, forward, init_weights, profile
 from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.oracle import default_grid, grid_search
 from harqpower.training import (HISTORY_FIELDS, AdamState, TrainConfig,
@@ -24,8 +24,8 @@ from harqpower.training import (HISTORY_FIELDS, AdamState, TrainConfig,
                                 batch_lagrangian, dataset_constants,
                                 evaluate_policy, sample_rho_dataset, train,
                                 train_stack)
-from harqpower.types import (OUTAGE_CAP, ChannelParams, LinkConfig,
-                             PowerPolicy, Scheme)
+from harqpower.types import (OUTAGE_CAP, P_MIN_WATTS, ChannelParams,
+                             LinkConfig, PowerPolicy, Scheme)
 
 LINK = LinkConfig()
 PROTO = ChannelParams(rho=0.0)
@@ -49,8 +49,8 @@ TAU_FLOOR = LINK.payload_bits / (LINK.bandwidth_hz * LINK.rate)
 
 def lagrangian(wnodes, rho, scheme, lam, ups):
     adj, inv_corr = dataset_constants(rho, PROTO)
-    root, nodes = batch_lagrangian(wnodes, adj, inv_corr, [(scheme, LINK)],
-                                   lam, ups)
+    root, nodes = batch_lagrangian(wnodes, profile(adj, len(wnodes)),
+                                   inv_corr, [(scheme, LINK)], lam, ups)
     return root, {key: float(v[0])
                   for key, v in run_means(nodes, 1, len(rho)).items()}
 
@@ -165,8 +165,8 @@ class TestOneImplementation:
             mats[-1] *= scale
             consts = [ad.constant(m) for m in mats]
             adj, inv_corr = dataset_constants(np.array([rho]), PROTO)
-            _, nodes = batch_lagrangian(consts, adj, inv_corr,
-                                        [(scheme, LINK)], 0.0, 0.0)
+            _, nodes = batch_lagrangian(consts, profile(adj, len(mats)),
+                                        inv_corr, [(scheme, LINK)], 0.0, 0.0)
             stats = run_means(nodes, 1, 1)
             powers = forward(adj, mats, LINK.power_budget_w).out
             rep = evaluate(PowerPolicy(tuple(powers[0, :, 0])),
@@ -314,6 +314,40 @@ class TestTrainStack:
         with pytest.raises(ValueError, match="scheme and power budget"):
             train_stack(runs, PROTO, cfg)
 
+    def test_dead_check_gives_the_full_forward_verdict(self):
+        # the check runs the pass on the largest profile entry alone; over
+        # seeds 0-199 it must agree with a pass over the whole dataset
+        dead = 0
+        for seed in range(200):
+            cfg = TrainConfig(epochs=1, batch_size=1000, seed=seed)
+            adj = batch_adjacency(sample_rho_dataset(cfg), 3, 1)
+            out = forward(adj, init_weights(seed).matrices,
+                          LINK.power_budget_w).out
+            floored = bool(np.all(out == P_MIN_WATTS))
+            try:
+                train(Scheme.INCREMENTAL, LINK, PROTO, cfg)
+            except TrainingDiverged as exc:
+                assert floored and "(dead ReLU)" in str(exc), seed
+            else:
+                assert not floored, seed
+            dead += floored
+        assert dead == 131
+
+    def test_dead_check_keeps_a_partly_floored_run(self):
+        # a budget that floors the samples of the smallest profile entries
+        # and not those of the largest leaves the run live
+        cfg = TrainConfig(epochs=1, dataset_size=200, batch_size=100)
+        mats = init_weights(cfg.seed).matrices
+        adj = batch_adjacency(sample_rho_dataset(cfg), 3, 1)
+        d = profile(adj, len(mats))
+        phi = forward(np.eye(1), mats, 1.0).out.item()
+        p_bar = 3.0 * P_MIN_WATTS / (phi * math.sqrt(d.min() * d.max()))
+        link = LinkConfig(power_budget_dbw=10.0 * math.log10(p_bar))
+        out = forward(adj, mats, link.power_budget_w).out
+        assert (out == P_MIN_WATTS).any() and (out > P_MIN_WATTS).any()
+        train_stack([(Scheme.INCREMENTAL, LINK), (Scheme.TYPE_I, link)],
+                    PROTO, cfg)
+
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
             train_stack([], PROTO, TrainConfig(epochs=1))
@@ -348,19 +382,7 @@ class TestTrainStack:
         # only the third run's network output is poisoned, on every run of
         # the pass; the stacked step's own arrays name it, and no run is
         # evaluated a second time
-        original = training.forward
-
-        def poisoned(adjacency, matrices, p_bar_w, **kwargs):
-            net = original(adjacency, matrices, p_bar_w, **kwargs)
-            run_pass = net.forward
-
-            def forward():
-                out = run_pass()
-                out[2] = power
-                return out
-            net.forward = forward
-            return net
-
+        self.poison_network_output(monkeypatch, 2, power)
         calls = []
         original_lagrangian = training.batch_lagrangian
 
@@ -368,7 +390,6 @@ class TestTrainStack:
             calls.append(None)
             return original_lagrangian(*args, **kwargs)
 
-        monkeypatch.setattr(training, "forward", poisoned)
         monkeypatch.setattr(training, "batch_lagrangian", counted)
         runs = [(Scheme.TYPE_I, LINK),
                 (Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
@@ -381,6 +402,86 @@ class TestTrainStack:
         assert str(caught.value) == ("ir at 17 dBW: cannot evaluate the "
                                      f"Lagrangian at iteration 0: {cause}")
         assert len(calls) == 1
+
+    @staticmethod
+    def poison_network_output(monkeypatch, run, power):
+        """Set run `run`'s powers to `power` on every later pass that a
+        network built by training makes."""
+        original = training.forward_profile
+
+        def poisoned(d, matrices, p_bar_w, **kwargs):
+            net = original(d, matrices, p_bar_w, **kwargs)
+            run_pass = net.forward
+
+            def forward():
+                out = run_pass()
+                out[run] = power
+                return out
+            net.forward = forward
+            return net
+
+        monkeypatch.setattr(training, "forward_profile", poisoned)
+
+    @pytest.mark.parametrize("power, rounds, link, cause", [
+        (np.nan, 3, {}, "non-finite network output"),
+        # the power product is 0, so the outages are infinite
+        (0.0, 3, {}, "divide: zero denominator entry"),
+        # at one round, rate 1 and rho's penalty 1, P_1 = 1 / p_1 = 1: eta
+        # is 0 and the raw latency infinite, yet the clipped objective, the
+        # log outage and the average power stay finite
+        (1.0, 1, {}, "divide: zero denominator entry"),
+        # P_1 = 1e40 and P_2 = 1e10 make eta = (1 - P_2) / (1 + P_1) about
+        # -1e-30, and eta * bandwidth underflows to 0 where the latency
+        # clip, 10 payload / (bandwidth rate) = 10 s, is finite: only the
+        # raw latency is not finite (the multipliers are 0, so the
+        # gradient is)
+        (np.array([[1e-40], [1e30]]), 2,
+         {"payload_bits": 1e-300, "bandwidth_hz": 1e-300},
+         "divide: zero denominator entry"),
+        # the power product overflows, so the final outage is 0
+        (1e200, 3, {}, "log: nonpositive entry")],
+        ids=["non-finite-power", "zero-product", "final-outage-one",
+             "eta-underflow", "overflowing-product"])
+    def test_step_test_misses_no_undefined_lagrangian(self, monkeypatch,
+                                                      power, rounds, link,
+                                                      cause):
+        # the step's one finiteness test must trip on every failure that
+        # the checks it replaced caught, here in the middle run of three
+        self.poison_network_output(monkeypatch, 1, power)
+        link = LinkConfig(rate=1.0, **link)
+        runs = [(Scheme.TYPE_I, link),
+                (Scheme.CHASE,
+                 dataclasses.replace(link, power_budget_dbw=16.0)),
+                (Scheme.INCREMENTAL, link)]
+        proto = ChannelParams(rho=0.0, num_rounds=rounds)
+        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as caught:
+                train_stack(runs, proto, cfg)
+        assert str(caught.value) == ("cc at 16 dBW: cannot evaluate the "
+                                     f"Lagrangian at iteration 0: {cause}")
+        undefined = caught.value.__cause__
+        assert isinstance(undefined, training.UndefinedLagrangian)
+        assert (undefined.run, str(undefined)) == (1, cause)
+
+    def test_final_outage_of_one_is_finite_but_for_the_raw_latency(self):
+        # why the step's test reads the raw latency: at P_K = 1 the clip
+        # turns the infinite latency into a finite objective
+        link = LinkConfig(rate=1.0, power_budget_dbw=0.0)
+        runs = [(scheme, link) for scheme in Scheme]
+        proto = ChannelParams(rho=0.0, num_rounds=1)
+        adj, inv_corr = dataset_constants(np.array([0.2, 0.7]), proto)
+        # one round's power is p_bar * phi = phi; run 1's is 1 W
+        phi = np.array([2.0, 1.0, 3.0]).reshape(3, 1, 1)
+        with np.errstate(divide="ignore"):
+            _, stats = batch_lagrangian([ad.constant(phi)], profile(adj, 1),
+                                        inv_corr, runs, 0.5, 0.5)
+        assert np.all(inv_corr == 1.0)
+        for key in training.STAT_FIELDS:
+            assert np.all(np.isfinite(stats[key])), key
+        raw = stats["raw_tau_s"]
+        assert np.all(np.isinf(raw[1])) and np.all(np.isfinite(raw[[0, 2]]))
 
     def test_non_finite_gradient_names_its_first_run(self, monkeypatch):
         # poison the gradient of runs 1 and 2 in different layers after
@@ -479,18 +580,19 @@ class TestTapeReplay:
         adj_all, inv_all = dataset_constants(sample_rho_dataset(cfg), PROTO)
         order = np.random.default_rng(7).permutation(cfg.dataset_size)
         mats = [np.stack([m] * len(runs)) for m in init_weights(4).matrices]
+        d_all = profile(adj_all, len(mats))
         adams = [AdamState.like(m) for m in mats]
         wnodes = [ad.parameter(m) for m in mats]
-        adj = np.empty((10,) + adj_all.shape[1:])
+        d = np.empty((10,) + d_all.shape[1:])
         inv_corr = np.empty((10,) + inv_all.shape[1:])
         lam, ups = np.zeros(len(runs)), np.zeros(len(runs))
         tape = None
         for step in range(6):
             sel = order[10 * step:10 * (step + 1)]
-            np.take(adj_all, sel, axis=0, out=adj)
+            np.take(d_all, sel, axis=0, out=d)
             np.take(inv_all, sel, axis=0, out=inv_corr)
             if tape is None:
-                root, nodes = batch_lagrangian(wnodes, adj, inv_corr, runs,
+                root, nodes = batch_lagrangian(wnodes, d, inv_corr, runs,
                                                lam, ups)
                 tape = ad.Tape(root)
             else:
@@ -499,8 +601,8 @@ class TestTapeReplay:
 
             fresh = [ad.parameter(m.copy()) for m in mats]
             want_root, want_nodes = batch_lagrangian(
-                fresh, adj_all[sel], inv_all[sel], runs, lam.copy(),
-                ups.copy())
+                fresh, profile(adj_all[sel], len(mats)), inv_all[sel], runs,
+                lam.copy(), ups.copy())
             ad.backward(want_root)
             stats = run_means(nodes, len(runs), 10)
             want = run_means(want_nodes, len(runs), 10)
@@ -546,7 +648,8 @@ class TestHandDerivedStep:
         ups = np.linspace(1e-3, 2e-4, len(runs))
 
         def build(params):
-            return batch_lagrangian(params, adj, inv_corr, runs, lam, ups)[0]
+            return batch_lagrangian(params, profile(adj, len(params)),
+                                    inv_corr, runs, lam, ups)[0]
 
         rep = ad.finite_diff_check(build, mats, step=1e-5)
         assert rep.max_rel_error < 1e-5

@@ -81,6 +81,11 @@ COMMANDS = [
     ("sweep-power", "--rounds", "5", "--epochs", "5", "--budget-lo-dbw", "14",
      "--budget-hi-dbw", "16"),
     ("sweep-rho", "--rounds", "2", "--epochs", "5"),
+    # a dataset size that is not a multiple of the batch size: each epoch
+    # leaves samples over, alone and in a stack
+    ("train", "--epochs", "2", "--dataset-size", "23", "--batch-size", "5"),
+    ("sweep-power", "--epochs", "2", "--budget-lo-dbw", "14",
+     "--budget-hi-dbw", "15", "--dataset-size", "37", "--batch-size", "9"),
     *[("mc-validate", "--estimator", est, "--threads", threads) + MC_BIG
       for est in ("direct", "conditional") for threads in ("1", "2", "3")],
     *[("mc-validate", "--estimator", est, "--threads", threads) + mc
