@@ -209,8 +209,8 @@ def analytic_chain(powers, inv_corr, factors, link: LinkConfig,
     return outages, eta, tau, work.pavg
 
 
-def chain_adjoint(powers, work: ChainWork, tau, g_tau, g_log_pout, g_pavg,
-                  out=None) -> np.ndarray:
+def chain_adjoint(powers, work: ChainWork, tau, g_tau, g_log_pout,
+                  g_pavg) -> np.ndarray:
     """Per-round power adjoints through the uncapped analytic_chain.
 
     `work` holds the chain's last evaluation on `powers`; `tau` is the
@@ -224,7 +224,7 @@ def chain_adjoint(powers, work: ChainWork, tau, g_tau, g_log_pout, g_pavg,
                           + g_log_pout + g_pavg sum_{k>j} p_k P_{k-1}) / p_j
 
     where both suffix sums run from round K down, starting at zero.
-    Returns the (..., K) adjoints, in `out` when given.
+    Returns the (..., K) adjoints in a fresh array.
     """
     if work.tail is None:
         work._adjoint_buffers()
@@ -243,7 +243,7 @@ def chain_adjoint(powers, work: ChainWork, tau, g_tau, g_log_pout, g_pavg,
     g_pavg = np.asarray(g_pavg)[..., None]
     pull += np.multiply(g_pavg, later, out=work.scratch)
     np.divide(pull, powers, out=pull)
-    out = np.multiply(g_pavg, work.prev, out=out)
+    out = np.multiply(g_pavg, work.prev)
     out -= pull
     return out
 

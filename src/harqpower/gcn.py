@@ -61,11 +61,12 @@ def init_weights(seed: int) -> GcnWeights:
 
 
 def flat_views(flat: np.ndarray, like) -> list:
-    """Views of the 1-D buffer `flat` shaped like the arrays `like`, laid
-    out one after another."""
-    ends = np.cumsum([m.size for m in like])[:-1]
-    return [part.reshape(m.shape)
-            for part, m in zip(np.split(flat, ends), like)]
+    """Views of `flat` shaped like the last two axes of the matrices `like`,
+    one after another along its last axis: a 1-D buffer gives one network's
+    (n, m) matrices, an (R, P) buffer the (R, n, m) stacks, row r run r's."""
+    ends = np.cumsum([m.shape[-2] * m.shape[-1] for m in like])[:-1]
+    return [part.reshape(flat.shape[:-1] + m.shape[-2:])
+            for part, m in zip(np.split(flat, ends, axis=-1), like)]
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -98,8 +99,9 @@ class _Network:
                                                    self._phi.shape))
         self.out = np.empty(runs + d.shape)
         # the backward pass: the adjoint of out, of phi per run and of each
-        # psi, psi_0's being W_0's gradient in the flat buffer
-        self.grad = flat_views(np.empty(sum(m.size for m in matrices))
+        # psi, psi_0's being W_0's gradient in the gradient buffer
+        size = sum(m.shape[-2] * m.shape[-1] for m in matrices)
+        self.grad = flat_views(np.empty(matrices[0].shape[:-2] + (size,))
                                if grad is None else grad, matrices)
         self._g = np.empty(self.out.shape)
         self._g_rows = self._g.reshape(runs + (-1,))
@@ -126,8 +128,8 @@ class _Network:
         """Each layer's weight gradient for the adjoint `g` of `out`, at
         the values of the last forward pass.
 
-        The gradients are views of one flat buffer laid out by flat_views,
-        the same list on every call.
+        The gradients are views of one buffer laid out by flat_views, the
+        same list on every call.
         """
         # above the floor out = (p_bar / K) phi d, so phi's adjoint is
         # (p_bar / K) sum(g d) over those outputs; out - P_MIN_WATTS is 0 on
@@ -172,8 +174,8 @@ def forward_profile(d: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
     and the weights through the arrays given and writes into buffers it
     makes once: after a caller refills those arrays in place, `.forward()`
     runs it again.  `.backward(g)` writes every layer's weight gradient into
-    one flat buffer (`grad` when given) laid out by flat_views, and returns
-    its views.
+    one buffer (`grad` when given) laid out by flat_views, 1-D for one
+    network and (R, P) for a stack, and returns its views.
     """
     if d.ndim not in (2, 3) or d.shape[-1] != 1:
         raise ValueError("a profile must be (K, 1) or (B, K, 1)")
@@ -187,10 +189,10 @@ def forward_profile(d: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
     return net
 
 
-def forward(adjacency: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
+def forward(adjacency: np.ndarray, matrices, p_bar_w) -> _Network:
     """forward_profile's pass on profile(adjacency, len(matrices))."""
     return forward_profile(profile(adjacency, len(matrices)), matrices,
-                           p_bar_w, grad)
+                           p_bar_w)
 
 
 def save_checkpoint(path, weights: GcnWeights) -> None:

@@ -19,8 +19,9 @@ several times slower; the masks, adjoints, Adam's terms and the dual step
 are plain numpy expressions.  One finiteness test guards a step (_diagnose).
 
 Several runs that differ only in scheme and power budget train as one
-stack: the weights, Adam moments, multipliers, step-size guard and history
-carry a leading run axis R, and every run takes its steps on the same
+stack: the weights, gradient, Adam moments, multipliers, step-size guard
+and history carry a leading run axis R (the weights as (R, P) rows, one per
+run), so per-run values broadcast; every run takes its steps on the same
 dataset constants and mini-batch order in one loop.  Runs never mix (each
 run's weight gradient is its own gemm), so a run trained in a stack is
 bitwise the run trained alone; train() is the stack of one.  Checks on a
@@ -90,11 +91,9 @@ class UndefinedLagrangian(ArithmeticError):
         self.run = run
 
 
-def _first_run(bad: np.ndarray, run_of=None) -> int:
-    """The first run with a true entry in the mask `bad`, which has a
-    leading run axis, or whose entries' runs are run_of."""
-    run = np.indices(bad.shape)[0] if run_of is None else run_of
-    return int(run[bad].min())
+def _first_run(bad: np.ndarray) -> int:
+    """The first run with a true entry in `bad`, whose first axis is runs."""
+    return int(np.argwhere(bad)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class AdamState:
 def adam_update(state: AdamState, x: np.ndarray, g: np.ndarray, lr) -> None:
     """One bias-corrected Adam step applied in place to `x`.
 
-    `lr` is a scalar or an array of per-entry step sizes shaped like `x`.
+    `lr` is a scalar or an array of step sizes that broadcasts against `x`.
     The moments are updated in place, and the step is
 
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
@@ -297,12 +296,12 @@ def _label(run) -> str:
     return f"{scheme.value} at {link.power_budget_dbw:g} dBW"
 
 
-def _diagnose(runs, it: int, root, means, grad, flat, run_of) -> None:
+def _diagnose(runs, it: int, root, means, grad, flat) -> None:
     """Raise TrainingDiverged for step `it`, whose test tripped, naming the
     first run that fails the step's first failing check: the Lagrangian of
     batch_lagrangian's `root` has a value (its compute(check=True) on the
-    step's powers), then its means, gradient and weights after Adam are
-    finite.  Returns if all pass.
+    step's powers), then its means, the (R, P) gradient and weights after
+    Adam are finite.  Returns if all pass.
 
     The test misses none: a non-finite p_k makes the average power's term
     p_k P_{k-1} non-finite; a zero power product stays zero through later
@@ -330,7 +329,7 @@ def _diagnose(runs, it: int, root, means, grad, flat, run_of) -> None:
         bad = ~np.isfinite(values)
         if bad.any():
             raise TrainingDiverged(
-                f"{_label(runs[_first_run(bad, run_of)])}: non-finite {what} "
+                f"{_label(runs[_first_run(bad)])}: non-finite {what} "
                 f"at iteration {it}")
 
 
@@ -354,15 +353,12 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     link = _shared_link(runs)
     n_runs = len(runs)
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
-    # every layer's (R, n, m) weight stack is a contiguous view of one flat
-    # buffer, so that one Adam pass updates all of them, and the backward
-    # pass writes the gradient into a second buffer of that layout; run_of
-    # names the run of each entry
-    init = [np.stack([m] * n_runs) for m in init_weights(cfg.seed).matrices]
-    flat = np.concatenate([m.reshape(-1) for m in init])
+    # the weights are one (R, P) buffer, row r run r's, whose (R, n, m)
+    # layer stacks are views (gcn.flat_views): one Adam pass updates them
+    # all at a per-run (R, 1) rate; the gradient is a second such buffer
+    init = init_weights(cfg.seed).matrices
+    flat = np.tile(np.concatenate([m.reshape(-1) for m in init]), (n_runs, 1))
     mats = flat_views(flat, init)
-    run_of = np.concatenate([np.repeat(np.arange(n_runs), m[0].size)
-                             for m in init])
     grad = np.empty_like(flat)
     adam = AdamState.like(flat)
     adj_all, inv_corr_all = dataset_constants(sample_rho_dataset(cfg),
@@ -432,10 +428,10 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             guarded = means[1] == 0.0
             guard_steps += guarded
             adam_update(adam, flat, grad,
-                        np.where(guarded, lr * 0.5, lr)[run_of])
+                        np.where(guarded, lr * 0.5, lr)[:, None])
             # the step's one test: a sum is finite only if its terms are
             if not np.isfinite(means.sum() + raw_tau.sum() + flat.sum()):
-                _diagnose(runs, it, root, means, grad, flat, run_of)
+                _diagnose(runs, it, root, means, grad, flat)
 
             # projected ascent on the mean outage and power slacks
             np.maximum(0.0, duals + dual_lr * (means[2:] - dual_bound),

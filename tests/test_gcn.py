@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import generic_ops as ad
 import harqpower
-from harqpower.gcn import (DEFAULT_DIMS, GcnWeights, forward, forward_profile,
-                           init_weights, load_checkpoint, profile,
-                           save_checkpoint)
+from harqpower.gcn import (DEFAULT_DIMS, GcnWeights, flat_views, forward,
+                           forward_profile, init_weights, load_checkpoint,
+                           profile, save_checkpoint)
 from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.types import P_MIN_WATTS, ChannelParams, PowerPolicy
 
@@ -40,6 +40,34 @@ class TestInit:
             assert m.shape == (n_in, n_out)
             bound = np.sqrt(6.0 / (n_in + n_out))
             assert np.all(np.abs(m) <= bound)
+
+
+class TestFlatViews:
+    def test_one_network_buffer(self):
+        mats = init_weights(seed=0).matrices
+        flat = np.concatenate([m.reshape(-1) for m in mats])
+        views = flat_views(flat, mats)
+        assert [v.shape for v in views] == [m.shape for m in mats]
+        assert all(np.array_equal(v, m) for v, m in zip(views, mats))
+        assert all(np.shares_memory(v, flat) for v in views)
+
+    def test_run_major_buffer(self):
+        # row r of an (R, P) buffer holds run r's weights, so each layer's
+        # (R, n, m) view aliases run r's matrix at index r
+        runs = [init_weights(seed=s).matrices for s in (1, 2, 3)]
+        flat = np.stack([np.concatenate([m.reshape(-1) for m in mats])
+                         for mats in runs])
+        views = flat_views(flat, runs[0])
+        assert [v.shape for v in views] == [(3,) + m.shape for m in runs[0]]
+        for r, mats in enumerate(runs):
+            for v, m in zip(views, mats):
+                assert np.array_equal(v[r], m)
+        # a write to run 1's layer-2 entry (3, 4) lands in row 1 alone
+        before = flat.copy()
+        views[2][1, 3, 4] = 7.5
+        where = sum(m.size for m in runs[1][:2]) + 3 * runs[1][2].shape[1] + 4
+        assert np.argwhere(flat != before).tolist() == [[1, where]]
+        assert flat[1, where] == 7.5
 
 
 class TestForward:

@@ -206,19 +206,19 @@ class TestAdam:
         assert x[0] == 3.0
 
     def test_per_entry_learning_rate(self):
-        # train_stack halves a guarded run's step through an lr array
-        # indexed by run_of; twin entries see the same gradients, and the
-        # one at half the step moves exactly half as far.  Each step starts
-        # from zero, so the moves are exact; the moments carry over.
-        run_of = np.array([0, 0, 1, 1])
-        x = np.zeros(4)
+        # train_stack halves a guarded run's step through an (R, 1) column
+        # of rates against its (R, P) weights; twin rows see the same
+        # gradients, and the one at half the step moves exactly half as
+        # far.  Each step starts from zero, so the moves are exact; the
+        # moments carry over.
+        x = np.zeros((2, 2))
         st = AdamState.like(x)
         rng = np.random.default_rng(3)
         for guarded in ([False, True], [True, False], [False, False]):
             x[:] = 0.0
-            lr = np.where(guarded, 0.01 * 0.5, 0.01)[run_of]
-            adam_update(st, x, np.tile(rng.standard_normal(2), 2), lr)
-            run0, run1 = x[:2], x[2:]
+            lr = np.where(guarded, 0.01 * 0.5, 0.01)[:, None]
+            adam_update(st, x, np.tile(rng.standard_normal(2), (2, 1)), lr)
+            run0, run1 = x
             assert np.all(run0 != 0.0)
             if guarded[0] == guarded[1]:
                 assert np.array_equal(run0, run1)
@@ -510,6 +510,25 @@ class TestTrainStack:
                                  r"iteration 0$"):
             train_stack(runs, PROTO, cfg)
 
+    def test_non_finite_weights_name_their_run(self, monkeypatch):
+        # only run 2's row of the (R, P) weights turns non-finite after the
+        # first Adam step; the step's statistics and gradient stay finite
+        original = training.adam_update
+
+        def poisoned(state, x, g, lr):
+            original(state, x, g, lr)
+            x[2, -1] = np.inf
+
+        monkeypatch.setattr(training, "adam_update", poisoned)
+        runs = [(Scheme.TYPE_I, LINK),
+                (Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
+                (Scheme.INCREMENTAL, LinkConfig(power_budget_dbw=15.0))]
+        cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^ir at 15 dBW: non-finite weights after "
+                                 r"the Adam step at iteration 0$"):
+            train_stack(runs, PROTO, cfg)
+
     @staticmethod
     def poison_second_batch(monkeypatch, cfg, value):
         # a bad value in one sample's correlation penalty reaches the graph
@@ -653,11 +672,12 @@ class TestHandDerivedStep:
 
         rep = ad.finite_diff_check(build, mats, step=1e-5)
         assert rep.max_rel_error < 1e-5
-        # the gradient is one flat buffer, laid out as the matrices
+        # the gradient is one (R, P) buffer, row r laid out as run r's
+        # matrices
         params = [ad.parameter(m) for m in mats]
         ad.backward(build(params))
         flat = params[0].adjoint.base
-        assert flat.shape == (sum(m.size for m in mats),)
+        assert flat.shape == (len(runs), sum(m[0].size for m in mats))
         assert all(p.adjoint.base is flat for p in params)
 
     @pytest.mark.parametrize("rounds", (1, 5))

@@ -57,6 +57,9 @@ COMMANDS = [
     ("sweep-power", "--epochs", "25", "--budget-lo-dbw", "14.5",
      "--budget-hi-dbw", "17.5"),
     ("sweep-power", "--epochs", "25"),
+    # the default: 7 budgets x 3 schemes at 500 epochs, the only command
+    # that trains the 21-run stack for 10,000 steps, where any ulp shows
+    ("sweep-power",),
     ("sweep-rho", "--epochs", "25"),
     ("sweep-rho", "--epochs", "1", "--rounds", "6", "--rho-points", "5"),
     ("sweep-power", "--budget-lo-dbw=-1e8", "--budget-hi-dbw=-1e8")
