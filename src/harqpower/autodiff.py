@@ -4,25 +4,24 @@ Every operation computes its value on creation and remembers two things: its
 forward function of its parents' current values, and its vector-Jacobian
 product, which maps an adjoint of its value to one contribution per parent.
 Both read the parents' `.value` when they are called, so a graph whose
-leaves change in place can be evaluated again without rebuilding it.  op()
-builds such a node.  The module defines no op of its own: the program's
-one graph is training's, two fused ops with hand-derived products (the
-policy network's pass and the Lagrangian).
+leaves change in place can be evaluated again by calling each op's
+compute() in order, without rebuilding it.  op() builds such a node.  The
+module defines no op of its own: the program's one graph is training's,
+two fused ops with hand-derived products (the policy network's pass and
+the Lagrangian), which train_stack drives by calling them directly.
 
-Tape(root) records the graph under a scalar root once: its topological
-order, the op nodes to recompute and the nodes with a parameter ancestor,
-each with its live parents.  tape.replay() recomputes every op node from
-the leaves' current values; tape.backward() accumulates adjoints in reverse
-topological order, so each node's adjoint is complete before it is
-propagated, and constant subgraphs (inputs, fixed operands) get no adjoint.
-backward(root) is Tape(root).backward().  A tape belongs to its graph:
-separate graphs never share state and may be evaluated concurrently.
+backward(root) differentiates the graph under a scalar root at its current
+values: it orders the nodes topologically, marks those with a parameter
+ancestor, and accumulates their adjoints in reverse order, so each node's
+adjoint is complete before it is propagated and constant subgraphs
+(inputs, fixed operands) get no adjoint.  It keeps no state between calls:
+separate graphs may be differentiated concurrently.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Node", "constant", "parameter", "op", "Tape", "backward"]
+__all__ = ["Node", "constant", "parameter", "op", "backward"]
 
 
 class Node:
@@ -53,10 +52,10 @@ def parameter(value) -> Node:
 
 
 def op(kind: str, compute, parents, vjp) -> Node:
-    """An op node valued compute(), which Tape.replay() calls again;
-    vjp(g) maps its adjoint g to a sequence of one contribution per
-    parent.  An op may return its own buffers from either, which its next
-    call overwrites."""
+    """An op node valued compute(), which a caller may call again once the
+    leaves change in place; vjp(g) maps its adjoint g to a sequence of one
+    contribution per parent.  An op may return its own buffers from
+    either, which its next call overwrites."""
     return Node(compute(), parents, vjp, kind, compute)
 
 
@@ -76,67 +75,35 @@ def _topo_order(root: Node) -> list:
     return order
 
 
-class Tape:
-    """The graph under a scalar root, recorded once and run many times.
-
-    The graph's shapes must stay fixed: refill its leaves in place, then
-    replay() to recompute every op node and backward() to accumulate the
-    adjoints of the new values.
-    """
-
-    def __init__(self, root: Node):
-        if root.value.shape != ():
-            raise ValueError("backward root must be scalar")
-        order = _topo_order(root)
-        self.root = root
-        self._ops = [node for node in order if node.compute is not None]
-        # parents precede their children, so one pass marks every node
-        # with a parameter ancestor; the others never get an adjoint
-        for node in order:
-            live = node.kind == "parameter" or any(
-                p.adjoint is not None for p in node.parents)
-            node.adjoint = 0.0 if live else None
-        self._plan = [(node, tuple((i, p) for i, p in enumerate(node.parents)
-                                   if p.adjoint is not None))
-                      for node in reversed(order) if node.adjoint is not None]
-
-    def replay(self) -> None:
-        """Recompute every op node, in order, from its parents' values.
-
-        Raises as the ops do on creation.
-        """
-        for node in self._ops:
-            node.value = np.asarray(node.compute(), dtype=np.float64)
-
-    def backward(self) -> None:
-        """Accumulate adjoints of the root into the live nodes.
-
-        Every call starts the adjoints afresh, so repeated passes over the
-        same values are idempotent, and a parameter whose gradient vanishes
-        gets a zero array.
-        """
-        # a live node's first contribution becomes its adjoint as it is
-        # (adding it to zero would change only the sign of zero entries);
-        # later ones are added into a new array, never in place
-        for node, _ in self._plan:
-            node.adjoint = None
-        if self._plan:
-            self.root.adjoint = np.ones_like(self.root.value)
-        for node, edges in self._plan:
-            if not edges:
-                continue
-            parts = node.vjp(node.adjoint)
-            for i, parent in edges:
-                if parent.adjoint is None:
-                    parent.adjoint = parts[i]
-                else:
-                    parent.adjoint = parent.adjoint + parts[i]
-
-
 def backward(root: Node) -> None:
     """Accumulate adjoints of `root` (must be scalar) into the graph.
 
     Only nodes with a parameter ancestor (parameters included) receive an
-    adjoint; every other node's adjoint is None.  Same as Tape(root).backward().
+    adjoint; every other node's adjoint is None.  Every call starts the
+    adjoints afresh, so repeated calls on the same values give the same
+    result, and a parameter whose gradient vanishes gets a zero array.
     """
-    Tape(root).backward()
+    if root.value.shape != ():
+        raise ValueError("backward root must be scalar")
+    order = _topo_order(root)
+    # parents precede their children, so one pass finds every node with a
+    # parameter ancestor; the others never get an adjoint
+    live = set()
+    for node in order:
+        node.adjoint = None
+        if node.kind == "parameter" or any(id(p) in live
+                                           for p in node.parents):
+            live.add(id(node))
+    if id(root) in live:
+        root.adjoint = np.ones_like(root.value)
+    # a live node's first contribution becomes its adjoint as it is
+    # (adding it to zero would change only the sign of zero entries);
+    # later ones are added into a new array, never in place
+    for node in reversed(order):
+        edges = [(i, p) for i, p in enumerate(node.parents) if id(p) in live]
+        if not edges:
+            continue
+        parts = node.vjp(node.adjoint)
+        for i, parent in edges:
+            parent.adjoint = (parts[i] if parent.adjoint is None
+                              else parent.adjoint + parts[i])

@@ -24,6 +24,7 @@ hand-derived backward, and forward() the two on one adjacency.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,23 +169,30 @@ def forward_profile(d: np.ndarray, matrices, p_bar_w, grad=None) -> _Network:
     are `.out`, shaped like `d`: one (K, 1) profile or a (B, K, 1) stack.
 
     `matrices` are the layer weight arrays, the first taking one feature and
-    the last emitting one, (n, m) for one network with a float `p_bar_w` >=
-    0, or (R, n, m) for a stack of R networks with the R budgets in
-    `p_bar_w`, where `.out` gains a leading run axis.  The pass reads `d`
-    and the weights through the arrays given and writes into buffers it
-    makes once: after a caller refills those arrays in place, `.forward()`
-    runs it again.  `.backward(g)` writes every layer's weight gradient into
-    one buffer (`grad` when given) laid out by flat_views, 1-D for one
-    network and (R, P) for a stack, and returns its views.
+    the last emitting one, (n, m) for one network with one budget `p_bar_w`
+    >= 0 (given as a (1,) array, `.out` gains a run axis of 1), or (R, n,
+    m) for a stack of R networks with the R budgets in `p_bar_w`, where
+    `.out` gains a leading run axis; ValueError names both counts when they
+    differ.  The pass reads `d` and the weights through the arrays given
+    and writes into buffers it makes once: after a caller refills those
+    arrays in place, `.forward()` runs it again.  `.backward(g)` writes
+    every layer's weight gradient into one buffer (`grad` when given) laid
+    out by flat_views, 1-D for one network and (R, P) for a stack, and
+    returns its views.
     """
     if d.ndim not in (2, 3) or d.shape[-1] != 1:
         raise ValueError("a profile must be (K, 1) or (B, K, 1)")
     if matrices[0].shape[-2] != 1 or matrices[-1].shape[-1] != 1:
         raise ValueError("the network must map one feature per round to one")
     share = np.asarray(p_bar_w, dtype=np.float64) / d.shape[-2]
+    runs = matrices[0].shape[:-2]
+    if share.size != math.prod(runs):
+        raise ValueError(f"p_bar_w's budget count {share.size} does not "
+                         f"match the network count {math.prod(runs)}")
     if np.any(share < 0.0):
         raise ValueError("p_bar_w must be nonnegative")
-    net = _Network(d, matrices, share, grad)
+    # a stack's budgets take its run shape; one network keeps its budget's
+    net = _Network(d, matrices, share.reshape(runs or share.shape), grad)
     net.forward()
     return net
 

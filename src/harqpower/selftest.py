@@ -127,6 +127,15 @@ def _check_autodiff():
     ad.backward(root)
     _expect(all(np.array_equal(g, p.adjoint) for g, p in zip(grads, params)),
             "backward must be idempotent")
+    # train_stack's step on a fresh build: the two ops' computes, then their
+    # products from the root's adjoint 1, bit for bit backward's gradient
+    root = lagrangian([ad.parameter(m) for m in mats])
+    (network,) = root.parents
+    network.compute()
+    root.compute()
+    got = network.vjp(*root.vjp(1.0))
+    _expect(all(g.tobytes() == s.tobytes() for g, s in zip(grads, got)),
+            "the training step's gradient must equal backward's")
 
 
 def _check_gcn():

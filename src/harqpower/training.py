@@ -9,14 +9,15 @@ batch, and descends the batch-mean Lagrangian
 in the network weights (Adam) while ascending the projected multipliers.
 Both constraint terms use the same mini-batch as the weight gradient.  The
 latency term is clipped at TAU_CLIP_FLOORS latency floors of the link.  The
-graph is two fused ops with hand-derived products, recorded on the first
-step and replayed on later ones; its leaves are the weights, the
-multipliers and a batch's rows of two per-sample constants made once per
-run, the network profile A^L 1 and the inverse correlation penalties.  Only
-the network's pass (gcn.forward_profile) and the chain's rounds-last rows
-are buffers made once, the chain's because a fresh (..., K) chain is
-several times slower; the masks, adjoints, Adam's terms and the dual step
-are plain numpy expressions.  One finiteness test guards a step (_diagnose).
+graph is two fused ops with hand-derived products, built once before the
+first step; every step calls their forwards and products directly.  Its
+leaves are the weights, the multipliers and a batch's rows of two
+per-sample constants made once per run, the network profile A^L 1 and the
+inverse correlation penalties.  Only the network's pass
+(gcn.forward_profile) and the chain's rounds-last rows are buffers made
+once, the chain's because a fresh (..., K) chain is several times slower;
+the masks, adjoints, Adam's terms and the dual step are plain numpy
+expressions.  One finiteness test guards a step (_diagnose).
 
 Several runs that differ only in scheme and power budget train as one
 stack: the weights, gradient, Adam moments, multipliers, step-size guard
@@ -206,8 +207,8 @@ def batch_lagrangian(wnodes, d: np.ndarray, inv_corr: np.ndarray, runs,
     `inv_corr`, the weights and the multipliers through the arrays passed
     in (`lam` and `ups` as views when they are float arrays), and writes
     the statistics, the network's pass and the chain into buffers made
-    here, so a Tape of the root replays it after those arrays change in
-    place.
+    here, so after those arrays change in place, calling the network's
+    compute() and then the root's evaluates the new values.
 
     The graph is two ops: the network's pass on `d` (gcn.forward_profile),
     made here the "gcn" op over the weight nodes, and one op that maps its
@@ -215,11 +216,11 @@ def batch_lagrangian(wnodes, d: np.ndarray, inv_corr: np.ndarray, runs,
     analytics.analytic_chain and chain_adjoint.  Its compute(check=True)
     raises UndefinedLagrangian, naming the first run, on a non-finite
     power, then on a zero denominator, then on a nonpositive final outage;
-    a replay checks nothing (train_stack tests a step once).  numpy warns
-    of overflows unless the caller silences it, as train_stack does.  The
-    op departs from the capped report in two deliberate ways around the
-    outage-near-one region, where the latency ratio has a pole that
-    otherwise wrecks the optimizer:
+    a plain compute() checks nothing (train_stack tests a step once).
+    numpy warns of overflows unless the caller silences it, as train_stack
+    does.  The op departs from the capped report in two deliberate ways
+    around the outage-near-one region, where the latency ratio has a pole
+    that otherwise wrecks the optimizer:
 
     * per-round outage values are not capped below one (the cap turns the
       pole into an eight-orders-of-magnitude cliff whose gradient poisons
@@ -382,18 +383,22 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
     # the leaves of the training graph, refilled in place every step: the
     # batch's rows of d and inv_corr, the multipliers and the weights (Adam
     # updates flat in place); every batch is full, so no shape changes
-    d = np.empty((cfg.batch_size,) + d_all.shape[1:])
-    inv_corr = np.empty((cfg.batch_size,) + inv_corr_all.shape[1:])
+    d = d_all[:cfg.batch_size].copy()
+    inv_corr = inv_corr_all[:cfg.batch_size].copy()
     # the multipliers, one row each, and their step sizes and targets
     duals = np.array([[INIT_LAMBDA] * n_runs, [INIT_UPSILON] * n_runs])
     lam, ups = duals
     dual_lr = np.array([[cfg.lr_lambda], [cfg.lr_upsilon]])
     dual_bound = np.stack([np.full(n_runs, math.log(link.outage_target)),
                            p_bar])
-    wnodes = [ad.parameter(m) for m in mats]
-    tape = None
-    # the graph's (4, R, B) per-sample statistics in STAT_FIELDS order
+    # the graph, built once on the dataset's first rows; its (4, R, B)
+    # per-sample statistics in STAT_FIELDS order
     per_sample = np.empty((4, n_runs, cfg.batch_size))
+    root, stats = batch_lagrangian([ad.parameter(m) for m in mats], d,
+                                   inv_corr, runs, lam, ups, grad=grad,
+                                   out=per_sample)
+    (network,) = root.parents
+    raw_tau = stats["raw_tau_s"]
 
     guard_steps = np.zeros(n_runs, dtype=int)
     it = 0
@@ -408,18 +413,12 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             # mode="clip" writes straight into `out` ("raise" buffers)
             np.take(d_all, sel, axis=0, out=d, mode="clip")
             np.take(inv_corr_all, sel, axis=0, out=inv_corr, mode="clip")
-            if tape is None:
-                # the first step records the graph; later steps replay it
-                root, stats = batch_lagrangian(wnodes, d, inv_corr, runs,
-                                               lam, ups, grad=grad,
-                                               out=per_sample)
-                tape = ad.Tape(root)
-                raw_tau = stats["raw_tau_s"]
-            else:
-                tape.replay()
+            network.compute()
+            root.compute()
             # each statistic is its per-sample row's per-run batch mean
             means = per_sample.sum(axis=-1) / cfg.batch_size
-            tape.backward()
+            # the root's adjoint 1 back to the powers, then into grad
+            network.vjp(*root.vjp(1.0))
 
             ramp = 1.0 - (1.0 - LR_FINAL_FRAC) * (it / total_steps)
             lr = cfg.lr_weights * ramp
@@ -439,7 +438,7 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             history[:, it, 1:4] = means[1:].T
             history[:, it, 4:] = duals.T
             it += 1
-    # no replay follows the last step, so its weights get one forward pass
+    # no step evaluates the last Adam step's weights, so they get one pass
     out = forward_profile(d_all[:cfg.batch_size], mats, p_bar).out
     bad = ~np.isfinite(out)
     if bad.any():

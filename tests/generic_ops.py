@@ -4,8 +4,8 @@ The program differentiates its two fused ops (the policy network and the
 training Lagrangian) by hand.  The ops here are the independent reference
 those products are checked against: the Lagrangian rebuilt op by op
 (test_acceptance.generic_lagrangian) and central finite differences.  They
-build on harqpower.autodiff's Node, op and Tape, whose names this module
-re-exports, so a test reads every op through one namespace.
+build on harqpower.autodiff's Node, op and backward, whose names this
+module re-exports, so a test reads every op through one namespace.
 
 Gradient conventions at nondifferentiable points: relu'(0) = 0 and the
 derivative of clamp at an exactly-clamped entry is 0.
@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from harqpower.autodiff import (Node, Tape, _topo_order, backward, constant,
-                                op, parameter)
+from harqpower.autodiff import (Node, _topo_order, backward, constant, op,
+                                parameter)
 from harqpower.types import P_MIN_WATTS
 
 __all__ = [
-    "Node", "Tape", "add", "backward", "constant", "op", "parameter",
+    "Node", "add", "backward", "constant", "op", "parameter",
     "multiply", "divide", "matmul", "relu", "clamp", "log", "reduce_sum",
     "GradientReport", "finite_diff_check", "activity_signature",
 ]

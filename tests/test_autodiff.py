@@ -1,8 +1,7 @@
 """Tests for the reverse-mode differentiation core and the generic ops.
 
-The core (Node, op, add, Tape, backward) is the program's; the other ops
-live in tests/generic_ops.py, as the reference for the hand-derived
-gradients.  Gradient values are checked against central finite differences
+The core (Node, op, backward) is the program's; the ops live in
+tests/generic_ops.py, as the reference for the hand-derived gradients.  Gradient values are checked against central finite differences
 at smooth points and against hand algebra for the closed-form cases. Kink
 behavior (relu and clamp boundaries) is pinned to the documented
 zero-subgradient convention.
@@ -170,44 +169,6 @@ def test_relu_gradient_is_indicator(x):
     p = ad.parameter(x)
     ad.backward(ad.reduce_sum(ad.relu(p)))
     assert np.array_equal(p.adjoint, (x > 0.0).astype(float))
-
-
-def test_tape_replay_follows_leaves_changed_in_place():
-    x = np.array([1.0, 2.0, 3.0])
-    w = np.array([0.5, -1.0, 2.0])
-    p = ad.parameter(w)
-    root = ad.reduce_sum(ad.divide(ad.multiply(p, ad.constant(x)),
-                                   ad.add(ad.constant(x), ad.constant(1.0))))
-    tape = ad.Tape(root)
-    x *= 2.0
-    w += 1.0
-    tape.replay()
-    tape.backward()
-    q = ad.parameter(w.copy())
-    fresh = ad.reduce_sum(ad.divide(ad.multiply(q, ad.constant(x.copy())),
-                                    ad.add(ad.constant(x.copy()),
-                                           ad.constant(1.0))))
-    ad.backward(fresh)
-    assert root.value.tobytes() == fresh.value.tobytes()
-    assert p.adjoint.tobytes() == q.adjoint.tobytes()
-
-
-def test_tape_replay_rejects_zero_denominator():
-    d = np.array([1.0, 2.0])
-    tape = ad.Tape(ad.reduce_sum(ad.divide(ad.parameter(np.ones(2)),
-                                           ad.constant(d))))
-    d[1] = 0.0
-    with pytest.raises(ZeroDivisionError):
-        tape.replay()
-
-
-def test_tape_replay_rejects_nonpositive_log_entry():
-    x = np.array([1.0, 2.0])
-    tape = ad.Tape(ad.reduce_sum(ad.log(ad.multiply(ad.parameter(np.ones(2)),
-                                                    ad.constant(x)))))
-    x[0] = -1.0
-    with pytest.raises(ValueError, match="nonpositive"):
-        tape.replay()
 
 
 def test_tape_gives_constants_no_adjoint():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harqpower
-from harqpower import autodiff, montecarlo, training
+from harqpower import gcn, montecarlo, training
 from harqpower.cli import (DEFAULTS, MAX_DBW, MIN_DBW, SEED_ENV_VAR,
                            ConfigError, build_parser, main, read_config,
                            resolve_config)
@@ -539,9 +539,8 @@ class TestSweepCommands:
                                                   monkeypatch):
         # two budgets x three schemes train as one stack: one epoch of the
         # default 1000/50 dataset is 20 stacked steps, not 6 x 20; the stack
-        # builds its graph once and replays it on the 19 later steps
-        calls = {"adam_update": 0, "batch_lagrangian": 0, "replay": 0,
-                 "backward": 0}
+        # builds its graph once, and each step runs the network backward once
+        calls = {"adam_update": 0, "batch_lagrangian": 0, "backward": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -553,13 +552,12 @@ class TestSweepCommands:
 
         counted(training, "adam_update")
         counted(training, "batch_lagrangian")
-        counted(autodiff.Tape, "replay")
-        counted(autodiff.Tape, "backward")
+        counted(gcn._Network, "backward")
         rc = run("sweep-power", "--out", tmp_path, "--epochs", 1,
                  "--budget-lo-dbw", 15.0, "--budget-hi-dbw", 16.0)
         assert rc == 0
         assert calls == {"adam_update": 20, "batch_lagrangian": 1,
-                         "replay": 19, "backward": 20}
+                         "backward": 20}
         lines = (tmp_path / "sweep_power.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 3
 

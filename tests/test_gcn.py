@@ -137,6 +137,36 @@ class TestForward:
         with pytest.raises(ValueError, match="^p_bar_w must be nonnegative$"):
             forward(np.eye(3), mats, np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("n_runs, p_bar_w, counts", [
+        (None, np.array([10.0, 20.0]), (2, 1)),
+        (3, 10.0, (1, 3)),
+        (3, np.array([10.0, 20.0]), (2, 3))],
+        ids=["one-network-2-budgets", "stack-of-3-1-budget",
+             "stack-of-3-2-budgets"])
+    def test_budget_count_must_match_the_networks(self, n_runs, p_bar_w,
+                                                  counts):
+        mats = init_weights(seed=4).matrices
+        if n_runs is not None:
+            mats = [np.stack([m] * n_runs) for m in mats]
+        with pytest.raises(ValueError, match=(
+                "^p_bar_w's budget count {} does not match the network "
+                "count {}$".format(*counts))):
+            forward_profile(np.ones((5, 3, 1)), mats, p_bar_w)
+
+    def test_one_budget_per_network_in_any_shape(self):
+        # one network takes a float or a (1,) budget, the latter with a run
+        # axis of 1, as batch_lagrangian's single run passes it; a stack of
+        # one takes either too
+        w = init_weights(seed=4).matrices
+        d = profile(batch_adjacency(np.array([0.3, 0.6]), 3, 1), len(w))
+        want = forward_profile(d, w, 10.0).out
+        for mats, p_bar_w in ((w, np.array([10.0])),
+                              ([m[None] for m in w], 10.0),
+                              ([m[None] for m in w], np.array([10.0]))):
+            out = forward_profile(d, mats, p_bar_w).out
+            assert out.shape == (1,) + d.shape
+            assert out[0].tobytes() == want.tobytes()
+
     @given(scale=st.floats(0.1, 10.0), seed=st.integers(0, 50))
     @settings(max_examples=40)
     def test_positive_homogeneity_in_input_power(self, scale, seed):

@@ -14,7 +14,7 @@ import generic_ops as ad
 import numpy as np
 import pytest
 
-from harqpower import autodiff, training
+from harqpower import gcn, training
 from harqpower.analytics import correlation_factor, evaluate
 from harqpower.gcn import GcnWeights, forward, init_weights, profile
 from harqpower.graph import batch_adjacency, session_adjacency
@@ -485,22 +485,16 @@ class TestTrainStack:
 
     def test_non_finite_gradient_names_its_first_run(self, monkeypatch):
         # poison the gradient of runs 1 and 2 in different layers after
-        # every backward pass; the objective stays finite
-        params = []
-        original_parameter = autodiff.parameter
-        original_backward = autodiff.Tape.backward
+        # every backward pass of the network; the objective stays finite
+        original_backward = gcn._Network.backward
 
-        def recorded(value):
-            params.append(original_parameter(value))
-            return params[-1]
+        def poisoned(net, g):
+            grads = original_backward(net, g)
+            grads[0][2] = np.inf
+            grads[-1][1] = np.nan
+            return grads
 
-        def poisoned(tape):
-            original_backward(tape)
-            params[0].adjoint[2] = np.inf
-            params[-1].adjoint[1] = np.nan
-
-        monkeypatch.setattr(autodiff, "parameter", recorded)
-        monkeypatch.setattr(autodiff.Tape, "backward", poisoned)
+        monkeypatch.setattr(gcn._Network, "backward", poisoned)
         runs = [(Scheme.TYPE_I, LINK),
                 (Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
                 (Scheme.INCREMENTAL, LINK)]
@@ -555,8 +549,8 @@ class TestTrainStack:
             train_stack(runs, PROTO, cfg)
 
     def test_zero_outage_at_a_replayed_step(self, monkeypatch):
-        # a zero penalty gives a zero final outage, whose log the replayed
-        # graph cannot take; every run fails, and the first is named
+        # a zero penalty gives a zero final outage, whose log the second
+        # step's graph cannot take; every run fails, and the first is named
         cfg = TrainConfig(epochs=1, dataset_size=20, batch_size=10)
         self.poison_second_batch(monkeypatch, cfg, 0.0)
         runs = [(Scheme.CHASE, LinkConfig(power_budget_dbw=16.0)),
@@ -585,8 +579,9 @@ class TestTrainStack:
 
 
 class TestTapeReplay:
-    """A training step replays the graph recorded on the first one; every
-    replayed step must equal a graph built afresh from the same values."""
+    """A training step replays the graph built once before the first step
+    by calling its two ops directly, with no tape; every such step must
+    equal a graph built afresh from the same values."""
 
     @pytest.mark.parametrize("runs", [
         [(Scheme.INCREMENTAL, LINK)],
@@ -601,22 +596,20 @@ class TestTapeReplay:
         mats = [np.stack([m] * len(runs)) for m in init_weights(4).matrices]
         d_all = profile(adj_all, len(mats))
         adams = [AdamState.like(m) for m in mats]
-        wnodes = [ad.parameter(m) for m in mats]
-        d = np.empty((10,) + d_all.shape[1:])
-        inv_corr = np.empty((10,) + inv_all.shape[1:])
+        # built once on the dataset's first rows, as train_stack builds it
+        d = d_all[:10].copy()
+        inv_corr = inv_all[:10].copy()
         lam, ups = np.zeros(len(runs)), np.zeros(len(runs))
-        tape = None
+        root, nodes = batch_lagrangian([ad.parameter(m) for m in mats], d,
+                                       inv_corr, runs, lam, ups)
+        (network,) = root.parents
         for step in range(6):
             sel = order[10 * step:10 * (step + 1)]
             np.take(d_all, sel, axis=0, out=d)
             np.take(inv_all, sel, axis=0, out=inv_corr)
-            if tape is None:
-                root, nodes = batch_lagrangian(wnodes, d, inv_corr, runs,
-                                               lam, ups)
-                tape = ad.Tape(root)
-            else:
-                tape.replay()
-            tape.backward()
+            network.compute()
+            value = root.compute()
+            grads = network.vjp(*root.vjp(1.0))
 
             fresh = [ad.parameter(m.copy()) for m in mats]
             want_root, want_nodes = batch_lagrangian(
@@ -625,27 +618,27 @@ class TestTapeReplay:
             ad.backward(want_root)
             stats = run_means(nodes, len(runs), 10)
             want = run_means(want_nodes, len(runs), 10)
-            assert root.value.tobytes() == want_root.value.tobytes()
+            assert np.float64(value).tobytes() == want_root.value.tobytes()
             assert set(stats) == set(want)
             for key in want:
                 assert stats[key].tobytes() == want[key].tobytes(), key
-            for w, f in zip(wnodes, fresh):
-                assert w.adjoint.tobytes() == f.adjoint.tobytes()
+            for g, f in zip(grads, fresh):
+                assert g.tobytes() == f.adjoint.tobytes()
 
             # train_stack's guard: every sample's latency clipped to 0
             assert np.array_equal(stats["mean_tau_s"] == 0.0,
                                   want["mean_tau_s"] == 0.0)
 
             # move every leaf in place, as a training step does
-            for adam, m, w in zip(adams, mats, wnodes):
-                adam_update(adam, m, w.adjoint, lr=0.05)
+            for adam, m, g in zip(adams, mats, grads):
+                adam_update(adam, m, g, lr=0.05)
             lam += 0.5
             ups += 2e-3
 
 
 class TestHandDerivedStep:
     """The step is two fused ops with hand-derived products (the network
-    and the Lagrangian), over buffers made on the first step."""
+    and the Lagrangian), over buffers made before the first step."""
 
     STACK = [(scheme, LinkConfig(power_budget_dbw=budget)) for scheme, budget
              in ((Scheme.TYPE_I, 14.0), (Scheme.CHASE, 15.0),
@@ -696,7 +689,7 @@ class TestHandDerivedStep:
     @pytest.mark.parametrize("n_runs", (1, 3))
     def test_later_steps_allocate_no_layer_arrays(self, monkeypatch, n_runs):
         # trace the memory a whole step takes, from one Adam update to the
-        # next, once the first step has made the buffers: less than one
+        # next, from the second step on: less than one
         # of the network's 16-feature layer arrays, where a step that
         # allocated its layers would take all of them and their gradients
         # (numpy's per-call iterator buffers of the (R, B, K) chain arrays
