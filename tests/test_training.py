@@ -16,7 +16,8 @@ import pytest
 
 from harqpower import gcn, training
 from harqpower.analytics import correlation_factor, evaluate
-from harqpower.gcn import GcnWeights, forward, init_weights, profile
+from harqpower.gcn import (GcnWeights, flat_views, forward, init_weights,
+                           profile)
 from harqpower.graph import batch_adjacency, session_adjacency
 from harqpower.oracle import default_grid, grid_search
 from harqpower.training import (HISTORY_FIELDS, AdamState, TrainConfig,
@@ -634,6 +635,41 @@ class TestTapeReplay:
                 adam_update(adam, m, g, lr=0.05)
             lam += 0.5
             ups += 2e-3
+
+    def test_train_stack_steps_equal_fresh_builds(self, monkeypatch):
+        # every step of train_stack, the first included, hands Adam the
+        # gradient of a graph built afresh on its own batch, weights and
+        # multipliers
+        runs = [(Scheme.TYPE_I, LinkConfig(power_budget_dbw=14.0)),
+                (Scheme.INCREMENTAL, LINK)]
+        cfg = TrainConfig(epochs=2, dataset_size=30, batch_size=10)
+        seen = []
+        original = training.adam_update
+
+        def recorded(state, x, g, lr):
+            seen.append((x.copy(), g.copy()))
+            original(state, x, g, lr)
+
+        monkeypatch.setattr(training, "adam_update", recorded)
+        results = train_stack(runs, PROTO, cfg)
+        adj_all, inv_all = dataset_constants(sample_rho_dataset(cfg), PROTO)
+        shuffle = np.random.default_rng(
+            np.random.SeedSequence((cfg.seed, 13)))
+        batches = [sel for _ in range(cfg.epochs) for sel in
+                   shuffle.permutation(cfg.dataset_size).reshape(
+                       -1, cfg.batch_size)]
+        assert len(seen) == len(batches)
+        like = init_weights(cfg.seed).matrices
+        duals = np.zeros((2, len(runs)))
+        for it, ((x, g), sel) in enumerate(zip(seen, batches)):
+            params = [ad.parameter(m) for m in flat_views(x, like)]
+            root, _ = batch_lagrangian(
+                params, profile(adj_all[sel], len(like)), inv_all[sel], runs,
+                *duals)
+            ad.backward(root)
+            assert params[0].adjoint.base.tobytes() == g.tobytes(), it
+            # the multipliers after step it, which step it + 1 reads
+            duals = np.array([r.history[it, 4:] for r in results]).T
 
 
 class TestHandDerivedStep:
