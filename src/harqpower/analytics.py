@@ -25,15 +25,6 @@ import numpy as np
 from .types import (OUTAGE_CAP, ChannelParams, LinkConfig, PerformanceReport,
                     PowerPolicy, Scheme)
 
-__all__ = [
-    "correlation_factor",
-    "rate_factors",
-    "ChainWork",
-    "analytic_chain",
-    "chain_adjoint",
-    "evaluate",
-]
-
 
 def correlation_factor(rho, rounds: int, delta: int = 1) -> np.ndarray:
     """Correlation penalties of the first k = 1..`rounds` transmissions.

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Node", "constant", "parameter", "op", "backward"]
-
 
 class Node:
     __slots__ = ("value", "adjoint", "parents", "vjp", "kind", "compute")

@@ -34,7 +34,8 @@ from .gcn import save_checkpoint
 from .montecarlo import estimate_outage_conditional
 # bench/spans.py traces the direct estimator under the name estimate_outage
 from .montecarlo import estimate_profile as estimate_outage
-from .oracle import ComplexityGuard, GridInfeasible, default_grid, grid_search
+from .oracle import (ComplexityGuard, GridInfeasible, GridSpec, default_grid,
+                     grid_search)
 from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged,
                        evaluate_policy, train, train_stack)
 from .types import (P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy,
@@ -83,13 +84,15 @@ MIN_DBW = math.ceil(10.0 * math.log10(sys.float_info.min))
 MIN_INT_VALUES = {"trials": 1, "threads": 1, "epochs": 1, "points": 2,
                   "rho_points": 1, "rounds": 1, "seed": 0}
 
-# LinkConfig and TrainConfig fields are config keys of the same name
+# LinkConfig and TrainConfig fields are config keys of the same name; the
+# channel's and the grid's defaults are ChannelParams' and GridSpec's
 DEFAULTS = {
     **{f.name: f.default for f in dataclasses.fields(LinkConfig)},
     **{f.name: f.default for f in dataclasses.fields(TrainConfig)},
-    "scheme": "ir", "rounds": 3, "delta": 1, "rho": 0.5,
-    "trials": 1_000_000, "threads": 1, "power_dbw": 30.0,
-    "estimator": "conditional", "points": 40, "rho_points": 15,
+    "scheme": "ir", "rounds": ChannelParams.num_rounds,
+    "delta": ChannelParams.delta, "rho": 0.5, "trials": 1_000_000,
+    "threads": 1, "power_dbw": 30.0, "estimator": "conditional",
+    "points": GridSpec.points_per_axis, "rho_points": 15,
     "budget_lo_dbw": 12.0, "budget_hi_dbw": 18.0,
 }
 

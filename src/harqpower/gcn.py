@@ -24,15 +24,13 @@ hand-derived backward, and forward() the two on one adjacency.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .types import P_MIN_WATTS
-
-__all__ = ["GcnWeights", "init_weights", "flat_views", "profile",
-           "forward_profile", "forward", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_MAGIC = "HARQPOWER-GCN"
 CHECKPOINT_VERSION = 1
@@ -220,39 +218,59 @@ def save_checkpoint(path, weights: GcnWeights) -> None:
 
 
 def load_checkpoint(path) -> GcnWeights:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    head = lines[0].split()
+    """The network save_checkpoint wrote to `path`.
+
+    OSError when the file cannot be read; any other fault, a non-finite
+    weight among them, raises one ValueError naming the file and the fault.
+    """
+    try:
+        with open(path) as fh:
+            return _parse_checkpoint(iter([ln.split() for ln in fh
+                                           if ln.strip()]))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
+
+
+def _fields(lines, tag: str, count=None) -> list:
+    """The fields after `tag` on the next line, `count` of them if given."""
+    fields = next(lines, None)
+    if fields is None:
+        raise ValueError(f"the file ends before its {tag} line")
+    if fields[0] != tag or count not in (None, len(fields) - 1):
+        raise ValueError(f"expected a {tag} line, got {' '.join(fields)!r}")
+    return fields[1:]
+
+
+def _parse_checkpoint(lines) -> GcnWeights:
+    head = next(lines, None)
+    if head is None:
+        raise ValueError("the file is empty")
     if head[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {head[0]!r}")
-    if int(head[1]) != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {head[1]}")
-    if not lines[1].startswith("dims ") or not lines[2].startswith("activations "):
-        raise ValueError("malformed checkpoint header")
-    dims = tuple(int(x) for x in lines[1].split()[1:])
-    acts = tuple(lines[2].split()[1:])
-    seed = int(lines[3].split()[1])
+    if head[1:] != [str(CHECKPOINT_VERSION)]:
+        raise ValueError("unsupported checkpoint version "
+                         f"{' '.join(head[1:])!r}")
+    dims = tuple(int(x) for x in _fields(lines, "dims"))
+    acts = tuple(_fields(lines, "activations"))
+    (seed,) = (int(x) for x in _fields(lines, "seed", 1))
     if len(dims) < 2 or min(dims) < 1:
-        raise ValueError(f"checkpoint dims {dims} need at least one layer "
-                         "and positive widths")
+        raise ValueError(f"dims {dims} need at least one layer and positive "
+                         "widths")
     if acts != _activations(len(dims) - 1):
-        raise ValueError(f"checkpoint activations {acts} disagree with "
+        raise ValueError(f"activations {acts} disagree with "
                          f"{_activations(len(dims) - 1)} for dims {dims}")
     mats = []
-    pos = 4
-    for _ in range(len(dims) - 1):
-        tag, _, rows, cols = lines[pos].split()
-        if tag != "matrix":
-            raise ValueError("malformed checkpoint matrix block")
-        rows, cols = int(rows), int(cols)
-        block = [[float(x) for x in lines[pos + 1 + r].split()] for r in range(rows)]
-        m = np.asarray(block, dtype=np.float64)
-        if m.shape != (rows, cols):
-            raise ValueError("checkpoint matrix shape mismatch")
-        mats.append(m)
-        pos += 1 + rows
-    expected = list(zip(dims[:-1], dims[1:]))
-    actual = [m.shape for m in mats]
-    if actual != expected:
-        raise ValueError(f"checkpoint matrices {actual} disagree with dims {dims}")
+    for idx, shape in enumerate(zip(dims[:-1], dims[1:])):
+        if tuple(int(x) for x in _fields(lines, "matrix", 3)) != (idx, *shape):
+            raise ValueError(f"matrix {idx} is not headed 'matrix {idx} "
+                             f"{shape[0]} {shape[1]}', as dims {dims} give")
+        rows = list(itertools.islice(lines, shape[0]))
+        if len(rows) < shape[0] or any(len(r) != shape[1] for r in rows):
+            raise ValueError(f"matrix {idx} is not {shape[0]} rows of "
+                             f"{shape[1]} numbers")
+        mats.append(np.array([[float(x) for x in row] for row in rows]))
+        if not np.isfinite(mats[-1]).all():
+            raise ValueError(f"matrix {idx} holds a non-finite weight")
+    if next(lines, None) is not None:
+        raise ValueError("lines follow the last matrix")
     return GcnWeights(matrices=mats, seed=seed)

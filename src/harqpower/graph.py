@@ -19,8 +19,6 @@ import numpy as np
 
 from .types import ChannelParams
 
-__all__ = ["batch_adjacency", "normalize_adjacency", "session_adjacency"]
-
 
 def normalize_adjacency(h: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization D^{-1/2} H D^{-1/2}, D = diag(row sums).

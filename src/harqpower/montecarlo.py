@@ -57,9 +57,6 @@ import numpy as np
 
 from .types import ChannelParams, PowerPolicy, Scheme
 
-__all__ = ["McEstimate", "sample_channel_coeffs", "outage_event",
-           "estimate_profile", "estimate_outage_conditional"]
-
 CHUNK_TRIALS = 1 << 15
 # trials sampled and scored at a time inside a chunk (see "Layout"); the
 # conditional block is larger because the Chebyshev series' per-call cost

@@ -15,9 +15,6 @@ from .analytics import (ChainWork, analytic_chain, correlation_factor,
 from .types import (P_MIN_WATTS, ChannelParams, LinkConfig,
                     PowerPolicy, Scheme, dbw_to_watts)
 
-__all__ = ["GridSpec", "OracleResult", "ComplexityGuard", "GridInfeasible",
-           "default_grid", "grid_search"]
-
 MAX_GRID_ROUNDS = 4
 # grid points evaluated per block: a block's dozen or so arrays stay near
 # 1 MB, in cache, whatever the grid size; the tie-break makes the result
@@ -49,7 +46,8 @@ class GridSpec:
         return np.geomspace(self.p_min_w, self.p_max_w, self.points_per_axis)
 
 
-def default_grid(link: LinkConfig, points: int = 40) -> GridSpec:
+def default_grid(link: LinkConfig,
+                 points: int = GridSpec.points_per_axis) -> GridSpec:
     """Grid spanning the power floor up to 3 dB above the average budget.
 
     Raises GridInfeasible when that top is not above the floor: every

@@ -25,8 +25,6 @@ from .training import (AdamState, adam_update, batch_lagrangian,
                        dataset_constants)
 from .types import ChannelParams, LinkConfig, PowerPolicy, Scheme
 
-__all__ = ["run_selftest"]
-
 
 def _expect(ok, what: str = "") -> None:
     """Fail the current check; an explicit raise still runs under python -O."""

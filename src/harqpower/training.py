@@ -44,11 +44,6 @@ from .gcn import (GcnWeights, flat_views, forward, forward_profile,
 from .graph import batch_adjacency, session_adjacency
 from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 
-__all__ = ["TrainConfig", "TrainResult", "AdamState", "adam_update",
-           "sample_rho_dataset", "dataset_constants", "batch_lagrangian",
-           "train", "train_stack", "evaluate_policy",
-           "TrainingDiverged", "UndefinedLagrangian", "HISTORY_FIELDS"]
-
 # mean_tau_s is the batch mean of the clipped latency the objective uses,
 # so a batch whose every sample sits past the latency pole logs 0
 HISTORY_FIELDS = ("iter", "mean_tau_s", "mean_log_pout", "mean_pavg_w",

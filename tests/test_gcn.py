@@ -1,14 +1,10 @@
 """Tests for the graph-convolutional policy network and its checkpoints."""
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import generic_ops as ad
-import harqpower
 from harqpower.gcn import (DEFAULT_DIMS, GcnWeights, flat_views, forward,
                            forward_profile, init_weights, load_checkpoint,
                            profile, save_checkpoint)
@@ -105,20 +101,6 @@ class TestForward:
         ad.backward(ad.reduce_sum(out))
         # two rounds, each emitting (p_bar / K) * w
         assert np.array_equal(w.adjoint, np.array([[4.0]]))
-
-    def test_import_does_not_load_autodiff(self):
-        # the package's __init__ imports training, which builds the tape,
-        # so the module is imported under a bare package object
-        code = ("import sys, types; pkg = types.ModuleType('harqpower'); "
-                f"pkg.__path__ = {list(harqpower.__path__)!r}; "
-                "sys.modules['harqpower'] = pkg; import harqpower.gcn; "
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith('harqpower')))")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[0] == str(
-            ["harqpower", "harqpower.gcn", "harqpower.types"])
 
     def test_rejects_nonsquare_adjacency(self):
         w = init_weights(seed=0)
@@ -359,3 +341,71 @@ class TestCheckpoint:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "nope.txt")
+
+    @staticmethod
+    def rejected(path, fault: str) -> None:
+        """load_checkpoint raises one ValueError naming `path` and `fault`."""
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"checkpoint {path}: {fault}"
+
+    @staticmethod
+    def saved_lines(tmp_path) -> tuple:
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, init_weights(seed=3))
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        for text in ("", "\n  \n"):
+            path.write_text(text)
+            self.rejected(path, "the file is empty")
+
+    def test_file_cut_after_dims_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("".join(lines[:2]))
+        self.rejected(path, "the file ends before its activations line")
+
+    def test_matrix_block_cut_short_rejected(self, tmp_path):
+        # keep 5 of matrix 2's 32 rows
+        path, lines = self.saved_lines(tmp_path)
+        assert lines[23] == "matrix 2 32 16\n"
+        path.write_text("".join(lines[:29]))
+        self.rejected(path, "matrix 2 is not 32 rows of 16 numbers")
+
+    def test_row_cut_short_rejected(self, tmp_path):
+        # the file ends after the first of the two entries of matrix 3's
+        # last row
+        path, lines = self.saved_lines(tmp_path)
+        assert lines[73] == "matrix 4 2 1\n"
+        path.write_text("".join(lines[:72]) + lines[72].split()[0])
+        self.rejected(path, "matrix 3 is not 16 rows of 2 numbers")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        path, lines = self.saved_lines(tmp_path)
+        row = lines[5].split()
+        lines[5] = " ".join([row[0], weight] + row[2:]) + "\n"
+        path.write_text("".join(lines))
+        self.rejected(path, "matrix 0 holds a non-finite weight")
+
+    def test_non_numeric_weight_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[5] = lines[5].replace(" ", " x", 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="^checkpoint .*ckpt.txt: could "
+                                             "not convert string to float"):
+            load_checkpoint(path)
+
+    def test_matrix_header_disagreeing_with_dims_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[4] = "matrix 0 16 1\n"
+        path.write_text("".join(lines))
+        self.rejected(path, "matrix 0 is not headed 'matrix 0 1 16', as dims "
+                            "(1, 16, 32, 16, 2, 1) give")
+
+    def test_lines_after_the_last_matrix_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("".join(lines) + "matrix 5 1 1\n0.5\n")
+        self.rejected(path, "lines follow the last matrix")
