@@ -84,8 +84,7 @@ MIN_DBW = math.ceil(10.0 * math.log10(sys.float_info.min))
 MIN_INT_VALUES = {"trials": 1, "threads": 1, "epochs": 1, "points": 2,
                   "rho_points": 1, "rounds": 1, "seed": 0}
 
-# LinkConfig and TrainConfig fields are config keys of the same name; the
-# channel's and the grid's defaults are ChannelParams' and GridSpec's
+# LinkConfig and TrainConfig fields are config keys of the same name
 DEFAULTS = {
     **{f.name: f.default for f in dataclasses.fields(LinkConfig)},
     **{f.name: f.default for f in dataclasses.fields(TrainConfig)},
