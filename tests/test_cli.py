@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) against tmp_path output
 directories, with tiny epoch/trial counts so the whole file stays fast.
 """
 import argparse
+import ast
 import contextlib
 import io
 import os
@@ -615,12 +616,48 @@ sys.meta_path.insert(0, NoScipy())
 """
 
 
-class TestStartUpImports:
-    """No command loads scipy, and none loads concurrent.futures.
+# what `import harqpower.cli` loads: every module but selftest, which the
+# selftest command imports when it runs
+CLI_MODULES = ["harqpower", "harqpower.analytics", "harqpower.autodiff",
+               "harqpower.cli", "harqpower.gcn", "harqpower.graph",
+               "harqpower.montecarlo", "harqpower.oracle",
+               "harqpower.training", "harqpower.types"]
 
-    This file's own process has scipy loaded already (other test modules
-    import it), so these checks run in fresh interpreters.
+
+def loaded(module: str, cwd) -> tuple:
+    """Whether numpy is loaded, and the sorted harqpower modules, after
+    `import module` in a fresh interpreter."""
+    code = (f"import sys; import {module}; print('numpy' in sys.modules); "
+            "print(sorted(m for m in sys.modules if m.startswith('harqpower')))")
+    numpy, modules = run_fresh(code, cwd).splitlines()
+    return numpy == "True", ast.literal_eval(modules)
+
+
+class TestStartUpImports:
+    """What each import loads; no command loads scipy, and none loads
+    concurrent.futures.
+
+    Every public name is imported from its module, so importing one module
+    loads only what that module needs.  This file's own process has numpy,
+    scipy and every module loaded already, so these checks run in fresh
+    interpreters.
     """
+
+    def test_package_loads_no_submodule_and_no_numpy(self, tmp_path):
+        assert loaded("harqpower", tmp_path) == (False, ["harqpower"])
+
+    def test_types_loads_no_numpy_and_no_other_module(self, tmp_path):
+        assert loaded("harqpower.types", tmp_path) == (
+            False, ["harqpower", "harqpower.types"])
+
+    def test_gcn_loads_only_types(self, tmp_path):
+        # in particular not autodiff or training
+        assert loaded("harqpower.gcn", tmp_path) == (
+            True, ["harqpower", "harqpower.gcn", "harqpower.types"])
+
+    def test_cli_loads_the_pinned_modules(self, tmp_path):
+        # the benchmark's start-up time is this import
+        assert loaded("harqpower.cli", tmp_path) == (True, CLI_MODULES)
 
     def test_commands_without_scipy_never_load_it(self, tmp_path):
         # any import of scipy fails in this interpreter

@@ -306,16 +306,14 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("SOMETHING 1\ndims 1 1\nactivations linear\nseed 0\n")
-        with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(path)
+        self.rejected(path, "not a checkpoint file: bad magic 'SOMETHING'")
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, GcnWeights([np.array([[1.0]])]))
         text = path.read_text().replace(" 1\n", " 99\n", 1)
         path.write_text(text)
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
+        self.rejected(path, "unsupported checkpoint version '99'")
 
     @pytest.mark.parametrize("acts", ["relu", "tanh linear", "linear relu"])
     def test_activations_other_than_derived_rejected(self, tmp_path, acts):
@@ -326,17 +324,17 @@ class TestCheckpoint:
         text = path.read_text().replace("activations relu linear",
                                         "activations " + acts, 1)
         path.write_text(text)
-        with pytest.raises(ValueError, match="activations"):
-            load_checkpoint(path)
+        self.rejected(path, f"activations {tuple(acts.split())} disagree "
+                            "with ('relu', 'linear') for dims (1, 4, 1)")
 
     def test_bad_dims_rejected(self, tmp_path):
         # no layer, and a layer of width zero
         path = tmp_path / "ckpt.txt"
-        for dims in ("1", "1 0 1"):
+        for dims, shown in (("1", "(1,)"), ("1 0 1", "(1, 0, 1)")):
             path.write_text(f"HARQPOWER-GCN 1\ndims {dims}\n"
                             "activations linear\nseed 0\n")
-            with pytest.raises(ValueError, match="dims"):
-                load_checkpoint(path)
+            self.rejected(path, f"dims {shown} need at least one layer and "
+                                "positive widths")
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -356,31 +354,38 @@ class TestCheckpoint:
         save_checkpoint(path, init_weights(seed=3))
         return path, path.read_text().splitlines(keepends=True)
 
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "ckpt.txt"
-        for text in ("", "\n  \n"):
-            path.write_text(text)
-            self.rejected(path, "the file is empty")
-
-    def test_file_cut_after_dims_rejected(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path)
-        path.write_text("".join(lines[:2]))
-        self.rejected(path, "the file ends before its activations line")
-
-    def test_matrix_block_cut_short_rejected(self, tmp_path):
+    # each edit turns the lines of saved_lines' file into the text of a
+    # malformed one; matrix 2 is headed on line 23 and matrix 4 on line 73
+    @pytest.mark.parametrize("edit, fault", [
+        pytest.param(lambda lines: "", "the file is empty", id="empty"),
+        pytest.param(lambda lines: "\n  \n", "the file is empty",
+                     id="blank-lines-only"),
+        pytest.param(lambda lines: "".join(lines[:2]),
+                     "the file ends before its activations line",
+                     id="cut-after-dims"),
         # keep 5 of matrix 2's 32 rows
+        pytest.param(lambda lines: "".join(lines[:29]),
+                     "matrix 2 is not 32 rows of 16 numbers",
+                     id="matrix-block-cut-short"),
+        # end after the first of the two entries of matrix 3's last row
+        pytest.param(lambda lines: "".join(lines[:72]) + lines[72].split()[0],
+                     "matrix 3 is not 16 rows of 2 numbers",
+                     id="row-cut-short"),
+        pytest.param(lambda lines: "".join(lines[:4] + ["matrix 0 16 1\n"]
+                                           + lines[5:]),
+                     "matrix 0 is not headed 'matrix 0 1 16', as dims "
+                     "(1, 16, 32, 16, 2, 1) give",
+                     id="matrix-header-disagreeing-with-dims"),
+        pytest.param(lambda lines: "".join(lines) + "matrix 5 1 1\n0.5\n",
+                     "lines follow the last matrix",
+                     id="lines-after-the-last-matrix"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, edit, fault):
         path, lines = self.saved_lines(tmp_path)
         assert lines[23] == "matrix 2 32 16\n"
-        path.write_text("".join(lines[:29]))
-        self.rejected(path, "matrix 2 is not 32 rows of 16 numbers")
-
-    def test_row_cut_short_rejected(self, tmp_path):
-        # the file ends after the first of the two entries of matrix 3's
-        # last row
-        path, lines = self.saved_lines(tmp_path)
         assert lines[73] == "matrix 4 2 1\n"
-        path.write_text("".join(lines[:72]) + lines[72].split()[0])
-        self.rejected(path, "matrix 3 is not 16 rows of 2 numbers")
+        path.write_text(edit(lines))
+        self.rejected(path, fault)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_weight_rejected(self, tmp_path, weight):
@@ -397,15 +402,3 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="^checkpoint .*ckpt.txt: could "
                                              "not convert string to float"):
             load_checkpoint(path)
-
-    def test_matrix_header_disagreeing_with_dims_rejected(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path)
-        lines[4] = "matrix 0 16 1\n"
-        path.write_text("".join(lines))
-        self.rejected(path, "matrix 0 is not headed 'matrix 0 1 16', as dims "
-                            "(1, 16, 32, 16, 2, 1) give")
-
-    def test_lines_after_the_last_matrix_rejected(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path)
-        path.write_text("".join(lines) + "matrix 5 1 1\n0.5\n")
-        self.rejected(path, "lines follow the last matrix")
