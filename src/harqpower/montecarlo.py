@@ -15,23 +15,28 @@ worker count.  Worker w of W (the calling thread is worker 0, and W is at
 most the chunk count) runs chunks w, w + W, ...; the per-chunk results are
 summed in chunk order afterwards.
 
-Layout: gains, events and weights are held round-major, as contiguous
-(K, n) rows, so the running Type-I AND, the CC and IR running sums and the
-running product of conditional weights are one ufunc call per round, adding
-and multiplying in the order np.cumsum and np.cumprod would.  A worker runs
-each chunk in blocks of trials drawn one after another from the chunk's
-generator, which reads the stream in the same order as one draw would, and
-every step but the final sums is elementwise, so the block size moves no
-bit.  The direct estimator works on DIRECT_BLOCK trials at a time: its
-scratch is block-sized and its per-block event counts are integers, whose
-sum is exact.  The conditional estimator works on CONDITIONAL_BLOCK trials
-at a time (large enough that the Bessel term's Chebyshev loop is not
-dominated by per-call cost), but keeps chunk-sized rows of |a_0|^2, of the
-weights and of each scheme's events: every normal of a chunk precedes its
-first uniform in the stream, and each (scheme, round) sum is numpy's
-pairwise sum over one contiguous chunk row, which a split would reorder.
-Each worker allocates its scratch once per estimator call and fills it
-through `out=` arguments; only _i0e's mask is allocated per block.
+Layout: coefficients, gains, events and weights are held round-major, as
+contiguous (K, n) rows stacked into one array, so every elementwise step
+covers all K rounds in one numpy call, with per-round constants as (K, 1)
+columns: the direct sampler's coefficients, and the conditional
+estimator's uniforms, densities and Bessel terms.  Only the running Type-I
+AND, the CC and IR running sums and the running product of conditional
+weights take one call per round, adding and multiplying in the order
+np.cumsum and np.cumprod would.  A worker runs each chunk in blocks of
+trials drawn one after another from the chunk's generator, which reads the
+stream in the same order as one draw would, and every step but the final
+sums is elementwise, so the block size moves no bit.  The direct estimator
+works on DIRECT_BLOCK trials at a time: its scratch is block-sized and its
+per-block event counts are integers, whose sum is exact.  The conditional
+estimator splits each chunk into equal blocks whose six (K, n) scratch
+rows take no more memory than 2K + 7 rows of CONDITIONAL_BLOCK trials
+(large enough that the Bessel term's Chebyshev loop is not dominated by
+per-call cost), but keeps chunk-sized rows of |a_0|^2, of the weights and
+of each scheme's events: every normal of a chunk precedes its first
+uniform in the stream, and each (scheme, round) sum is numpy's pairwise
+sum over one contiguous chunk row, which a split would reorder.  Each
+worker allocates its scratch once per estimator call and fills it through
+`out=` arguments; only _i0e's mask is allocated per block.
 
 Two estimators are provided.  Both return {Scheme: (McEstimate for rounds
 1..K)}, scoring every scheme on the same draws through outage_event:
@@ -58,7 +63,8 @@ import numpy as np
 from .types import ChannelParams, PowerPolicy, Scheme
 
 CHUNK_TRIALS = 1 << 15
-# trials sampled and scored at a time inside a chunk (see "Layout"); the
+# trials sampled and scored at a time inside a chunk (see "Layout"; the
+# conditional estimator's block follows from its constant and K); the
 # conditional block is larger because the Chebyshev series' per-call cost
 # would dominate at the direct block's size
 DIRECT_BLOCK = 1 << 12
@@ -110,13 +116,6 @@ def _chunk_spans(trials: int) -> list:
             for c in range(n_chunks)]
 
 
-def _complex_gaussian(re, im, out):
-    """(re + 1j * im) / sqrt(2) into `out`: a unit-variance CN(0, 1) draw."""
-    np.multiply(1j, im, out=out)
-    np.add(re, out, out=out)
-    np.multiply(out, 1.0 / math.sqrt(2.0), out=out)
-
-
 def _blocks(m: int, size: int) -> list:
     """Slices that cover range(m) in order, each at most `size` long."""
     return [slice(s, min(s + size, m)) for s in range(0, m, size)]
@@ -128,27 +127,34 @@ def _coeff_sampler(channel: ChannelParams, n_max: int):
     scratch that the next call overwrites.
 
     Each trial reads 2(K + 1) consecutive normals, so drawing a chunk in
-    blocks reads its stream in the same order as drawing it at once.
+    blocks reads its stream in the same order as drawing it at once.  Read
+    as K + 1 complex numbers re + 1j * im, a trial's normals are a_0 and
+    the rounds' own draws before their 1/sqrt(2) scaling, and each step
+    below covers every round in one call.
     """
     k = channel.num_rounds
     rho_t = channel.rho ** (np.arange(1, k + 1) + channel.delta - 1)
-    own = np.sqrt(1.0 - rho_t ** 2)
+    # complex (K, 1) columns, the values the per-round real factors are
+    # cast to, so that no call converts (or buffers) its operands
+    own = np.sqrt(1.0 - rho_t ** 2).astype(complex)[:, None]
+    rho_t = rho_t.astype(complex)[:, None]
     z = np.empty((n_max, 2 * (k + 1)))
     a0 = np.empty(n_max, dtype=complex)
-    shared = np.empty(n_max, dtype=complex)
     h = np.empty((k, n_max), dtype=complex)
 
     def sample(rng, n):
         zc = z[:n]
         rng.standard_normal(out=zc)
-        _complex_gaussian(zc[:, 0], zc[:, 1], out=a0[:n])
-        for j in range(k):
-            hj = h[j, :n]
-            _complex_gaussian(zc[:, 2 + 2 * j], zc[:, 3 + 2 * j], out=hj)
-            np.multiply(own[j], hj, out=hj)
-            np.multiply(rho_t[j], a0[:n], out=shared[:n])
-            np.add(hj, shared[:n], out=hj)
-        return h[:, :n]
+        a = zc.view(complex)
+        np.multiply(a, 1.0 / math.sqrt(2.0), out=a)
+        hn = h[:, :n]
+        np.multiply(own, a[:, 1:].T, out=hn)
+        # the rounds' own draws are spent; rho_t * a_0 takes their memory
+        np.copyto(a0[:n], a[:, 0])
+        shared = z.reshape(-1).view(complex)[:k * n].reshape(k, n)
+        np.multiply(rho_t, a0[:n], out=shared)
+        np.add(hn, shared, out=hn)
+        return hn
 
     return sample
 
@@ -297,7 +303,7 @@ def _chbevl(y, coeffs, bufs, out):
 
 def _i0e(x, out, scratch):
     """exp(-x) I0(x) for x >= 0 into `out`, which may be `x`, bit for bit
-    as Cephes' i0e; `scratch` holds five float rows of x's length.
+    as Cephes' i0e; `scratch` holds five float arrays of x's shape.
 
     The series up to 8 runs on every element and the one above 8 only when
     some element needs it, the one case that allocates (a bool mask of the
@@ -328,15 +334,15 @@ def _rician_power_pdf(u, mean_sq, var, out, arg, scratch):
     """Density of |h|^2 at u when h ~ CN(m, var), |m|^2 = mean_sq, into `out`.
 
     Written with the exponentially scaled Bessel term i0e so the exponent is
-    -(sqrt(u) - |m|)^2 / var <= 0, stable for any argument.  `arg` and the
-    five rows of `scratch` are scratch, and `mean_sq` is overwritten with its
-    square root.
+    -(sqrt(u) - |m|)^2 / var <= 0, stable for any argument.  `var`
+    broadcasts against the rest, which share one shape.  `arg` and the five
+    arrays of `scratch` are scratch; `u` and `mean_sq` are spent before the
+    Bessel term, so they may be among them.
     """
     np.multiply(u, mean_sq, out=arg)
     np.sqrt(arg, out=arg)
     np.multiply(2.0, arg, out=arg)
     np.divide(arg, var, out=arg)
-    _i0e(arg, arg, scratch)
     np.sqrt(u, out=out)
     np.sqrt(mean_sq, out=mean_sq)
     np.subtract(out, mean_sq, out=out)
@@ -344,6 +350,7 @@ def _rician_power_pdf(u, mean_sq, var, out, arg, scratch):
     np.negative(out, out=out)
     np.divide(out, var, out=out)
     np.exp(out, out=out)
+    _i0e(arg, arg, scratch)
     np.multiply(arg, out, out=out)
     np.divide(out, var, out=out)
 
@@ -376,52 +383,62 @@ def estimate_outage_conditional(policy: PowerPolicy, channel: ChannelParams,
     shared_sq = rho_t ** 2
     var = 1.0 - rho_t ** 2
 
+    # per-round constants as columns against a block's (K, n) rows
+    u_col, unit_col, shared_col, var_col, power_col = (
+        x[:, None] for x in (u_max, u_unit, shared_sq, var, powers))
+
     def make_kernel(m_max):
-        n_max = min(CONDITIONAL_BLOCK, m_max)
+        # trials per block: the six (K, n) block rows below hold no more
+        # floats than the 2K + 7 rows of CONDITIONAL_BLOCK trials that
+        # evaluating one round at a time takes; a chunk splits into equal
+        # blocks, so that none is a short remainder
+        n_max = (2 * n_rounds + 7) * CONDITIONAL_BLOCK // (6 * n_rounds)
+        n_max = -(-m_max // -(-m_max // n_max))
         # chunk rows: |a_0|^2 (every normal precedes every uniform in the
         # stream), the weights, each scheme's events and one product row,
         # so that each (scheme, round) sum runs over one contiguous row
         a0_sq, prod = np.empty((2, m_max))
         w = np.empty((n_rounds, m_max))
         events = np.empty((len(Scheme), n_rounds, m_max), dtype=bool)
-        # block rows; u holds the uniform draws, then (scaled in place) the
-        # gains.  The trial-major draws share memory with scratch that is
-        # idle while they live: the normals with the Bessel rows, spent
-        # before the first density, and the uniforms with the running sums,
-        # spent before the first event
-        mean_sq, arg = np.empty((2, n_max))
-        bessel = np.empty((5, n_max))
-        z = bessel[:2].reshape(n_max, 2)
-        u, work = np.empty((2, n_rounds, n_max))
+        # block rows, (K, n) each: u holds the scaled uniform draws, arg the
+        # gains and then the Bessel argument, and the first five are the
+        # Bessel term's scratch.  Rows share memory where their uses do not
+        # overlap: the trial-major normals, drawn K * n trials at a time
+        # and spent before the first uniform, with two spare rows, and
+        # |a_0|^2's square term with arg; the trial-major uniforms, spent
+        # before the events, with the events' running sums, spent before
+        # the density; u and mean_sq are spent before the Bessel term
+        rows = np.empty((6, n_rounds, n_max))
+        mean_sq, work, u, _, _, arg = rows
+        n_normal = n_rounds * n_max
+        z = rows[3:5].reshape(n_normal, 2)
         draw = work.reshape(n_max, n_rounds)
 
         def kernel(c, m):
             rng = _chunk_rng(seed, c)
-            blocks = _blocks(m, n_max)
-            for b in blocks:
+            for b in _blocks(m, n_normal):
                 n = b.stop - b.start
                 rng.standard_normal(out=z[:n])
-                a0 = a0_sq[b]
+                a0, im_sq = a0_sq[b], arg.reshape(-1)[:n]
                 np.square(z[:n, 0], out=a0)
-                np.square(z[:n, 1], out=arg[:n])
-                np.add(a0, arg[:n], out=a0)
+                np.square(z[:n, 1], out=im_sq)
+                np.add(a0, im_sq, out=a0)
                 np.multiply(0.5, a0, out=a0)
-            for b in blocks:
+            for b in _blocks(m, n_max):
                 n = b.stop - b.start
                 rng.random(out=draw[:n])
-                for j in range(n_rounds):
-                    uj, wj = u[j, :n], w[j, b]
-                    np.multiply(draw[:n, j], u_max[j], out=uj)
-                    np.multiply(shared_sq[j], a0_sq[b], out=mean_sq[:n])
-                    _rician_power_pdf(uj, mean_sq[:n], var[j], wj, arg[:n],
-                                      bessel[:, :n])
-                    np.multiply(wj, u_unit[j], out=wj)
-                    if j:
-                        np.multiply(w[j - 1, b], wj, out=wj)
-                    np.multiply(powers[j], uj, out=uj)
+                un, wb, gains = u[:, :n], w[:, b], arg[:, :n]
+                np.multiply(draw[:n].T, u_col, out=un)
+                np.multiply(power_col, un, out=gains)
                 for ev, scheme in zip(events, Scheme):
-                    outage_event(scheme, rate, u[:, :n], out=ev[:, b],
+                    outage_event(scheme, rate, gains, out=ev[:, b],
                                  work=work[:, :n])
+                np.multiply(shared_col, a0_sq[b], out=mean_sq[:, :n])
+                _rician_power_pdf(un, mean_sq[:, :n], var_col, wb,
+                                  arg[:, :n], rows[:5, :, :n])
+                np.multiply(wb, unit_col, out=wb)
+                for j in range(1, n_rounds):
+                    np.multiply(w[j - 1, b], w[j, b], out=w[j, b])
             sums = np.empty((2, len(Scheme), n_rounds))
             vals = prod[:m]
             for i, ev in enumerate(events):

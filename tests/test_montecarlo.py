@@ -194,6 +194,23 @@ class TestBesselTerm:
         assert aliased.tobytes() == want.tobytes()
         assert edges.tobytes() == want[:len(self.EDGES)].tobytes()
 
+    @pytest.mark.parametrize("high_row", [None, 0, 2])
+    def test_stacked_rows_match_row_by_row(self, high_row):
+        # the conditional estimator evaluates all K rounds as one (K, n)
+        # stack, whose max decides for every row whether the series above
+        # 8 runs; a row without such entries must come out as it does alone
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 8.0, (3, 4099))
+        if high_row is not None:
+            x[high_row, ::7] = rng.uniform(8.0, 700.0, x[high_row, ::7].size)
+        stacked = np.empty_like(x)
+        montecarlo._i0e(x, stacked, np.empty((5,) + x.shape))
+        for row, got in zip(x, stacked):
+            assert got.tobytes() == self.i0e(row).tobytes()
+        aliased = x.copy()
+        montecarlo._i0e(aliased, aliased, np.empty((5,) + x.shape))
+        assert aliased.tobytes() == stacked.tobytes()
+
     def test_one_row_allocates_less_than_a_row(self):
         x = np.random.default_rng(3).uniform(0.0, 16.0, CHUNK_TRIALS)
         out, scratch = np.empty_like(x), np.empty((5, x.size))
@@ -800,11 +817,12 @@ class TestPinnedBits:
         name, k, trials = key
         assert pinned_hex(name, k, 0.5, trials, workers) == EDGE_BITS[key]
 
-    @pytest.mark.parametrize("block", [1000, CHUNK_TRIALS])
+    @pytest.mark.parametrize("block", [1000, CHUNK_TRIALS, 4 * CHUNK_TRIALS])
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_block_size_does_not_change_the_bits(self, monkeypatch, name,
                                                    block):
-        # a block that divides no chunk, and one block per chunk
+        # a block that divides no chunk, and one block per chunk; at K = 4
+        # the conditional estimator's block is that only at the largest
         monkeypatch.setattr(montecarlo, "DIRECT_BLOCK", block)
         monkeypatch.setattr(montecarlo, "CONDITIONAL_BLOCK", block)
         got = pinned_hex(name, 4, 0.5, 70001, workers=3)

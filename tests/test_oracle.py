@@ -2,7 +2,9 @@
 
 The one-round problem is solvable by hand on a known geometric axis, and a
 small two-round grid can be brute-forced through the scalar evaluator to
-confirm the vectorized search picks the identical point.
+confirm the vectorized search picks the identical point.  A property test
+checks the bisecting search against the chain evaluated on every grid
+point.
 """
 import itertools
 import math
@@ -11,9 +13,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harqpower import oracle
-from harqpower.analytics import evaluate
+from harqpower.analytics import (analytic_chain, correlation_factor, evaluate,
+                                 rate_factors)
 from harqpower.oracle import (ComplexityGuard, GridInfeasible, GridSpec,
                               default_grid, grid_search)
 from harqpower.types import (ChannelParams, LinkConfig, PowerPolicy, Scheme,
@@ -55,6 +60,17 @@ class TestSingleRound:
         assert res.average_power_w == pytest.approx(ref.average_power_w,
                                                     rel=1e-12)
         assert res.outage_k == pytest.approx(ref.outage_profile[-1], rel=1e-12)
+
+    def test_budget_met_with_equality_is_feasible(self):
+        # the grid's top point spends exactly the budget, and latency falls
+        # as p grows, so the top point wins
+        link = LinkConfig(outage_target=0.5, power_budget_dbw=10.0)
+        grid = GridSpec(points_per_axis=7, p_min_w=1.0,
+                        p_max_w=link.power_budget_w)
+        res = grid_search(ChannelParams(rho=0.5, num_rounds=1),
+                          Scheme.TYPE_I, link, grid)
+        assert res.policy.powers == (link.power_budget_w,)
+        assert res.average_power_w == link.power_budget_w
 
     def test_infeasible_grid_raises(self):
         link = LinkConfig()  # target 1e-2 needs p >= 300 W, grid tops at 63 W
@@ -107,8 +123,9 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("block", (1, 7, 500))
     def test_block_size_does_not_change_the_result(self, monkeypatch, block):
-        # the search reduces block by block; with one point per block the
-        # cross-block reduction alone picks the winner
+        # the search reduces block by block; with one row (a point of the
+        # rounds 1..K-1 grid) per block the cross-block reduction alone
+        # picks the winner
         ch = ChannelParams(rho=0.5)
         grid = default_grid(self.link, points=12)
         want = grid_search(ch, Scheme.INCREMENTAL, self.link, grid)
@@ -152,3 +169,89 @@ class TestGridSearch:
         with pytest.raises(ComplexityGuard):
             grid_search(ch, Scheme.CHASE, self.link,
                         GridSpec(points_per_axis=3, p_min_w=1.0, p_max_w=10.0))
+
+    def test_negative_rate_factor_rejected(self):
+        # ir's alternating sum cancels to -2^-53 in round 3 at this rate,
+        # where latency would rise with p_3; the CLI rejects such a rate
+        link = LinkConfig(rate=1e-5)
+        assert rate_factors(Scheme.INCREMENTAL, 1e-5, 3)[2] < 0.0
+        with pytest.raises(ValueError) as err:
+            grid_search(ChannelParams(rho=0.5), Scheme.INCREMENTAL, link,
+                        default_grid(link, points=5))
+        assert str(err.value) == (
+            "grid search needs non-negative rate factors, but the ir rate "
+            "factor of round 3 is -1.11022e-16 at rate 1e-05")
+
+    def test_zero_rate_factor_picks_the_smallest_feasible_power(self):
+        # ir's round-2 factor is 0 at this rate, so P_2 = 0 and the latency
+        # is flat in p_2: the cheapest p_2, the axis floor, wins
+        link = LinkConfig(rate=1e-8)
+        assert rate_factors(Scheme.INCREMENTAL, 1e-8, 2)[1] == 0.0
+        ch = ChannelParams(rho=0.5, num_rounds=2)
+        grid = default_grid(link, points=9)
+        res = grid_search(ch, Scheme.INCREMENTAL, link, grid)
+        assert res.policy.powers[1] == grid.axis()[0]
+        assert res.outage_k == 0.0
+        assert res == brute_force(ch, Scheme.INCREMENTAL, link, grid)
+
+
+def brute_force(channel, scheme, link, grid):
+    """The grid's best point from the chain on all n^K points, ranked by
+    (latency, average power, p_1..p_K); None when no point is feasible."""
+    k = channel.num_rounds
+    powers = np.array(list(itertools.product(grid.axis(), repeat=k)))
+    inv_corr = 1.0 / correlation_factor(channel.rho, k, channel.delta)
+    with np.errstate(all="ignore"):
+        outages, _, tau, pavg = analytic_chain(
+            powers, inv_corr, rate_factors(scheme, link.rate, k), link,
+            capped=True)
+    feasible = np.flatnonzero((outages[:, -1] <= link.outage_target)
+                              & (pavg <= link.power_budget_w)
+                              & np.isfinite(tau))
+    if not feasible.size:
+        return None
+    keys = tuple(powers[feasible, j] for j in reversed(range(k)))
+    best = feasible[np.lexsort(keys + (pavg[feasible], tau[feasible]))[0]]
+    return oracle.OracleResult(
+        policy=PowerPolicy(tuple(powers[best])), latency_s=float(tau[best]),
+        average_power_w=float(pavg[best]),
+        outage_k=float(outages[best, -1]))
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def search_problems(draw):
+    k = draw(st.integers(1, 4))
+    points = draw(st.integers(2, 8 if k == 4 else 13))
+    # rates and targets log-uniform, where latencies go flat at small
+    # rates and large powers
+    link = LinkConfig(
+        rate=draw(st.sampled_from((1e-15, 7.0)) | log_uniform(-4.0, 0.845)),
+        outage_target=draw(st.sampled_from((1e-2, 1e-6))
+                           | log_uniform(-12.0, -0.3)),
+        power_budget_dbw=draw(st.floats(-10.0, 40.0)),
+        bandwidth_hz=draw(st.sampled_from((1e7, 1e3, 1e-300))))
+    channel = ChannelParams(rho=draw(st.floats(0.0, 0.999)), num_rounds=k)
+    scheme = draw(st.sampled_from(Scheme))
+    return channel, scheme, link, default_grid(link, points=points)
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(search_problems())
+    def test_bisection_picks_the_exhaustive_point(self, problem):
+        channel, scheme, link, grid = problem
+        factors = rate_factors(scheme, link.rate, channel.num_rounds)
+        if min(factors) < 0.0:
+            with pytest.raises(ValueError, match="non-negative rate factors"):
+                grid_search(*problem)
+            return
+        want = brute_force(*problem)
+        if want is None:
+            with pytest.raises(GridInfeasible):
+                grid_search(*problem)
+        else:
+            assert grid_search(*problem) == want

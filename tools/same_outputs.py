@@ -110,6 +110,19 @@ COMMANDS = [
     ("oracle", "--points", "40"),
     ("oracle", "--rounds", "4", "--points", "12"),
     ("oracle", "--points", "100", "--rho", "0.6"),
+    # the oracle bisects each row's last-round axis: one round (a single
+    # row), two, both correlation extremes and a deep outage target
+    ("oracle", "--rounds", "1", "--power-budget-dbw", "30"),
+    ("oracle", "--rounds", "2", "--points", "100"),
+    ("oracle", "--rho", "0"),
+    ("oracle", "--rho", "0.99"),
+    ("oracle", "--outage-target", "1e-6", "--power-budget-dbw", "30"),
+    # a budget that no grid point meets: exit 1
+    ("oracle", "--power-budget-dbw", "5"),
+    # latencies flat in the last power (tiny outages), which the search
+    # breaks toward the smallest one, and latencies that overflow
+    ("oracle", "--scheme", "type1", "--config", "rate = 1e-15"),
+    ("oracle", "--scheme", "cc", "--config", "bandwidth_hz = 1e-300"),
     ("selftest",),
 ]
 
