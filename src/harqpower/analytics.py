@@ -96,8 +96,10 @@ def rate_factors(scheme: Scheme, rate: float, rounds: int) -> list:
 
 
 def _rounds_last(rows: int, lead) -> np.ndarray:
-    """An empty (lead..., rows) array whose rows along the last axis are
-    each contiguous, so a loop over rounds runs on contiguous rows."""
+    """An empty (lead..., rows) array stored with its last axis first, so
+    that a loop over rounds runs on contiguous rows, and whole-array
+    operations meet the network's powers, laid out the same way
+    (gcn.forward_profile), without a transposing pass."""
     return np.moveaxis(np.empty((rows,) + tuple(lead)), 0, -1)
 
 
@@ -107,25 +109,92 @@ def _arrays(count: int, lead) -> list:
     return [block[i, ...] for i in range(count)]
 
 
-class ChainWork:
-    """Buffers of analytic_chain and chain_adjoint for one shape (..., K).
+def _round_views(a: np.ndarray) -> list:
+    """The views a[..., 0], a[..., 1], ... of the rounds of `a`."""
+    return [a[..., k] for k in range(a.shape[-1])]
 
-    A caller that runs the chain on arrays of one shape again and again
-    passes one ChainWork to every call, so that no call allocates.  The
-    adjoint's buffers are made on its first call.
+
+def _running(out, rows) -> None:
+    """Left-to-right running total of the arrays `rows` into `out`."""
+    if len(rows) == 1:
+        out[...] = rows[0]
+        return
+    np.add(rows[0], rows[1], out=out)
+    for row in rows[2:]:
+        np.add(out, row, out=out)
+
+
+class ChainWork:
+    """The analytic chain on fixed input arrays, in buffers and views made
+    once.
+
+    ChainWork(powers, inv_corr, factors, link, capped, out) takes
+    analytic_chain's arguments and reads `powers`, `inv_corr` and `factors`
+    through the arrays given, so after a caller refills them in place (or
+    points the attribute `inv_corr` at another array of its shape), run()
+    evaluates the chain on the new values; adjoint() is its reverse
+    product.  Every buffer, every view of one round and every constant
+    operand (the link's floats as 0-d arrays, which a ufunc does not
+    convert on each call) is made here, so a call makes no array.  `out`,
+    when given, is two (...) arrays that receive the latency and the
+    average power.  The adjoint's buffers are made on its first call.
     """
 
-    def __init__(self, shape):
-        self.shape = tuple(shape)
+    def __init__(self, powers, inv_corr, factors, link: LinkConfig,
+                 capped: bool = False, out=None):
+        self.powers, self.inv_corr, self.factors = (
+            np.asarray(x, dtype=np.float64) for x in (powers, inv_corr,
+                                                      factors))
+        self.shape = np.broadcast_shapes(self.powers.shape,
+                                         self.inv_corr.shape,
+                                         self.factors.shape)
         lead, k = self.shape[:-1], self.shape[-1]
         self.prod = _rounds_last(k, lead)
         # ext holds P_0 = 1 and the outages P_1..P_K: prev and outages are
-        # its two overlapping views
+        # its two overlapping views, last is P_K
         self.ext = _rounds_last(k + 1, lead)
         self.ext[..., 0] = 1.0
+        self.prev, self.outages = self.ext[..., :-1], self.ext[..., 1:]
+        self.last = self.ext[..., -1]
         self.terms = _rounds_last(k, lead)  # the pavg terms p_k P_{k-1}
-        self.spent, self.eta, self.tau, self.pavg = _arrays(4, lead)
+        # success is 1 - P_K, which the adjoint's pole term reuses
+        self.spent, self.success, self.eta, self.tau, self.pavg = _arrays(
+            5, lead)
+        if out is not None:
+            self.tau, self.pavg = out
+        self._one, self._rate, self._bandwidth, self._payload = (
+            np.array(x) for x in (1.0, link.rate, link.bandwidth_hz,
+                                  link.payload_bits))
+        self._cap = np.array(OUTAGE_CAP) if capped else None
+        powers_k, prod_k, self._prev_k, self._terms_k = (
+            _round_views(x) for x in (self.powers, self.prod, self.prev,
+                                      self.terms))
+        self._prod_steps = list(zip(prod_k[:-1], powers_k[1:], prod_k[1:]))
+        self._prod_first = (prod_k[0], powers_k[0])
         self.tail = None
+
+    def run(self):
+        """analytic_chain on the inputs' current values: (outages,
+        throughput, latency, average power), the buffers themselves."""
+        multiply, divide = np.multiply, np.divide
+        prod0, powers0 = self._prod_first
+        prod0[...] = powers0
+        for before, power, prod in self._prod_steps:
+            multiply(before, power, out=prod)
+        outages = self.outages
+        divide(self.inv_corr, self.prod, out=outages)
+        multiply(outages, self.factors, out=outages)
+        if self._cap is not None:
+            np.minimum(outages, self._cap, out=outages)
+        _running(self.spent, self._prev_k)
+        np.subtract(self._one, self.last, out=self.success)
+        eta = multiply(self._rate, self.success, out=self.eta)
+        divide(eta, self.spent, out=eta)
+        tau = multiply(eta, self._bandwidth, out=self.tau)
+        divide(self._payload, tau, out=tau)
+        multiply(self.powers, self.prev, out=self.terms)
+        _running(self.pavg, self._terms_k)
+        return outages, eta, tau, self.pavg
 
     def _adjoint_buffers(self) -> None:
         lead, k = self.shape[:-1], self.shape[-1]
@@ -134,25 +203,55 @@ class ChainWork:
         self.tail[..., -1] = self.later[..., -1] = 0.0
         self.pull, self.scratch = (_rounds_last(k, lead) for _ in range(2))
         self.lat, self.pole = _arrays(2, lead)
+        tail_k, later_k = _round_views(self.tail), _round_views(self.later)
+        # round j's sums from round j + 1's, from round K - 1 down
+        self._suffix_steps = [
+            (tail_k[j + 1], self._prev_k[j + 1], tail_k[j], later_k[j + 1],
+             self._terms_k[j + 1], later_k[j]) for j in range(k - 2, -1, -1)]
+        self._columns = (self.spent[..., None], self.pole[..., None],
+                         self.lat[..., None])
 
-    @property
-    def prev(self) -> np.ndarray:
-        return self.ext[..., :-1]
+    def adjoint(self, tau, g_tau, g_log_pout, g_pavg, out=None) -> np.ndarray:
+        """Per-round power adjoints through the uncapped chain of the last
+        run().
 
-    @property
-    def outages(self) -> np.ndarray:
-        return self.ext[..., 1:]
+        `tau` is the latency the objective used and g_tau its adjoint,
+        both broadcasting against the chain's (...) shape; g_log_pout and
+        g_pavg, the adjoints of log P_K and the average power, broadcast
+        against the (..., K) adjoints (give (..., 1) columns).  Each P_k
+        is a monomial, dP_k/dp_j = -P_k / p_j for j <= k, so with S = 1 +
+        sum_{k<K} P_k and P_0 = 1 the adjoint of p_j is
 
+            g_pavg P_{j-1} - (g_tau tau (sum_{j<=k<K} P_k / S
+                                         + P_K / (1 - P_K))
+                              + g_log_pout + g_pavg sum_{k>j} p_k P_{k-1})
+                             / p_j
 
-def _running(out, rows) -> None:
-    """Left-to-right running total of `rows` (..., K) into `out` (...)."""
-    np.copyto(out, rows[..., 0])
-    for k in range(1, rows.shape[-1]):
-        out += rows[..., k]
+        where both suffix sums run from round K down, starting at zero.
+        Returns the (..., K) adjoints in `out`, or in a fresh array.
+        """
+        if self.tail is None:
+            self._adjoint_buffers()
+        multiply, add, divide = np.multiply, np.add, np.divide
+        multiply(g_tau, tau, out=self.lat)
+        divide(self.last, self.success, out=self.pole)
+        for tail_next, outage, tail, later_next, term, later in \
+                self._suffix_steps:
+            add(tail_next, outage, out=tail)
+            add(later_next, term, out=later)
+        spent, pole, lat = self._columns
+        pull = divide(self.tail, spent, out=self.pull)
+        add(pull, pole, out=pull)
+        multiply(lat, pull, out=pull)
+        add(pull, g_log_pout, out=pull)
+        add(pull, multiply(g_pavg, self.later, out=self.scratch), out=pull)
+        divide(pull, self.powers, out=pull)
+        out = multiply(g_pavg, self.prev, out=out)
+        return np.subtract(out, pull, out=out)
 
 
 def analytic_chain(powers, inv_corr, factors, link: LinkConfig,
-                   capped: bool = False, work: ChainWork | None = None):
+                   capped: bool = False):
     """Outage -> throughput -> latency -> average power for power vectors.
 
     `powers`, `inv_corr` and the scheme's rate factors `factors` (see
@@ -174,69 +273,10 @@ def analytic_chain(powers, inv_corr, factors, link: LinkConfig,
     before it enters the later metrics; the asymptote can exceed 1 at low
     SNR.  Returns (outages, throughput, latency, average power): the
     per-round outages the metrics used, shaped (..., K), and three (...)
-    arrays, all views of `work`'s buffers (fresh ones without `work`).
+    arrays.  A caller that runs the chain again and again on arrays it
+    refills uses a ChainWork, whose run() this is.
     """
-    powers, inv_corr, factors = (np.asarray(x, dtype=np.float64)
-                                 for x in (powers, inv_corr, factors))
-    if work is None:
-        work = ChainWork(np.broadcast_shapes(powers.shape, inv_corr.shape,
-                                             factors.shape))
-    prod, outages = work.prod, work.outages
-    np.copyto(prod[..., 0], powers[..., 0])
-    for k in range(1, prod.shape[-1]):
-        np.multiply(prod[..., k - 1], powers[..., k], out=prod[..., k])
-    np.divide(inv_corr, prod, out=outages)
-    np.multiply(outages, factors, out=outages)
-    if capped:
-        np.minimum(outages, OUTAGE_CAP, out=outages)
-    _running(work.spent, work.prev)
-    eta = np.subtract(1.0, outages[..., -1], out=work.eta)
-    np.multiply(link.rate, eta, out=eta)
-    np.divide(eta, work.spent, out=eta)
-    tau = np.multiply(eta, link.bandwidth_hz, out=work.tau)
-    np.divide(link.payload_bits, tau, out=tau)
-    np.multiply(powers, work.prev, out=work.terms)
-    _running(work.pavg, work.terms)
-    return outages, eta, tau, work.pavg
-
-
-def chain_adjoint(powers, work: ChainWork, tau, g_tau, g_log_pout,
-                  g_pavg) -> np.ndarray:
-    """Per-round power adjoints through the uncapped analytic_chain.
-
-    `work` holds the chain's last evaluation on `powers`; `tau` is the
-    latency the objective used, and g_tau, g_log_pout and g_pavg are the
-    adjoints of tau, log P_K and the average power, all broadcasting
-    against the chain's (...) shape.  Each P_k is a monomial,
-    dP_k/dp_j = -P_k / p_j for j <= k, so with S = 1 + sum_{k<K} P_k and
-    P_0 = 1 the adjoint of p_j is
-
-        g_pavg P_{j-1} - (g_tau tau (sum_{j<=k<K} P_k / S + P_K / (1 - P_K))
-                          + g_log_pout + g_pavg sum_{k>j} p_k P_{k-1}) / p_j
-
-    where both suffix sums run from round K down, starting at zero.
-    Returns the (..., K) adjoints in a fresh array.
-    """
-    if work.tail is None:
-        work._adjoint_buffers()
-    outages, tail, later = work.outages, work.tail, work.later
-    last = outages[..., -1]
-    lat = np.multiply(g_tau, tau, out=work.lat)
-    pole = np.subtract(1.0, last, out=work.pole)
-    np.divide(last, pole, out=pole)
-    for j in range(tail.shape[-1] - 2, -1, -1):
-        np.add(tail[..., j + 1], outages[..., j], out=tail[..., j])
-        np.add(later[..., j + 1], work.terms[..., j + 1], out=later[..., j])
-    pull = np.divide(tail, work.spent[..., None], out=work.pull)
-    pull += pole[..., None]
-    np.multiply(lat[..., None], pull, out=pull)
-    pull += np.asarray(g_log_pout)[..., None]
-    g_pavg = np.asarray(g_pavg)[..., None]
-    pull += np.multiply(g_pavg, later, out=work.scratch)
-    np.divide(pull, powers, out=pull)
-    out = np.multiply(g_pavg, work.prev)
-    out -= pull
-    return out
+    return ChainWork(powers, inv_corr, factors, link, capped).run()
 
 
 def evaluate(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,
@@ -246,13 +286,12 @@ def evaluate(policy: PowerPolicy, channel: ChannelParams, scheme: Scheme,
         raise ValueError("policy and channel round counts differ")
     k = channel.num_rounds
     inv_corr = 1.0 / correlation_factor(channel.rho, k, channel.delta)
-    work = ChainWork((k,))
+    work = ChainWork(policy.powers, inv_corr,
+                     rate_factors(scheme, link.rate, k), link, capped=True)
     # a power product that overflows to inf gives an outage of 0; one that
     # underflows to 0 leaves no outage at all
     with np.errstate(all="ignore"):
-        outages, eta, tau, pavg = analytic_chain(
-            policy.powers, inv_corr, rate_factors(scheme, link.rate, k), link,
-            capped=True, work=work)
+        outages, eta, tau, pavg = work.run()
     if not work.prod.all():
         raise ZeroDivisionError("float division by zero")
     profile = tuple(float(p) for p in outages)

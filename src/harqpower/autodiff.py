@@ -5,10 +5,11 @@ forward function of its parents' current values, and its vector-Jacobian
 product, which maps an adjoint of its value to one contribution per parent.
 Both read the parents' `.value` when they are called, so a graph whose
 leaves change in place can be evaluated again by calling each op's
-compute() in order, without rebuilding it.  op() builds such a node.  The
-module defines no op of its own: the program's one graph is training's,
-two fused ops with hand-derived products (the policy network's pass and
-the Lagrangian), which train_stack drives by calling them directly.
+compute() in order, without rebuilding it.  op() builds such a node, and
+any object with a Node's fields serves as one.  The module defines no op
+of its own: the program's one graph is training's, two fused ops with
+hand-derived products (the policy network's pass, and the Lagrangian,
+whose root is also the training step that train_stack drives).
 
 backward(root) differentiates the graph under a scalar root at its current
 values: it orders the nodes topologically, marks those with a parameter

@@ -72,31 +72,59 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
+def run_column(values: np.ndarray, ndim: int) -> np.ndarray:
+    """A view of per-run `values` that broadcasts against arrays with
+    `ndim` more axes: values.shape + (1,) * ndim, or 0-d for a single run.
+    A ufunc takes a 0-d operand as a scalar, where it would run a size-1
+    column through its slower broadcasting iterator."""
+    if values.size == 1:
+        return values.reshape(())
+    return values.reshape(values.shape + (1,) * ndim)
+
+
+def _rounds_major(runs, d_shape) -> np.ndarray:
+    """An empty runs + d_shape array, d_shape (B, K, 1) or (K, 1), stored
+    rounds first when d_shape has a samples axis B."""
+    if len(d_shape) < 3:
+        return np.empty(runs + d_shape)
+    b, k, _ = d_shape
+    return np.moveaxis(np.empty((k,) + runs + (b, 1)), 0, -2)
+
+
 class _Network:
     """One network's pass over fixed shapes, in its rank-one form, in
-    buffers made once.
+    buffers and views made once.
 
-    Reads the profile d = A^L 1 and the weight matrices through the arrays
-    given, so a caller that refills them in place evaluates the new values.
-    The pass keeps the chain psi_l, relu(psi_l) and the 0/1 mask of the live
-    hidden units (`mask`, one per hidden layer), which with `out` are what
-    the backward pass reads.  The masks are float, so that the backward
-    products need no cast buffer.
+    Reads the profile `d` = A^L 1 and the weight matrices through the
+    arrays given, so a caller that refills them in place, or points the
+    attribute `d` at another array of its shape, evaluates the new values.
+    The pass keeps the chain psi_l, relu(psi_l) and the 0/1 mask of the
+    live hidden units (`mask`, one per hidden layer), which with `out` are
+    what the backward pass reads.  The masks are float, so that the
+    backward products need no cast buffer, and the constant operands are
+    0-d arrays, which a ufunc does not convert on each call.
     """
 
     def __init__(self, d, matrices, share, grad):
         self.d, self.matrices = d, matrices
-        runs, k_axes = share.shape, (1,) * d.ndim
-        self.share = share.reshape(runs + k_axes)
+        runs = share.shape
+        self.share = run_column(share, d.ndim)
         # psi_0 is W_0 itself, a (1, n_1) row per run; phi is the last psi
         self.psi = [matrices[0]] + [np.empty(w.shape[:-2] + (1, w.shape[-1]))
                                     for w in matrices[1:]]
         self.relu = [np.empty_like(p) for p in self.psi[:-1]]
         self.mask = [np.empty_like(p) for p in self.psi[:-1]]
-        self._phi = self.psi[-1].reshape(self.psi[-1].shape[:-2] + k_axes)
+        self._phi = run_column(self.psi[-1].reshape(runs), d.ndim)
         self._scale = np.empty(np.broadcast_shapes(self.share.shape,
                                                    self._phi.shape))
-        self.out = np.empty(runs + d.shape)
+        # out is stored rounds first, as the chain's arrays are
+        # (analytics.ChainWork); _g is stored in sample order, so that a
+        # run's sum of g d runs over its samples and their rounds in order
+        self.out = _rounds_major(runs, d.shape)
+        self._above = np.empty_like(self.out)
+        self._zero, self._floor = np.array(0.0), np.array(P_MIN_WATTS)
+        self._layers = list(zip(self.psi, self.matrices[1:], self.relu,
+                                self.mask, self.psi[1:]))
         # the backward pass: the adjoint of out, of phi per run and of each
         # psi, psi_0's being W_0's gradient in the gradient buffer
         size = sum(m.shape[-2] * m.shape[-1] for m in matrices)
@@ -114,14 +142,14 @@ class _Network:
 
     def forward(self) -> np.ndarray:
         """Run the pass on the arrays' current values; returns `out`."""
-        for psi, w, relu, mask, nxt in zip(self.psi, self.matrices[1:],
-                                           self.relu, self.mask,
-                                           self.psi[1:]):
-            np.matmul(np.maximum(psi, 0.0, out=relu), w, out=nxt)
-            np.sign(relu, out=mask)
+        maximum, matmul, sign = np.maximum, np.matmul, np.sign
+        zero = self._zero
+        for psi, w, relu, mask, nxt in self._layers:
+            matmul(maximum(psi, zero, out=relu), w, out=nxt)
+            sign(relu, out=mask)
         np.multiply(self.share, self._phi, out=self._scale)
         np.multiply(self._scale, self.d, out=self.out)
-        return np.maximum(self.out, P_MIN_WATTS, out=self.out)
+        return maximum(self.out, self._floor, out=self.out)
 
     def backward(self, g: np.ndarray) -> list:
         """Each layer's weight gradient for the adjoint `g` of `out`, at
@@ -130,19 +158,21 @@ class _Network:
         The gradients are views of one buffer laid out by flat_views, the
         same list on every call.
         """
+        multiply, matmul = np.multiply, np.matmul
         # above the floor out = (p_bar / K) phi d, so phi's adjoint is
         # (p_bar / K) sum(g d) over those outputs; out - P_MIN_WATTS is 0 on
         # the floor and exactly nonzero above it, so its sign is the 0/1 mask
-        np.subtract(self.out, P_MIN_WATTS, out=self._g)
-        np.sign(self._g, out=self._g)
-        np.multiply(self._g, g, out=self._g)
-        np.multiply(self._g, self.d, out=self._g)
-        np.sum(self._g_rows, axis=-1, out=self._g_phi)
-        np.multiply(self._g_phi, self._share_runs, out=self._g_phi)
+        above = self._above
+        np.subtract(self.out, self._floor, out=above)
+        np.sign(above, out=above)
+        multiply(above, g, out=above)
+        multiply(above, self.d, out=self._g)
+        np.add.reduce(self._g_rows, axis=-1, out=self._g_phi)
+        multiply(self._g_phi, self._share_runs, out=self._g_phi)
         for relu_t, g_psi, grad_w, w_t, below, mask in self._plan:
-            np.multiply(relu_t, g_psi, out=grad_w)
-            np.matmul(g_psi, w_t, out=below)
-            np.multiply(below, mask, out=below)
+            multiply(relu_t, g_psi, out=grad_w)
+            matmul(g_psi, w_t, out=below)
+            multiply(below, mask, out=below)
         return self.grad
 
 

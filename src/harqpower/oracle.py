@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import (ChainWork, analytic_chain, correlation_factor,
-                        rate_factors)
+from .analytics import ChainWork, correlation_factor, rate_factors
 from .types import (P_MIN_WATTS, ChannelParams, LinkConfig,
                     PowerPolicy, Scheme, dbw_to_watts)
 
@@ -115,9 +114,10 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
     inv_corr = 1.0 / correlation_factor(channel.rho, k, channel.delta)
     size = n ** (k - 1)
     # one block's buffers, reused by every block: (rows, K) powers, each
-    # round's contiguous, the chain's work, and per-row scratch
+    # round's contiguous, the chain on them, and per-row scratch
     rows = min(BLOCK_POINTS, size)
-    powers, work = np.empty((k, rows)).T, ChainWork((rows, k))
+    powers = np.empty((k, rows)).T
+    chain = ChainWork(powers, inv_corr, factors, link, capped=True)
     scratch = (np.empty((3, rows)), np.empty((3, rows), dtype=np.intp),
                np.empty((3, rows), dtype=bool))
     # each block's best feasible point as (tau, pavg, powers, P_out_K)
@@ -125,7 +125,8 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
     for start in range(0, size, BLOCK_POINTS):
         flat = np.arange(start, min(start + BLOCK_POINTS, size))
         if flat.size < rows:
-            powers, work = powers[:flat.size], ChainWork((flat.size, k))
+            powers = powers[:flat.size]
+            chain = ChainWork(powers, inv_corr, factors, link, capped=True)
             scratch = tuple(a[:, :flat.size] for a in scratch)
         # mode="clip" writes straight into `out` ("raise" buffers); every
         # index is in range
@@ -135,10 +136,8 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
         # an overflow or a 0/0 leaves inf or nan, and every test below is
         # false for both
         with np.errstate(all="ignore"):
-            feasible = _search_rows(powers, axis, inv_corr, factors, link,
-                                    work, scratch)
-            outages, _, tau, pavg = analytic_chain(
-                powers, inv_corr, factors, link, capped=True, work=work)
+            feasible = _search_rows(powers, axis, link, chain, scratch)
+            outages, _, tau, pavg = chain.run()
         idx = np.flatnonzero(feasible)
         if idx.size:
             # lexsort is stable: equal keys keep row order
@@ -158,15 +157,16 @@ def grid_search(channel: ChannelParams, scheme: Scheme, link: LinkConfig,
                         outage_k=float(outage_k))
 
 
-def _search_rows(powers, axis, inv_corr, factors, link: LinkConfig,
-                 work: ChainWork, scratch) -> np.ndarray:
+def _search_rows(powers, axis, link: LinkConfig, chain: ChainWork,
+                 scratch) -> np.ndarray:
     """Each row's best last-round power, written to powers[:, -1].
 
-    `powers` holds the rows' powers of rounds 1..K-1 in its first K-1
-    columns.  Returns a bool row, True where the row has a feasible point;
-    an infeasible row's last power is some axis point.  Both bisections
-    take fixed power-of-two steps from index -1 and keep a step where the
-    tested index is still on the near side.
+    `chain` is the capped chain on `powers`, which holds the rows' powers
+    of rounds 1..K-1 in its first K-1 columns.  Returns a bool row, True
+    where the row has a feasible point; an infeasible row's last power is
+    some axis point.  Both bisections take fixed power-of-two steps from
+    index -1 and keep a step where the tested index is still on the near
+    side.
     """
     (base, slope, top), (last, pos, cand), (ok, fit, feasible) = scratch
     n = len(axis)
@@ -174,16 +174,14 @@ def _search_rows(powers, axis, inv_corr, factors, link: LinkConfig,
     def chain_at(index):
         # the chain with round K at axis[index], an index below 0 at axis[0]
         np.take(axis, index, out=powers[:, -1], mode="clip")
-        return analytic_chain(powers, inv_corr, factors, link, capped=True,
-                              work=work)
+        return chain.run()
 
     # at p_K = 0 the average power is the sum of rounds 1..K-1's terms; the
     # chain adds p_K * P_{K-1} to it last
     powers[:, -1] = 0.0
-    _, _, _, pavg = analytic_chain(powers, inv_corr, factors, link,
-                                   capped=True, work=work)
+    _, _, _, pavg = chain.run()
     np.copyto(base, pavg)
-    np.copyto(slope, work.prev[:, -1])
+    np.copyto(slope, chain.prev[:, -1])
     # last: the highest index whose average power is within the budget, -1
     # for none
     last.fill(-1)

@@ -125,15 +125,42 @@ def _check_autodiff():
     ad.backward(root)
     _expect(all(np.array_equal(g, p.adjoint) for g, p in zip(grads, params)),
             "backward must be idempotent")
-    # train_stack's step on a fresh build: the two ops' computes, then their
-    # products from the root's adjoint 1, bit for bit backward's gradient
-    root = lagrangian([ad.parameter(m) for m in mats])
-    (network,) = root.parents
-    network.compute()
-    root.compute()
-    got = network.vjp(*root.vjp(1.0))
-    _expect(all(g.tobytes() == s.tobytes() for g, s in zip(grads, got)),
-            "the training step's gradient must equal backward's")
+    # the training step's own calls, bit for bit backward's gradient on a
+    # fresh build, for one run and for a stack of three
+    _check_training_step([(Scheme.CHASE, LinkConfig())])
+    _check_training_step([(scheme, LinkConfig(power_budget_dbw=budget))
+                          for scheme, budget in zip(Scheme, (14.0, 15.0,
+                                                             16.0))])
+
+
+def _check_training_step(runs):
+    # the graph is built on one batch, weights and multipliers, which then
+    # move in place, and root.step() runs on another batch, as in
+    # train_stack; a fresh build at the new values is the reference
+    mats = [np.stack([m] * len(runs)) for m in init_weights(4).matrices]
+    adj, inv_corr = dataset_constants(np.linspace(0.05, 0.9, 8),
+                                      ChannelParams(rho=0.0))
+    d = profile(adj, len(mats))
+    lam, ups = np.zeros(len(runs)), np.zeros(len(runs))
+    root, stats = batch_lagrangian([ad.parameter(m) for m in mats], d[:4],
+                                   inv_corr[:4], runs, lam, ups)
+    for m in mats:
+        m *= 1.25
+    lam += np.linspace(0.01, 0.03, len(runs))
+    ups += np.linspace(1e-4, 3e-4, len(runs))
+    root.step(d[4:], inv_corr[4:])
+    got = root.gradient()
+    params = [ad.parameter(m.copy()) for m in mats]
+    fresh, want = batch_lagrangian(params, d[4:], inv_corr[4:], runs,
+                                   lam.copy(), ups.copy())
+    ad.backward(fresh)
+    _expect(all(g.tobytes() == p.adjoint.tobytes()
+                for g, p in zip(got, params)),
+            f"the training step's gradient must equal backward's at "
+            f"R={len(runs)}")
+    _expect(all(stats[key].tobytes() == want[key].tobytes() for key in want),
+            f"the training step's statistics must equal a fresh build's at "
+            f"R={len(runs)}")
 
 
 def _check_gcn():

@@ -10,23 +10,26 @@ in the network weights (Adam) while ascending the projected multipliers.
 Both constraint terms use the same mini-batch as the weight gradient.  The
 latency term is clipped at TAU_CLIP_FLOORS latency floors of the link.  The
 graph is two fused ops with hand-derived products, built once before the
-first step; every step calls their forwards and products directly.  Its
-leaves are the weights, the multipliers and a batch's rows of two
-per-sample constants made once per run, the network profile A^L 1 and the
-inverse correlation penalties.  Only the network's pass
-(gcn.forward_profile) and the chain's rounds-last rows are buffers made
-once, the chain's because a fresh (..., K) chain is several times slower;
-the masks, adjoints, Adam's terms and the dual step are plain numpy
-expressions.  One finiteness test guards a step (_diagnose).
+first step: the network's pass (gcn.forward_profile) and the Lagrangian,
+whose root object is also the training step.  Its leaves are the weights,
+the multipliers and a batch's rows of two per-sample constants made once
+per run, the network profile A^L 1 and the inverse correlation penalties,
+which each epoch gathers once in its shuffled order.  A step is a fixed
+sequence of numpy calls on buffers and views made before the first step:
+the network's pass, the chain (analytics.ChainWork), the per-sample rows,
+the masks and adjoints, Adam's terms, the dual step and the history row
+all write through `out=`, and the link's and Adam's constants are 0-d
+arrays, which a ufunc does not convert on each call.  One finiteness test
+guards a step (_diagnose).
 
 Several runs that differ only in scheme and power budget train as one
 stack: the weights, gradient, Adam moments, multipliers, step-size guard
-and history carry a leading run axis R (the weights as (R, P) rows, one per
-run), so per-run values broadcast; every run takes its steps on the same
-dataset constants and mini-batch order in one loop.  Runs never mix (each
-run's weight gradient is its own gemm), so a run trained in a stack is
-bitwise the run trained alone; train() is the stack of one.  Checks on a
-step's own (R, ...) arrays name the first run that fails, in one pass.
+and history carry a run axis R (the weights as (R, P) rows, one per run),
+so per-run values broadcast; every run takes its steps on the same dataset
+constants and mini-batch order in one loop.  Runs never mix (each run's
+weight gradient is its own gemm), so a run trained in a stack is bitwise
+the run trained alone; train() is the stack of one.  Checks on a step's own
+(R, ...) arrays name the first run that fails, in one pass.
 """
 from __future__ import annotations
 
@@ -37,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .analytics import (ChainWork, analytic_chain, chain_adjoint,
-                        correlation_factor, evaluate, rate_factors)
+from .analytics import ChainWork, correlation_factor, evaluate, rate_factors
 from .gcn import (GcnWeights, flat_views, forward, forward_profile,
-                  init_weights, profile)
+                  init_weights, profile, run_column)
 from .graph import batch_adjacency, session_adjacency
 from .types import P_MIN_WATTS, ChannelParams, LinkConfig, PowerPolicy, Scheme
 
@@ -105,6 +107,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.dataset_size < self.batch_size:
             raise ValueError("need dataset_size >= batch_size >= 1")
+        # a negative rate ascends the Lagrangian; zero freezes what it moves
+        for name in ("lr_weights", "lr_lambda", "lr_upsilon"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -122,6 +129,15 @@ class AdamState:
     v: np.ndarray
     step: int = 0
 
+    def __post_init__(self):
+        # adam_update's step sizes and two temporaries, its bias corrections
+        # and its constants b1, 1 - b1, b2, 1 - b2 and eps, as 0-d arrays
+        self.scratch = tuple(np.empty_like(self.m) for _ in range(3))
+        self.corrections = (np.empty(()), np.empty(()))
+        self.terms = tuple(np.array(x) for x in (
+            ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
+            ADAM_EPS))
+
     @classmethod
     def like(cls, x: np.ndarray) -> "AdamState":
         return cls(m=np.zeros_like(x), v=np.zeros_like(x))
@@ -135,16 +151,30 @@ def adam_update(state: AdamState, x: np.ndarray, g: np.ndarray, lr) -> None:
 
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
         x -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+
+    evaluated left to right in the state's buffers, so a call makes no
+    array of x's shape: `lr` is first copied to one of x's shape, since a
+    ufunc that broadcasts an (R, 1) column against (R, P) rows buffers the
+    whole operation, several times slower than an elementwise one.
     """
     state.step += 1
     t = state.step
     m, v = state.m, state.v
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    x -= lr * (m / (1.0 - ADAM_BETA1 ** t)) / (
-        np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
+    rate, a, b = state.scratch
+    c1, c2 = state.corrections
+    b1, rest1, b2, rest2, eps = state.terms
+    multiply, add, divide = np.multiply, np.add, np.divide
+    multiply(m, b1, out=m)
+    add(m, multiply(g, rest1, out=a), out=m)
+    multiply(v, b2, out=v)
+    multiply(multiply(g, rest2, out=b), g, out=b)
+    add(v, b, out=v)
+    c1[()] = 1.0 - ADAM_BETA1 ** t
+    c2[()] = 1.0 - ADAM_BETA2 ** t
+    rate[...] = lr
+    multiply(rate, divide(m, c1, out=a), out=a)
+    add(np.sqrt(divide(v, c2, out=b), out=b), eps, out=b)
+    np.subtract(x, divide(a, b, out=a), out=x)
 
 
 def sample_rho_dataset(cfg: TrainConfig) -> np.ndarray:
@@ -182,8 +212,145 @@ def _shared_link(runs) -> LinkConfig:
     return link
 
 
+class _Lagrangian:
+    """The root of batch_lagrangian's graph, and a training step.
+
+    It is a node of autodiff's graph (value, adjoint, parents, kind,
+    compute and vjp, as autodiff.op makes them) whose one parent is the
+    network op; compute() is the batch-mean Lagrangian of the network's
+    last pass and vjp(g) the adjoint of its powers.  step(d, inv_corr) and
+    gradient() are a training step's own calls: the network's pass and the
+    chain on a batch's rows, then the weight gradient of the root's adjoint
+    1, with the same float operations as compute(), vjp(1.0) and the
+    network's backward, and without the batch sum that only compute()
+    returns.  Every buffer, view and constant operand is made here.
+    """
+
+    kind = "lagrangian"
+
+    def __init__(self, network, net, runs, link: LinkConfig, p_bar, inv_corr,
+                 lam, ups):
+        self.parents, self.adjoint, self.net = (network,), None, net
+        b, k = net.d.shape[0], net.d.shape[1]
+        shape = (len(runs), b, k)
+        self.powers = net.out.reshape(shape)
+        # the per-run rate factors and budgets repeated over the batch, laid
+        # out as the powers and rows are: an elementwise ufunc on operands of
+        # one shape and layout skips the buffered iterator that broadcasting
+        # takes, which costs more than the arithmetic at these sizes
+        factors = np.empty_like(self.powers)
+        factors[...] = np.reshape([rate_factors(scheme, link.rate, k)
+                                   for scheme, _ in runs], (len(runs), 1, k))
+        # the per-sample rows: STAT_FIELDS, the raw latency, then scratch;
+        # train_stack sums the first five per run
+        self.rows = np.empty((6,) + shape[:-1])
+        self.per_sample, raw_tau = self.rows[:5], self.rows[4]
+        self.stats = dict(zip(STAT_FIELDS, self.rows[:4]), raw_tau_s=raw_tau)
+        self.work = ChainWork(self.powers, inv_corr, factors, link,
+                              out=(raw_tau, self.rows[3]))
+        self.link = link
+        # views of the per-run multipliers against (R, B) rows and against
+        # (R, B, K) ones, with buffers for their adjoints
+        lam, ups = (np.asarray(x, dtype=np.float64).reshape(-1)
+                    for x in (lam, ups))
+        self._lam, self._ups = run_column(lam, 1), run_column(ups, 1)
+        self._lam_k, self._ups_k = run_column(lam, 2), run_column(ups, 2)
+        self._g_lam, self._g_ups = (np.empty(self._lam_k.shape)
+                                    for _ in range(2))
+        self._p_bar = np.empty(shape[:-1])
+        self._p_bar[...] = p_bar.reshape(-1, 1)
+        self._b = float(b)
+        self._zero, self._inv_b, self._log_target, self._tau_clip = (
+            np.array(x) for x in (0.0, 1.0 / self._b,
+                                  math.log(link.outage_target),
+                                  TAU_CLIP_FLOORS * (link.payload_bits / (
+                                      link.bandwidth_hz * link.rate))))
+        self._live = np.empty((2,) + shape[:-1], dtype=bool)
+        self._g_tau = np.empty(shape[:-1])
+        self._g_powers = np.empty_like(net.out)
+        self._g_rounds = self._g_powers.reshape(shape)
+        self.value = np.asarray(self.compute(), dtype=np.float64)
+
+    def _rows(self) -> None:
+        """The per-sample rows of the chain's last run."""
+        multiply, subtract, add = np.multiply, np.subtract, np.add
+        objective, tau, log_pout, pavg, raw_tau, scratch = self.rows
+        np.minimum(np.maximum(raw_tau, self._zero, out=tau), self._tau_clip,
+                   out=tau)
+        np.log(self.work.last, out=log_pout)
+        # a zero multiplier adds an exact zero, so every run shares one op
+        multiply(self._lam, subtract(log_pout, self._log_target,
+                                     out=scratch), out=scratch)
+        add(tau, scratch, out=objective)
+        multiply(self._ups, subtract(pavg, self._p_bar, out=scratch),
+                 out=scratch)
+        add(objective, scratch, out=objective)
+
+    def compute(self, check=False):
+        """The batch-mean Lagrangian at the network's last pass.
+
+        With `check`, raises UndefinedLagrangian, naming the first run, on
+        a non-finite power, then on a zero denominator, then on a
+        nonpositive final outage; a plain compute() checks nothing.
+        """
+        work = self.work
+        work.run()
+        if check:
+            # the chain's divisors: power products, 1 + P_1 + ...,
+            # eta * bandwidth
+            defined = (work.prod.all(axis=-1) & (work.spent != 0.0)
+                       & (work.eta * self.link.bandwidth_hz != 0.0))
+            for bad, cause in (
+                    (~np.isfinite(self.powers), "non-finite network output"),
+                    (~defined, "divide: zero denominator entry"),
+                    (work.last <= 0.0, "log: nonpositive entry")):
+                if bad.any():
+                    raise UndefinedLagrangian(_first_run(bad), cause)
+        self._rows()
+        return self.rows[0].sum() / self._b
+
+    def _adjoint(self, g) -> np.ndarray:
+        """The powers' adjoint for the adjoint `g` / B of each sample's
+        term, in the (R, B, K, 1) buffer that the network's backward reads.
+        """
+        multiply = np.multiply
+        # a clipped sample's latency adjoint is zero, so its clipped latency
+        # serves; a sample is clipped exactly where its latency sits on a
+        # bound of [0, tau_clip]
+        tau, (live, below), g_tau = self.rows[1], self._live, self._g_tau
+        np.less(self._zero, tau, out=live)
+        np.logical_and(live, np.less(tau, self._tau_clip, out=below),
+                       out=live)
+        # g times the 0/1 mask; a float copy first skips a casting ufunc
+        g_tau[...] = live
+        self.work.adjoint(tau, multiply(g, g_tau, out=g_tau),
+                          multiply(g, self._lam_k, out=self._g_lam),
+                          multiply(g, self._ups_k, out=self._g_ups),
+                          out=self._g_rounds)
+        return self._g_powers
+
+    def vjp(self, g):
+        return (self._adjoint(g / self._b),)
+
+    def step(self, d, inv_corr) -> None:
+        """Point the graph at the batch rows `d` and `inv_corr`, which must
+        broadcast as the arrays it was built on do (train_stack's carry a
+        leading axis of 1 for the runs), and run the network's pass and
+        the chain on them: compute() without the batch sum."""
+        self.net.d = d
+        self.work.inv_corr = inv_corr
+        self.net.forward()
+        self.work.run()
+        self._rows()
+
+    def gradient(self) -> list:
+        """The weight gradient of the last step: the network's backward of
+        vjp(1.0), into its gradient buffer."""
+        return self.net.backward(self._adjoint(self._inv_b))
+
+
 def batch_lagrangian(wnodes, d: np.ndarray, inv_corr: np.ndarray, runs,
-                     lam, ups, grad=None, out=None):
+                     lam, ups, grad=None):
     """Build the batch-mean Lagrangian graph of a stack of runs.
 
     `runs` holds one (scheme, link) pair per run; the links may differ only
@@ -196,26 +363,28 @@ def batch_lagrangian(wnodes, d: np.ndarray, inv_corr: np.ndarray, runs,
     pass writes it into `grad` when given (laid out by gcn.flat_views).
     Returns (root, stats), stats a dict of per-sample (R, B) arrays:
     objective (each sample's Lagrangian term), mean_tau_s, mean_log_pout
-    and mean_pavg_w, the rows of one (4, R, B) buffer in STAT_FIELDS order
-    (`out` when given), and raw_tau_s, the latency before the clip; a
-    step's statistics are their per-run batch means.  The graph reads `d`,
-    `inv_corr`, the weights and the multipliers through the arrays passed
-    in (`lam` and `ups` as views when they are float arrays), and writes
-    the statistics, the network's pass and the chain into buffers made
-    here, so after those arrays change in place, calling the network's
-    compute() and then the root's evaluates the new values.
+    and mean_pavg_w, the first rows of one buffer in STAT_FIELDS order
+    (the root's per_sample, which adds the raw latency as a fifth row),
+    and raw_tau_s, the latency before the clip; a step's statistics are
+    their per-run batch means.  The graph reads `d`, `inv_corr`, the
+    weights and the multipliers through the arrays passed in (`lam` and
+    `ups` as views when they are float arrays), and writes the statistics,
+    the network's pass and the chain into buffers made here, so after
+    those arrays change in place, calling the network's compute() and then
+    the root's evaluates the new values; the root's step() does both on
+    other batch rows.
 
     The graph is two ops: the network's pass on `d` (gcn.forward_profile),
-    made here the "gcn" op over the weight nodes, and one op that maps its
-    floored (R, B, K, 1) powers to the batch-mean Lagrangian by
-    analytics.analytic_chain and chain_adjoint.  Its compute(check=True)
-    raises UndefinedLagrangian, naming the first run, on a non-finite
-    power, then on a zero denominator, then on a nonpositive final outage;
-    a plain compute() checks nothing (train_stack tests a step once).
-    numpy warns of overflows unless the caller silences it, as train_stack
-    does.  The op departs from the capped report in two deliberate ways
-    around the outage-near-one region, where the latency ratio has a pole
-    that otherwise wrecks the optimizer:
+    made here the "gcn" op over the weight nodes, and the root, which maps
+    its floored (R, B, K, 1) powers to the batch-mean Lagrangian by an
+    analytics.ChainWork and its adjoint.  Its compute(check=True) raises
+    UndefinedLagrangian, naming the first run, on a non-finite power, then
+    on a zero denominator, then on a nonpositive final outage; a plain
+    compute() checks nothing (train_stack tests a step once).  numpy warns
+    of overflows unless the caller silences it, as train_stack does.  The
+    op departs from the capped report in two deliberate ways around the
+    outage-near-one region, where the latency ratio has a pole that
+    otherwise wrecks the optimizer:
 
     * per-round outage values are not capped below one (the cap turns the
       pole into an eight-orders-of-magnitude cliff whose gradient poisons
@@ -229,62 +398,11 @@ def batch_lagrangian(wnodes, d: np.ndarray, inv_corr: np.ndarray, runs,
     Reported metrics elsewhere always use the capped chain.
     """
     link = _shared_link(runs)
-    b, k = d.shape[0], d.shape[1]
     p_bar = np.array([lk.power_budget_w for _, lk in runs])
     net = forward_profile(d, [w.value for w in wnodes], p_bar, grad=grad)
-    n_runs = len(runs)
-    shape = (n_runs, b, k)
-    powers = net.out.reshape(shape)
-
-    factors = np.array([rate_factors(scheme, link.rate, k)
-                        for scheme, _ in runs]).reshape(n_runs, 1, k)
-    # (R, 1) views of the per-run multipliers against (R, B) rows
-    lam, ups = (np.asarray(x, dtype=np.float64).reshape(-1, 1)
-                for x in (lam, ups))
-    p_bar = p_bar.reshape(-1, 1)
-    log_target = math.log(link.outage_target)
-    tau_clip = TAU_CLIP_FLOORS * (
-        link.payload_bits / (link.bandwidth_hz * link.rate))
-    work = ChainWork(shape)
-    per_sample = np.empty((4,) + shape[:-1]) if out is None else out
-    objective, tau, log_pout, pavg = per_sample
-    stats = dict(zip(STAT_FIELDS, per_sample), raw_tau_s=work.tau)
-
-    def compute(check=False):
-        pouts, eta, raw_tau, chain_pavg = analytic_chain(
-            powers, inv_corr, factors, link, work=work)
-        if check:
-            # the chain's divisors: power products, 1 + P_1 + ...,
-            # eta * bandwidth
-            defined = (work.prod.all(axis=-1) & (work.spent != 0.0)
-                       & (eta * link.bandwidth_hz != 0.0))
-            for bad, cause in (
-                    (~np.isfinite(powers), "non-finite network output"),
-                    (~defined, "divide: zero denominator entry"),
-                    (pouts[..., -1] <= 0.0, "log: nonpositive entry")):
-                if bad.any():
-                    raise UndefinedLagrangian(_first_run(bad), cause)
-        np.minimum(np.maximum(raw_tau, 0.0), tau_clip, out=tau)
-        np.log(pouts[..., -1], out=log_pout)
-        np.copyto(pavg, chain_pavg)
-        # a zero multiplier adds an exact zero, so every run shares one op
-        objective[...] = (tau + lam * (log_pout - log_target)
-                          + ups * (pavg - p_bar))
-        return objective.sum() / float(b)
-
-    def vjp(g):
-        # a clipped sample's latency adjoint is zero, so its clipped latency
-        # serves; a sample is clipped exactly where its latency sits on a
-        # bound of [0, tau_clip]
-        g = g / float(b)
-        live = (0.0 < tau) & (tau < tau_clip)
-        g_powers = chain_adjoint(powers, work, tau, g * live, g * lam,
-                                 g * ups)
-        return (g_powers.reshape(net.out.shape),)
-
     network = ad.op("gcn", net.forward, tuple(wnodes), net.backward)
-    root = ad.op("lagrangian", compute, (network,), vjp)
-    return root, stats
+    root = _Lagrangian(network, net, runs, link, p_bar, inv_corr, lam, ups)
+    return root, root.stats
 
 
 def _label(run) -> str:
@@ -296,8 +414,8 @@ def _diagnose(runs, it: int, root, means, grad, flat) -> None:
     """Raise TrainingDiverged for step `it`, whose test tripped, naming the
     first run that fails the step's first failing check: the Lagrangian of
     batch_lagrangian's `root` has a value (its compute(check=True) on the
-    step's powers), then its means, the (R, P) gradient and weights after
-    Adam are finite.  Returns if all pass.
+    step's powers), then its (4, R) means, the (R, P) gradient and weights
+    after Adam are finite.  Returns if all pass.
 
     The test misses none: a non-finite p_k makes the average power's term
     p_k P_{k-1} non-finite; a zero power product stays zero through later
@@ -375,63 +493,87 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
             "so no gradient can move it; choose another seed")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 13)))
 
-    # the leaves of the training graph, refilled in place every step: the
-    # batch's rows of d and inv_corr, the multipliers and the weights (Adam
-    # updates flat in place); every batch is full, so no shape changes
-    d = d_all[:cfg.batch_size].copy()
-    inv_corr = inv_corr_all[:cfg.batch_size].copy()
-    # the multipliers, one row each, and their step sizes and targets
-    duals = np.array([[INIT_LAMBDA] * n_runs, [INIT_UPSILON] * n_runs])
+    # each epoch gathers its batches' rows of d and inv_corr once, in its
+    # shuffled order, from round-major copies, into (steps, K, B) buffers:
+    # step s reads samples s B .. (s + 1) B - 1 through (1, B, K, 1) and
+    # (1, B, K) views made here, laid out as the network's powers and the
+    # chain are (every batch is full, so no shape changes)
+    n, k = inv_corr_all.shape
+    steps_per_epoch = cfg.dataset_size // cfg.batch_size
+    used = steps_per_epoch * cfg.batch_size
+    by_round = [np.ascontiguousarray(x.reshape(n, k).T)
+                for x in (d_all, inv_corr_all)]
+    # the flat index into a (K, N) copy of each step's round and sample
+    index = np.empty((steps_per_epoch, k, cfg.batch_size), dtype=np.intp)
+    round_start = (np.arange(k) * n)[:, None]
+    epoch = [np.empty(index.shape) for _ in by_round]
+    batches = [(d.T[None, :, :, None], inv_corr.T[None])
+               for d, inv_corr in zip(*epoch)]
+    total_steps = cfg.epochs * steps_per_epoch
+    # the history as (steps, fields, R), so that a step writes one row;
+    # run r's (steps, fields) rows are history[:, :, r]
+    history = np.empty((total_steps, len(HISTORY_FIELDS), n_runs))
+    history[:, 0] = np.arange(total_steps)[:, None]
+    # a step's row after the iteration: the batch means of the clipped
+    # latency, log P_K and the average power, then the multipliers, which
+    # the graph reads, with their step sizes and targets
+    record = np.empty((len(HISTORY_FIELDS) - 1, n_runs))
+    means, duals = record[:3], record[3:]
+    mean_tau, constrained = means[0], means[1:]
+    duals[0], duals[1] = INIT_LAMBDA, INIT_UPSILON
     lam, ups = duals
     dual_lr = np.array([[cfg.lr_lambda], [cfg.lr_upsilon]])
     dual_bound = np.stack([np.full(n_runs, math.log(link.outage_target)),
                            p_bar])
-    # the graph, built once on the dataset's first rows; its (4, R, B)
-    # per-sample statistics in STAT_FIELDS order
-    per_sample = np.empty((4, n_runs, cfg.batch_size))
-    root, stats = batch_lagrangian([ad.parameter(m) for m in mats], d,
-                                   inv_corr, runs, lam, ups, grad=grad,
-                                   out=per_sample)
-    (network,) = root.parents
-    raw_tau = stats["raw_tau_s"]
+    slack = np.empty_like(duals)
+    # the graph, built once on the dataset's first rows
+    root, _ = batch_lagrangian([ad.parameter(m) for m in mats],
+                               d_all[:cfg.batch_size],
+                               inv_corr_all[:cfg.batch_size], runs, lam, ups,
+                               grad=grad)
+    # each step's per-run sums of the root's per-sample rows (STAT_FIELDS
+    # and the raw latency) and the step's per-run rate column
+    sums = np.empty((root.per_sample.shape[0], n_runs))
+    batch_size, zero = np.array(float(cfg.batch_size)), np.array(0.0)
+    lr_col = np.empty((n_runs, 1))
+    add, reduce = np.add, np.add.reduce
+    per_sample, stat_sums = root.per_sample, sums[1:4]
 
-    guard_steps = np.zeros(n_runs, dtype=int)
     it = 0
-    steps_per_epoch = cfg.dataset_size // cfg.batch_size
-    total_steps = cfg.epochs * steps_per_epoch
-    history = np.empty((n_runs, total_steps, len(HISTORY_FIELDS)))
-    history[:, :, 0] = np.arange(total_steps)
     for _epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(cfg.dataset_size)
-        for bidx in range(steps_per_epoch):
-            sel = order[bidx * cfg.batch_size:(bidx + 1) * cfg.batch_size]
+        order = shuffle_rng.permutation(cfg.dataset_size)[:used]
+        np.add(order.reshape(steps_per_epoch, 1, cfg.batch_size), round_start,
+               out=index)
+        for source, rows in zip(by_round, epoch):
             # mode="clip" writes straight into `out` ("raise" buffers)
-            np.take(d_all, sel, axis=0, out=d, mode="clip")
-            np.take(inv_corr_all, sel, axis=0, out=inv_corr, mode="clip")
-            network.compute()
-            root.compute()
+            np.take(source, index, out=rows, mode="clip")
+        for d, inv_corr in batches:
+            root.step(d, inv_corr)
             # each statistic is its per-sample row's per-run batch mean
-            means = per_sample.sum(axis=-1) / cfg.batch_size
-            # the root's adjoint 1 back to the powers, then into grad
-            network.vjp(*root.vjp(1.0))
+            reduce(per_sample, axis=-1, out=sums)
+            np.divide(stat_sums, batch_size, out=means)
+            root.gradient()
 
             ramp = 1.0 - (1.0 - LR_FINAL_FRAC) * (it / total_steps)
             lr = cfg.lr_weights * ramp
             # a batch whose every sample sits past the latency pole (each
             # clipped to 0) gets a half-size step
-            guarded = means[1] == 0.0
-            guard_steps += guarded
-            adam_update(adam, flat, grad,
-                        np.where(guarded, lr * 0.5, lr)[:, None])
-            # the step's one test: a sum is finite only if its terms are
-            if not np.isfinite(means.sum() + raw_tau.sum() + flat.sum()):
-                _diagnose(runs, it, root, means, grad, flat)
+            lr_col.fill(lr)
+            if not mean_tau.all():
+                np.copyto(lr_col, lr * 0.5, where=(mean_tau == 0.0)[:, None])
+            adam_update(adam, flat, grad, lr_col)
+            # the step's one test: a sum is finite only if its terms are,
+            # and a mean only if its sum is
+            if not math.isfinite(reduce(sums, None) + reduce(flat, None)):
+                _diagnose(runs, it, root, sums[:4] / cfg.batch_size, grad,
+                          flat)
 
             # projected ascent on the mean outage and power slacks
-            np.maximum(0.0, duals + dual_lr * (means[2:] - dual_bound),
+            np.subtract(constrained, dual_bound, out=slack)
+            np.maximum(zero, add(duals, np.multiply(dual_lr, slack,
+                                                    out=slack), out=slack),
                        out=duals)
-            history[:, it, 1:4] = means[1:].T
-            history[:, it, 4:] = duals.T
+            history[it, 1:] = record
             it += 1
     # no step evaluates the last Adam step's weights, so they get one pass
     out = forward_profile(d_all[:cfg.batch_size], mats, p_bar).out
@@ -440,9 +582,11 @@ def train_stack(runs, channel_proto: ChannelParams, cfg: TrainConfig) -> list:
         raise TrainingDiverged(
             f"{_label(runs[_first_run(bad)])}: non-finite network output "
             f"after the Adam step at iteration {it - 1}")
+    # the guarded steps are those whose mean clipped latency is 0
+    guard_steps = np.count_nonzero(history[:, 1] == 0.0, axis=0)
     return [TrainResult(weights=GcnWeights([m[r].copy() for m in mats],
                                            cfg.seed),
-                        history=history[r], lam=float(lam[r]),
+                        history=history[:, :, r], lam=float(lam[r]),
                         ups=float(ups[r]), guard_steps=int(guard_steps[r]))
             for r in range(n_runs)]
 

@@ -118,6 +118,28 @@ class TestExitCodes:
             "config error: seed must be >= 0, got -1"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr_weights", -5e-4), ("lr_lambda", -1.0), ("lr_upsilon", -1.0),
+        ("lr_weights", -5e-324)])
+    @pytest.mark.parametrize("command", ["train", "sweep-rho", "oracle"])
+    def test_negative_learning_rate_exits_2(self, tmp_path, capsys, command,
+                                            key, value):
+        # a negative weight rate ascends the Lagrangian and a negative dual
+        # rate pins its multiplier at 0; both used to train to exit 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value!r}\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {key} must be >= 0, got {value!r}"]
+        assert not out.exists()
+
+    def test_zero_learning_rates_train(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr_weights = 0.0\nlr_lambda = 0.0\nlr_upsilon = 0.0\n")
+        assert run("train", "--config", cfg, *FAST_TRAIN, "--out",
+                   tmp_path / "out") == 0
+
     def test_bad_scheme_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scheme = turbo\n")

@@ -7,6 +7,7 @@ down explicitly.
 """
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -226,6 +227,57 @@ class TestAdam:
             else:
                 half, full = (run0, run1) if guarded[0] else (run1, run0)
                 assert np.array_equal(half, full * 0.5)
+
+    def test_buffered_steps_equal_the_formula(self):
+        # 60 steps of a stack of three (R, P) rows: row 1 at the halved rate
+        # of a guarded run, row 2 with an all-zero gradient.  Each step must
+        # be the docstring's formula evaluated with fresh temporaries, bit
+        # for bit, and from the third step on a call allocates no (R, P)
+        # array: its terms live in the state's buffers
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 1074))
+        want, m, v = x.copy(), np.zeros_like(x), np.zeros_like(x)
+        st = AdamState.like(x)
+        peaks = []
+        for t in range(1, 61):
+            g = rng.standard_normal(x.shape)
+            g[2] = 0.0
+            rate = 1e-2 * (1.0 - 0.98 * t / 60)
+            lr = np.array([[rate], [rate * 0.5], [rate]])
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            want = want - lr * (m / (1.0 - b1 ** t)) / (
+                np.sqrt(v / (1.0 - b2 ** t)) + training.ADAM_EPS)
+            if t > 2:
+                tracemalloc.start()
+            try:
+                adam_update(st, x, g, lr)
+                if tracemalloc.is_tracing():
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert x.tobytes() == want.tobytes(), t
+            assert (st.m.tobytes(), st.v.tobytes()) == (m.tobytes(),
+                                                        v.tobytes()), t
+        assert st.step == 60
+        assert np.array_equal(x[2], want[2]) and np.all(x[1] != want[0])
+        assert len(peaks) == 58 and max(peaks) < x.nbytes, max(peaks)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["lr_weights", "lr_lambda",
+                                      "lr_upsilon"])
+    @pytest.mark.parametrize("value", [-1.0, -5e-324, -np.inf, np.nan])
+    def test_negative_learning_rate_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got "
+                                             rf"{re.escape(str(value))}$"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["lr_weights", "lr_lambda",
+                                      "lr_upsilon"])
+    def test_zero_learning_rate_accepted(self, name):
+        assert getattr(TrainConfig(**{name: 0.0}), name) == 0.0
 
 
 class TestTrainLoop:
@@ -723,13 +775,17 @@ class TestHandDerivedStep:
                        zip(got.weights.matrices, alone.weights.matrices))
 
     @pytest.mark.parametrize("n_runs", (1, 3))
-    def test_later_steps_allocate_no_layer_arrays(self, monkeypatch, n_runs):
-        # trace the memory a whole step takes, from one Adam update to the
-        # next, from the second step on: less than one
-        # of the network's 16-feature layer arrays, where a step that
-        # allocated its layers would take all of them and their gradients
-        # (numpy's per-call iterator buffers of the (R, B, K) chain arrays
-        # are what remains)
+    def test_later_steps_allocate_no_layer_arrays(self, monkeypatch,
+                                                  n_runs):
+        # trace the memory a whole step takes, from the start of one Adam
+        # update to the start of the next, from the second step on: less
+        # than two (R, P) arrays of the weights.  A step that made Adam's
+        # terms afresh would hold three at once, and one that made its
+        # gradient or layers afresh several.  What remains is numpy's
+        # iterator buffers for a broadcasting ufunc, the largest the outer
+        # product of the (R, 16, 32) layer's gradient: two such buffers at
+        # R = 1 (9.4 KB, 1.09 (R, P) arrays) and three at R = 3 (38.1 KB,
+        # 1.48 arrays), so one (R, P) array is out of reach
         peaks, calls = [], []
         original = training.adam_update
 
@@ -738,10 +794,10 @@ class TestHandDerivedStep:
             if tracemalloc.is_tracing():
                 peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
                 tracemalloc.stop()
-            original(*args, **kwargs)
             if len(calls) >= 2:
                 tracemalloc.start()
                 start[0] = tracemalloc.get_traced_memory()[0]
+            original(*args, **kwargs)
 
         start = [0]
         monkeypatch.setattr(training, "adam_update", traced)
@@ -752,8 +808,9 @@ class TestHandDerivedStep:
             if tracemalloc.is_tracing():
                 tracemalloc.stop()
         assert len(peaks) == 3
-        layer_bytes = n_runs * cfg.batch_size * PROTO.num_rounds * 16 * 8
-        assert max(peaks) < layer_bytes, (peaks, layer_bytes)
+        weight_bytes = 8 * n_runs * sum(m.size for m in
+                                        init_weights(4).matrices)
+        assert max(peaks) < 2 * weight_bytes, (peaks, weight_bytes)
 
 
 class TestEvaluatePolicy:

@@ -9,9 +9,12 @@ schemes.  Each timing runs in a fresh interpreter, REF's and this tree's
 alternating, which one goes first swapping from pair to pair; each
 interpreter makes one warm-up call and then times one call, whose setup
 (dataset constants, profiles, dead-network check) is counted in its
-microseconds per step.  Prints, for each R, both trees' median
-microseconds per step over PAIRS pairs and how many pairs each one won.
-Exits 2 when REF has no src/ to archive.
+microseconds per step.  Prints, for each R, both trees' median and
+quartiles of microseconds per step over PAIRS pairs, how many pairs each
+one won, and whether this tree meets the bar for a claimed gain: it wins
+at least nine tenths of the pairs and its median is lower than REF's by
+more than REF's interquartile range.  Exits 2 when REF has no src/ to
+archive.
 """
 from __future__ import annotations
 
@@ -74,10 +77,16 @@ def main(argv=None) -> int:
             (ref, ref_t), (new, new_t) = times.items()
             ref_wins = sum(r < n for r, n in zip(ref_t, new_t))
             new_wins = sum(n < r for r, n in zip(ref_t, new_t))
-            print(f"R={n_runs}: {ref} {statistics.median(ref_t):.1f} us/step, "
-                  f"{new} {statistics.median(new_t):.1f} us/step (medians "
-                  f"of {PAIRS} pairs); {ref} won {ref_wins}, {new} won "
-                  f"{new_wins}", flush=True)
+            (ref_q1, ref_med, ref_q3), (new_q1, new_med, new_q3) = (
+                statistics.quantiles(t, n=4) for t in (ref_t, new_t))
+            met = (10 * new_wins >= 9 * PAIRS
+                   and ref_med - new_med > ref_q3 - ref_q1)
+            print(f"R={n_runs}: {ref} {ref_med:.1f} [{ref_q1:.1f}, "
+                  f"{ref_q3:.1f}] us/step, {new} {new_med:.1f} [{new_q1:.1f}, "
+                  f"{new_q3:.1f}] us/step (medians [quartiles] of {PAIRS} "
+                  f"pairs), {new} {100.0 * (new_med / ref_med - 1.0):+.1f}%; "
+                  f"{ref} won {ref_wins}, {new} won {new_wins}; gain bar "
+                  f"{'met' if met else 'not met'}", flush=True)
     return 0
 
 
