@@ -17,10 +17,10 @@ per run, the network profile A^L 1 and the inverse correlation penalties,
 which each epoch gathers once in its shuffled order.  A step is a fixed
 sequence of numpy calls on buffers and views made before the first step:
 the network's pass, the chain (analytics.ChainWork), the per-sample rows,
-the masks and adjoints, Adam's terms, the dual step and the history row
-all write through `out=`, and the link's and Adam's constants are 0-d
-arrays, which a ufunc does not convert on each call.  One finiteness test
-guards a step (_diagnose).
+the masks and adjoints, Adam's terms and the dual step all write through
+`out=`, the history takes one row copy of the step's record, and the
+link's and Adam's constants are 0-d arrays, which a ufunc does not
+convert on each call.  One finiteness test guards a step (_diagnose).
 
 Several runs that differ only in scheme and power budget train as one
 stack: the weights, gradient, Adam moments, multipliers, step-size guard
